@@ -14,6 +14,7 @@
 //! See README.md beside this file.
 
 mod alloc;
+mod calib;
 mod layers;
 mod pipeline;
 mod report;
@@ -91,9 +92,9 @@ pub fn peak_rss_mb() -> f64 {
 
 /// `name` of every pass, and their median: the run's own spread.
 pub fn spread_line(name: &str, values: &[f64]) -> String {
-    let each: Vec<String> = values.iter().map(|v| format!("{v:.1}")).collect();
+    let each: Vec<String> = values.iter().map(|v| format!("{v:.3}")).collect();
     format!(
-        "{name} per pass [{}], median {:.1}",
+        "{name} per pass [{}], median {:.3}",
         each.join(", "),
         stats::median(values)
     )

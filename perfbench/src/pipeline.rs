@@ -11,13 +11,12 @@ use std::time::{Duration, Instant};
 use ficsum_core::{Ficsum, FicsumBuilder, FicsumConfig, Variant};
 use ficsum_eval::KappaEvaluator;
 
-use crate::alloc;
 use crate::layers::{replay_layers, Tape};
 use crate::report::Report;
 use crate::sessions::{report_unserved, trace_served};
 use crate::stats::{derive_seed, median, quantile, Confusion, Digest, StepClassifier};
 use crate::trace::{check_wall_shares, StepTrace};
-use crate::{fits, peak_rss_mb, spread_line, Args};
+use crate::{alloc, calib, fits, peak_rss_mb, spread_line, Args};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pipeline {
@@ -26,8 +25,9 @@ pub enum Pipeline {
 }
 
 /// Pool builds timed before the first pass, after one untimed warm-up
-/// build, so that `setup_s` is a median over many.
-const SETUP_REPEATS: usize = 48;
+/// build, each scaled by the reference blocks around it (`calib`), so
+/// that `setup_s` is a median over many.
+const SETUP_REPEATS: usize = 200;
 
 impl Pipeline {
     /// The workload of that name.
@@ -50,7 +50,7 @@ impl Pipeline {
     fn pool(self) -> (usize, usize) {
         match self {
             Self::StaggerBatch => (48, 3_000),
-            Self::RtreeIncremental => (32, 3_000),
+            Self::RtreeIncremental => (48, 3_000),
         }
     }
 
@@ -72,10 +72,12 @@ impl Pipeline {
 
 /// What one pass over the pool produced.
 struct Pass {
-    /// Time to build every pipeline of the pool.
-    setup_s: f64,
     /// Time inside the per-stream processing loops.
     wall_s: f64,
+    /// The same, in seconds of the nominal host (`calib`).
+    scaled_wall_s: f64,
+    /// Reference block times measured around the streams.
+    reference_s: Vec<f64>,
     steps: usize,
     /// One digest per stream.
     digests: Vec<Digest>,
@@ -84,15 +86,17 @@ struct Pass {
     /// Repository size per stream at its end.
     repository_lens: Vec<usize>,
     kappa: f64,
-    /// Median and p90 of the pass's `process` calls (untraced passes).
-    latency_p50_us: f64,
-    latency_p90_us: f64,
+    /// p99 of the pass's `process` calls, each scaled like its stream's
+    /// wall time (untraced passes).
+    latency_p99_us: f64,
 }
 
 /// One pass over the pool. Every `process` call is timed into
 /// `latencies_us` (cleared first), or, when `trace` is given, timed and
-/// classified by step kind instead. Processed pipelines stay alive until
-/// the pass ends, so the peak resident set covers the whole pool's state.
+/// classified by step kind instead. A reference block is timed before the
+/// first stream and after each one, and scales that stream's wall time and
+/// latencies (`calib`). Processed pipelines stay alive until the pass
+/// ends, so the peak resident set covers the whole pool's state.
 fn run_pass(
     p: Pipeline,
     tapes: &[Tape],
@@ -101,19 +105,17 @@ fn run_pass(
     report: &mut Report,
 ) -> Pass {
     latencies_us.clear();
-    let start = Instant::now();
     let pipelines: Vec<Ficsum> = tapes.iter().map(|t| p.build(t)).collect();
-    let setup_s = start.elapsed().as_secs_f64();
     let mut pass = Pass {
-        setup_s,
         wall_s: 0.0,
+        scaled_wall_s: 0.0,
+        reference_s: vec![calib::reference_s()],
         steps: 0,
         digests: Vec::new(),
         drifts: Vec::new(),
         repository_lens: Vec::new(),
         kappa: 0.0,
-        latency_p50_us: 0.0,
-        latency_p90_us: 0.0,
+        latency_p99_us: 0.0,
     };
     let mut processed = Vec::with_capacity(tapes.len());
     let mut confusion = Confusion::new(tapes[0].classes);
@@ -123,6 +125,7 @@ fn run_pass(
         predictions.clear();
         let mut digest = Digest::default();
         let mut drifts = 0u64;
+        let first_sample = latencies_us.len();
         let start = Instant::now();
         match trace.as_mut() {
             None => {
@@ -159,7 +162,19 @@ fn run_pass(
                 alloc::set_counting(false);
             }
         }
-        pass.wall_s += start.elapsed().as_secs_f64();
+        let wall_s = start.elapsed().as_secs_f64();
+        let before_s = *pass
+            .reference_s
+            .last()
+            .expect("measured before the first stream");
+        let after_s = calib::reference_s();
+        pass.reference_s.push(after_s);
+        let scaled_s = calib::scaled(wall_s, before_s, after_s);
+        for us in &mut latencies_us[first_sample..] {
+            *us *= scaled_s / wall_s;
+        }
+        pass.wall_s += wall_s;
+        pass.scaled_wall_s += scaled_s;
         pass.steps += tape.len();
         report.attempted += tape.len() as u64;
         for (i, &pred) in predictions.iter().enumerate() {
@@ -179,8 +194,7 @@ fn run_pass(
         processed.push(pipeline);
     }
     if !latencies_us.is_empty() {
-        pass.latency_p50_us = quantile(latencies_us, 0.5);
-        pass.latency_p90_us = quantile(latencies_us, 0.9);
+        pass.latency_p99_us = quantile(latencies_us, 0.99);
     }
     pass.kappa = confusion.kappa();
     if (pass.kappa - evaluator.kappa()).abs() > 1e-12 {
@@ -215,11 +229,16 @@ pub fn run(args: &Args, report: &mut Report) {
         .collect();
     let build_pool = || tapes.iter().map(|t| p.build(t)).collect::<Vec<_>>();
     std::hint::black_box(build_pool());
-    let mut setups: Vec<f64> = (0..SETUP_REPEATS)
+    let mut before_s = calib::reference_s();
+    let setups: Vec<f64> = (0..SETUP_REPEATS)
         .map(|_| {
             let start = Instant::now();
             std::hint::black_box(build_pool());
-            start.elapsed().as_secs_f64()
+            let build_s = start.elapsed().as_secs_f64();
+            let after_s = calib::reference_s();
+            let scaled_s = calib::scaled(build_s, before_s, after_s);
+            before_s = after_s;
+            scaled_s
         })
         .collect();
     let budget = Duration::from_secs(args.seconds);
@@ -234,23 +253,30 @@ pub fn run(args: &Args, report: &mut Report) {
             }
             passes.push(pass);
         }
-        let rates: Vec<f64> = passes.iter().map(|s| s.steps as f64 / s.wall_s).collect();
-        setups.extend(passes.iter().map(|s| s.setup_s));
+        let rates: Vec<f64> = passes
+            .iter()
+            .map(|s| s.steps as f64 / s.scaled_wall_s)
+            .collect();
+        let raw: Vec<f64> = passes.iter().map(|s| s.steps as f64 / s.wall_s).collect();
+        let reference_ms: Vec<f64> = passes
+            .iter()
+            .map(|s| median(&s.reference_s) * 1e3)
+            .collect();
         println!("pool: {streams} {} streams x {steps} steps", p.dataset());
         println!(
             "passes: {}; {}",
             passes.len(),
             spread_line("steps_per_sec", &rates)
         );
+        println!("unscaled: {}", spread_line("steps_per_sec", &raw));
+        println!("host: {}", spread_line("reference block ms", &reference_ms));
         println!(
             "latency samples: {} process calls per pass",
             latencies_us.len()
         );
-        let p50s: Vec<f64> = passes.iter().map(|s| s.latency_p50_us).collect();
-        let p90s: Vec<f64> = passes.iter().map(|s| s.latency_p90_us).collect();
+        let p99s: Vec<f64> = passes.iter().map(|s| s.latency_p99_us).collect();
         report.metric("steps_per_sec", median(&rates), "1/s");
-        report.metric("latency_p50_us", median(&p50s), "us");
-        report.metric("latency_p90_us", median(&p90s), "us");
+        report.metric("latency_p99_us", median(&p99s), "us");
         report.metric("kappa", passes[0].kappa, "kappa");
         report.metric("setup_s", median(&setups), "s");
         report.metric("peak_rss_mb", peak_rss_mb(), "MB");
@@ -266,7 +292,7 @@ pub fn run(args: &Args, report: &mut Report) {
         let plain = run_pass(p, &tapes, &mut latencies_us, None, report);
         let traced = run_pass(p, &tapes, &mut latencies_us, Some(&mut trace), report);
         traced_wall += traced.wall_s;
-        ratios.push(traced.wall_s / plain.wall_s);
+        ratios.push(traced.scaled_wall_s / plain.scaled_wall_s);
         if let Some(reference) = &first {
             check_repeat(&plain, reference, &tapes, "repeated pass", report);
         }
