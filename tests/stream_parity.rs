@@ -77,17 +77,20 @@ fn run_scenario(
     seed: u64,
     steps: usize,
     config: FicsumConfig,
+    emd_stride: Option<u32>,
     threads: usize,
 ) -> Trajectory {
     let keep = shared(InMemoryRecorder::new());
     let mut stream = ficsum::synth::dataset_by_name(dataset, seed)
         .unwrap_or_else(|| panic!("unknown dataset {dataset}"));
-    let mut system = FicsumBuilder::new(stream.dims(), stream.n_classes())
+    let mut builder = FicsumBuilder::new(stream.dims(), stream.n_classes())
         .config(config)
         .recorder(Box::new(keep.clone()))
-        .parallelism(threads)
-        .build()
-        .unwrap();
+        .parallelism(threads);
+    if let Some(stride) = emd_stride {
+        builder = builder.incremental_stats(true).emd_stride(stride);
+    }
+    let mut system = builder.build().unwrap();
     let mut digest = Digest::new();
     let mut n = 0usize;
     let mut correct = 0u64;
@@ -121,12 +124,18 @@ fn quick_config() -> FicsumConfig {
     FicsumConfig::default().with_window_size(50).with_fingerprint_gap(5).with_repository_gap(50)
 }
 
+/// Batch-extraction scenarios first, then the incremental-statistics
+/// scenarios (`Some(emd_stride)`), which pin the substituted-statistic
+/// trajectory and the EMD cache cadence.
 fn scenarios(threads: usize) -> String {
+    let default = FicsumConfig::default();
     [
-        run_scenario("stagger_default", "STAGGER", 5, 12_000, FicsumConfig::default(), threads),
-        run_scenario("stagger_quick", "STAGGER", 9, 9_000, quick_config(), threads),
-        run_scenario("rtree_default", "RTREE", 3, 9_000, FicsumConfig::default(), threads),
-        run_scenario("hplane_quick", "HPLANE-U", 7, 9_000, quick_config(), threads),
+        run_scenario("stagger_default", "STAGGER", 5, 12_000, default, None, threads),
+        run_scenario("stagger_quick", "STAGGER", 9, 9_000, quick_config(), None, threads),
+        run_scenario("rtree_default", "RTREE", 3, 9_000, default, None, threads),
+        run_scenario("hplane_quick", "HPLANE-U", 7, 9_000, quick_config(), None, threads),
+        run_scenario("rtree_incremental", "RTREE", 3, 9_000, default, Some(4), threads),
+        run_scenario("stagger_incremental", "STAGGER", 9, 9_000, quick_config(), Some(1), threads),
     ]
     .iter()
     .map(Trajectory::render)
