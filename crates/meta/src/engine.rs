@@ -1035,14 +1035,22 @@ fn kind_is_static(kind: SourceKind) -> bool {
 }
 
 /// FNV-1a over the IEEE-754 bit patterns of a sequence, one 64-bit word
-/// per value. Identifies unchanged window contents for EMD reuse; a
-/// collision between two *different* windows of equal length is the only
-/// way the exact-reuse path can misfire, at odds of ~2⁻⁶⁴ per comparison.
+/// per value, folding the high half down after each multiply. Identifies
+/// unchanged window contents for EMD reuse; a collision between two
+/// *different* windows of equal length is the only way the exact-reuse
+/// path can misfire.
+///
+/// The fold matters for integer-valued sources (labels, predictions,
+/// errors): small integers have all-zero low mantissa bits, and a multiply
+/// only carries information upward, so without it such sequences would
+/// differ in the top 12 hash bits alone and collide about once in 4,096
+/// comparisons.
 fn hash_seq(seq: &[f64]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &x in seq {
         h ^= x.to_bits();
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h ^= h >> 32;
     }
     h ^ seq.len() as u64
 }
@@ -1588,6 +1596,17 @@ mod tests {
         let fresh = batch.extract(&contents, None);
         for &i in &emd_dims {
             assert_eq!(out[i].to_bits(), fresh[i].to_bits(), "dim {i} after invalidate");
+        }
+    }
+
+    #[test]
+    fn content_hash_separates_integer_valued_windows() {
+        // Every binary window of length 16: with only the top 12 hash bits
+        // depending on the data, these would collide by pigeonhole.
+        let mut seen = std::collections::HashSet::new();
+        for bits in 0u32..1 << 16 {
+            let seq: Vec<f64> = (0..16).map(|i| ((bits >> i) & 1) as f64).collect();
+            assert!(seen.insert(hash_seq(&seq)), "collision at {bits:#x}");
         }
     }
 
