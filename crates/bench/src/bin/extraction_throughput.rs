@@ -1,9 +1,8 @@
 //! Fingerprint extraction throughput: the pre-engine framework path
-//! (materialise the tracked window into an owned `Vec`, clone-and-relabel
+//! (materialise the active window into an owned `Vec`, clone-and-relabel
 //! every observation, then run [`FingerprintExtractor::extract`]) against the
-//! reusable [`FingerprintEngine`] reading the [`TrackedWindow`] directly,
-//! on the 20-feature / 100-observation window the engine's parity tests
-//! use.
+//! reusable [`FingerprintEngine`] reading the [`FrameWindows`] active window
+//! in place, on a 20-feature / 100-observation window.
 //!
 //! The two paths are timed in short interleaved rounds rather than one
 //! long block each: clock-frequency drift and background scheduling noise
@@ -34,10 +33,10 @@ use std::sync::Arc;
 use ficsum_bench::harness::{synthetic_window, time_throughput, Options, Throughput};
 use ficsum_bench::jsonl_out::JsonlReporter;
 use ficsum_classifiers::{Classifier, HoeffdingTree};
-use ficsum_meta::{FingerprintEngine, FingerprintExtractor};
+use ficsum_meta::{ExtractionMode, FingerprintEngine, FingerprintExtractor};
 use ficsum_obs::MonotonicClock;
 use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
-use ficsum_stream::{FrameWindows, LabeledObservation, TrackedWindow};
+use ficsum_stream::{FrameSource, FrameWindows, LabeledObservation};
 
 #[cfg(feature = "alloc-count")]
 #[global_allocator]
@@ -116,10 +115,17 @@ fn main() {
         i += 1;
     }
 
-    let mut tracked = TrackedWindow::new(w, d);
+    let mut fw = FrameWindows::new(w, 0, d);
     for obs in synthetic_window(w, d, 42) {
-        tracked.push(obs);
+        fw.push(obs.features(), obs.label(), obs.prediction);
     }
+    // The legacy path's first step: copy the active window out of the ring.
+    let materialise = |fw: &FrameWindows| -> Vec<LabeledObservation> {
+        let a = fw.a_view();
+        (0..a.len())
+            .map(|i| LabeledObservation::new(a.features(i).to_vec(), a.label(i), a.prediction(i)))
+            .collect()
+    };
     let mut rng = Xoshiro256pp::seed_from_u64(7);
     let mut tree = HoeffdingTree::new(d, 2);
     for _ in 0..2000 {
@@ -131,6 +137,7 @@ fn main() {
     let mut engine = FingerprintEngine::new(extractor.clone());
     let mut timed_engine = FingerprintEngine::new(extractor.clone());
     timed_engine.set_clock(Some(Arc::new(MonotonicClock::new())));
+    let (mut fp, mut fp_timed) = (Vec::new(), Vec::new());
 
     // Parity first: a benchmark comparing two paths is only meaningful if
     // they compute the same thing.
@@ -139,10 +146,9 @@ fn main() {
             .map(|o| o.observation.clone().labeled(clf.predict(o.features())))
             .collect()
     };
-    let contents: Vec<LabeledObservation> = tracked.iter().cloned().collect();
-    let legacy_fp = extractor.extract(&relabel(&contents, &tree), Some(&tree));
-    let engine_fp = engine.extract_tracked_repredicted(&tracked, &tree);
-    assert_eq!(legacy_fp, engine_fp, "engine must be bit-identical to the legacy path");
+    let legacy_fp = extractor.extract(&relabel(&materialise(&fw), &tree), Some(&tree));
+    engine.extract_tracked_frames_repredicted_into(&fw.a_tracked(), &tree, &mut fp);
+    assert_eq!(legacy_fp, fp, "engine must be bit-identical to the legacy path");
 
     println!(
         "extraction throughput: d = {d}, window = {w} observations, \
@@ -155,12 +161,12 @@ fn main() {
         secs,
         w as u64,
         || {
-            let window: Vec<LabeledObservation> = tracked.iter().cloned().collect();
-            let relabeled = relabel(&window, &tree);
+            let relabeled = relabel(&materialise(&fw), &tree);
             std::hint::black_box(extractor.extract(&relabeled, Some(&tree)));
         },
         || {
-            std::hint::black_box(engine.extract_tracked_repredicted(&tracked, &tree));
+            engine.extract_tracked_frames_repredicted_into(&fw.a_tracked(), &tree, &mut fp);
+            std::hint::black_box(&fp);
         },
     );
     println!(
@@ -185,10 +191,16 @@ fn main() {
         secs,
         w as u64,
         || {
-            std::hint::black_box(engine.extract_tracked_repredicted(&tracked, &tree));
+            engine.extract_tracked_frames_repredicted_into(&fw.a_tracked(), &tree, &mut fp);
+            std::hint::black_box(&fp);
         },
         || {
-            std::hint::black_box(timed_engine.extract_tracked_repredicted(&tracked, &tree));
+            timed_engine.extract_tracked_frames_repredicted_into(
+                &fw.a_tracked(),
+                &tree,
+                &mut fp_timed,
+            );
+            std::hint::black_box(&fp_timed);
         },
     );
     println!(
@@ -224,8 +236,7 @@ fn main() {
         incr_fw.push(o.features(), o.label(), o.prediction);
     }
     let mut incr_engine = FingerprintEngine::new(extractor.clone())
-        .with_incremental_stats(true)
-        .with_emd_stride(4);
+        .with_mode(ExtractionMode { incremental: true, emd_stride: 4 });
     let mut fp_b = Vec::new();
     let mut fp_i = Vec::new();
     let (mut bi, mut ii) = (0usize, 0usize);

@@ -4,9 +4,9 @@ use std::sync::Arc;
 
 use ficsum_classifiers::{Classifier, ClassifierFactory};
 use ficsum_drift::{Adwin, DetectorState, DriftDetector};
-use ficsum_meta::{FingerprintEngine, FingerprintExtractor, StaticScan};
+use ficsum_meta::{ExtractionMode, FingerprintEngine, FingerprintExtractor, StaticScan};
 use ficsum_obs::{Clock, DriftTrigger, MonotonicClock, NullRecorder, Recorder, Stage, StreamEvent};
-use ficsum_stream::{EwStats, FrameBlock, FrameWindows};
+use ficsum_stream::{EwStats, FrameWindows};
 
 use crate::checkpoint::SessionCheckpoint;
 use crate::config::{ConfigError, FicsumConfig};
@@ -155,9 +155,6 @@ pub struct Ficsum {
     scaled_q: Vec<f64>,
     /// Scratch: class-probability buffer for allocation-free prediction.
     proba_scratch: Vec<f64>,
-    /// Owned snapshot of `A` handed to model selection at drift (reused
-    /// capacity; the ring itself cannot be borrowed across selection).
-    drift_block: FrameBlock,
     /// Shared classifier-independent source scan of the window being
     /// scored. Feature and label sources do not depend on which classifier
     /// re-predicts the window, so the repository sweeps (selection, recheck
@@ -233,7 +230,6 @@ impl Ficsum {
             fp_tmp: Vec::new(),
             scaled_q: Vec::new(),
             proba_scratch: Vec::new(),
-            drift_block: FrameBlock::new(),
             window_scan: StaticScan::new(),
             scan_pool: Vec::new(),
             scan_threads: 1,
@@ -333,7 +329,6 @@ impl Ficsum {
             fp_tmp: Vec::new(),
             scaled_q: Vec::new(),
             proba_scratch: Vec::new(),
-            drift_block: FrameBlock::new(),
             window_scan: StaticScan::new(),
             scan_pool: Vec::new(),
             scan_threads: 1,
@@ -364,37 +359,20 @@ impl Ficsum {
         self.scan_pool.clear();
     }
 
-    /// Lets the engine substitute the window's incremental moments for the
-    /// batch moment sweep (see
-    /// [`crate::variant::FicsumBuilder::incremental_moments`]).
-    pub(crate) fn configure_incremental_moments(&mut self, on: bool) {
-        self.engine.set_incremental_moments(on);
-        self.scan_pool.clear();
-    }
-
-    /// Extends the incremental substitution from the moments to the full
-    /// per-window statistic set (see
-    /// [`crate::variant::FicsumBuilder::incremental_stats`]): switches the
-    /// frame windows' per-source statistic banks on at the extractor's MI
-    /// resolution and lets the engine substitute ACF/PACF, lagged MI and
-    /// the turning-point rate (which implies incremental moments) and cache
-    /// IMF entropies per source.
-    pub(crate) fn configure_incremental_stats(&mut self, on: bool) {
-        if on {
-            let bins = self.engine.extractor().mi_bins();
-            self.frames.enable_stats(bins);
-            self.engine.set_incremental_moments(true);
+    /// Applies the extraction mode (see
+    /// [`crate::variant::FicsumBuilder::incremental_stats`] and
+    /// [`crate::variant::FicsumBuilder::emd_stride`]) to the engine and the
+    /// frame windows: incremental mode switches the windows' statistic
+    /// banks on at the extractor's MI resolution (a no-op for banks
+    /// restored from a checkpoint at that resolution), batch mode drops
+    /// them so no push pays for state nothing reads.
+    pub(crate) fn configure_extraction(&mut self, mode: ExtractionMode) {
+        if mode.incremental {
+            self.frames.enable_stats(self.engine.extractor().mi_bins());
         } else {
             self.frames.disable_stats();
         }
-        self.engine.set_incremental_stats(on);
-        self.scan_pool.clear();
-    }
-
-    /// Bounds how often the engine re-sifts IMF entropies under incremental
-    /// statistics (see [`crate::variant::FicsumBuilder::emd_stride`]).
-    pub(crate) fn configure_emd_stride(&mut self, stride: u32) {
-        self.engine.set_emd_stride(stride);
+        self.engine.set_mode(mode);
         self.scan_pool.clear();
     }
 
@@ -638,8 +616,8 @@ impl Ficsum {
     }
 
     /// Grows the scan-worker engine pool to `n` single-threaded clones of
-    /// the main engine (same extractor and incremental-moments setting, no
-    /// span clock — the workers' cost is attributed to the selection span).
+    /// the main engine (same extractor and extraction mode, no span clock —
+    /// the workers' cost is attributed to the selection span).
     fn ensure_scan_pool(&mut self, n: usize) {
         while self.scan_pool.len() < n {
             let mut e = self.engine.clone();
@@ -649,7 +627,8 @@ impl Ficsum {
         }
     }
 
-    /// Finds the best stored recurrence candidate for `window`.
+    /// Finds the best stored recurrence candidate for the active window
+    /// `A`.
     ///
     /// Two acceptance tiers: (1) the paper's band test; (2) when nothing
     /// passes the band, a *dominant match* — a stored concept whose
@@ -666,11 +645,22 @@ impl Ficsum {
     /// repository order, and the acceptance fold runs over the merged list
     /// exactly as the sequential loop would: the outcome is bit-identical
     /// whichever thread scored an entry.
-    /// `scan_ready` means the caller already built `window_scan` for this
-    /// exact window (the drift path scans the live tracked window *before*
-    /// copying it out, so the scan can reuse per-source EMD state); when
-    /// false the scan is built here from the copied block.
-    fn select_best(&mut self, window: &FrameBlock, scan_ready: bool) -> Option<(ConceptId, f64)> {
+    ///
+    /// Reads `A` live from the frame ring: nothing between the drift check
+    /// and the end of selection or recheck pushes a frame, and the one
+    /// ring mutation on those paths, `clear_buffer`, runs after the last
+    /// read and leaves `A` intact.
+    fn select_best(&mut self) -> Option<(ConceptId, f64)> {
+        // Shared static scan: feature and label sources of `A` are the
+        // same whichever stored classifier re-predicts it, so they are
+        // evaluated once here and spliced into every candidate extraction
+        // (and the recheck's incumbent extraction). It runs before the
+        // candidate check so its EMD cache bookkeeping does not depend on
+        // the repository's contents.
+        {
+            let Self { engine, frames, window_scan, .. } = self;
+            engine.static_scan_tracked(&frames.a_tracked(), window_scan);
+        }
         let norm_v = self.normalizer.version();
         // Phase 0: refresh each candidate's cached selection side (cheap
         // version check per entry; recomputed only after the fingerprint or
@@ -688,21 +678,13 @@ impl Ficsum {
         if n_cands == 0 {
             return None;
         }
-        // Shared static scan: feature and label sources of `window` are the
-        // same whichever stored classifier re-predicts it, so they are
-        // evaluated once here and spliced into every candidate extraction
-        // (and the recheck's incumbent extraction) below.
-        if !scan_ready {
-            let Self { engine, window_scan, .. } = self;
-            engine.static_scan_frames(window, window_scan);
-        }
-        debug_assert!(self.window_scan.is_ready());
         // Phase 1: score every candidate -> (id, sim, mu, sigma) in
         // repository order.
         let mut scored: Vec<(ConceptId, f64, f64, f64)> = Vec::with_capacity(n_cands);
         if self.scan_threads <= 1 || n_cands < 2 {
-            let Self { engine, repo, normalizer, config, window_scan, .. } = self;
+            let Self { engine, repo, normalizer, config, window_scan, frames, .. } = self;
             let (normalizer, config, scan) = (&*normalizer, &*config, &*window_scan);
+            let window = &frames.a_tracked();
             let (mut fp, mut scaled) = (Vec::new(), Vec::new());
             let (mut sa, mut sb, mut sims) = (Vec::new(), Vec::new(), Vec::new());
             for entry in repo.iter().filter(|e| is_candidate(e)) {
@@ -717,8 +699,9 @@ impl Ficsum {
         } else {
             let n_workers = self.scan_threads.min(n_cands);
             self.ensure_scan_pool(n_workers);
-            let Self { scan_pool, repo, normalizer, config, window_scan, .. } = self;
+            let Self { scan_pool, repo, normalizer, config, window_scan, frames, .. } = self;
             let (normalizer, config, scan) = (&*normalizer, &*config, &*window_scan);
+            let window = &frames.a_tracked();
             let cands: Vec<&ConceptEntry> = repo.iter().filter(|e| is_candidate(e)).collect();
             let mut slots: Vec<Option<(ConceptId, f64, f64, f64)>> = vec![None; cands.len()];
             let per = cands.len().div_ceil(n_workers);
@@ -784,10 +767,10 @@ impl Ficsum {
 
     /// Model selection (Algorithm 1 lines 25–35): store the incumbent, test
     /// every stored concept, and activate the best acceptor or a fresh one.
-    fn model_select(&mut self, window: &FrameBlock, scan_ready: bool) -> Selection {
+    fn model_select(&mut self) -> Selection {
         let from = self.active_id;
         self.store_active();
-        let (selection, similarity) = match self.select_best(window, scan_ready) {
+        let (selection, similarity) = match self.select_best() {
             Some((id, sim)) => {
                 self.activate(id);
                 self.stats.n_reuses += 1;
@@ -819,17 +802,21 @@ impl Ficsum {
     /// the incumbent, it is selected; a newly created incumbent is deleted
     /// ("the alternative is deleted"), a reused incumbent returns to the
     /// repository.
-    fn run_recheck(&mut self, window: &FrameBlock, incumbent_new: bool, scan_ready: bool) {
-        let best = self.select_best(window, scan_ready);
+    fn run_recheck(&mut self, incumbent_new: bool) {
+        let best = self.select_best();
         let Some((id, best_sim)) = best else { return };
         // Score the incumbent on the same pure window; a fresh incumbent
         // with no history scores 0 (it cannot defend itself yet).
         let incumbent_sim = if self.active_fp_sel.is_trained() {
             {
-                // `select_best` just built the static scan for this same
-                // window (it returned Some, so candidates existed).
-                let Self { engine, active_clf, fp_tmp, window_scan, .. } = self;
-                engine.extract_with_scan(window, &*window_scan, active_clf.as_ref(), fp_tmp);
+                // `select_best` just built the static scan of `A`.
+                let Self { engine, frames, active_clf, fp_tmp, window_scan, .. } = self;
+                engine.extract_with_scan(
+                    &frames.a_tracked(),
+                    &*window_scan,
+                    active_clf.as_ref(),
+                    fp_tmp,
+                );
             }
             let key = (0, self.normalizer.version(), self.active_fp_sel.version());
             self.active_sel_cache.ensure(key, &self.active_fp_sel, &self.normalizer, None);
@@ -1122,22 +1109,9 @@ impl Ficsum {
                     self.emit(StreamEvent::DriftDetected { trigger });
                     self.recorder.counter("ficsum.drifts", 1);
                     outcome.drift = true;
-                    let mut block = std::mem::take(&mut self.drift_block);
-                    block.copy_from(&self.frames.a_view());
                     let t0 = self.span_start();
-                    // Under incremental statistics, scan the *live* tracked
-                    // window instead of the copied block: the selection scan
-                    // then shares the window's statistic banks and — because
-                    // `fp_a` was just extracted from these exact contents —
-                    // reuses the cached IMF entropies by content hash.
-                    let scan_ready = self.engine.incremental_stats();
-                    if scan_ready {
-                        let Self { engine, frames, window_scan, .. } = self;
-                        engine.static_scan_tracked(&frames.a_tracked(), window_scan);
-                    }
-                    let selection = self.model_select(&block, scan_ready);
+                    let selection = self.model_select();
                     self.span_end(Stage::RepositoryReassess, t0);
-                    self.drift_block = block;
                     // The active classifier changed: cached EMD values for
                     // prediction-dependent sources belong to the old one.
                     self.engine.invalidate_emd_cache();
@@ -1199,17 +1173,9 @@ impl Ficsum {
             if self.t >= recheck.due && self.frames.a_is_full() {
                 self.pending_recheck = None;
                 let before = self.active_id;
-                let mut block = std::mem::take(&mut self.drift_block);
-                block.copy_from(&self.frames.a_view());
                 let t0 = self.span_start();
-                let scan_ready = self.engine.incremental_stats();
-                if scan_ready {
-                    let Self { engine, frames, window_scan, .. } = self;
-                    engine.static_scan_tracked(&frames.a_tracked(), window_scan);
-                }
-                self.run_recheck(&block, recheck.created_new, scan_ready);
+                self.run_recheck(recheck.created_new);
                 self.span_end(Stage::RepositoryReassess, t0);
-                self.drift_block = block;
                 if self.active_id != before {
                     outcome.concept_switched = true;
                     self.engine.invalidate_emd_cache();
@@ -1404,5 +1370,21 @@ mod tests {
         }
         assert!(seq.stats().n_drifts >= 1, "test must exercise model selection");
         assert_eq!(seq.stats(), par.stats());
+    }
+
+    #[test]
+    fn batch_template_restore_drops_checkpointed_stat_banks() {
+        use crate::template::SessionTemplate;
+        let template = SessionTemplate::new(3, 2, quick_config(), Variant::Full).unwrap();
+        let mut session = template.clone().with_incremental_stats(true).instantiate();
+        assert!(session.frames.stats_bins().is_some());
+        let mut stream = stagger_stream(3);
+        for _ in 0..300 {
+            let o = stream.next_observation().unwrap();
+            session.process(&o.features, o.label);
+        }
+        let restored = template.restore(&session.checkpoint()).unwrap();
+        assert!(!restored.engine().incremental_stats());
+        assert_eq!(restored.frames.stats_bins(), None, "batch mode reads no stat banks");
     }
 }

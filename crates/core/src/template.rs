@@ -12,6 +12,7 @@
 use std::sync::Arc;
 
 use ficsum_classifiers::{Classifier, ClassifierFactory, HoeffdingTree};
+use ficsum_meta::ExtractionMode;
 
 use crate::checkpoint::{RestoreError, SessionCheckpoint};
 use crate::config::{ConfigError, FicsumConfig};
@@ -51,9 +52,7 @@ pub struct SessionTemplate {
     config: FicsumConfig,
     variant: Variant,
     parallelism: usize,
-    incremental_moments: bool,
-    incremental_stats: bool,
-    emd_stride: u32,
+    extraction: ExtractionMode,
     factory: Arc<FactoryFn>,
 }
 
@@ -74,9 +73,7 @@ impl SessionTemplate {
             config,
             variant,
             parallelism: 1,
-            incremental_moments: false,
-            incremental_stats: false,
-            emd_stride: 1,
+            extraction: ExtractionMode::default(),
             factory: Arc::new(move || {
                 Box::new(move || {
                     Box::new(HoeffdingTree::new(n_features, n_classes)) as Box<dyn Classifier>
@@ -105,20 +102,11 @@ impl SessionTemplate {
         self
     }
 
-    /// Enables the engine's incremental-moment substitution (see
-    /// [`crate::variant::FicsumBuilder::incremental_moments`]).
-    #[must_use]
-    pub fn with_incremental_moments(mut self, on: bool) -> Self {
-        self.incremental_moments = on;
-        self
-    }
-
-    /// Enables the engine's full incremental statistic substitution (see
-    /// [`crate::variant::FicsumBuilder::incremental_stats`]). Implies
-    /// incremental moments.
+    /// Switches extraction to incremental mode (see
+    /// [`crate::variant::FicsumBuilder::incremental_stats`]).
     #[must_use]
     pub fn with_incremental_stats(mut self, on: bool) -> Self {
-        self.incremental_stats = on;
+        self.extraction.incremental = on;
         self
     }
 
@@ -126,7 +114,7 @@ impl SessionTemplate {
     /// [`crate::variant::FicsumBuilder::emd_stride`]).
     #[must_use]
     pub fn with_emd_stride(mut self, stride: u32) -> Self {
-        self.emd_stride = stride.max(1);
+        self.extraction.emd_stride = stride;
         self
     }
 
@@ -165,15 +153,7 @@ impl SessionTemplate {
         if self.parallelism != 1 {
             ficsum.configure_parallelism(self.parallelism);
         }
-        if self.incremental_moments {
-            ficsum.configure_incremental_moments(true);
-        }
-        if self.incremental_stats {
-            ficsum.configure_incremental_stats(true);
-        }
-        if self.emd_stride != 1 {
-            ficsum.configure_emd_stride(self.emd_stride);
-        }
+        ficsum.configure_extraction(self.extraction);
         ficsum
     }
 
@@ -188,17 +168,18 @@ impl SessionTemplate {
     /// observations the original session would have seen next, it produces
     /// the same [`crate::StepOutcome`]s and statistics as the uninterrupted
     /// original (pinned by the snapshot→restore→replay property test). The
-    /// template's parallelism and incremental-statistics options are
-    /// applied to the restored session. Parallelism is bit-identical to
-    /// sequential, so it may differ freely from the capturing template. The
-    /// incremental options change extraction arithmetic (within their
-    /// ≤ 1e-9 contract), so bit-identical replay requires the same settings
-    /// the capturing session ran with; the checkpointed frame windows carry
-    /// their statistic banks, and re-enabling the same resolution on
-    /// restore is an exact no-op. One caveat: the engine's EMD entropy
-    /// cache is scratch, not state, so an `emd_stride` above 1 restarts
-    /// its re-sift cadence at the restore point — replay stays within the
-    /// tolerance contract but is bit-pinned only at the default stride.
+    /// template's parallelism and extraction mode are applied to the
+    /// restored session. Parallelism is bit-identical to sequential, so it
+    /// may differ freely from the capturing template. The extraction mode
+    /// changes extraction arithmetic (within its ≤ 1e-9 contract), so
+    /// bit-identical replay requires the mode the capturing session ran
+    /// with; the checkpointed frame windows carry their statistic banks,
+    /// and re-enabling the same resolution on restore is an exact no-op,
+    /// while a batch template drops them. One caveat: the engine's EMD
+    /// entropy cache is scratch, not state, so an `emd_stride` above 1
+    /// restarts its re-sift cadence at the restore point — replay stays
+    /// within the tolerance contract but is bit-pinned only at the default
+    /// stride.
     pub fn restore(&self, checkpoint: &SessionCheckpoint) -> Result<Ficsum, RestoreError> {
         self.validate_checkpoint(checkpoint)?;
         let extractor = self.variant.extractor(self.n_features);
@@ -206,15 +187,7 @@ impl SessionTemplate {
         if self.parallelism != 1 {
             ficsum.configure_parallelism(self.parallelism);
         }
-        if self.incremental_moments {
-            ficsum.configure_incremental_moments(true);
-        }
-        if self.incremental_stats {
-            ficsum.configure_incremental_stats(true);
-        }
-        if self.emd_stride != 1 {
-            ficsum.configure_emd_stride(self.emd_stride);
-        }
+        ficsum.configure_extraction(self.extraction);
         Ok(ficsum)
     }
 
@@ -257,9 +230,7 @@ impl std::fmt::Debug for SessionTemplate {
             .field("n_classes", &self.n_classes)
             .field("variant", &self.variant)
             .field("parallelism", &self.parallelism)
-            .field("incremental_moments", &self.incremental_moments)
-            .field("incremental_stats", &self.incremental_stats)
-            .field("emd_stride", &self.emd_stride)
+            .field("extraction", &self.extraction)
             .finish_non_exhaustive()
     }
 }

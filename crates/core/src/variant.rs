@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use ficsum_classifiers::{Classifier, ClassifierFactory, HoeffdingTree};
-use ficsum_meta::{FingerprintExtractor, MetaFunction, SourceSelection};
+use ficsum_meta::{ExtractionMode, FingerprintExtractor, MetaFunction, SourceSelection};
 use ficsum_obs::{Clock, Recorder};
 
 use crate::config::{ConfigError, FicsumConfig};
@@ -76,9 +76,7 @@ pub struct FicsumBuilder {
     recorder: Option<Box<dyn Recorder>>,
     clock: Option<Arc<dyn Clock>>,
     parallelism: usize,
-    incremental_moments: bool,
-    incremental_stats: bool,
-    emd_stride: u32,
+    extraction: ExtractionMode,
 }
 
 impl FicsumBuilder {
@@ -93,9 +91,7 @@ impl FicsumBuilder {
             recorder: None,
             clock: None,
             parallelism: 1,
-            incremental_moments: false,
-            incremental_stats: false,
-            emd_stride: 1,
+            extraction: ExtractionMode::default(),
         }
     }
 
@@ -143,26 +139,17 @@ impl FicsumBuilder {
         self
     }
 
-    /// Lets the engine substitute the window's incremental moments for the
-    /// batch moment sweep (O(1) per observation, ≤ 1e-9 relative
-    /// difference). Off by default because drift trajectories are feedback
-    /// loops: bit-exactness keeps them reproducible against the reference
-    /// path.
-    pub fn incremental_moments(mut self, on: bool) -> Self {
-        self.incremental_moments = on;
-        self
-    }
-
-    /// Extends the incremental substitution from the moments to the full
-    /// per-window statistic set: ACF/PACF at lags 1–2 from rolling centered
-    /// cross-sums, lagged mutual information from an add/remove joint
-    /// histogram, the turning-point rate from an exact counter — all O(1)
-    /// per observation — plus content-hash reuse of IMF entropies. Implies
-    /// [`FicsumBuilder::incremental_moments`]. Substituted values agree
-    /// with the batch sweep to ≤ 1e-9 relative (MI and turning points are
-    /// bit-identical); off by default for the same reproducibility reason.
+    /// Switches extraction to incremental mode: the feature and label
+    /// sources read the windows' O(1)-per-observation moments and sequence
+    /// statistics (ACF/PACF at lags 1–2, lagged mutual information, the
+    /// turning-point rate) instead of sweeping the window, and IMF
+    /// entropies are reused by content hash. Substituted values agree with
+    /// the batch sweep to ≤ 1e-9 relative (MI and turning points are
+    /// bit-identical). Off by default because drift trajectories are
+    /// feedback loops: batch extraction keeps them bit-exact against the
+    /// reference path. See [`ExtractionMode`].
     pub fn incremental_stats(mut self, on: bool) -> Self {
-        self.incremental_stats = on;
+        self.extraction.incremental = on;
         self
     }
 
@@ -172,7 +159,7 @@ impl FicsumBuilder {
     /// (default 1 = on every change, faithful to the batch values; larger
     /// strides trade bounded staleness for a proportional cut in EMD cost).
     pub fn emd_stride(mut self, stride: u32) -> Self {
-        self.emd_stride = stride.max(1);
+        self.extraction.emd_stride = stride;
         self
     }
 
@@ -203,15 +190,7 @@ impl FicsumBuilder {
         if self.parallelism != 1 {
             ficsum.configure_parallelism(self.parallelism);
         }
-        if self.incremental_moments {
-            ficsum.configure_incremental_moments(true);
-        }
-        if self.incremental_stats {
-            ficsum.configure_incremental_stats(true);
-        }
-        if self.emd_stride != 1 {
-            ficsum.configure_emd_stride(self.emd_stride);
-        }
+        ficsum.configure_extraction(self.extraction);
         Ok(ficsum)
     }
 }

@@ -1,5 +1,5 @@
-//! The fingerprint engine: incremental, allocation-free, optionally
-//! parallel meta-feature extraction.
+//! The fingerprint engine: reusable, allocation-free, optionally parallel
+//! meta-feature extraction.
 //!
 //! [`FingerprintExtractor::extract`] is a faithful but naive transcription
 //! of the paper: every call materialises one `Vec` per behaviour source,
@@ -8,8 +8,10 @@
 //! but FiCSUM fingerprints *constantly* — every fingerprint gap, every
 //! repository comparison, every recheck.
 //!
-//! [`FingerprintEngine`] wraps an extractor and reuses all working memory
-//! across calls:
+//! [`FingerprintEngine`] extracts straight from a [`TrackedFrames`] window
+//! of [`ficsum_stream::FrameWindows`], re-predicting every frame through
+//! the classifier it is given (the paper's makeFingerprint, Algorithm 1
+//! line 17), and reuses all working memory across calls:
 //!
 //! * **Cached source-sequence pass** — the window is materialised once into
 //!   per-source scratch buffers shared by every meta-function; repeated
@@ -17,24 +19,28 @@
 //!   spline fitting included).
 //! * **Fused moments** — mean, standard deviation, skew and kurtosis come
 //!   from a single two-pass sweep instead of nine, with bit-identical
-//!   results to the batch functions. When extracting from a
-//!   [`TrackedWindow`], the feature and label moment dimensions instead
-//!   read the window's incrementally maintained [`Moments`]
-//!   (`O(1)` per observation rather than `O(window)` per fingerprint).
+//!   results to the batch functions. In incremental [`ExtractionMode`] the
+//!   feature and label sources instead read the window's incrementally
+//!   maintained [`Moments`] and sequence statistics (`O(1)` per
+//!   observation rather than `O(window)` per fingerprint).
+//! * **Shared static scans** — a repository sweep scores one window under
+//!   many classifiers: [`FingerprintEngine::static_scan_tracked`] evaluates
+//!   the classifier-independent sources once and
+//!   [`FingerprintEngine::extract_with_scan`] reuses them per classifier.
 //! * **Opt-in parallelism** — [`FingerprintEngine::set_threads`] fans the
 //!   `d + 4` behaviour sources across a [`std::thread::scope`] worker pool.
 //!   Each source's computation is independent and writes a disjoint slice
 //!   of the output, so parallel extraction is bit-identical to sequential.
 //!
-//! The legacy [`FingerprintExtractor::extract`] path is kept untouched: it
-//! is the reference the engine is tested against, and the baseline for the
-//! throughput comparison in `ficsum-bench`.
+//! [`FingerprintExtractor::extract`] is kept untouched as the reference: in
+//! batch mode the engine is bit-identical to it on a copy of the window
+//! whose predictions were overwritten by the classifier.
 
 use std::sync::Arc;
 
 use ficsum_classifiers::Classifier;
 use ficsum_obs::Clock;
-use ficsum_stream::{FrameSource, LabeledObservation, Moments, MomentSource, StatSource, TrackedWindow};
+use ficsum_stream::{FrameSource, Moments, TrackedFrames};
 
 use crate::autocorr::{autocorrelation, partial_autocorrelation};
 use crate::emd::{imf_entropies_scratch, EmdConfig, EmdScratch};
@@ -43,6 +49,43 @@ use crate::functions::{turning_point_rate, MetaFunction};
 use crate::incremental::{ext_vals, ExtVals};
 use crate::mutual_info::{lagged_mutual_information_scratch, MiScratch};
 use crate::sources::{behaviour_sources, SourceKind};
+
+/// How the engine evaluates the feature and label sources — the one
+/// extraction setting a pipeline carries.
+///
+/// The default is batch: every statistic is swept over the window and the
+/// fingerprint is bit-identical to [`FingerprintExtractor::extract`].
+/// Incremental mode substitutes the window's O(1)-per-observation state —
+/// moments, ACF/PACF at lags 1–2 from rolling centered cross-sums, lagged
+/// mutual information from an add/remove joint histogram and the
+/// turning-point rate from an exact counter (see
+/// [`ficsum_stream::SeqStats`]) — and caches IMF entropies per source
+/// behind a content hash. The substituted values agree with the batch
+/// sweep to ≤ 1e-9 relative (MI and turning points bit-identically), but
+/// not bit for bit, so batch stays the default: drift trajectories are
+/// feedback loops in which any numeric difference can compound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExtractionMode {
+    /// Substitute incremental statistics. The windows must have them
+    /// enabled ([`ficsum_stream::FrameWindows::enable_stats`] with the
+    /// extractor's MI bin count); sources without usable state fall back
+    /// to the batch sweep.
+    pub incremental: bool,
+    /// EMD amortisation in incremental mode: a *changed* window re-sifts
+    /// IMF entropies at most every `emd_stride`-th extraction per source,
+    /// reusing the previous values in between (an unchanged window always
+    /// reuses them exactly). `1` re-sifts on every change, faithful to the
+    /// batch values; larger strides trade bounded staleness (at most
+    /// `emd_stride - 1` fingerprint gaps) for a proportional cut in
+    /// sifting cost. `0` counts as `1`.
+    pub emd_stride: u32,
+}
+
+impl Default for ExtractionMode {
+    fn default() -> Self {
+        Self { incremental: false, emd_stride: 1 }
+    }
+}
 
 /// Statistics pre-computed by a tracked window; substituted for the batch
 /// sweeps on sources whose membership the window tracks.
@@ -57,10 +100,22 @@ struct TrackedVals {
     ext: Option<ExtVals>,
 }
 
+impl TrackedVals {
+    fn new(m: &Moments, ext: Option<ExtVals>) -> Self {
+        Self {
+            mean: m.mean(),
+            std_dev: m.std_dev(),
+            skewness: m.skewness(),
+            kurtosis: m.kurtosis(),
+            ext,
+        }
+    }
+}
+
 /// One cached EMD result: the IMF entropies of the last sequence this
 /// source computed them for, keyed by a content hash so an unchanged
 /// window reuses them exactly, plus a staleness age for the bounded-stride
-/// amortisation of [`FingerprintEngine::set_emd_stride`].
+/// amortisation of [`ExtractionMode::emd_stride`].
 #[derive(Debug, Clone, Copy, Default)]
 struct EmdSlot {
     hash: u64,
@@ -82,18 +137,6 @@ type SourceTask<'a> = (
     &'a mut u64,
 );
 
-impl TrackedVals {
-    fn from_moments(m: &Moments) -> Self {
-        Self {
-            mean: m.mean(),
-            std_dev: m.std_dev(),
-            skewness: m.skewness(),
-            kurtosis: m.kurtosis(),
-            ext: None,
-        }
-    }
-}
-
 /// Per-worker scratch: everything one behaviour source needs.
 #[derive(Debug, Clone, Default)]
 struct SourceScratch {
@@ -105,7 +148,7 @@ struct SourceScratch {
 ///
 /// A repository sweep scores *one* window under *many* classifiers. The
 /// feature and label behaviour sources do not depend on the classifier, yet
-/// the plain entry points re-evaluate their meta-functions (EMD sifting,
+/// a plain extraction re-evaluates their meta-functions (EMD sifting,
 /// mutual information, autocorrelation, the moment sweep) once per
 /// classifier. [`FingerprintEngine::static_scan_tracked`] evaluates those
 /// sources once into this cache; [`FingerprintEngine::extract_with_scan`]
@@ -113,8 +156,8 @@ struct SourceScratch {
 /// prediction-dependent sources and the importance tail per classifier.
 ///
 /// Bit-exactness: the cached dimensions are produced by the very same
-/// per-source evaluation on the very same cached sequences as the plain
-/// path, and copying an `f64` preserves its bits. Validity is the caller's
+/// per-source evaluation on the very same cached sequences as
+/// [`FingerprintEngine::extract_tracked_frames_repredicted_into`], and copying an `f64` preserves its bits. Validity is the caller's
 /// contract — a scan must be rebuilt whenever the window contents change.
 /// The cache is `Sync` (plain data), so one scan can feed parallel workers.
 #[derive(Debug, Clone, Default)]
@@ -131,24 +174,35 @@ impl StaticScan {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Whether a window has been scanned into this cache.
-    pub fn is_ready(&self) -> bool {
-        self.ready
-    }
+/// Which behaviour sources one evaluation pass covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// Every source: one plain extraction.
+    All,
+    /// The classifier-independent sources, into a [`StaticScan`].
+    Static,
+    /// One classifier's prediction-dependent sources in a scanned sweep.
+    Dynamic,
+}
 
-    /// Drops the scan; the next use requires a rebuild.
-    pub fn invalidate(&mut self) {
-        self.ready = false;
+impl Pass {
+    fn covers(self, kind: SourceKind) -> bool {
+        match self {
+            Pass::All => true,
+            Pass::Static => kind_is_static(kind),
+            Pass::Dynamic => !kind_is_static(kind),
+        }
     }
 }
 
 /// Reusable, optionally parallel fingerprint extraction.
 ///
-/// Wraps a [`FingerprintExtractor`] configuration and produces the same
-/// fingerprints through [`FingerprintEngine::extract`] — allocation-free
-/// after warm-up, and bit-identical to the legacy path. See the module
-/// docs for the full design.
+/// Wraps a [`FingerprintExtractor`] configuration and produces its
+/// fingerprints from [`TrackedFrames`] windows — allocation-free after
+/// warm-up and, in batch mode, bit-identical to the extractor. See the
+/// module docs for the full design.
 #[derive(Debug, Clone)]
 pub struct FingerprintEngine {
     extractor: FingerprintExtractor,
@@ -157,28 +211,19 @@ pub struct FingerprintEngine {
     kinds: Vec<SourceKind>,
     /// Worker threads for the per-source fan-out; 1 = sequential.
     threads: usize,
-    /// Whether the tracked-window entry points may substitute incremental
-    /// moments for the batch sweep (off by default: bit-exact batch).
-    incremental_moments: bool,
-    /// Whether the tracked-window entry points may substitute the full
-    /// incremental sequence-statistic set (ACF/PACF, lagged MI, turning
-    /// points) and cache IMF entropies per source. Off by default.
-    incremental_stats: bool,
-    /// EMD amortisation budget: recompute IMF entropies for a changed
-    /// window at most every `emd_stride`-th extraction per source. `1`
-    /// (default) = recompute on every content change.
-    emd_stride: u32,
-    /// Which EMD cache bank the current tracked extraction uses (`None` =
-    /// caching off for this call).
+    /// Batch or incremental evaluation of the feature and label sources.
+    mode: ExtractionMode,
+    /// Which EMD cache bank the current extraction uses (`None` = caching
+    /// off for this call).
     active_bank: Option<usize>,
     /// Per-source EMD cache slots, one bank per window tag (0 = active A,
     /// 1 = stale B) so the two fingerprint cadences never evict each other.
     emd_cache: [Vec<EmdSlot>; 2],
     /// One cached sequence buffer per selected source.
     seqs: Vec<Vec<f64>>,
-    /// Tracked moment substitutes, aligned with `kinds` (`None` = batch).
+    /// Incremental substitutes, aligned with `kinds` (`None` = batch).
     tracked: Vec<Option<TrackedVals>>,
-    /// Re-predicted labels for [`FingerprintEngine::extract_repredicted`].
+    /// The window's labels as re-predicted by the extraction's classifier.
     preds: Vec<usize>,
     /// Probability scratch for allocation-free classifier calls.
     proba: Vec<f64>,
@@ -196,7 +241,7 @@ pub struct FingerprintEngine {
 }
 
 impl FingerprintEngine {
-    /// Sequential engine around `extractor`.
+    /// Sequential batch-mode engine around `extractor`.
     pub fn new(extractor: FingerprintExtractor) -> Self {
         let kinds = if extractor.functions().is_empty() {
             Vec::new()
@@ -211,9 +256,7 @@ impl FingerprintEngine {
             extractor,
             kinds,
             threads: 1,
-            incremental_moments: false,
-            incremental_stats: false,
-            emd_stride: 1,
+            mode: ExtractionMode::default(),
             active_bank: None,
             emd_cache: [Vec::new(), Vec::new()],
             seqs: vec![Vec::new(); n_sources],
@@ -248,86 +291,25 @@ impl FingerprintEngine {
         self.threads
     }
 
-    /// Builder-style variant of
-    /// [`FingerprintEngine::set_incremental_moments`].
-    pub fn with_incremental_moments(mut self, on: bool) -> Self {
-        self.set_incremental_moments(on);
+    /// Builder-style variant of [`FingerprintEngine::set_mode`].
+    pub fn with_mode(mut self, mode: ExtractionMode) -> Self {
+        self.set_mode(mode);
         self
     }
 
-    /// Lets the tracked-window entry points source the four moment features
-    /// (mean, standard deviation, skew, kurtosis) of feature and label
-    /// sequences from the window's incremental [`Moments`] — O(1) per
-    /// observation instead of a per-extraction sweep. The substituted values
-    /// agree with the batch sweep to ≤ 1e-9 relative but are *not*
-    /// bit-identical, so this is off by default: drift-detection
-    /// trajectories are feedback loops in which any numeric difference can
-    /// compound.
-    pub fn set_incremental_moments(&mut self, on: bool) {
-        self.incremental_moments = on;
+    /// Sets the extraction mode (see [`ExtractionMode`]).
+    pub fn set_mode(&mut self, mode: ExtractionMode) {
+        self.mode = ExtractionMode { emd_stride: mode.emd_stride.max(1), ..mode };
     }
 
-    /// Whether incremental moment substitution is enabled.
-    pub fn incremental_moments(&self) -> bool {
-        self.incremental_moments
+    /// The extraction mode.
+    pub fn mode(&self) -> ExtractionMode {
+        self.mode
     }
 
-    /// Builder-style variant of [`FingerprintEngine::set_incremental_stats`].
-    pub fn with_incremental_stats(mut self, on: bool) -> Self {
-        self.set_incremental_stats(on);
-        self
-    }
-
-    /// Extends the incremental substitution from the moments to the full
-    /// per-window statistic set on tracked entry points: ACF/PACF at lags
-    /// 1–2 come from rolling centered cross-sums, lagged mutual information
-    /// from an add/remove joint histogram, and the turning-point rate from
-    /// an exact counter — all maintained by the window in O(1) per
-    /// observation (see [`ficsum_stream::SeqStats`]). The window must have
-    /// statistics enabled ([`ficsum_stream::FrameWindows::enable_stats`]
-    /// with the extractor's MI bin count); sources without usable state
-    /// silently fall back to the batch sweep.
-    ///
-    /// Enabling this also enables the moment substitution for tracked
-    /// sources (the two share the same ≤ 1e-9 relative tolerance contract;
-    /// MI and turning points are bit-identical). IMF entropies are
-    /// additionally cached per source behind a content hash — identical
-    /// window contents reuse the previous sifting exactly; see
-    /// [`FingerprintEngine::set_emd_stride`] for the amortised schedule.
-    /// Off by default: the batch path stays bit-exact.
-    pub fn set_incremental_stats(&mut self, on: bool) {
-        self.incremental_stats = on;
-        if !on {
-            self.active_bank = None;
-        }
-    }
-
-    /// Whether incremental sequence-statistic substitution is enabled.
+    /// Whether incremental statistics substitute for the batch sweeps.
     pub fn incremental_stats(&self) -> bool {
-        self.incremental_stats
-    }
-
-    /// Builder-style variant of [`FingerprintEngine::set_emd_stride`].
-    pub fn with_emd_stride(mut self, stride: u32) -> Self {
-        self.set_emd_stride(stride);
-        self
-    }
-
-    /// Bounds how often IMF entropies are re-sifted when incremental
-    /// statistics are on: a *changed* window recomputes them at most every
-    /// `stride`-th extraction per source, reusing the previous values in
-    /// between (an *unchanged* window always reuses them exactly, at any
-    /// stride). `1` — the default — recomputes on every change, so the EMD
-    /// dimensions stay faithful to the batch path; larger strides trade
-    /// bounded staleness (at most `stride - 1` fingerprint gaps) for a
-    /// proportional cut in sifting cost, which dominates extraction time.
-    pub fn set_emd_stride(&mut self, stride: u32) {
-        self.emd_stride = stride.max(1);
-    }
-
-    /// Current EMD amortisation stride.
-    pub fn emd_stride(&self) -> u32 {
-        self.emd_stride
+        self.mode.incremental
     }
 
     /// Drops every cached EMD result. The framework calls this when the
@@ -394,441 +376,117 @@ impl FingerprintEngine {
         self.extractor.n_features()
     }
 
-    /// Drop-in equivalent of [`FingerprintExtractor::extract`]; see
-    /// [`FingerprintEngine::extract_into`].
-    pub fn extract(
-        &mut self,
-        window: &[LabeledObservation],
-        classifier: Option<&dyn Classifier>,
-    ) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.extract_into(window, classifier, &mut out);
-        out
-    }
-
-    /// Computes the raw fingerprint of `window` into `out` (cleared first),
-    /// reusing the engine's scratch buffers. Produces bit-identical values
-    /// to [`FingerprintExtractor::extract`] on the same window.
-    pub fn extract_into(
-        &mut self,
-        window: &[LabeledObservation],
-        classifier: Option<&dyn Classifier>,
-        out: &mut Vec<f64>,
-    ) {
-        self.extract_frames_into(window, classifier, out);
-    }
-
-    /// [`FingerprintEngine::extract_into`] over any [`FrameSource`] — ring
-    /// views, owned frame blocks and observation slices all extract through
-    /// the same code, bit-identically.
-    pub fn extract_frames_into<S: FrameSource + ?Sized>(
-        &mut self,
-        src: &S,
-        classifier: Option<&dyn Classifier>,
-        out: &mut Vec<f64>,
-    ) {
-        self.tracked.clear();
-        self.active_bank = None;
-        self.run(src, classifier, false, out);
-    }
-
-    /// Extracts the fingerprint `window` would have under `classifier`'s
-    /// *current* predictions: every observation is re-predicted and the
+    /// Computes the fingerprint of `window` as seen by `classifier` into
+    /// `out` (cleared first): every frame is re-predicted, and the
     /// prediction-dependent sources (predictions, errors, error distances)
-    /// are built from those fresh labels. Equivalent to cloning the window,
-    /// overwriting each `prediction`, and extracting — without the clone.
-    pub fn extract_repredicted(
+    /// are built from those fresh labels. In batch mode the result is
+    /// bit-identical to [`FingerprintExtractor::extract`] on a copy of the
+    /// window whose predictions were overwritten by `classifier`; in
+    /// incremental mode the feature and label sources read the window's
+    /// incremental state instead (see [`ExtractionMode`]).
+    pub fn extract_tracked_frames_repredicted_into(
         &mut self,
-        window: &[LabeledObservation],
-        classifier: &dyn Classifier,
-    ) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.extract_repredicted_into(window, classifier, &mut out);
-        out
-    }
-
-    /// [`FingerprintEngine::extract_repredicted`] writing into `out`.
-    pub fn extract_repredicted_into(
-        &mut self,
-        window: &[LabeledObservation],
+        window: &TrackedFrames<'_>,
         classifier: &dyn Classifier,
         out: &mut Vec<f64>,
     ) {
-        self.extract_frames_repredicted_into(window, classifier, out);
+        self.fill_tracked_vals(window);
+        self.set_active_bank(window);
+        self.repredict(window, classifier);
+        self.fill_sequences(window, Pass::All);
+        out.clear();
+        out.resize(self.extractor.schema().len(), 0.0);
+        let src_len = self.kinds.len() * self.extractor.functions().len();
+        self.eval_sources(&mut out[..src_len], Pass::All);
+        self.importance_into(window, classifier, out);
     }
 
-    /// [`FingerprintEngine::extract_repredicted_into`] over any
-    /// [`FrameSource`].
-    pub fn extract_frames_repredicted_into<S: FrameSource + ?Sized>(
-        &mut self,
-        src: &S,
-        classifier: &dyn Classifier,
-        out: &mut Vec<f64>,
-    ) {
-        self.tracked.clear();
-        self.active_bank = None;
-        self.run(src, Some(classifier), true, out);
-    }
-
-    /// Extracts from a [`TrackedWindow`] without copying it out. When
-    /// [`FingerprintEngine::set_incremental_moments`] is enabled, the
-    /// feature and label moment dimensions come from the window's
-    /// incremental [`Moments`] instead of a batch sweep (≤ 1e-9 relative
-    /// difference); otherwise the result is bit-identical to
-    /// [`FingerprintEngine::extract`] on the same observations.
-    pub fn extract_tracked(
-        &mut self,
-        window: &TrackedWindow,
-        classifier: Option<&dyn Classifier>,
-    ) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.extract_tracked_frames_into(window, classifier, &mut out);
-        out
-    }
-
-    /// [`FingerprintEngine::extract_tracked`] with re-prediction, the
-    /// framework's hot path: fingerprint the current window as seen by an
-    /// arbitrary classifier, with no window clone and O(1) moment updates.
-    pub fn extract_tracked_repredicted(
-        &mut self,
-        window: &TrackedWindow,
-        classifier: &dyn Classifier,
-    ) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.extract_tracked_frames_repredicted_into(window, classifier, &mut out);
-        out
-    }
-
-    /// [`FingerprintEngine::extract_tracked`] over any frame window that
-    /// carries incremental moments (ring-backed [`ficsum_stream::TrackedFrames`]
-    /// or the legacy [`TrackedWindow`]), writing into `out`.
-    pub fn extract_tracked_frames_into<S: FrameSource + MomentSource + StatSource + ?Sized>(
-        &mut self,
-        src: &S,
-        classifier: Option<&dyn Classifier>,
-        out: &mut Vec<f64>,
-    ) {
-        self.fill_tracked_vals(src, false);
-        self.set_active_bank(src);
-        self.run(src, classifier, false, out);
-    }
-
-    /// [`FingerprintEngine::extract_tracked_repredicted`] over any tracked
-    /// frame window, writing into `out`.
-    pub fn extract_tracked_frames_repredicted_into<
-        S: FrameSource + MomentSource + StatSource + ?Sized,
-    >(
-        &mut self,
-        src: &S,
-        classifier: &dyn Classifier,
-        out: &mut Vec<f64>,
-    ) {
-        self.fill_tracked_vals(src, true);
-        self.set_active_bank(src);
-        self.run(src, Some(classifier), true, out);
-    }
-
-    /// Evaluates the classifier-independent sources of `src` into `scan`,
-    /// for a sweep that scores one window under many classifiers via
-    /// [`FingerprintEngine::extract_with_scan`].
-    pub fn static_scan_frames<S: FrameSource + ?Sized>(&mut self, src: &S, scan: &mut StaticScan) {
-        self.tracked.clear();
-        self.active_bank = None;
-        self.static_scan_common(src, scan);
-    }
-
-    /// [`FingerprintEngine::static_scan_frames`] over a moment-tracking
-    /// window (the incremental-moment substitutes apply exactly as in
-    /// [`FingerprintEngine::extract_tracked_frames_repredicted_into`]).
-    pub fn static_scan_tracked<S: FrameSource + MomentSource + StatSource + ?Sized>(
-        &mut self,
-        src: &S,
-        scan: &mut StaticScan,
-    ) {
-        self.fill_tracked_vals(src, true);
-        self.set_active_bank(src);
-        self.static_scan_common(src, scan);
-    }
-
-    fn static_scan_common<S: FrameSource + ?Sized>(&mut self, src: &S, scan: &mut StaticScan) {
-        let n = src.len();
-        let Self {
-            extractor,
-            kinds,
-            seqs,
-            tracked,
-            workers,
-            clock,
-            source_nanos,
-            emd_cache,
-            emd_stride,
-            active_bank,
-            ..
-        } = self;
-        let emd_stride = *emd_stride;
-        let mut cache = active_bank.map(|b| &mut emd_cache[b]);
-        let functions = extractor.functions();
-        let nf = functions.len();
+    /// Evaluates the classifier-independent sources of `window` into
+    /// `scan`, for a sweep that scores one window under many classifiers
+    /// via [`FingerprintEngine::extract_with_scan`]. The incremental
+    /// substitutes apply exactly as in
+    /// [`FingerprintEngine::extract_tracked_frames_repredicted_into`].
+    pub fn static_scan_tracked(&mut self, window: &TrackedFrames<'_>, scan: &mut StaticScan) {
+        self.fill_tracked_vals(window);
+        self.set_active_bank(window);
+        self.fill_sequences(window, Pass::Static);
         scan.vals.clear();
-        scan.vals.resize(kinds.len() * nf, 0.0);
+        scan.vals.resize(self.kinds.len() * self.extractor.functions().len(), 0.0);
         scan.ready = true;
-        if nf == 0 || kinds.is_empty() {
-            return;
-        }
-        let needs_emd = functions
-            .iter()
-            .any(|f| matches!(f, MetaFunction::ImfEntropy1 | MetaFunction::ImfEntropy2));
-        let emd_cfg = *extractor.emd_config();
-        let mi_bins = extractor.mi_bins();
-        for (seq, &kind) in seqs.iter_mut().zip(kinds.iter()) {
-            match kind {
-                SourceKind::Feature(j) => {
-                    seq.clear();
-                    seq.extend((0..n).map(|i| src.features(i)[j]));
-                }
-                SourceKind::Labels => {
-                    seq.clear();
-                    seq.extend((0..n).map(|i| src.label(i) as f64));
-                }
-                _ => {}
-            }
-        }
-        if workers.is_empty() {
-            workers.push(SourceScratch::default());
-        }
-        let worker = &mut workers[0];
-        for (i, ((seq, chunk), nano)) in
-            seqs.iter().zip(scan.vals.chunks_mut(nf)).zip(source_nanos.iter_mut()).enumerate()
-        {
-            if !kind_is_static(kinds[i]) {
-                continue;
-            }
-            let t0 = clock.as_deref().map(Clock::now_nanos);
-            eval_source_into(
-                seq,
-                functions,
-                needs_emd,
-                &emd_cfg,
-                mi_bins,
-                tracked.get(i).copied().flatten(),
-                cache.as_deref_mut().map(|c| (&mut c[i], emd_stride)),
-                worker,
-                chunk,
-            );
-            if let (Some(c), Some(t0)) = (clock.as_deref(), t0) {
-                *nano += c.now_nanos().saturating_sub(t0);
-            }
-        }
+        self.eval_sources(&mut scan.vals, Pass::Static);
     }
 
-    /// One classifier's repredicted fingerprint of the window previously
-    /// scanned into `scan`: the cached classifier-independent dimensions
-    /// are copied, and only the prediction-dependent sources plus the
-    /// importance tail are computed. Bit-identical to
-    /// [`FingerprintEngine::extract_frames_repredicted_into`] (or the
-    /// tracked variant, when the scan was built with
-    /// [`FingerprintEngine::static_scan_tracked`]) on the same window —
-    /// `src` must hold exactly the contents the scan was built from.
-    pub fn extract_with_scan<S: FrameSource + ?Sized>(
+    /// One classifier's fingerprint of the window previously scanned into
+    /// `scan`: the cached classifier-independent dimensions are copied, and
+    /// only the prediction-dependent sources plus the importance tail are
+    /// computed. Bit-identical to
+    /// [`FingerprintEngine::extract_tracked_frames_repredicted_into`] on
+    /// the same window in batch mode — `window` must hold exactly the
+    /// contents the scan was built from.
+    pub fn extract_with_scan(
         &mut self,
-        src: &S,
+        window: &TrackedFrames<'_>,
         scan: &StaticScan,
         classifier: &dyn Classifier,
         out: &mut Vec<f64>,
     ) {
-        debug_assert!(scan.ready, "extract_with_scan before static_scan");
-        let n = src.len();
-        {
-            let Self { preds, proba, .. } = self;
-            preds.clear();
-            for i in 0..n {
-                preds.push(classifier.predict_with(src.features(i), proba));
-            }
-        }
+        debug_assert!(scan.ready, "extract_with_scan before static_scan_tracked");
+        self.repredict(window, classifier);
+        self.fill_sequences(window, Pass::Dynamic);
         out.clear();
         out.resize(self.extractor.schema().len(), 0.0);
-        {
-            let Self {
-                extractor,
-                kinds,
-                seqs,
-                preds,
-                workers,
-                clock,
-                source_nanos,
-                timed_extractions,
-                ..
-            } = self;
-            let functions = extractor.functions();
-            let nf = functions.len();
-            let src_len = kinds.len() * nf;
-            if nf > 0 && !kinds.is_empty() {
-                debug_assert_eq!(scan.vals.len(), src_len, "scan built for another schema");
-                let needs_emd = functions
-                    .iter()
-                    .any(|f| matches!(f, MetaFunction::ImfEntropy1 | MetaFunction::ImfEntropy2));
-                let emd_cfg = *extractor.emd_config();
-                let mi_bins = extractor.mi_bins();
-                for (seq, &kind) in seqs.iter_mut().zip(kinds.iter()) {
-                    match kind {
-                        SourceKind::Predictions => {
-                            seq.clear();
-                            seq.extend(preds.iter().map(|&v| v as f64));
-                        }
-                        SourceKind::Errors => {
-                            seq.clear();
-                            seq.extend(
-                                (0..n).map(|i| if preds[i] != src.label(i) { 1.0 } else { 0.0 }),
-                            );
-                        }
-                        SourceKind::ErrorDistances => {
-                            seq.clear();
-                            let mut last: Option<usize> = None;
-                            for (i, &p) in preds.iter().enumerate() {
-                                if p != src.label(i) {
-                                    if let Some(prev) = last {
-                                        seq.push((i - prev) as f64);
-                                    }
-                                    last = Some(i);
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                if workers.is_empty() {
-                    workers.push(SourceScratch::default());
-                }
-                let worker = &mut workers[0];
-                for (i, ((seq, chunk), nano)) in seqs
-                    .iter()
-                    .zip(out[..src_len].chunks_mut(nf))
-                    .zip(source_nanos.iter_mut())
-                    .enumerate()
-                {
-                    if kind_is_static(kinds[i]) {
-                        chunk.copy_from_slice(&scan.vals[i * nf..(i + 1) * nf]);
-                        continue;
-                    }
-                    let t0 = clock.as_deref().map(Clock::now_nanos);
-                    eval_source_into(
-                        seq, functions, needs_emd, &emd_cfg, mi_bins, None, None, worker, chunk,
-                    );
-                    if let (Some(c), Some(t0)) = (clock.as_deref(), t0) {
-                        *nano += c.now_nanos().saturating_sub(t0);
-                    }
-                }
-                if *timed_extractions < u64::MAX {
-                    *timed_extractions += clock.is_some() as u64;
-                }
+        let nf = self.extractor.functions().len();
+        let src_len = self.kinds.len() * nf;
+        debug_assert_eq!(scan.vals.len(), src_len, "scan built for another schema");
+        for (i, &kind) in self.kinds.iter().enumerate() {
+            if kind_is_static(kind) {
+                out[i * nf..(i + 1) * nf].copy_from_slice(&scan.vals[i * nf..(i + 1) * nf]);
             }
         }
-        if self.extractor.includes_feature_importance() {
-            let n_features = self.extractor.n_features();
-            let tail = out.len() - n_features;
-            let importance = &mut out[tail..];
-            let mut counted = 0usize;
-            let Self { contrib, proba, .. } = self;
-            for i in 0..n {
-                if classifier.contributions_with(src.features(i), contrib, proba) {
-                    for (acc, c) in importance.iter_mut().zip(contrib.iter()) {
-                        *acc += c.abs();
-                    }
-                    counted += 1;
-                }
-            }
-            if counted > 0 {
-                for acc in importance.iter_mut() {
-                    *acc /= counted as f64;
-                }
-            }
-        }
-        debug_assert_eq!(out.len(), self.extractor.schema().len());
+        self.eval_sources(&mut out[..src_len], Pass::Dynamic);
+        self.importance_into(window, classifier, out);
     }
 
-    /// Populates the tracked substitutes for window-membership sources. A
-    /// no-op unless incremental moments or statistics are enabled — an
-    /// empty `tracked` vector means every source takes the batch path. With
-    /// incremental statistics on, each tracked source additionally carries
-    /// the evaluated sequence statistics, or `None` for them when the
-    /// window's state cannot honour the tolerance contract (see
-    /// [`crate::incremental`]).
-    ///
-    /// Features and labels are classifier-independent and substitute in
-    /// every mode. The prediction and error sources substitute only for
-    /// *non-repredicting* extraction (`repredict == false`): a repredicting
-    /// pass replaces the prediction sequence with the classifier's current
-    /// output, which the push-time banks do not describe. Error distances
-    /// are derived (not push-aligned) and always take the batch path.
-    fn fill_tracked_vals<M: FrameSource + MomentSource + StatSource + ?Sized>(
-        &mut self,
-        window: &M,
-        repredict: bool,
-    ) {
-        debug_assert!(window.n_feature_moments() >= self.extractor.n_features());
+    /// Populates the incremental substitutes for the feature and label
+    /// sources; in batch mode `tracked` stays empty and every source takes
+    /// the batch sweep. Each substitute carries the window's moments and,
+    /// when its statistic state can honour the tolerance contract, the
+    /// evaluated sequence statistics (see [`crate::incremental`]). The
+    /// prediction-dependent sources always take the batch sweep: they are
+    /// rebuilt from the classifier's fresh predictions on every call.
+    fn fill_tracked_vals(&mut self, window: &TrackedFrames<'_>) {
         self.tracked.clear();
-        if !self.incremental_moments && !self.incremental_stats {
+        if !self.mode.incremental {
             return;
         }
         let n = window.len();
         let mi_bins = self.extractor.mi_bins();
-        let want_ext = self.incremental_stats;
         for &kind in &self.kinds {
             self.tracked.push(match kind {
                 SourceKind::Feature(j) => {
                     let m = window.feature_moments(j);
-                    let mut tv = TrackedVals::from_moments(m);
-                    if want_ext {
-                        tv.ext = window
-                            .feature_stats(j)
-                            .and_then(|s| ext_vals(s, m, n, mi_bins, |i| window.features(i)[j]));
-                    }
-                    Some(tv)
+                    let ext = window
+                        .feature_stats(j)
+                        .and_then(|s| ext_vals(s, m, n, mi_bins, |i| window.features(i)[j]));
+                    Some(TrackedVals::new(m, ext))
                 }
                 SourceKind::Labels => {
                     let m = window.label_moments();
-                    let mut tv = TrackedVals::from_moments(m);
-                    if want_ext {
-                        tv.ext = window
-                            .label_stats()
-                            .and_then(|s| ext_vals(s, m, n, mi_bins, |i| window.label(i) as f64));
-                    }
-                    Some(tv)
-                }
-                // Predictions and errors only carry moments inside the stat
-                // bank, so their substitution is available in full
-                // incremental-statistics mode only (moments-only mode keeps
-                // them on the batch sweep, as it always has).
-                SourceKind::Predictions if want_ext && !repredict => {
-                    window.prediction_track().map(|(m, s)| {
-                        let mut tv = TrackedVals::from_moments(m);
-                        tv.ext = ext_vals(s, m, n, mi_bins, |i| window.prediction(i) as f64);
-                        tv
-                    })
-                }
-                SourceKind::Errors if want_ext && !repredict => {
-                    window.error_track().map(|(m, s)| {
-                        let mut tv = TrackedVals::from_moments(m);
-                        tv.ext = ext_vals(s, m, n, mi_bins, |i| {
-                            if window.prediction(i) != window.label(i) {
-                                1.0
-                            } else {
-                                0.0
-                            }
-                        });
-                        tv
-                    })
+                    let ext = window
+                        .label_stats()
+                        .and_then(|s| ext_vals(s, m, n, mi_bins, |i| window.label(i) as f64));
+                    Some(TrackedVals::new(m, ext))
                 }
                 _ => None,
             });
         }
     }
 
-    /// Selects (and lazily sizes) the EMD cache bank for a tracked
-    /// extraction from `src`; `None` when caching is off.
-    fn set_active_bank<S: StatSource + ?Sized>(&mut self, src: &S) {
-        self.active_bank = if self.incremental_stats {
-            let tag = src.window_tag().min(1);
+    /// Selects (and lazily sizes) the EMD cache bank for an extraction
+    /// from `window`; `None` in batch mode.
+    fn set_active_bank(&mut self, window: &TrackedFrames<'_>) {
+        self.active_bank = if self.mode.incremental {
+            let tag = window.window_tag().min(1);
             let n = self.kinds.len();
             if self.emd_cache[tag].len() != n {
                 self.emd_cache[tag] = vec![EmdSlot::default(); n];
@@ -839,87 +497,38 @@ impl FingerprintEngine {
         };
     }
 
-    /// Shared extraction core over any frame source.
-    fn run<S: FrameSource + ?Sized>(
-        &mut self,
-        src: &S,
-        classifier: Option<&dyn Classifier>,
-        repredict: bool,
-        out: &mut Vec<f64>,
-    ) {
-        let n = src.len();
-        let use_preds = if repredict {
-            let clf = classifier.expect("re-predicted extraction requires a classifier");
-            let Self { preds, proba, .. } = self;
-            preds.clear();
-            for i in 0..n {
-                preds.push(clf.predict_with(src.features(i), proba));
-            }
-            true
-        } else {
-            false
-        };
-        self.fill_sequences(src, use_preds);
-        out.clear();
-        out.resize(self.extractor.schema().len(), 0.0);
-        let src_len = self.kinds.len() * self.extractor.functions().len();
-        self.eval_sources(&mut out[..src_len]);
-        if self.extractor.includes_feature_importance() {
-            let n_features = self.extractor.n_features();
-            let tail = out.len() - n_features;
-            let importance = &mut out[tail..];
-            if let Some(clf) = classifier {
-                let mut counted = 0usize;
-                let Self { contrib, proba, .. } = self;
-                for i in 0..n {
-                    if clf.contributions_with(src.features(i), contrib, proba) {
-                        for (acc, c) in importance.iter_mut().zip(contrib.iter()) {
-                            *acc += c.abs();
-                        }
-                        counted += 1;
-                    }
-                }
-                if counted > 0 {
-                    for acc in importance.iter_mut() {
-                        *acc /= counted as f64;
-                    }
-                }
-            }
+    /// Re-predicts every frame of `window` through `classifier` into
+    /// `preds`.
+    fn repredict(&mut self, window: &TrackedFrames<'_>, classifier: &dyn Classifier) {
+        let Self { preds, proba, .. } = self;
+        preds.clear();
+        for i in 0..window.len() {
+            preds.push(classifier.predict_with(window.features(i), proba));
         }
-        debug_assert_eq!(out.len(), self.extractor.schema().len());
     }
 
-    /// The cached source-sequence pass: materialises every selected
-    /// behaviour source into its scratch buffer, optionally substituting
-    /// re-predicted labels for the prediction-dependent sources.
-    fn fill_sequences<S: FrameSource + ?Sized>(&mut self, src: &S, use_preds: bool) {
-        let n = src.len();
-        let preds = if use_preds { Some(self.preds.as_slice()) } else { None };
-        for (seq, &kind) in self.seqs.iter_mut().zip(self.kinds.iter()) {
+    /// The cached source-sequence pass: materialises the behaviour sources
+    /// `pass` covers into their scratch buffers, the prediction-dependent
+    /// ones from the re-predicted labels in `preds`.
+    fn fill_sequences(&mut self, window: &TrackedFrames<'_>, pass: Pass) {
+        let n = window.len();
+        let preds = &self.preds;
+        for (seq, &kind) in self.seqs.iter_mut().zip(&self.kinds) {
+            if !pass.covers(kind) {
+                continue;
+            }
             seq.clear();
             match kind {
-                SourceKind::Feature(j) => seq.extend((0..n).map(|i| src.features(i)[j])),
-                SourceKind::Labels => seq.extend((0..n).map(|i| src.label(i) as f64)),
-                SourceKind::Predictions => match preds {
-                    Some(p) => seq.extend(p.iter().map(|&v| v as f64)),
-                    None => seq.extend((0..n).map(|i| src.prediction(i) as f64)),
-                },
-                SourceKind::Errors => match preds {
-                    Some(p) => seq.extend(
-                        (0..n).map(|i| if p[i] != src.label(i) { 1.0 } else { 0.0 }),
-                    ),
-                    None => seq.extend(
-                        (0..n).map(|i| if src.prediction(i) != src.label(i) { 1.0 } else { 0.0 }),
-                    ),
-                },
+                SourceKind::Feature(j) => seq.extend((0..n).map(|i| window.features(i)[j])),
+                SourceKind::Labels => seq.extend((0..n).map(|i| window.label(i) as f64)),
+                SourceKind::Predictions => seq.extend(preds.iter().map(|&p| p as f64)),
+                SourceKind::Errors => seq.extend(
+                    (0..n).map(|i| if preds[i] != window.label(i) { 1.0 } else { 0.0 }),
+                ),
                 SourceKind::ErrorDistances => {
                     let mut last: Option<usize> = None;
-                    for i in 0..n {
-                        let err = match preds {
-                            Some(p) => p[i] != src.label(i),
-                            None => src.prediction(i) != src.label(i),
-                        };
-                        if err {
+                    for (i, &p) in preds.iter().enumerate() {
+                        if p != window.label(i) {
                             if let Some(prev) = last {
                                 seq.push((i - prev) as f64);
                             }
@@ -931,9 +540,42 @@ impl FingerprintEngine {
         }
     }
 
-    /// Evaluates every (source, function) dimension into `out`, fanning
-    /// sources across the worker pool when `threads > 1`.
-    fn eval_sources(&mut self, out: &mut [f64]) {
+    /// The feature-importance tail: `classifier`'s mean absolute
+    /// per-feature contribution over the window, into the last
+    /// `n_features` slots of `out` (zeroed by the caller). A no-op unless
+    /// the extractor includes feature importance.
+    fn importance_into(
+        &mut self,
+        window: &TrackedFrames<'_>,
+        classifier: &dyn Classifier,
+        out: &mut [f64],
+    ) {
+        if !self.extractor.includes_feature_importance() {
+            return;
+        }
+        let tail = out.len() - self.extractor.n_features();
+        let importance = &mut out[tail..];
+        let mut counted = 0usize;
+        let Self { contrib, proba, .. } = self;
+        for i in 0..window.len() {
+            if classifier.contributions_with(window.features(i), contrib, proba) {
+                for (acc, c) in importance.iter_mut().zip(contrib.iter()) {
+                    *acc += c.abs();
+                }
+                counted += 1;
+            }
+        }
+        if counted > 0 {
+            for acc in importance.iter_mut() {
+                *acc /= counted as f64;
+            }
+        }
+    }
+
+    /// Evaluates every (source, function) dimension of the sources `pass`
+    /// covers into `out`, fanning sources across the worker pool when
+    /// `threads > 1`.
+    fn eval_sources(&mut self, out: &mut [f64], pass: Pass) {
         let functions = self.extractor.functions();
         let nf = functions.len();
         if nf == 0 || self.kinds.is_empty() {
@@ -944,20 +586,27 @@ impl FingerprintEngine {
             .any(|f| matches!(f, MetaFunction::ImfEntropy1 | MetaFunction::ImfEntropy2));
         let emd_cfg = *self.extractor.emd_config();
         let mi_bins = self.extractor.mi_bins();
-        let emd_stride = self.emd_stride;
+        let emd_stride = self.mode.emd_stride;
+        // A scanned sweep scores many classifiers on one window: their
+        // prediction-dependent sources have no incremental substitutes,
+        // and an EMD cache slot would carry one classifier's entropies
+        // over to the next.
+        let stateful = pass != Pass::Dynamic;
+        let kinds = &self.kinds;
         let tracked = &self.tracked;
         let seqs = &self.seqs;
         let clock = self.clock.clone();
         let nanos = &mut self.source_nanos;
-        if self.timed_extractions < u64::MAX {
+        if pass != Pass::Static && self.timed_extractions < u64::MAX {
             self.timed_extractions += clock.is_some() as u64;
         }
-        let tracked_of = |i: usize| tracked.get(i).copied().flatten();
+        let tracked_of =
+            |i: usize| if stateful { tracked.get(i).copied().flatten() } else { None };
         let mut cache = match self.active_bank {
-            Some(b) => Some(&mut self.emd_cache[b]),
-            None => None,
+            Some(b) if stateful => Some(&mut self.emd_cache[b]),
+            _ => None,
         };
-        let n_workers = self.threads.min(self.kinds.len());
+        let n_workers = self.threads.min(kinds.len());
         if n_workers <= 1 {
             if self.workers.is_empty() {
                 self.workers.push(SourceScratch::default());
@@ -966,6 +615,9 @@ impl FingerprintEngine {
             for (i, ((seq, chunk), nano)) in
                 seqs.iter().zip(out.chunks_mut(nf)).zip(nanos.iter_mut()).enumerate()
             {
+                if !pass.covers(kinds[i]) {
+                    continue;
+                }
                 let t0 = clock.as_deref().map(Clock::now_nanos);
                 eval_source_into(
                     seq,
@@ -986,26 +638,26 @@ impl FingerprintEngine {
             if self.workers.len() < n_workers {
                 self.workers.resize_with(n_workers, SourceScratch::default);
             }
-            let mut slots: Vec<Option<(&mut EmdSlot, u32)>> =
-                Vec::with_capacity(self.kinds.len());
+            let mut slots: Vec<Option<(&mut EmdSlot, u32)>> = Vec::with_capacity(kinds.len());
             match cache {
                 Some(c) => slots.extend(c.iter_mut().map(|s| Some((s, emd_stride)))),
-                None => slots.extend(self.kinds.iter().map(|_| None)),
+                None => slots.extend(kinds.iter().map(|_| None)),
             }
-            // Round-robin the sources over the workers; each work item owns
-            // a disjoint slice of `out` (and its own timing and EMD cache
-            // slots), so no synchronisation is needed and the result cannot
-            // depend on scheduling.
+            // Round-robin the covered sources over the workers; each work
+            // item owns a disjoint slice of `out` (and its own timing and
+            // EMD cache slots), so no synchronisation is needed and the
+            // result cannot depend on scheduling.
             let mut batches: Vec<Vec<SourceTask<'_>>> =
                 (0..n_workers).map(|_| Vec::new()).collect();
-            for ((i, ((seq, chunk), nano)), slot) in seqs
+            let items = seqs
                 .iter()
                 .zip(out.chunks_mut(nf))
                 .zip(nanos.iter_mut())
-                .enumerate()
                 .zip(slots)
-            {
-                batches[i % n_workers].push((seq, tracked_of(i), slot, chunk, nano));
+                .enumerate()
+                .filter(|(i, _)| pass.covers(kinds[*i]));
+            for (k, (i, (((seq, chunk), nano), slot))) in items.enumerate() {
+                batches[k % n_workers].push((seq, tracked_of(i), slot, chunk, nano));
             }
             std::thread::scope(|scope| {
                 for (worker, batch) in self.workers.iter_mut().zip(batches) {
@@ -1218,6 +870,7 @@ mod tests {
     use crate::extractor::SourceSelection;
     use ficsum_classifiers::HoeffdingTree;
     use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
+    use ficsum_stream::{FrameWindows, LabeledObservation};
 
     fn window(rng: &mut Xoshiro256pp, n: usize, d: usize, classes: usize) -> Vec<LabeledObservation> {
         (0..n)
@@ -1228,6 +881,40 @@ mod tests {
                 LabeledObservation::new(x, y, l)
             })
             .collect()
+    }
+
+    /// Frame windows whose active window `A` holds the last `w` rows of
+    /// `rows` (all of them when `w == rows.len()`).
+    fn frames_of(rows: &[LabeledObservation], w: usize) -> FrameWindows {
+        let mut fw = FrameWindows::new(w, 0, rows[0].features().len());
+        for o in rows {
+            fw.push(o.features(), o.label(), o.prediction);
+        }
+        fw
+    }
+
+    /// The reference: the stateless extractor on a copy of `rows` whose
+    /// predictions were overwritten by `clf`.
+    fn relabelled_oracle(
+        ex: &FingerprintExtractor,
+        rows: &[LabeledObservation],
+        clf: &dyn Classifier,
+    ) -> Vec<f64> {
+        let relabelled: Vec<LabeledObservation> = rows
+            .iter()
+            .map(|o| {
+                let mut o = o.clone();
+                o.prediction = clf.predict(o.features());
+                o
+            })
+            .collect();
+        ex.extract(&relabelled, Some(clf))
+    }
+
+    fn extract(engine: &mut FingerprintEngine, fw: &FrameWindows, clf: &dyn Classifier) -> Vec<f64> {
+        let mut out = Vec::new();
+        engine.extract_tracked_frames_repredicted_into(&fw.a_tracked(), clf, &mut out);
+        out
     }
 
     fn trained_tree(rng: &mut Xoshiro256pp, d: usize) -> HoeffdingTree {
@@ -1241,50 +928,28 @@ mod tests {
         tree
     }
 
+    fn incremental(emd_stride: u32) -> ExtractionMode {
+        ExtractionMode { incremental: true, emd_stride }
+    }
+
     #[test]
-    fn engine_matches_legacy_extractor_exactly() {
+    fn batch_mode_matches_extractor_on_relabelled_window() {
+        // Windows that have evicted rows as well as freshly filled ones.
         let mut rng = Xoshiro256pp::seed_from_u64(11);
         let ex = FingerprintExtractor::full(4);
         let mut engine = FingerprintEngine::new(ex.clone());
         let tree = trained_tree(&mut rng, 4);
         for trial in 0..5 {
-            let w = window(&mut rng, 40 + trial * 17, 4, 2);
-            let legacy = ex.extract(&w, Some(&tree));
-            let fast = engine.extract(&w, Some(&tree));
-            assert_eq!(legacy, fast, "trial {trial}: engine must be bit-identical");
+            let rows = window(&mut rng, 60 + trial * 17, 4, 2);
+            let w = 40 + trial * 10;
+            let fw = frames_of(&rows, w);
+            let want = relabelled_oracle(&ex, &rows[rows.len() - w..], &tree);
+            assert_eq!(extract(&mut engine, &fw, &tree), want, "trial {trial}: bit-identical");
         }
     }
 
     #[test]
-    fn scanned_sweep_matches_plain_repredicted_extraction() {
-        // The repository-sweep fast path: one static scan of a window,
-        // reused across several classifiers, must reproduce the plain
-        // repredicted extraction bit-for-bit — including when the scan is
-        // consumed by a *different* engine instance (the parallel workers).
-        let mut rng = Xoshiro256pp::seed_from_u64(21);
-        let ex = FingerprintExtractor::full(4);
-        let mut engine = FingerprintEngine::new(ex.clone());
-        let mut worker = FingerprintEngine::new(ex);
-        let trees: Vec<HoeffdingTree> =
-            (0..4).map(|_| trained_tree(&mut rng, 4)).collect();
-        let mut scan = StaticScan::new();
-        for trial in 0..3 {
-            let w = window(&mut rng, 30 + trial * 25, 4, 2);
-            engine.static_scan_frames(&w[..], &mut scan);
-            for tree in &trees {
-                let plain = engine.extract_repredicted(&w, tree);
-                let mut scanned = Vec::new();
-                engine.extract_with_scan(&w[..], &scan, tree, &mut scanned);
-                assert_eq!(plain, scanned, "trial {trial}: owner engine diverged");
-                let mut other = Vec::new();
-                worker.extract_with_scan(&w[..], &scan, tree, &mut other);
-                assert_eq!(plain, other, "trial {trial}: worker engine diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn engine_matches_legacy_on_ablation_variants() {
+    fn batch_mode_matches_extractor_on_ablation_variants() {
         let mut rng = Xoshiro256pp::seed_from_u64(12);
         let variants = [
             FingerprintExtractor::error_rate_only(3),
@@ -1306,17 +971,45 @@ mod tests {
         let tree = trained_tree(&mut rng, 3);
         for ex in variants {
             let mut engine = FingerprintEngine::new(ex.clone());
-            let w = window(&mut rng, 60, 3, 2);
-            assert_eq!(ex.extract(&w, Some(&tree)), engine.extract(&w, Some(&tree)));
-            assert_eq!(ex.extract(&w, None), engine.extract(&w, None));
+            let rows = window(&mut rng, 60, 3, 2);
+            let fw = frames_of(&rows, rows.len());
+            assert_eq!(extract(&mut engine, &fw, &tree), relabelled_oracle(&ex, &rows, &tree));
+        }
+    }
+
+    #[test]
+    fn scanned_sweep_matches_plain_extraction() {
+        // The repository-sweep fast path: one static scan of a window,
+        // reused across several classifiers, must reproduce the plain
+        // extraction bit-for-bit — including when the scan is consumed by
+        // a *different* engine instance (the parallel workers).
+        let mut rng = Xoshiro256pp::seed_from_u64(21);
+        let ex = FingerprintExtractor::full(4);
+        let mut engine = FingerprintEngine::new(ex.clone());
+        let mut worker = FingerprintEngine::new(ex);
+        let trees: Vec<HoeffdingTree> = (0..4).map(|_| trained_tree(&mut rng, 4)).collect();
+        let mut scan = StaticScan::new();
+        for trial in 0..3 {
+            let rows = window(&mut rng, 30 + trial * 25, 4, 2);
+            let fw = frames_of(&rows, rows.len());
+            engine.static_scan_tracked(&fw.a_tracked(), &mut scan);
+            for tree in &trees {
+                let plain = extract(&mut engine, &fw, tree);
+                let mut scanned = Vec::new();
+                engine.extract_with_scan(&fw.a_tracked(), &scan, tree, &mut scanned);
+                assert_eq!(plain, scanned, "trial {trial}: owner engine diverged");
+                let mut other = Vec::new();
+                worker.extract_with_scan(&fw.a_tracked(), &scan, tree, &mut other);
+                assert_eq!(plain, other, "trial {trial}: worker engine diverged");
+            }
         }
     }
 
     #[test]
     fn sequential_and_parallel_are_bit_identical() {
-        // The golden parity test: a 20-feature synthetic stream window,
-        // extracted sequentially and with a worker pool, must agree on
-        // every bit.
+        // A 20-feature synthetic stream window, extracted sequentially and
+        // with a worker pool, must agree on every bit — plain extraction,
+        // static scans and scanned sweeps alike.
         let mut rng = Xoshiro256pp::seed_from_u64(13);
         let d = 20;
         let mut seq_engine = FingerprintEngine::new(FingerprintExtractor::full(d));
@@ -1324,8 +1017,9 @@ mod tests {
             FingerprintEngine::new(FingerprintExtractor::full(d)).with_threads(4);
         assert_eq!(par_engine.threads(), 4);
         let tree = trained_tree(&mut rng, d);
+        let (mut seq_scan, mut par_scan) = (StaticScan::new(), StaticScan::new());
         for trial in 0..3 {
-            let w: Vec<LabeledObservation> = (0..100)
+            let rows: Vec<LabeledObservation> = (0..100)
                 .map(|i| {
                     let x: Vec<f64> = (0..d)
                         .map(|j| (i as f64 * 0.1 + j as f64).sin() + rng.random::<f64>() * 0.3)
@@ -1335,89 +1029,18 @@ mod tests {
                     LabeledObservation::new(x, y, l)
                 })
                 .collect();
-            let sequential = seq_engine.extract(&w, Some(&tree));
-            let parallel = par_engine.extract(&w, Some(&tree));
+            let fw = frames_of(&rows, rows.len());
+            let sequential = extract(&mut seq_engine, &fw, &tree);
+            let parallel = extract(&mut par_engine, &fw, &tree);
             assert_eq!(sequential, parallel, "trial {trial}");
-            // Reprediction path too.
-            let sequential = seq_engine.extract_repredicted(&w, &tree);
-            let parallel = par_engine.extract_repredicted(&w, &tree);
-            assert_eq!(sequential, parallel, "repredicted trial {trial}");
+            seq_engine.static_scan_tracked(&fw.a_tracked(), &mut seq_scan);
+            par_engine.static_scan_tracked(&fw.a_tracked(), &mut par_scan);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            seq_engine.extract_with_scan(&fw.a_tracked(), &seq_scan, &tree, &mut a);
+            par_engine.extract_with_scan(&fw.a_tracked(), &par_scan, &tree, &mut b);
+            assert_eq!(a, b, "scanned trial {trial}");
+            assert_eq!(a, sequential, "scanned vs plain, trial {trial}");
         }
-    }
-
-    #[test]
-    fn repredicted_matches_manual_relabel() {
-        let mut rng = Xoshiro256pp::seed_from_u64(14);
-        let ex = FingerprintExtractor::full(3);
-        let mut engine = FingerprintEngine::new(ex.clone());
-        let tree = trained_tree(&mut rng, 3);
-        let w = window(&mut rng, 75, 3, 2);
-        // The legacy framework path: clone, overwrite predictions, extract.
-        let relabeled: Vec<LabeledObservation> = w
-            .iter()
-            .map(|o| {
-                let mut o = o.clone();
-                o.prediction = tree.predict(o.features());
-                o
-            })
-            .collect();
-        let legacy = ex.extract(&relabeled, Some(&tree));
-        let fast = engine.extract_repredicted(&w, &tree);
-        assert_eq!(legacy, fast);
-    }
-
-    #[test]
-    fn tracked_extraction_is_bit_exact_by_default() {
-        let mut rng = Xoshiro256pp::seed_from_u64(15);
-        let d = 3;
-        let mut engine = FingerprintEngine::new(FingerprintExtractor::full(d));
-        let mut tw = TrackedWindow::new(50, d);
-        for o in window(&mut rng, 120, d, 2) {
-            tw.push(o);
-        }
-        let contents: Vec<LabeledObservation> = tw.iter().cloned().collect();
-        let batch = engine.extract(&contents, None);
-        let tracked = engine.extract_tracked(&tw, None);
-        assert_eq!(batch, tracked);
-    }
-
-    #[test]
-    fn tracked_extraction_matches_batch_closely() {
-        let mut rng = Xoshiro256pp::seed_from_u64(15);
-        let d = 3;
-        let mut engine =
-            FingerprintEngine::new(FingerprintExtractor::full(d)).with_incremental_moments(true);
-        let mut tw = TrackedWindow::new(50, d);
-        for o in window(&mut rng, 120, d, 2) {
-            tw.push(o);
-        }
-        let contents: Vec<LabeledObservation> = tw.iter().cloned().collect();
-        let batch = engine.extract(&contents, None);
-        let tracked = engine.extract_tracked(&tw, None);
-        assert_eq!(batch.len(), tracked.len());
-        for (i, (b, t)) in batch.iter().zip(&tracked).enumerate() {
-            assert!(
-                (b - t).abs() <= 1e-9 * (1.0 + b.abs()),
-                "dim {i}: batch {b} vs tracked {t}"
-            );
-        }
-    }
-
-    fn filled_windows(
-        rng: &mut Xoshiro256pp,
-        w: usize,
-        delay: usize,
-        d: usize,
-        steps: usize,
-        bins: usize,
-    ) -> ficsum_stream::FrameWindows {
-        let mut fw = ficsum_stream::FrameWindows::new(w, delay, d);
-        fw.enable_stats(bins);
-        for _ in 0..steps {
-            let x: Vec<f64> = (0..d).map(|_| rng.random_range(-2.0..2.0)).collect();
-            fw.push(&x, rng.random_range(0..2usize), rng.random_range(0..2usize));
-        }
-        fw
     }
 
     #[test]
@@ -1425,10 +1048,10 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(41);
         let d = 3;
         let ex = FingerprintExtractor::full(d);
-        let mut fast = FingerprintEngine::new(ex.clone()).with_incremental_stats(true);
+        let mut fast = FingerprintEngine::new(ex.clone()).with_mode(incremental(1));
         let mut batch = FingerprintEngine::new(ex);
         let tree = trained_tree(&mut rng, d);
-        let mut fw = ficsum_stream::FrameWindows::new(50, 10, d);
+        let mut fw = FrameWindows::new(50, 10, d);
         fw.enable_stats(8);
         let mut out_fast = Vec::new();
         let mut out_batch = Vec::new();
@@ -1439,16 +1062,16 @@ mod tests {
                 continue;
             }
             for tag in 0..2 {
-                let (tracked, view) = if tag == 0 {
-                    (fw.a_tracked(), fw.a_view())
+                let tracked = if tag == 0 {
+                    fw.a_tracked()
                 } else {
                     if fw.stale_len() == 0 {
                         continue;
                     }
-                    (fw.stale_tracked(), fw.stale_view())
+                    fw.stale_tracked()
                 };
                 fast.extract_tracked_frames_repredicted_into(&tracked, &tree, &mut out_fast);
-                batch.extract_frames_repredicted_into(&view, &tree, &mut out_batch);
+                batch.extract_tracked_frames_repredicted_into(&tracked, &tree, &mut out_batch);
                 assert_eq!(out_fast.len(), out_batch.len());
                 for (i, (t, b)) in out_fast.iter().zip(&out_batch).enumerate() {
                     assert!(
@@ -1473,63 +1096,24 @@ mod tests {
     }
 
     #[test]
-    fn incremental_stats_cover_prediction_sources_without_reprediction() {
-        // Non-repredicting extraction keeps the push-time prediction
-        // sequence, so the prediction and error sources substitute from
-        // their stat banks too — within the same tolerance contract.
-        let mut rng = Xoshiro256pp::seed_from_u64(44);
-        let d = 3;
-        let ex = FingerprintExtractor::full(d);
-        let mut fast = FingerprintEngine::new(ex.clone()).with_incremental_stats(true);
-        let mut batch = FingerprintEngine::new(ex);
-        let mut fw = ficsum_stream::FrameWindows::new(50, 10, d);
-        fw.enable_stats(8);
-        let mut out_fast = Vec::new();
-        let mut out_batch = Vec::new();
-        for step in 0..220 {
-            let x: Vec<f64> = (0..d).map(|_| rng.random_range(-2.0..2.0)).collect();
-            fw.push(&x, rng.random_range(0..2usize), rng.random_range(0..2usize));
-            if step % 17 != 0 || step < 5 {
-                continue;
-            }
-            fast.extract_tracked_frames_into(&fw.a_tracked(), None, &mut out_fast);
-            batch.extract_frames_into(&fw.a_view(), None, &mut out_batch);
-            assert_eq!(out_fast.len(), out_batch.len());
-            for (i, (t, b)) in out_fast.iter().zip(&out_batch).enumerate() {
-                assert!(
-                    (t - b).abs() <= 1e-9 * (1.0 + b.abs()),
-                    "step {step} dim {i}: batch {b} vs incremental {t}"
-                );
-            }
-            let nf = MetaFunction::SEQUENCE_FUNCTIONS.len();
-            for s in 0..(d + 4) {
-                for f in [8usize, 9, 10, 11] {
-                    assert_eq!(
-                        out_fast[s * nf + f].to_bits(),
-                        out_batch[s * nf + f].to_bits(),
-                        "step {step} source {s} fn {f}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn incremental_stats_parallel_matches_sequential() {
         let mut rng = Xoshiro256pp::seed_from_u64(42);
         let d = 4;
         let ex = FingerprintExtractor::full(d);
-        let mut seq_engine =
-            FingerprintEngine::new(ex.clone()).with_incremental_stats(true).with_emd_stride(3);
-        let mut par_engine =
-            FingerprintEngine::new(ex).with_incremental_stats(true).with_emd_stride(3).with_threads(3);
-        let mut fw = filled_windows(&mut rng, 40, 5, d, 60, 8);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let tree = trained_tree(&mut rng, d);
+        let mut seq_engine = FingerprintEngine::new(ex.clone()).with_mode(incremental(3));
+        let mut par_engine = FingerprintEngine::new(ex).with_mode(incremental(3)).with_threads(3);
+        let rows = window(&mut rng, 60, d, 2);
+        let mut fw = FrameWindows::new(40, 5, d);
+        fw.enable_stats(8);
+        for o in &rows {
+            fw.push(o.features(), o.label(), o.prediction);
+        }
         for _ in 0..10 {
             let x: Vec<f64> = (0..d).map(|_| rng.random_range(-2.0..2.0)).collect();
             fw.push(&x, rng.random_range(0..2usize), 0);
-            seq_engine.extract_tracked_frames_into(&fw.a_tracked(), None, &mut a);
-            par_engine.extract_tracked_frames_into(&fw.a_tracked(), None, &mut b);
+            let a = extract(&mut seq_engine, &fw, &tree);
+            let b = extract(&mut par_engine, &fw, &tree);
             assert_eq!(a, b, "cache decisions must be scheduling-independent");
         }
     }
@@ -1539,34 +1123,28 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(43);
         let d = 2;
         let stride = 3u32;
-        let mut engine = FingerprintEngine::new(FingerprintExtractor::full(d))
-            .with_incremental_stats(true)
-            .with_emd_stride(stride);
-        assert_eq!(engine.emd_stride(), stride);
-        let mut batch = FingerprintEngine::new(FingerprintExtractor::full(d));
-        let mut fw = filled_windows(&mut rng, 30, 0, d, 40, 8);
+        let ex = FingerprintExtractor::full(d);
+        let tree = trained_tree(&mut rng, d);
+        let mut engine = FingerprintEngine::new(ex.clone()).with_mode(incremental(stride));
+        assert_eq!(engine.mode(), incremental(stride));
+        assert!(engine.incremental_stats());
+        let mut batch = FingerprintEngine::new(ex);
+        let mut fw = FrameWindows::new(30, 0, d);
+        fw.enable_stats(8);
+        for _ in 0..40 {
+            let x: Vec<f64> = (0..d).map(|_| rng.random_range(-2.0..2.0)).collect();
+            fw.push(&x, rng.random_range(0..2usize), 0);
+        }
         let nf = MetaFunction::SEQUENCE_FUNCTIONS.len();
         let emd_dims: Vec<usize> =
             (0..d + 4).flat_map(|s| [s * nf + 10, s * nf + 11]).collect();
-        let mut out = Vec::new();
-        engine.extract_tracked_frames_into(&fw.a_tracked(), None, &mut out);
-        let first = out.clone();
+        let first = extract(&mut engine, &fw, &tree);
         let mut refreshed = false;
         for round in 1..=(stride as usize) {
             let x: Vec<f64> = (0..d).map(|_| rng.random_range(-2.0..2.0)).collect();
             fw.push(&x, rng.random_range(0..2usize), 0);
-            engine.extract_tracked_frames_into(&fw.a_tracked(), None, &mut out);
-            let fresh = batch.extract(&{
-                let mut block = ficsum_stream::FrameBlock::new();
-                block.copy_from(&fw.a_view());
-                (0..block.len())
-                    .map(|i| LabeledObservation::new(
-                        block.features(i).to_vec(),
-                        block.label(i),
-                        block.prediction(i),
-                    ))
-                    .collect::<Vec<_>>()
-            }, None);
+            let out = extract(&mut engine, &fw, &tree);
+            let fresh = extract(&mut batch, &fw, &tree);
             let stale = emd_dims.iter().all(|&i| out[i].to_bits() == first[i].to_bits());
             let exact = emd_dims.iter().all(|&i| out[i].to_bits() == fresh[i].to_bits());
             if round < stride as usize {
@@ -1584,16 +1162,12 @@ mod tests {
             );
         }
         assert!(refreshed);
-        engine.invalidate_emd_cache();
-        engine.extract_tracked_frames_into(&fw.a_tracked(), None, &mut out);
         // After invalidation the very next extraction re-sifts.
-        let contents: Vec<LabeledObservation> = (0..fw.a_len())
-            .map(|i| {
-                let v = fw.a_view();
-                LabeledObservation::new(v.features(i).to_vec(), v.label(i), v.prediction(i))
-            })
-            .collect();
-        let fresh = batch.extract(&contents, None);
+        let x: Vec<f64> = (0..d).map(|_| rng.random_range(-2.0..2.0)).collect();
+        fw.push(&x, rng.random_range(0..2usize), 0);
+        engine.invalidate_emd_cache();
+        let out = extract(&mut engine, &fw, &tree);
+        let fresh = extract(&mut batch, &fw, &tree);
         for &i in &emd_dims {
             assert_eq!(out[i].to_bits(), fresh[i].to_bits(), "dim {i} after invalidate");
         }
@@ -1615,7 +1189,8 @@ mod tests {
         use ficsum_obs::MonotonicClock;
         let mut rng = Xoshiro256pp::seed_from_u64(21);
         let d = 6;
-        let w = window(&mut rng, 80, d, 2);
+        let fw = frames_of(&window(&mut rng, 80, d, 2), 80);
+        let tree = trained_tree(&mut rng, d);
         for threads in [1, 3] {
             let mut engine =
                 FingerprintEngine::new(FingerprintExtractor::full(d)).with_threads(threads);
@@ -1623,8 +1198,8 @@ mod tests {
             assert!(engine.source_timings().is_empty());
             engine.set_clock(Some(Arc::new(MonotonicClock::new())));
             assert!(engine.timing_enabled());
-            let _ = engine.extract(&w, None);
-            let _ = engine.extract(&w, None);
+            let _ = extract(&mut engine, &fw, &tree);
+            let _ = extract(&mut engine, &fw, &tree);
             assert_eq!(engine.timed_extractions(), 2, "threads={threads}");
             let timings = engine.source_timings();
             assert_eq!(timings.len(), d + 4, "one slot per behaviour source");
@@ -1642,11 +1217,12 @@ mod tests {
     fn timing_does_not_perturb_extraction_values() {
         use ficsum_obs::ManualClock;
         let mut rng = Xoshiro256pp::seed_from_u64(22);
-        let w = window(&mut rng, 60, 3, 2);
+        let fw = frames_of(&window(&mut rng, 60, 3, 2), 60);
+        let tree = trained_tree(&mut rng, 3);
         let mut plain = FingerprintEngine::new(FingerprintExtractor::full(3));
         let mut timed = FingerprintEngine::new(FingerprintExtractor::full(3));
         timed.set_clock(Some(Arc::new(ManualClock::new())));
-        assert_eq!(plain.extract(&w, None), timed.extract(&w, None));
+        assert_eq!(extract(&mut plain, &fw, &tree), extract(&mut timed, &fw, &tree));
     }
 
     #[test]
@@ -1655,10 +1231,11 @@ mod tests {
         // but the scratch buffers must retain capacity between calls.
         let mut rng = Xoshiro256pp::seed_from_u64(16);
         let mut engine = FingerprintEngine::new(FingerprintExtractor::full(2));
-        let w = window(&mut rng, 80, 2, 2);
-        let _ = engine.extract(&w, None);
+        let fw = frames_of(&window(&mut rng, 80, 2, 2), 80);
+        let tree = trained_tree(&mut rng, 2);
+        let _ = extract(&mut engine, &fw, &tree);
         let caps: Vec<usize> = engine.seqs.iter().map(Vec::capacity).collect();
-        let _ = engine.extract(&w, None);
+        let _ = extract(&mut engine, &fw, &tree);
         let caps_after: Vec<usize> = engine.seqs.iter().map(Vec::capacity).collect();
         assert_eq!(caps, caps_after, "sequence buffers must be reused");
     }

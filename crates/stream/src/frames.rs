@@ -12,15 +12,12 @@
 //! columns (a flat row-major `f64` feature arena, labels, predictions) in a
 //! fixed ring. [`FrameWindows`] layers the two windows of Algorithm 1 over
 //! it as *views by age* and maintains the incremental feature/label
-//! [`Moments`] the fingerprint engine's tracked mode consumes.
-//! [`FrameSource`] is the read interface shared by ring views, owned
-//! [`FrameBlock`] snapshots and plain `[LabeledObservation]` slices, so
-//! extraction code is written once and runs allocation-free over any of
-//! them.
+//! [`Moments`] (and, optionally, per-sequence [`SeqStats`]) the
+//! fingerprint engine substitutes in incremental mode. [`FrameSource`] is
+//! the read interface shared by plain ring views and the moment-carrying
+//! [`TrackedFrames`].
 
-use crate::observation::LabeledObservation;
 use crate::stats::Moments;
-use crate::window::TrackedWindow;
 use crate::winstats::SeqStats;
 
 /// Read access to a window of frames, index `0` = oldest, `len - 1` =
@@ -44,123 +41,6 @@ pub trait FrameSource {
     /// Whether the source holds no frames.
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// Incrementally maintained moment accumulators accompanying a frame
-/// window, substituted for the batch moment sweep by the engine's
-/// incremental-moments mode.
-pub trait MomentSource {
-    /// Number of tracked feature dimensions.
-    fn n_feature_moments(&self) -> usize;
-
-    /// Moment accumulator for feature dimension `j`.
-    fn feature_moments(&self, j: usize) -> &Moments;
-
-    /// Moment accumulator for the label sequence.
-    fn label_moments(&self) -> &Moments;
-}
-
-/// Incrementally maintained per-sequence statistics accompanying a frame
-/// window — the state behind the engine's incremental-statistics mode,
-/// which substitutes O(1) lookups for the batch ACF/PACF/MI/turning-point
-/// sweeps. Sources that do not maintain the state return `None` and the
-/// engine falls back to the batch sweep for them.
-pub trait StatSource {
-    /// Sequence statistics for feature dimension `j`, when maintained and
-    /// currently valid for substitution.
-    fn feature_stats(&self, j: usize) -> Option<&SeqStats>;
-
-    /// Sequence statistics for the label sequence, when maintained.
-    fn label_stats(&self) -> Option<&SeqStats>;
-
-    /// Moments and sequence statistics for the prediction sequence, when
-    /// maintained. Predictions (and errors) have no standalone moment
-    /// accumulator outside the stat bank, so the pair travels together.
-    fn prediction_track(&self) -> Option<(&Moments, &SeqStats)> {
-        None
-    }
-
-    /// Moments and sequence statistics for the error-indicator sequence
-    /// (`prediction != label` as 0/1), when maintained.
-    fn error_track(&self) -> Option<(&Moments, &SeqStats)> {
-        None
-    }
-
-    /// Which window of Algorithm 1 this source exposes (0 = active `A`,
-    /// 1 = stale `B`) — keys the engine's per-window result caches.
-    fn window_tag(&self) -> usize;
-}
-
-impl FrameSource for [LabeledObservation] {
-    fn len(&self) -> usize {
-        <[LabeledObservation]>::len(self)
-    }
-
-    fn dims(&self) -> usize {
-        self.first().map_or(0, |o| o.features().len())
-    }
-
-    fn features(&self, i: usize) -> &[f64] {
-        self[i].features()
-    }
-
-    fn label(&self, i: usize) -> usize {
-        self[i].label()
-    }
-
-    fn prediction(&self, i: usize) -> usize {
-        self[i].prediction
-    }
-}
-
-impl FrameSource for TrackedWindow {
-    fn len(&self) -> usize {
-        TrackedWindow::len(self)
-    }
-
-    fn dims(&self) -> usize {
-        self.n_features()
-    }
-
-    fn features(&self, i: usize) -> &[f64] {
-        self.get(i).features()
-    }
-
-    fn label(&self, i: usize) -> usize {
-        self.get(i).label()
-    }
-
-    fn prediction(&self, i: usize) -> usize {
-        self.get(i).prediction
-    }
-}
-
-impl MomentSource for TrackedWindow {
-    fn n_feature_moments(&self) -> usize {
-        self.n_features()
-    }
-
-    fn feature_moments(&self, j: usize) -> &Moments {
-        TrackedWindow::feature_moments(self, j)
-    }
-
-    fn label_moments(&self) -> &Moments {
-        TrackedWindow::label_moments(self)
-    }
-}
-
-impl StatSource for TrackedWindow {
-    fn feature_stats(&self, _j: usize) -> Option<&SeqStats> {
-        None
-    }
-
-    fn label_stats(&self) -> Option<&SeqStats> {
-        None
-    }
-
-    fn window_tag(&self) -> usize {
-        0
     }
 }
 
@@ -298,74 +178,9 @@ impl FrameSource for FrameView<'_> {
     }
 }
 
-/// An owned, contiguous SoA snapshot of a frame window. The drift path
-/// copies the active window into one of these (a single flat memcpy-style
-/// pass, reusing capacity across drifts) so model selection can run while
-/// the ring keeps advancing semantics simple.
-#[derive(Debug, Clone, Default)]
-pub struct FrameBlock {
-    dims: usize,
-    len: usize,
-    features: Vec<f64>,
-    labels: Vec<usize>,
-    preds: Vec<usize>,
-}
-
-impl FrameBlock {
-    /// An empty block.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Replaces the contents with a copy of `src`, keeping capacity.
-    pub fn copy_from<S: FrameSource + ?Sized>(&mut self, src: &S) {
-        self.dims = src.dims();
-        self.len = src.len();
-        self.features.clear();
-        self.labels.clear();
-        self.preds.clear();
-        for i in 0..self.len {
-            self.features.extend_from_slice(src.features(i));
-            self.labels.push(src.label(i));
-            self.preds.push(src.prediction(i));
-        }
-    }
-
-    /// Drops the contents, keeping capacity.
-    pub fn clear(&mut self) {
-        self.len = 0;
-        self.features.clear();
-        self.labels.clear();
-        self.preds.clear();
-    }
-}
-
-impl FrameSource for FrameBlock {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn dims(&self) -> usize {
-        self.dims
-    }
-
-    fn features(&self, i: usize) -> &[f64] {
-        let at = i * self.dims;
-        &self.features[at..at + self.dims]
-    }
-
-    fn label(&self, i: usize) -> usize {
-        self.labels[i]
-    }
-
-    fn prediction(&self, i: usize) -> usize {
-        self.preds[i]
-    }
-}
-
 /// A frame view paired with its window's incremental moments (and, when
-/// enabled, its incremental sequence statistics) — what the engine's
-/// tracked extraction entry points consume.
+/// enabled, its incremental sequence statistics) — what the fingerprint
+/// engine extracts from.
 #[derive(Debug, Clone, Copy)]
 pub struct TrackedFrames<'a> {
     view: FrameView<'a>,
@@ -397,67 +212,50 @@ impl FrameSource for TrackedFrames<'_> {
     }
 }
 
-impl MomentSource for TrackedFrames<'_> {
-    fn n_feature_moments(&self) -> usize {
-        self.feat.len()
-    }
-
-    fn feature_moments(&self, j: usize) -> &Moments {
+impl TrackedFrames<'_> {
+    /// Moment accumulator for feature dimension `j`.
+    pub fn feature_moments(&self, j: usize) -> &Moments {
         &self.feat[j]
     }
 
-    fn label_moments(&self) -> &Moments {
+    /// Moment accumulator for the label sequence.
+    pub fn label_moments(&self) -> &Moments {
         self.label
     }
-}
 
-impl StatSource for TrackedFrames<'_> {
-    fn feature_stats(&self, j: usize) -> Option<&SeqStats> {
+    /// Sequence statistics for feature dimension `j`, `None` unless the
+    /// windows have statistics enabled
+    /// ([`FrameWindows::enable_stats`]).
+    pub fn feature_stats(&self, j: usize) -> Option<&SeqStats> {
         self.stats.map(|b| &b.feat[j])
     }
 
-    fn label_stats(&self) -> Option<&SeqStats> {
+    /// Sequence statistics for the label sequence, when enabled.
+    pub fn label_stats(&self) -> Option<&SeqStats> {
         self.stats.map(|b| &b.label)
     }
 
-    fn prediction_track(&self) -> Option<(&Moments, &SeqStats)> {
-        self.stats.map(|b| (&b.pred_m, &b.pred))
-    }
-
-    fn error_track(&self) -> Option<(&Moments, &SeqStats)> {
-        self.stats.map(|b| (&b.err_m, &b.err))
-    }
-
-    fn window_tag(&self) -> usize {
+    /// Which window of Algorithm 1 this is (0 = active `A`, 1 = stale
+    /// `B`); keys the engine's per-window result caches.
+    pub fn window_tag(&self) -> usize {
         self.tag
     }
 }
 
 /// One window's bank of incremental sequence statistics: one [`SeqStats`]
-/// per feature dimension plus one each for the label, prediction and
-/// error-indicator sequences. Predictions and errors also carry their own
-/// [`Moments`] here — unlike features and labels, those sequences have no
-/// moment accumulator elsewhere in [`FrameWindows`].
+/// per feature dimension plus one for the label sequence. Only these
+/// classifier-independent sequences are banked: extraction re-predicts
+/// every window through the current classifier, so push-time predictions
+/// and errors are never read.
 #[derive(Debug, Clone)]
 pub struct StatBank {
     feat: Vec<SeqStats>,
     label: SeqStats,
-    pred: SeqStats,
-    pred_m: Moments,
-    err: SeqStats,
-    err_m: Moments,
 }
 
 impl StatBank {
     fn new(dims: usize, bins: usize) -> Self {
-        Self {
-            feat: vec![SeqStats::new(bins); dims],
-            label: SeqStats::new(bins),
-            pred: SeqStats::new(bins),
-            pred_m: Moments::new(),
-            err: SeqStats::new(bins),
-            err_m: Moments::new(),
-        }
+        Self { feat: vec![SeqStats::new(bins); dims], label: SeqStats::new(bins) }
     }
 
     fn reset(&mut self) {
@@ -465,10 +263,6 @@ impl StatBank {
             s.reset();
         }
         self.label.reset();
-        self.pred.reset();
-        self.pred_m.reset();
-        self.err.reset();
-        self.err_m.reset();
     }
 }
 
@@ -489,11 +283,10 @@ struct WindowStats {
 ///
 /// The windows share one arena of `b + w` rows; pushing a frame is one
 /// ring write plus O(d) moment updates, with no per-observation
-/// allocation. `A` and `B` keep the same membership, iteration order,
-/// eviction schedule and moment-rebuild cadence as the legacy
-/// [`TrackedWindow`] / [`crate::window::BufferedWindow`] pair; clearing
-/// the buffer after a drift is a logical restart (frames pushed before
-/// the clear never graduate), exactly like clearing the legacy buffer.
+/// allocation. Moments are updated on admit and evict and rebuilt from
+/// the resident frames every [`FrameWindows::REBUILD_INTERVAL`] evictions
+/// per window. Clearing the buffer after a drift is a logical restart:
+/// frames pushed before the clear never graduate.
 #[derive(Debug, Clone)]
 pub struct FrameWindows {
     store: FrameStore,
@@ -512,6 +305,11 @@ pub struct FrameWindows {
 }
 
 impl FrameWindows {
+    /// Evictions between full rebuilds of a window's moment accumulators:
+    /// downdating is exact in infinite precision but accretes rounding
+    /// error over unbounded insert/evict cycles.
+    pub const REBUILD_INTERVAL: usize = 4096;
+
     /// Windows of `window` frames with a graduation delay of `delay`
     /// frames, over `dims`-dimensional observations.
     pub fn new(window: usize, delay: usize, dims: usize) -> Self {
@@ -575,8 +373,8 @@ impl FrameWindows {
 
     /// Pushes one frame into the shared arena, updating both windows'
     /// membership and moments. Ring reads of outgoing frames happen before
-    /// the slot overwrite; moment edit order (admit new, then retire
-    /// outgoing) matches [`TrackedWindow::push`].
+    /// the slot overwrite; moments admit the new frame, then retire the
+    /// outgoing one.
     pub fn push(&mut self, x: &[f64], label: usize, prediction: usize) {
         let (w, b) = (self.window, self.delay);
         let n_a = self.a_len();
@@ -622,15 +420,15 @@ impl FrameWindows {
         }
 
         if self.stats.is_some() {
-            self.step_stats(x, label, prediction, n_a, s_len, graduates);
+            self.step_stats(x, label, n_a, s_len, graduates);
         }
 
         self.store.push(x, label, prediction);
 
-        if self.a_evictions >= TrackedWindow::REBUILD_INTERVAL {
+        if self.a_evictions >= Self::REBUILD_INTERVAL {
             self.rebuild_a();
         }
-        if self.s_evictions >= TrackedWindow::REBUILD_INTERVAL {
+        if self.s_evictions >= Self::REBUILD_INTERVAL {
             self.rebuild_s();
         }
         if self.stats.is_some() {
@@ -682,15 +480,7 @@ impl FrameWindows {
     /// for the active window the post-append sequence is
     /// `[x_0 .. x_{w-1}, v]`, so for tiny windows the evicted value's
     /// successors fall back to the incoming value itself.
-    fn step_stats(
-        &mut self,
-        x: &[f64],
-        label: usize,
-        prediction: usize,
-        n_a: usize,
-        s_len: usize,
-        graduates: bool,
-    ) {
+    fn step_stats(&mut self, x: &[f64], label: usize, n_a: usize, s_len: usize, graduates: bool) {
         let (w, b) = (self.window, self.delay);
         let ws = self.stats.as_deref_mut().expect("caller checked stats are enabled");
         let store = &self.store;
@@ -732,11 +522,6 @@ impl FrameWindows {
                 (n_a >= 2).then(|| store.label_at_age(1) as f64),
                 evict,
             );
-            step_scalar(&mut ws.a.pred, &mut ws.a.pred_m, prediction as f64, 0, n_a, w, |age| {
-                store.prediction_at_age(age) as f64
-            });
-            let e = err_value(prediction, label);
-            step_scalar(&mut ws.a.err, &mut ws.a.err_m, e, 0, n_a, w, |age| err_at(store, age));
         }
 
         // Stale window B: the graduating frame enters (the incoming frame
@@ -781,12 +566,6 @@ impl FrameWindows {
                 (s_len >= 2).then(|| store.label_at_age(b + 1) as f64),
                 evict,
             );
-            let gp = if b == 0 { prediction as f64 } else { store.prediction_at_age(b - 1) as f64 };
-            step_scalar(&mut ws.s.pred, &mut ws.s.pred_m, gp, b, s_len, w, |age| {
-                store.prediction_at_age(age) as f64
-            });
-            let ge = if b == 0 { err_value(prediction, label) } else { err_at(store, b - 1) };
-            step_scalar(&mut ws.s.err, &mut ws.s.err_m, ge, b, s_len, w, |age| err_at(store, age));
         }
     }
 
@@ -804,7 +583,7 @@ impl FrameWindows {
 
     /// Logically empties the delay buffer and stale window (the ring keeps
     /// its frames; they simply never graduate). The active window is
-    /// untouched, mirroring the legacy post-drift `buffer.clear()`.
+    /// untouched.
     pub fn clear_buffer(&mut self) {
         self.s_start = self.store.pushed;
         for m in &mut self.s_feat {
@@ -890,48 +669,6 @@ impl FrameWindows {
     }
 }
 
-/// The error-indicator value of one frame (`prediction != label` as 0/1),
-/// matching the batch `Errors` behaviour-source sequence.
-fn err_value(prediction: usize, label: usize) -> f64 {
-    if prediction != label {
-        1.0
-    } else {
-        0.0
-    }
-}
-
-/// Error indicator of the frame `age` pushes ago.
-fn err_at(store: &FrameStore, age: usize) -> f64 {
-    err_value(store.prediction_at_age(age), store.label_at_age(age))
-}
-
-/// Steps one scalar sequence's stats *and* moments for a window admitting
-/// `v` (with eviction once at capacity), applying the same tiny-window
-/// neighbour fallbacks as the feature/label stepping above. `get` reads
-/// the sequence value of the frame at an absolute pre-push ring age;
-/// `base` is the window's newest age (0 for `A`, the delay for `B`) and
-/// `n` its length before this admit.
-fn step_scalar(
-    s: &mut SeqStats,
-    m: &mut Moments,
-    v: f64,
-    base: usize,
-    n: usize,
-    w: usize,
-    get: impl Fn(usize) -> f64,
-) {
-    m.push(v);
-    if n == w {
-        m.remove(get(base + w - 1));
-    }
-    let evict = (n == w).then(|| {
-        let x1 = if w >= 2 { Some(get(base + w - 2)) } else { Some(v) };
-        let x2 = if w >= 3 { Some(get(base + w - 3)) } else { (w == 2).then_some(v) };
-        (get(base + w - 1), x1, x2)
-    });
-    s.step(v, (n >= 1).then(|| get(base)), (n >= 2).then(|| get(base + 1)), evict);
-}
-
 /// Exact rebuild of every stat in `bank` from the window with the given
 /// ring coordinates.
 fn rebuild_bank(store: &FrameStore, newest_age: usize, len: usize, bank: &mut StatBank) {
@@ -941,16 +678,6 @@ fn rebuild_bank(store: &FrameStore, newest_age: usize, len: usize, bank: &mut St
     }
     let view = store.view(newest_age, len);
     bank.label.rebuild(len, |i| view.label(i) as f64);
-    bank.pred.rebuild(len, |i| view.prediction(i) as f64);
-    bank.pred_m.reset();
-    for i in 0..len {
-        bank.pred_m.push(view.prediction(i) as f64);
-    }
-    bank.err.rebuild(len, |i| err_value(view.prediction(i), view.label(i)));
-    bank.err_m.reset();
-    for i in 0..len {
-        bank.err_m.push(err_value(view.prediction(i), view.label(i)));
-    }
 }
 
 /// Rebuilds the stats in `bank` that request it and resummates those whose
@@ -977,99 +704,148 @@ fn refresh_bank(
         let view = store.view(newest_age, len);
         s.rebuild(len, |i| view.label(i) as f64);
     }
-    let (m, s) = (&bank.pred_m, &mut bank.pred);
-    if s.needs_rebuild() || (s.is_valid() && s.shift_drifted(m.mean(), m.sum_sq_dev())) {
-        let view = store.view(newest_age, len);
-        s.rebuild(len, |i| view.prediction(i) as f64);
-    }
-    let (m, s) = (&bank.err_m, &mut bank.err);
-    if s.needs_rebuild() || (s.is_valid() && s.shift_drifted(m.mean(), m.sum_sq_dev())) {
-        let view = store.view(newest_age, len);
-        s.rebuild(len, |i| err_value(view.prediction(i), view.label(i)));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::{BufferedWindow, SlidingWindow};
 
-    fn obs(i: usize) -> (Vec<f64>, usize, usize) {
+    type Row = (Vec<f64>, usize, usize);
+
+    fn obs(i: usize) -> Row {
         (vec![i as f64, (i as f64 * 0.7).sin()], i % 3, (i + 1) % 3)
     }
 
-    /// Reference pair of legacy windows driven in lockstep with
-    /// `FrameWindows`; membership and order must agree at every step.
+    /// Plain-`Vec` reference for Algorithm 1's windows: every frame ever
+    /// pushed, in order. `A` is the last `w` rows; the stale window is the
+    /// `w` rows before the newest `b`, never reaching back past the last
+    /// buffer clear.
+    struct History {
+        rows: Vec<Row>,
+        cleared_at: usize,
+        w: usize,
+        b: usize,
+    }
+
+    impl History {
+        fn new(w: usize, b: usize) -> Self {
+            Self { rows: Vec::new(), cleared_at: 0, w, b }
+        }
+
+        fn push(&mut self, row: Row) {
+            self.rows.push(row);
+        }
+
+        fn clear_buffer(&mut self) {
+            self.cleared_at = self.rows.len();
+        }
+
+        fn a(&self) -> &[Row] {
+            &self.rows[self.rows.len().saturating_sub(self.w)..]
+        }
+
+        fn stale(&self) -> &[Row] {
+            let end = self.rows.len().saturating_sub(self.b).max(self.cleared_at);
+            let start = end.saturating_sub(self.w).max(self.cleared_at);
+            &self.rows[start..end]
+        }
+
+        fn holding_len(&self) -> usize {
+            (self.rows.len() - self.cleared_at).min(self.b)
+        }
+    }
+
+    fn assert_rows(view: &FrameView<'_>, rows: &[Row], what: &str) {
+        assert_eq!(view.len(), rows.len(), "{what}: length");
+        for (j, (x, y, p)) in rows.iter().enumerate() {
+            assert_eq!(view.features(j), &x[..], "{what}: row {j} features");
+            assert_eq!(view.label(j), *y, "{what}: row {j} label");
+            assert_eq!(view.prediction(j), *p, "{what}: row {j} prediction");
+        }
+    }
+
+    /// Checks a window's incremental moments against a batch sweep of the
+    /// same rows: every feature column, then the label sequence.
+    fn assert_moments(tracked: &TrackedFrames<'_>, rows: &[Row], what: &str) {
+        let d = tracked.dims();
+        for j in 0..=d {
+            let m = if j < d { tracked.feature_moments(j) } else { tracked.label_moments() };
+            let xs: Vec<f64> =
+                rows.iter().map(|(x, y, _)| if j < d { x[j] } else { *y as f64 }).collect();
+            assert_eq!(m.count() as usize, xs.len(), "{what}: column {j} count");
+            if xs.is_empty() {
+                continue;
+            }
+            let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+            let ssd: f64 = xs.iter().map(|x| (x - mean) * (x - mean)).sum();
+            assert!((m.mean() - mean).abs() < 1e-10, "{what}: column {j} mean");
+            assert!((m.sum_sq_dev() - ssd).abs() < 1e-9 * (1.0 + ssd), "{what}: column {j} ssd");
+        }
+    }
+
+    /// Membership, order, moments and fill state of both windows against
+    /// the `Vec` history at every step, across a buffer clear.
     #[test]
-    fn views_match_legacy_windows_exactly() {
-        let (w, b, d) = (5, 3, 2);
-        let mut frames = FrameWindows::new(w, b, d);
-        let mut legacy_a = SlidingWindow::new(w);
-        let mut legacy_b = BufferedWindow::new(b, w, d);
-        for i in 0..40 {
-            let (x, y, p) = obs(i);
-            let lo = LabeledObservation::new(x.clone(), y, p);
-            legacy_a.push(lo.clone());
-            legacy_b.push(lo);
-            frames.push(&x, y, p);
-            if i == 17 {
-                frames.clear_buffer();
-                legacy_b.clear();
+    fn windows_match_vec_history() {
+        for &(w, b) in &[(5usize, 3usize), (6, 4), (1, 0), (3, 0), (2, 5)] {
+            let d = 2;
+            let mut frames = FrameWindows::new(w, b, d);
+            let mut history = History::new(w, b);
+            for i in 0..60 {
+                let (x, y, p) = obs(i);
+                frames.push(&x, y, p);
+                history.push((x, y, p));
+                if i == 17 {
+                    frames.clear_buffer();
+                    history.clear_buffer();
+                }
+                let at = format!("w{w} b{b} step {i}");
+                assert_rows(&frames.a_view(), history.a(), &format!("{at} A"));
+                assert_rows(&frames.stale_view(), history.stale(), &format!("{at} B"));
+                assert_moments(&frames.a_tracked(), history.a(), &format!("{at} A"));
+                assert_moments(&frames.stale_tracked(), history.stale(), &format!("{at} B"));
+                assert_eq!(frames.holding_len(), history.holding_len(), "{at}: holding");
+                assert_eq!(frames.a_is_full(), history.a().len() == w, "{at}");
+                assert_eq!(frames.stale_is_full(), history.stale().len() == w, "{at}");
             }
-
-            let a = frames.a_view();
-            assert_eq!(a.len(), legacy_a.len(), "step {i}: A length");
-            for (j, o) in legacy_a.iter().enumerate() {
-                assert_eq!(a.features(j), o.features(), "step {i} A row {j}");
-                assert_eq!(a.label(j), o.label());
-                assert_eq!(a.prediction(j), o.prediction);
-            }
-
-            let s = frames.stale_view();
-            assert_eq!(s.len(), legacy_b.stale().len(), "step {i}: B length");
-            assert_eq!(frames.holding_len(), legacy_b.holding_len(), "step {i}: holding");
-            for (j, o) in legacy_b.stale().iter().enumerate() {
-                assert_eq!(s.features(j), o.features(), "step {i} B row {j}");
-                assert_eq!(s.label(j), o.label());
-            }
-            assert_eq!(frames.a_is_full(), legacy_a.is_full());
-            assert_eq!(frames.stale_is_full(), legacy_b.stale().is_full());
         }
     }
 
     #[test]
-    fn moments_match_tracked_windows() {
-        let (w, b, d) = (6, 4, 2);
-        let mut frames = FrameWindows::new(w, b, d);
-        let mut legacy_a = TrackedWindow::new(w, d);
-        let mut legacy_b = BufferedWindow::new(b, w, d);
-        for i in 0..60 {
-            let (x, y, p) = obs(i);
-            legacy_a.push(LabeledObservation::new(x.clone(), y, p));
-            legacy_b.push(LabeledObservation::new(x.clone(), y, p));
-            frames.push(&x, y, p);
-            let ta = frames.a_tracked();
-            let ts = frames.stale_tracked();
-            for j in 0..d {
-                assert_eq!(
-                    ta.feature_moments(j).mean(),
-                    legacy_a.feature_moments(j).mean(),
-                    "step {i} A dim {j}"
-                );
-                assert_eq!(
-                    ts.feature_moments(j).count(),
-                    legacy_b.stale().feature_moments(j).count(),
-                    "step {i} B dim {j}"
-                );
-                assert_eq!(
-                    ts.feature_moments(j).mean(),
-                    legacy_b.stale().feature_moments(j).mean(),
-                    "step {i} B dim {j}"
-                );
-            }
-            assert_eq!(ta.label_moments().mean(), legacy_a.label_moments().mean());
-            assert_eq!(ts.label_moments().mean(), legacy_b.stale().label_moments().mean());
+    #[should_panic(expected = "capacity must be positive")]
+    fn zero_capacity_panics() {
+        let _ = FrameWindows::new(0, 2, 1);
+    }
+
+    #[test]
+    fn stale_window_delays_by_b() {
+        let mut frames = FrameWindows::new(3, 2, 1);
+        for i in 0..2 {
+            frames.push(&[i as f64], 0, 0);
         }
+        // Nothing has graduated yet: both frames are at most b old.
+        assert_eq!(frames.stale_len(), 0);
+        assert_eq!(frames.holding_len(), 2);
+        frames.push(&[2.0], 0, 0);
+        // Frame 0 is now b steps old and graduates.
+        assert_eq!(frames.stale_len(), 1);
+        assert_eq!(frames.stale_view().features(0), &[0.0]);
+    }
+
+    #[test]
+    fn stale_window_caps_at_w() {
+        let mut frames = FrameWindows::new(2, 1, 1);
+        for i in 0..6 {
+            frames.push(&[i as f64], 0, 0);
+        }
+        // Five graduates; the stale window keeps the latest two.
+        let view = frames.stale_view();
+        let vals: Vec<f64> = (0..view.len()).map(|i| view.features(i)[0]).collect();
+        assert_eq!(vals, vec![3.0, 4.0]);
+        // The active window evicts oldest-first.
+        let view = frames.a_view();
+        let vals: Vec<f64> = (0..view.len()).map(|i| view.features(i)[0]).collect();
+        assert_eq!(vals, vec![4.0, 5.0]);
     }
 
     #[test]
@@ -1082,38 +858,23 @@ mod tests {
     }
 
     #[test]
-    fn frame_block_snapshots_a_view() {
-        let mut frames = FrameWindows::new(3, 2, 2);
-        for i in 0..7 {
-            let (x, y, p) = obs(i);
-            frames.push(&x, y, p);
+    fn clear_buffer_restarts_the_stale_side_only() {
+        let mut frames = FrameWindows::new(3, 3, 1);
+        for i in 0..10 {
+            frames.push(&[i as f64], 0, 0);
         }
-        let mut block = FrameBlock::new();
-        block.copy_from(&frames.a_view());
-        assert_eq!(block.len(), 3);
-        assert_eq!(block.dims(), 2);
-        for i in 0..3 {
-            assert_eq!(block.features(i), frames.a_view().features(i));
-            assert_eq!(block.label(i), frames.a_view().label(i));
-            assert_eq!(block.prediction(i), frames.a_view().prediction(i));
+        frames.clear_buffer();
+        assert_eq!(frames.stale_len(), 0);
+        assert_eq!(frames.holding_len(), 0);
+        assert_eq!(frames.stale_tracked().feature_moments(0).count(), 0);
+        assert_eq!(frames.stale_tracked().label_moments().count(), 0);
+        assert!(frames.a_is_full(), "the active window survives the clear");
+        for i in 10..14 {
+            frames.push(&[i as f64], 0, 0);
         }
-        // Reuse keeps capacity.
-        let cap = block.features.capacity();
-        block.copy_from(&frames.a_view());
-        assert_eq!(block.features.capacity(), cap);
-    }
-
-    #[test]
-    fn slice_source_matches_observations() {
-        let obs: Vec<LabeledObservation> = (0..4)
-            .map(|i| LabeledObservation::new(vec![i as f64], i % 2, (i + 1) % 2))
-            .collect();
-        let src: &[LabeledObservation] = &obs;
-        assert_eq!(FrameSource::len(src), 4);
-        assert_eq!(src.dims(), 1);
-        assert_eq!(src.features(2), &[2.0]);
-        assert_eq!(FrameSource::label(src, 3), 1);
-        assert_eq!(src.prediction(0), 1);
+        // Only frames pushed after the clear graduate.
+        assert_eq!(frames.stale_len(), 1);
+        assert_eq!(frames.stale_tracked().feature_moments(0).mean(), 10.0);
     }
 
     /// Re-centers a maintained cross-sum around the exact window mean —
@@ -1207,7 +968,7 @@ mod tests {
         // Force many evictions through a tiny window to cross the rebuild
         // interval; the moments must stay equal to a batch recompute.
         let mut frames = FrameWindows::new(10, 1, 1);
-        for i in 0..(TrackedWindow::REBUILD_INTERVAL + 50) {
+        for i in 0..(FrameWindows::REBUILD_INTERVAL + 50) {
             frames.push(&[(i as f64 * 0.13).sin()], i % 2, 0);
         }
         let view = frames.a_view();

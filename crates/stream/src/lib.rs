@@ -8,8 +8,10 @@
 //!   tuples the paper operates on,
 //! * [`ConceptStream`] — a stream of observations annotated with the ground
 //!   truth concept identifier needed by the co-occurrence evaluation,
-//! * [`SlidingWindow`] and [`BufferedWindow`] — the *active* window `A` and
-//!   the delayed *buffer* window `B` of Algorithm 1,
+//! * [`FrameWindows`] — the *active* window `A` and the delayed *buffer*
+//!   window `B` of Algorithm 1, as views over one shared frame ring, with
+//!   the incremental [`Moments`] and optional per-sequence [`SeqStats`]
+//!   the fingerprint engine reads in incremental mode,
 //! * online statistics ([`RunningStats`], [`MinMaxScaler`]) used by the
 //!   fingerprinting and weighting machinery.
 
@@ -18,16 +20,11 @@ pub mod observation;
 pub mod rng;
 pub mod stats;
 pub mod stream;
-pub mod window;
 pub mod winstats;
 
-pub use frames::{
-    FrameBlock, FrameSource, FrameStore, FrameView, FrameWindows, MomentSource, StatSource,
-    TrackedFrames,
-};
+pub use frames::{FrameSource, FrameStore, FrameView, FrameWindows, TrackedFrames};
 pub use observation::{LabeledObservation, Observation};
 pub use rng::{RandomSource, Xoshiro256pp};
 pub use stats::{EwStats, MinMaxScaler, Moments, RunningStats};
 pub use winstats::SeqStats;
 pub use stream::{ConceptStream, StreamSource, VecStream};
-pub use window::{BufferedWindow, SlidingWindow, TrackedWindow};

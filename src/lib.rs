@@ -103,7 +103,7 @@ pub mod prelude {
     };
     pub use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
     pub use ficsum_stream::{
-        ConceptStream, LabeledObservation, Observation, SlidingWindow, StreamSource, VecStream,
+        ConceptStream, LabeledObservation, Observation, StreamSource, VecStream,
     };
     pub use ficsum_synth::{
         dataset_by_name, ChannelModulation, ConceptGenerator, DatasetSpec, LabelledConcept,

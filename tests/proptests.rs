@@ -20,7 +20,7 @@ use ficsum::meta::{
     FingerprintExtractor,
 };
 use ficsum::stream::rng::{RandomSource, Xoshiro256pp};
-use ficsum::stream::{EwStats, LabeledObservation, MinMaxScaler, RunningStats, SlidingWindow};
+use ficsum::stream::{EwStats, FrameWindows, LabeledObservation, MinMaxScaler, RunningStats};
 
 /// Cases per property. Each case draws fresh random inputs.
 const CASES: usize = 64;
@@ -87,9 +87,9 @@ fn running_stats_merge_is_order_independent() {
 }
 
 #[test]
-fn incremental_moments_match_batch_over_windows() {
+fn windowed_moments_match_batch_over_windows() {
     use ficsum::stream::Moments;
-    for_cases("incremental_moments_match_batch_over_windows", |rng| {
+    for_cases("windowed_moments_match_batch_over_windows", |rng| {
         let values = finite_vec(rng, 300);
         let w = rng.random_range(2..40usize);
         let mut m = Moments::new();
@@ -256,16 +256,20 @@ fn kappa_is_bounded() {
 }
 
 #[test]
-fn sliding_window_never_exceeds_capacity() {
-    for_cases("sliding_window_never_exceeds_capacity", |rng| {
+fn frame_windows_never_exceed_capacity() {
+    for_cases("frame_windows_never_exceed_capacity", |rng| {
         let cap = rng.random_range(1..20usize);
+        let delay = rng.random_range(0..10usize);
         let n = rng.random_range(0..100usize);
-        let mut w = SlidingWindow::new(cap);
+        let mut w = FrameWindows::new(cap, delay, 1);
         for i in 0..n {
-            w.push(LabeledObservation::new(vec![i as f64], 0, 0));
-            assert!(w.len() <= cap);
+            w.push(&[i as f64], 0, 0);
+            assert!(w.a_len() <= cap);
+            assert!(w.stale_len() <= cap);
+            assert!(w.holding_len() <= delay);
         }
-        assert_eq!(w.len(), n.min(cap));
+        assert_eq!(w.a_len(), n.min(cap));
+        assert_eq!(w.stale_len(), n.saturating_sub(delay).min(cap));
     });
 }
 
@@ -359,29 +363,35 @@ fn concept_fingerprint_mean_is_bounded_by_inputs() {
 
 #[test]
 fn incremental_stats_match_batch_through_evictions_and_resets() {
-    use ficsum::meta::{FingerprintEngine, MetaFunction};
-    use ficsum::stream::FrameWindows;
+    use ficsum::classifiers::{Classifier, HoeffdingTree};
+    use ficsum::meta::{ExtractionMode, FingerprintEngine, MetaFunction};
+    use ficsum::stream::{FrameSource, TrackedFrames};
     // The incremental-statistics tolerance contract (DESIGN.md "Incremental
     // statistics") over long randomized streams: every substituted
-    // statistic must track the batch sweep within 1e-9 relative across
-    // window fill, steady-state evictions and buffer resets, and the
-    // discrete dimensions (lagged MI, turning-point rate) plus the cached
-    // IMF entropies must stay bit-exact at stride 1. Both windows are
-    // probed; the active window uses the non-repredicting extraction so
-    // the prediction and error banks are exercised too.
+    // statistic must track the stateless extractor on the relabelled
+    // window within 1e-9 relative across window fill, steady-state
+    // evictions and buffer resets, and the discrete dimensions (lagged MI,
+    // turning-point rate) plus the cached IMF entropies must stay
+    // bit-exact at stride 1. Both windows are probed, re-predicted through
+    // one fixed trained tree.
     for case in 0..6u64 {
         let mut rng = Xoshiro256pp::seed_from_u64(0x14C2_3000 + case);
         let d = rng.random_range(2..5usize);
         let w = rng.random_range(20..60usize);
         let delay = rng.random_range(0..15usize);
         let ex = FingerprintExtractor::full(d);
-        let bins = ex.mi_bins();
-        let mut fast = FingerprintEngine::new(ex.clone()).with_incremental_stats(true);
-        let mut batch = FingerprintEngine::new(ex);
+        let mut tree = HoeffdingTree::new(d, 3);
+        for _ in 0..2_000 {
+            let x: Vec<f64> = (0..d).map(|_| rng.random_range(-50.0..50.0)).collect();
+            let y = if x[0] > 10.0 { 2 } else { (x[1] > 0.0) as usize };
+            tree.train(&x, y);
+        }
+        let mode = ExtractionMode { incremental: true, emd_stride: 1 };
+        let mut fast = FingerprintEngine::new(ex.clone()).with_mode(mode);
         let mut fw = FrameWindows::new(w, delay, d);
-        fw.enable_stats(bins);
+        fw.enable_stats(ex.mi_bins());
         let nf = MetaFunction::SEQUENCE_FUNCTIONS.len();
-        let (mut out_fast, mut out_batch) = (Vec::new(), Vec::new());
+        let mut out_fast = Vec::new();
         let mut compared = 0usize;
         for step in 0..1_000usize {
             let x: Vec<f64> = (0..d).map(|_| rng.random_range(-50.0..50.0)).collect();
@@ -393,15 +403,18 @@ fn incremental_stats_match_batch_through_evictions_and_resets() {
             if step % 13 != 0 {
                 continue;
             }
-            let mut check = |fast: &mut FingerprintEngine,
-                             batch: &mut FingerprintEngine,
-                             tracked: ficsum::stream::TrackedFrames<'_>,
-                             view: ficsum::stream::FrameView<'_>,
-                             which: &str| {
-                fast.extract_tracked_frames_into(&tracked, None, &mut out_fast);
-                batch.extract_frames_into(&view, None, &mut out_batch);
-                assert_eq!(out_fast.len(), out_batch.len());
-                for (i, (t, b)) in out_fast.iter().zip(&out_batch).enumerate() {
+            let mut check = |tracked: TrackedFrames<'_>, which: &str| {
+                fast.extract_tracked_frames_repredicted_into(&tracked, &tree, &mut out_fast);
+                let relabelled: Vec<LabeledObservation> = (0..tracked.len())
+                    .map(|i| {
+                        let x = tracked.features(i).to_vec();
+                        let p = tree.predict(&x);
+                        LabeledObservation::new(x, tracked.label(i), p)
+                    })
+                    .collect();
+                let want = ex.extract(&relabelled, Some(&tree));
+                assert_eq!(out_fast.len(), want.len());
+                for (i, (t, b)) in out_fast.iter().zip(&want).enumerate() {
                     assert!(
                         (t - b).abs() <= 1e-9 * (1.0 + b.abs()),
                         "case {case} step {step} {which} dim {i}: batch {b} vs incremental {t}"
@@ -411,18 +424,18 @@ fn incremental_stats_match_batch_through_evictions_and_resets() {
                     for f in [8usize, 9, 10, 11] {
                         assert_eq!(
                             out_fast[s * nf + f].to_bits(),
-                            out_batch[s * nf + f].to_bits(),
+                            want[s * nf + f].to_bits(),
                             "case {case} step {step} {which} source {s} fn {f}"
                         );
                     }
                 }
             };
             if fw.a_len() >= 4 {
-                check(&mut fast, &mut batch, fw.a_tracked(), fw.a_view(), "active");
+                check(fw.a_tracked(), "active");
                 compared += 1;
             }
             if fw.stale_len() >= 4 {
-                check(&mut fast, &mut batch, fw.stale_tracked(), fw.stale_view(), "stale");
+                check(fw.stale_tracked(), "stale");
             }
         }
         assert!(compared > 50, "case {case} barely extracted ({compared})");
