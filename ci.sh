@@ -28,6 +28,9 @@ echo "== fault-injection tests (ficsum-serve) =="
 # The feature is off in release artifacts; this gate compiles the serve
 # crate with the fail-point hooks and runs the serve_faults harness.
 cargo test -q -p ficsum-serve --features fault-injection
+# The workspace clippy step above builds without the feature, so lint the
+# fail-point code here too.
+cargo clippy -p ficsum-serve --features fault-injection --all-targets -- -D warnings
 
 echo "== no deprecated API surface =="
 # Every scheduled deprecation has been removed (DESIGN.md "Deprecation

@@ -32,6 +32,7 @@ use std::sync::Arc;
 
 use ficsum_bench::harness::{synthetic_window, time_throughput, Options, Throughput};
 use ficsum_bench::jsonl_out::JsonlReporter;
+use ficsum_bench::throughput::{json_field, read_baseline};
 use ficsum_classifiers::{Classifier, HoeffdingTree};
 use ficsum_meta::{ExtractionMode, FingerprintEngine, FingerprintExtractor};
 use ficsum_obs::MonotonicClock;
@@ -342,8 +343,7 @@ fn main() {
         println!("wrote {path}");
     }
     if let Some(path) = &check {
-        let baseline =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("--check {path}: {e}"));
+        let baseline = read_baseline(path);
         let mut failed = false;
         for (field, current) in [
             ("engine_obs_per_sec", fast.units_per_sec()),
@@ -388,14 +388,4 @@ fn alloc_sample() -> u64 {
 #[cfg(not(feature = "alloc-count"))]
 fn alloc_sample() -> u64 {
     0
-}
-
-/// Pulls a numeric field out of a single-object JSON line without a JSON
-/// dependency (the file is machine-written by this binary).
-fn json_field(json: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\":");
-    let at = json.find(&key)? + key.len();
-    let rest = &json[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }

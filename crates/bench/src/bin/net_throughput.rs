@@ -21,11 +21,11 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use ficsum_core::{FicsumConfig, SessionTemplate, Variant};
+use ficsum_bench::throughput::{
+    check_p99_ceiling, check_throughput_floor, read_baseline, serving_template, stagger_tape,
+};
 use ficsum_net::{NetClient, NetServer};
 use ficsum_serve::{ServeConfig, SessionId, StreamServer, Submit};
-use ficsum_stream::StreamSource;
-use ficsum_synth::dataset_by_name;
 
 #[derive(Debug)]
 struct Args {
@@ -89,28 +89,11 @@ struct Measurement {
     batches: u64,
 }
 
-fn template() -> SessionTemplate {
-    SessionTemplate::new(3, 2, FicsumConfig::default(), Variant::Full)
-        .expect("default config is valid")
-}
-
-/// One tape of STAGGER observations shared by every session, so runs are
-/// deterministic and comparable across baselines.
-fn tape(seed: u64, steps: usize) -> Vec<(Vec<f64>, usize)> {
-    let mut stream = dataset_by_name("STAGGER", seed).expect("STAGGER exists");
-    (0..steps)
-        .map(|_| {
-            let o = stream.next_observation().expect("synthetic streams are infinite");
-            (o.features.clone(), o.label)
-        })
-        .collect()
-}
-
 fn run_once(args: &Args) -> Measurement {
-    let data = tape(args.seed, args.steps);
+    let data = stagger_tape(args.seed, args.steps);
     let total = args.sessions * args.steps;
     let core = Arc::new(StreamServer::new(
-        template(),
+        serving_template(),
         ServeConfig::default()
             .with_shards(args.shards)
             // Room for the whole run: the bench measures wire + processing
@@ -185,16 +168,6 @@ fn json_line(args: &Args, m: &Measurement, steps_per_sec: f64, cores: usize) -> 
     )
 }
 
-/// Pulls a numeric field out of a single-object JSON line without a JSON
-/// dependency (the file is machine-written by this binary).
-fn json_field(json: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\":");
-    let at = json.find(&key)? + key.len();
-    let rest = &json[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 fn main() {
     let args = parse_args();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -224,36 +197,10 @@ fn main() {
     }
 
     if let Some(path) = &args.check {
-        let baseline =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("--check {path}: {e}"));
-        let base_sps = json_field(&baseline, "steps_per_sec")
-            .unwrap_or_else(|| panic!("--check {path}: no steps_per_sec field"));
-        let ratio = steps_per_sec / base_sps;
-        println!(
-            "perf check: {steps_per_sec:.0} steps/sec vs baseline {base_sps:.0} \
-             (ratio {ratio:.2}, floor {:.2})",
-            args.min_ratio
-        );
-        if ratio < args.min_ratio {
-            eprintln!("PERF REGRESSION: throughput ratio {ratio:.2} below {:.2}", args.min_ratio);
-            std::process::exit(1);
-        }
+        let baseline = read_baseline(path);
+        check_throughput_floor(path, &baseline, steps_per_sec, args.min_ratio);
         // Tail latency, with more headroom than throughput: loopback p99
         // is dominated by scheduling noise at these batch sizes.
-        if let Some(base_p99) = json_field(&baseline, "latency_p99_us") {
-            let p99_ratio = m.p99_us / base_p99;
-            println!(
-                "perf check: latency p99 {:.0} us vs baseline {base_p99:.0} \
-                 (ratio {p99_ratio:.2}, ceiling {:.2})",
-                m.p99_us, args.max_p99_ratio
-            );
-            if p99_ratio > args.max_p99_ratio {
-                eprintln!(
-                    "PERF REGRESSION: latency p99 ratio {p99_ratio:.2} above {:.2}",
-                    args.max_p99_ratio
-                );
-                std::process::exit(1);
-            }
-        }
+        check_p99_ceiling(&baseline, m.p99_us, args.max_p99_ratio, "latency p99");
     }
 }

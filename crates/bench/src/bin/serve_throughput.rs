@@ -29,10 +29,10 @@
 
 use std::time::Instant;
 
-use ficsum_core::{FicsumConfig, SessionTemplate, Variant};
+use ficsum_bench::throughput::{
+    check_p99_ceiling, check_throughput_floor, read_baseline, serving_template, stagger_tape,
+};
 use ficsum_serve::{ServeConfig, SessionId, StreamServer, Submit};
-use ficsum_stream::StreamSource;
-use ficsum_synth::dataset_by_name;
 
 #[derive(Debug)]
 struct Args {
@@ -95,29 +95,11 @@ struct Measurement {
     max_queue_depth: usize,
 }
 
-fn template() -> SessionTemplate {
-    SessionTemplate::new(3, 2, FicsumConfig::default(), Variant::Full)
-        .expect("default config is valid")
-}
-
-/// One tape of STAGGER observations shared by every session: each session
-/// runs the same workload, so aggregate throughput divides cleanly by the
-/// single-pipeline figure.
-fn tape(seed: u64, steps: usize) -> Vec<(Vec<f64>, usize)> {
-    let mut stream = dataset_by_name("STAGGER", seed).expect("STAGGER exists");
-    (0..steps)
-        .map(|_| {
-            let o = stream.next_observation().expect("synthetic streams are infinite");
-            (o.features.clone(), o.label)
-        })
-        .collect()
-}
-
 fn run_once(args: &Args) -> Measurement {
-    let data = tape(args.seed, args.steps);
+    let data = stagger_tape(args.seed, args.steps);
 
     // Reference: the same tape through one standalone pipeline.
-    let mut single = template().instantiate();
+    let mut single = serving_template().instantiate();
     let t_single = Instant::now();
     for (features, label) in &data {
         single.process(features, *label);
@@ -127,7 +109,7 @@ fn run_once(args: &Args) -> Measurement {
     let total = args.sessions * args.steps;
     let in_flight = args.in_flight.max(1);
     let server = StreamServer::new(
-        template(),
+        serving_template(),
         ServeConfig::default()
             .with_shards(args.shards)
             // Room for the in-flight window only: latency should measure
@@ -200,16 +182,6 @@ fn json_line(args: &Args, m: &Measurement, steps_per_sec: f64, cores: usize) -> 
     )
 }
 
-/// Pulls a numeric field out of a single-object JSON line without a JSON
-/// dependency (the file is machine-written by this binary).
-fn json_field(json: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\":");
-    let at = json.find(&key)? + key.len();
-    let rest = &json[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 fn main() {
     let args = parse_args();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -254,37 +226,11 @@ fn main() {
     }
 
     if let Some(path) = &args.check {
-        let baseline =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("--check {path}: {e}"));
-        let base_sps = json_field(&baseline, "steps_per_sec")
-            .unwrap_or_else(|| panic!("--check {path}: no steps_per_sec field"));
-        let ratio = steps_per_sec / base_sps;
-        println!(
-            "perf check: {steps_per_sec:.0} steps/sec vs baseline {base_sps:.0} \
-             (ratio {ratio:.2}, floor {:.2})",
-            args.min_ratio
-        );
-        if ratio < args.min_ratio {
-            eprintln!("PERF REGRESSION: throughput ratio {ratio:.2} below {:.2}", args.min_ratio);
-            std::process::exit(1);
-        }
+        let baseline = read_baseline(path);
+        check_throughput_floor(path, &baseline, steps_per_sec, args.min_ratio);
         // Tail latency gates too, with more headroom than throughput: even
         // with the bounded in-flight window, p99 includes residency behind
         // up to `in_flight` earlier waves and is noisier than throughput.
-        if let Some(base_p99) = json_field(&baseline, "latency_p99_us") {
-            let p99_ratio = m.p99_us / base_p99;
-            println!(
-                "perf check: latency p99 {:.0} us vs baseline {base_p99:.0} \
-                 (ratio {p99_ratio:.2}, ceiling {:.2})",
-                m.p99_us, args.max_p99_ratio
-            );
-            if p99_ratio > args.max_p99_ratio {
-                eprintln!(
-                    "PERF REGRESSION: p99 latency ratio {p99_ratio:.2} above {:.2}",
-                    args.max_p99_ratio
-                );
-                std::process::exit(1);
-            }
-        }
+        check_p99_ceiling(&baseline, m.p99_us, args.max_p99_ratio, "p99 latency");
     }
 }

@@ -27,6 +27,7 @@
 
 use std::time::Instant;
 
+use ficsum_bench::throughput::{check_throughput_floor, read_baseline};
 use ficsum_core::{FicsumBuilder, FicsumConfig, Variant};
 use ficsum_stream::StreamSource;
 use ficsum_synth::dataset_by_name;
@@ -274,16 +275,6 @@ fn baseline_line<'a>(contents: &'a str, mode: &str) -> Option<&'a str> {
         .or_else(|| contents.lines().find(|l| !l.trim().is_empty()))
 }
 
-/// Pulls a numeric field out of a single-object JSON line without a JSON
-/// dependency (the file is machine-written by this binary).
-fn json_field(json: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\":");
-    let at = json.find(&key)? + key.len();
-    let rest = &json[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 fn main() {
     let args = parse_args();
     // Best-of-R repeats: throughput noise is one-sided (scheduling stalls
@@ -338,22 +329,10 @@ fn main() {
     }
 
     if let Some(path) = &args.check {
-        let contents = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("--check {path}: {e}"));
+        let contents = read_baseline(path);
         let mode = if args.incremental { "incremental" } else { "batch" };
         let baseline = baseline_line(&contents, mode)
             .unwrap_or_else(|| panic!("--check {path}: empty baseline file"));
-        let base_sps = json_field(baseline, "steps_per_sec")
-            .unwrap_or_else(|| panic!("--check {path}: no steps_per_sec field"));
-        let ratio = steps_per_sec / base_sps;
-        println!(
-            "perf check: {steps_per_sec:.0} steps/sec vs baseline {base_sps:.0} \
-             (ratio {ratio:.2}, floor {:.2})",
-            args.min_ratio
-        );
-        if ratio < args.min_ratio {
-            eprintln!("PERF REGRESSION: throughput ratio {ratio:.2} below {:.2}", args.min_ratio);
-            std::process::exit(1);
-        }
+        check_throughput_floor(path, baseline, steps_per_sec, args.min_ratio);
     }
 }

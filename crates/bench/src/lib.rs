@@ -3,5 +3,6 @@
 
 pub mod harness;
 pub mod jsonl_out;
+pub mod throughput;
 #[cfg(feature = "alloc-count")]
 pub mod alloc_count;

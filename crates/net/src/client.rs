@@ -1,46 +1,23 @@
 //! The blocking client: one reusable connection, the in-process submit
-//! vocabulary, typed errors.
+//! modes, typed errors.
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use ficsum_serve::{RetryPolicy, ServeError, StepError, Submit};
+use ficsum_serve::{validate_batch, Submit};
 
 use crate::codec::{read_frame, write_frame, Frame, PayloadReader, PayloadWriter};
-use crate::error::{decode_rejection, decode_step_error, NetError, ProtocolError};
-use crate::server::encode_submit_batch;
+use crate::error::{decode_code, NetError, ProtocolError};
 use crate::snapshot::{decode_summaries, SnapshotSummary};
+use crate::submit::{decode_reply, deadline_millis, encode_submit, RemoteStepResult};
 use crate::wire::{kind, submit_mode, MAGIC, PROTOCOL_VERSION};
-
-/// Client-side view of one processed observation.
-///
-/// Mirrors [`ficsum_core::StepOutcome`] field-for-field. It is a distinct
-/// type because `StepOutcome` is constructed only by the framework (its
-/// values *prove* a pipeline step happened); a remote outcome instead
-/// attests what the server's pipeline reported over the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct RemoteOutcome {
-    /// Prequential prediction made before training on the observation.
-    pub prediction: usize,
-    /// Whether a concept drift was detected at this observation.
-    pub drift: bool,
-    /// Whether model selection switched the active concept.
-    pub concept_switched: bool,
-    /// Concept active after this observation.
-    pub active_concept: u64,
-}
-
-/// What one reply slot resolves to on the client: the remote step's
-/// outcome, or the serving core's reason it could not produce one.
-pub type RemoteStepResult = Result<RemoteOutcome, StepError>;
 
 /// A blocking connection to a [`crate::NetServer`].
 ///
 /// The connection is established (and the handshake completed) at
 /// construction and reused across calls; one request is in flight at a
-/// time. All submit methods mirror the in-process
-/// [`ficsum_serve::StreamServer`] family: a refused batch has enqueued
+/// time. The two submit methods are the wire's two admission modes and
+/// mirror [`ficsum_serve::StreamServer`]'s: a refused batch has enqueued
 /// **zero** requests server-side and may be retried verbatim.
 #[derive(Debug)]
 pub struct NetClient {
@@ -122,56 +99,24 @@ impl NetClient {
 
     /// Submits a batch with `try_submit` semantics: the server refuses
     /// immediately ([`NetError::Rejected`] with
-    /// [`ServeError::Overloaded`]) rather than queueing behind a full
+    /// [`ficsum_serve::ServeError::Overloaded`]) rather than queueing behind a full
     /// shard. On success the per-request results arrive in submission
     /// order.
     pub fn submit(&mut self, batch: &[Submit]) -> Result<Vec<RemoteStepResult>, NetError> {
-        self.validate(batch)?;
         self.roundtrip(submit_mode::TRY, 0, batch)
     }
 
     /// Submits a batch, letting the server block up to `deadline` for
     /// queue space ([`ficsum_serve::StreamServer::submit_with_deadline`]).
-    /// Refused with [`ServeError::DeadlineExceeded`] when space never
-    /// opened; nothing was enqueued.
+    /// Refused with [`ficsum_serve::ServeError::DeadlineExceeded`] when
+    /// space never opened; nothing was enqueued. The deadline crosses the
+    /// wire in whole milliseconds, rounded up.
     pub fn submit_with_deadline(
         &mut self,
         batch: &[Submit],
         deadline: Duration,
     ) -> Result<Vec<RemoteStepResult>, NetError> {
-        self.validate(batch)?;
-        let ms = deadline.as_millis().min(u64::MAX as u128) as u64;
-        self.roundtrip(submit_mode::DEADLINE, ms, batch)
-    }
-
-    /// Submits a batch, retrying transient refusals
-    /// ([`ServeError::Overloaded`]) under `policy`'s bounded exponential
-    /// backoff — the client-side mirror of
-    /// [`ficsum_serve::StreamServer::submit_with_retry`]. Non-transient
-    /// refusals, protocol errors and a server goodbye fail immediately.
-    pub fn submit_with_retry(
-        &mut self,
-        batch: &[Submit],
-        policy: RetryPolicy,
-    ) -> Result<Vec<RemoteStepResult>, NetError> {
-        self.validate(batch)?;
-        let attempts = policy.max_attempts.max(1);
-        let mut backoff = policy.initial_backoff;
-        let mut last = NetError::Rejected(ServeError::EmptyBatch);
-        for attempt in 0..attempts {
-            match self.roundtrip(submit_mode::TRY, 0, batch) {
-                Ok(results) => return Ok(results),
-                Err(refused @ NetError::Rejected(ServeError::Overloaded { .. })) => {
-                    last = refused;
-                    if attempt + 1 < attempts {
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(policy.max_backoff);
-                    }
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        Err(last)
+        self.roundtrip(submit_mode::DEADLINE, deadline_millis(deadline), batch)
     }
 
     /// Drains the server's accumulated session snapshots, returning their
@@ -200,44 +145,24 @@ impl NetClient {
         }
     }
 
-    /// Local mirror of the server's eager validation, saving a round trip
-    /// for batches the server would certainly refuse.
-    fn validate(&self, batch: &[Submit]) -> Result<(), NetError> {
-        if batch.is_empty() {
-            return Err(NetError::Rejected(ServeError::EmptyBatch));
-        }
-        for submit in batch {
-            if submit.features.len() != self.n_features {
-                return Err(NetError::Rejected(ServeError::DimensionMismatch {
-                    expected: self.n_features,
-                    got: submit.features.len(),
-                }));
-            }
-        }
-        Ok(())
-    }
-
-    /// One submit round trip: write the batch, decode `REPLY`, `REJECTED`
-    /// or an unsolicited `GOODBYE` (server front-end shut down mid-
-    /// conversation → [`NetError::ServerClosed`], so a client looping over
-    /// batches observes an orderly end rather than a broken socket).
+    /// One submit round trip: run the server's batch check locally (a
+    /// batch it would refuse never crosses the wire), write the batch,
+    /// decode `REPLY`, `REJECTED` or an unsolicited `GOODBYE` (server
+    /// front-end shut down mid-conversation → [`NetError::ServerClosed`],
+    /// so a client looping over batches observes an orderly end rather
+    /// than a broken socket).
     fn roundtrip(
         &mut self,
         mode: u8,
         deadline_ms: u64,
         batch: &[Submit],
     ) -> Result<Vec<RemoteStepResult>, NetError> {
-        let payload = encode_submit_batch(mode, deadline_ms, batch);
-        write_frame(&mut self.stream, kind::SUBMIT, &payload)?;
+        validate_batch(batch, self.n_features).map_err(NetError::Rejected)?;
+        write_frame(&mut self.stream, kind::SUBMIT, &encode_submit(mode, deadline_ms, batch))?;
         let frame = expect_frame(&mut self.stream)?;
         match frame.kind {
-            kind::REPLY => decode_reply(&frame),
-            kind::REJECTED => {
-                let mut r = PayloadReader::new(frame.kind, &frame.payload);
-                let (code, a, b) = (r.u16()?, r.u64()?, r.u64()?);
-                r.expect_end()?;
-                Err(decode_rejection(code, a, b))
-            }
+            kind::REPLY => decode_reply(&frame.payload),
+            kind::REJECTED => Err(decode_code(frame.kind, &frame.payload)),
             _ => Err(fail_frame(&frame, kind::REPLY)),
         }
     }
@@ -257,52 +182,15 @@ fn fail_frame(frame: &Frame, expected: u8) -> NetError {
     debug_assert_ne!(frame.kind, expected);
     match frame.kind {
         kind::GOODBYE => NetError::ServerClosed,
-        kind::ERROR => {
-            let mut r = PayloadReader::new(frame.kind, &frame.payload);
-            match (|| Ok::<_, NetError>((r.u16()?, r.u64()?, r.u64()?)))() {
-                Ok((code, a, b)) => decode_rejection(code, a, b),
-                Err(malformed) => malformed,
-            }
-        }
+        kind::ERROR => decode_code(frame.kind, &frame.payload),
         other => ProtocolError::UnexpectedFrame { kind: other }.into(),
     }
-}
-
-fn decode_reply(frame: &Frame) -> Result<Vec<RemoteStepResult>, NetError> {
-    let mut r = PayloadReader::new(frame.kind, &frame.payload);
-    let n = r.u32()? as usize;
-    let mut results = Vec::with_capacity(n.min(frame.payload.len() / 8));
-    for _ in 0..n {
-        match r.u8()? {
-            0 => {
-                let prediction = r.u64()? as usize;
-                let drift = r.u8()? != 0;
-                let concept_switched = r.u8()? != 0;
-                let active_concept = r.u64()?;
-                results.push(Ok(RemoteOutcome {
-                    prediction,
-                    drift,
-                    concept_switched,
-                    active_concept,
-                }));
-            }
-            1 => {
-                let (code, a, b) = (r.u16()?, r.u64()?, r.u64()?);
-                let step = decode_step_error(code, a, b)
-                    .ok_or(ProtocolError::MalformedFrame { kind: frame.kind })?;
-                results.push(Err(step));
-            }
-            _ => return Err(ProtocolError::MalformedFrame { kind: frame.kind }.into()),
-        }
-    }
-    r.expect_end()?;
-    Ok(results)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ficsum_serve::SessionId;
+    use ficsum_serve::ServeError;
 
     #[test]
     fn goodbye_and_error_frames_classify_typed() {
@@ -321,39 +209,6 @@ mod tests {
         assert!(matches!(
             fail_frame(&junk, kind::REPLY),
             NetError::Protocol(ProtocolError::UnexpectedFrame { kind: 0x7f })
-        ));
-    }
-
-    #[test]
-    fn reply_slots_decode_outcomes_and_step_errors() {
-        let mut payload = PayloadWriter::new();
-        payload.u32(2);
-        payload.u8(0).u64(3).u8(1).u8(0).u64(7);
-        let (code, a, b) =
-            crate::error::encode_step_error(&StepError::SessionPoisoned { session: SessionId(5) });
-        payload.u8(1).u16(code).u64(a).u64(b);
-        let frame = Frame { kind: kind::REPLY, payload: payload.finish() };
-        let results = decode_reply(&frame).unwrap();
-        assert_eq!(
-            results[0],
-            Ok(RemoteOutcome {
-                prediction: 3,
-                drift: true,
-                concept_switched: false,
-                active_concept: 7
-            })
-        );
-        assert_eq!(results[1], Err(StepError::SessionPoisoned { session: SessionId(5) }));
-    }
-
-    #[test]
-    fn reply_with_unknown_slot_tag_is_malformed() {
-        let mut payload = PayloadWriter::new();
-        payload.u32(1).u8(9);
-        let frame = Frame { kind: kind::REPLY, payload: payload.finish() };
-        assert!(matches!(
-            decode_reply(&frame),
-            Err(NetError::Protocol(ProtocolError::MalformedFrame { .. }))
         ));
     }
 }

@@ -10,6 +10,7 @@ use std::fmt;
 
 use ficsum_serve::{ServeError, SessionId, StepError};
 
+use crate::codec::{PayloadReader, PayloadWriter};
 use crate::wire::code;
 
 /// A violation of the wire protocol itself — the bytes, not the request.
@@ -124,9 +125,9 @@ pub enum NetError {
     /// The peer violated the wire protocol, or reported that we did.
     Protocol(ProtocolError),
     /// The server refused the batch eagerly; zero requests were enqueued
-    /// and the batch may be retried verbatim. Transient refusals
-    /// ([`ServeError::Overloaded`]) are what
-    /// [`crate::NetClient::submit_with_retry`] backs off on.
+    /// and the batch may be retried verbatim. A transient refusal
+    /// ([`ServeError::Overloaded`]) is what
+    /// [`crate::NetClient::submit_with_deadline`] waits out server-side.
     Rejected(ServeError),
     /// The peer reported an error code this build cannot map onto a
     /// typed variant (a newer peer, or a reserved code).
@@ -178,6 +179,26 @@ impl From<ProtocolError> for NetError {
     fn from(e: ProtocolError) -> Self {
         NetError::Protocol(e)
     }
+}
+
+/// Encodes the `[code: u16][a: u64][b: u64]` payload of a `REJECTED` or
+/// `ERROR` frame.
+pub(crate) fn encode_code((code, a, b): (u16, u64, u64)) -> Vec<u8> {
+    let mut payload = PayloadWriter::new();
+    payload.u16(code).u64(a).u64(b);
+    payload.finish()
+}
+
+/// Decodes a `REJECTED` or `ERROR` payload into the error it reports; a
+/// payload that is not exactly one code triple is malformed.
+pub(crate) fn decode_code(kind: u8, payload: &[u8]) -> NetError {
+    let read = || -> Result<NetError, NetError> {
+        let mut r = PayloadReader::new(kind, payload);
+        let (code, a, b) = (r.u16()?, r.u64()?, r.u64()?);
+        r.expect_end()?;
+        Ok(decode_rejection(code, a, b))
+    };
+    read().unwrap_or_else(|malformed| malformed)
 }
 
 /// Encodes a submit-path refusal as its wire `(code, a, b)` triple.
@@ -286,6 +307,21 @@ mod tests {
             assert_eq!(decode_step_error(code, a, b), Some(error));
         }
         assert_eq!(decode_step_error(code::UNKNOWN, 0, 0), None);
+    }
+
+    #[test]
+    fn code_payloads_round_trip_and_reject_trailing_bytes() {
+        let payload = encode_code(encode_serve_error(&ServeError::Overloaded { shard: 4 }));
+        match decode_code(crate::wire::kind::REJECTED, &payload) {
+            NetError::Rejected(ServeError::Overloaded { shard: 4 }) => {}
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+        let mut long = payload.clone();
+        long.push(0);
+        assert!(matches!(
+            decode_code(crate::wire::kind::ERROR, &long),
+            NetError::Protocol(ProtocolError::MalformedFrame { .. })
+        ));
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //!   explicit `REJECTED` answer (retry the batch verbatim), deadlines
 //!   bound admission server-side, and a poisoned session fails only its
 //!   own slots.
-//! * [`NetClient`] — a blocking client with connection reuse and the same
-//!   submit vocabulary as the in-process API (`submit`,
-//!   `submit_with_deadline`, `submit_with_retry` under a
-//!   [`ficsum_serve::RetryPolicy`]).
+//! * [`NetClient`] — a blocking client with connection reuse and the
+//!   wire's two admission modes, mirroring the in-process API: `submit`
+//!   (`try_submit`) and `submit_with_deadline`. It runs the serving core's
+//!   own [`ficsum_serve::validate_batch`] before sending.
 //!
 //! Sessions served over TCP are **bit-identical** to local pipelines
 //! built from the same template — features cross the wire as IEEE-754 bit
@@ -46,13 +46,15 @@ mod error;
 mod metrics;
 mod server;
 mod snapshot;
+mod submit;
 pub mod wire;
 
-pub use client::{NetClient, RemoteOutcome, RemoteStepResult};
+pub use client::NetClient;
 pub use error::{NetError, ProtocolError};
 pub use metrics::{ConnRecorderFactory, NetMetrics};
 pub use server::{NetOptions, NetReport, NetServer};
 pub use snapshot::SnapshotSummary;
+pub use submit::{RemoteOutcome, RemoteStepResult};
 
 // Compile-time audit: the front-end is shared across its accept loop,
 // handlers and the shutdown path; the client moves between threads in

@@ -22,13 +22,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ficsum_obs::{NullRecorder, Recorder, StreamEvent};
-use ficsum_serve::{ServeReport, SessionId, StreamServer, Submit};
+use ficsum_serve::{ServeReport, StreamServer};
 
 use crate::codec::{read_frame, write_frame, Frame, PayloadReader, PayloadWriter};
-use crate::error::{encode_serve_error, encode_step_error, NetError, ProtocolError};
+use crate::error::{encode_code, encode_serve_error, NetError, ProtocolError};
 use crate::metrics::{ConnRecorderFactory, MetricsLedger, NetMetrics};
 use crate::snapshot::{encode_summaries, SnapshotSummary};
-use crate::wire::{self, kind, submit_mode, MAGIC, PROTOCOL_VERSION};
+use crate::submit::{decode_submit, encode_reply, RemoteOutcome, RemoteStepResult};
+use crate::wire::{kind, submit_mode, MAGIC, PROTOCOL_VERSION};
 
 /// Optional front-end facilities.
 #[derive(Default)]
@@ -255,9 +256,7 @@ fn handle_connection(mut stream: TcpStream, conn_id: u64, shared: Arc<Shared>) {
     if let Err(NetError::Protocol(violation)) = &outcome {
         shared.metrics.update(|m| m.protocol_errors += 1);
         let (a, b) = violation.operands();
-        let mut payload = PayloadWriter::new();
-        payload.u16(violation.code()).u64(a).u64(b);
-        let _ = write_frame(&mut stream, kind::ERROR, &payload.finish());
+        let _ = write_frame(&mut stream, kind::ERROR, &encode_code((violation.code(), a, b)));
     }
     let _ = stream.shutdown(Shutdown::Both);
     recorder.event(batches, StreamEvent::ConnectionClosed { conn: conn_id, batches });
@@ -369,7 +368,7 @@ fn handle_submit(
     recorder: &mut dyn Recorder,
     batches: &mut u64,
 ) -> Result<(), NetError> {
-    let batch = decode_submit_batch(frame)?;
+    let batch = decode_submit(&frame.payload)?;
     let received = Instant::now();
     let admitted = match batch.mode {
         submit_mode::TRY => shared.inner.try_submit(&batch.requests),
@@ -380,26 +379,12 @@ fn handle_submit(
     };
     match admitted {
         Ok(reply) => {
-            let results = reply.wait();
-            let mut payload = PayloadWriter::new();
-            payload.u32(results.len() as u32);
-            for result in &results {
-                match result {
-                    Ok(outcome) => {
-                        payload
-                            .u8(0)
-                            .u64(outcome.prediction as u64)
-                            .u8(outcome.drift as u8)
-                            .u8(outcome.concept_switched as u8)
-                            .u64(outcome.active_concept as u64);
-                    }
-                    Err(step) => {
-                        let (code, a, b) = encode_step_error(step);
-                        payload.u8(1).u16(code).u64(a).u64(b);
-                    }
-                }
-            }
-            write_frame(stream, kind::REPLY, &payload.finish())?;
+            let results: Vec<RemoteStepResult> = reply
+                .wait()
+                .into_iter()
+                .map(|result| result.map(|outcome| RemoteOutcome::of(&outcome)))
+                .collect();
+            write_frame(stream, kind::REPLY, &encode_reply(&results))?;
             let nanos = received.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             *batches += 1;
             shared.metrics.update(|m| {
@@ -416,9 +401,7 @@ fn handle_submit(
         }
         Err(refusal) => {
             let (code, a, b) = encode_serve_error(&refusal);
-            let mut payload = PayloadWriter::new();
-            payload.u16(code).u64(a).u64(b);
-            write_frame(stream, kind::REJECTED, &payload.finish())?;
+            write_frame(stream, kind::REJECTED, &encode_code((code, a, b)))?;
             shared.metrics.update(|m| m.batches_rejected += 1);
             recorder.counter("net.batches_rejected", 1);
             recorder.event(
@@ -427,88 +410,5 @@ fn handle_submit(
             );
             Ok(())
         }
-    }
-}
-
-#[derive(Debug)]
-struct SubmitBatch {
-    mode: u8,
-    deadline_ms: u64,
-    requests: Vec<Submit>,
-}
-
-fn decode_submit_batch(frame: &Frame) -> Result<SubmitBatch, NetError> {
-    let mut r = PayloadReader::new(frame.kind, &frame.payload);
-    let mode = r.u8()?;
-    let deadline_ms = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut requests = Vec::with_capacity(n.min(wire::MAX_FRAME_LEN as usize / 16));
-    for _ in 0..n {
-        let session = SessionId(r.u64()?);
-        let label = r.u64()? as usize;
-        let dims = r.u32()? as usize;
-        let mut features = Vec::with_capacity(dims.min(wire::MAX_FRAME_LEN as usize / 8));
-        for _ in 0..dims {
-            features.push(r.f64()?);
-        }
-        requests.push(Submit::new(session, features, label));
-    }
-    r.expect_end()?;
-    Ok(SubmitBatch { mode, deadline_ms, requests })
-}
-
-/// Encodes the public submit API onto a `SUBMIT` payload; shared with the
-/// client so both sides use one grammar.
-pub(crate) fn encode_submit_batch(mode: u8, deadline_ms: u64, batch: &[Submit]) -> Vec<u8> {
-    let mut payload = PayloadWriter::new();
-    payload.u8(mode).u64(deadline_ms).u32(batch.len() as u32);
-    for submit in batch {
-        payload.u64(submit.session_id.0).u64(submit.label as u64).u32(submit.features.len() as u32);
-        for &feature in &submit.features {
-            payload.f64(feature);
-        }
-    }
-    payload.finish()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn submit_payloads_round_trip() {
-        let batch = vec![
-            Submit::new(SessionId(1), vec![0.25, -1.5], 1),
-            Submit::new(SessionId(u64::MAX), vec![f64::MIN_POSITIVE], 0),
-        ];
-        let payload = encode_submit_batch(submit_mode::DEADLINE, 250, &batch);
-        let frame = Frame { kind: kind::SUBMIT, payload };
-        let decoded = decode_submit_batch(&frame).unwrap();
-        assert_eq!(decoded.mode, submit_mode::DEADLINE);
-        assert_eq!(decoded.deadline_ms, 250);
-        assert_eq!(decoded.requests, batch);
-    }
-
-    #[test]
-    fn truncated_submit_is_malformed() {
-        let batch = vec![Submit::new(SessionId(1), vec![0.5; 4], 0)];
-        let payload = encode_submit_batch(submit_mode::TRY, 0, &batch);
-        let frame = Frame { kind: kind::SUBMIT, payload: payload[..payload.len() - 3].to_vec() };
-        match decode_submit_batch(&frame) {
-            Err(NetError::Protocol(ProtocolError::MalformedFrame { kind: k })) => {
-                assert_eq!(k, kind::SUBMIT);
-            }
-            other => panic!("expected MalformedFrame, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn lying_length_prefix_cannot_force_allocation() {
-        // A tiny payload claiming 4 billion requests must fail cleanly
-        // (bounds-checked reads), not attempt a proportional allocation.
-        let mut payload = PayloadWriter::new();
-        payload.u8(submit_mode::TRY).u64(0).u32(u32::MAX);
-        let frame = Frame { kind: kind::SUBMIT, payload: payload.finish() };
-        assert!(decode_submit_batch(&frame).is_err());
     }
 }

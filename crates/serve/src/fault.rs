@@ -122,12 +122,12 @@ impl FaultInjector for SeededFaults {
     fn decide(&self, point: FailPoint) -> FaultAction {
         let FailPoint::BeforeProcess { shard, step, .. } = point;
         let h = splitmix64(self.seed ^ (shard as u64).rotate_left(32) ^ step);
-        if self.crash_every > 0 && h % self.crash_every == 0 {
+        if self.crash_every > 0 && h.is_multiple_of(self.crash_every) {
             return FaultAction::CrashWorker;
         }
         // Decorrelate from the crash draw with a second mix.
         let h2 = splitmix64(h);
-        if self.panic_every > 0 && h2 % self.panic_every == 0 {
+        if self.panic_every > 0 && h2.is_multiple_of(self.panic_every) {
             return FaultAction::PanicSession;
         }
         FaultAction::Proceed

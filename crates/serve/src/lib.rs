@@ -9,11 +9,14 @@
 //!   across shards ([`StreamServer::shard_of`]); each shard's single thread
 //!   owns its sessions outright, so per-session processing order equals
 //!   submission order and served results are **bit-identical** to a
-//!   standalone pipeline (pinned by `tests/serve_parity.rs`).
+//!   standalone pipeline (pinned by `tests/net_parity.rs`).
 //! * Batched [`Submit`]s enter through bounded queues with explicit
-//!   backpressure: [`StreamServer::try_submit`] never blocks — a full shard
-//!   refuses the whole batch with [`ServeError::Overloaded`] and enqueues
-//!   nothing, so the caller can retry verbatim.
+//!   backpressure, in one of two modes: [`StreamServer::try_submit`] never
+//!   blocks — a full shard refuses the whole batch with
+//!   [`ServeError::Overloaded`] and enqueues nothing, so the caller can
+//!   retry verbatim — and [`StreamServer::submit_with_deadline`] waits for
+//!   room up to a deadline. Both run the same [`validate_batch`] check,
+//!   which the network client shares.
 //! * Sessions are created lazily from one validated
 //!   [`ficsum_core::SessionTemplate`] and evicted least-recently-used at a
 //!   per-shard cap, leaving a [`SessionSnapshot`] of what they learned —
@@ -29,10 +32,10 @@
 //!   per-request guard restarts the worker with its session table and
 //!   backlog intact. Accepted requests always complete — with an outcome
 //!   or a [`StepError`] — so [`BatchReply::wait`] cannot hang, and
-//!   [`BatchReply::wait_timeout`] / [`StreamServer::submit_with_deadline`]
-//!   bound the waits themselves. The `fault-injection` cargo feature (off
-//!   by default, zero release overhead) adds deterministic fail points for
-//!   exercising all of this in tests.
+//!   [`BatchReply::wait_timeout`] bounds the wait itself. The
+//!   `fault-injection` cargo feature (off by default, zero release
+//!   overhead) adds deterministic fail points for exercising all of this in
+//!   tests.
 //!
 //! # Threading model (the `Send` audit)
 //!
@@ -57,7 +60,7 @@ mod sync;
 pub use error::{ServeError, StepError, StepResult};
 pub use reply::BatchReply;
 pub use server::{
-    RecorderFactory, RetryPolicy, ServeConfig, ServeOptions, ServeReport, ShardMetrics,
+    validate_batch, RecorderFactory, ServeConfig, ServeOptions, ServeReport, ShardMetrics,
     StreamServer, Submit,
 };
 pub use session::{EvictReason, SessionId, SessionSnapshot};

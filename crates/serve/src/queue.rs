@@ -105,7 +105,9 @@ impl ShardQueue {
 
     /// Blocks until the queue has room for `needed` more requests, the
     /// queue closes ([`ServeError::ShutDown`]) or `deadline` passes
-    /// ([`ServeError::DeadlineExceeded`]).
+    /// ([`ServeError::DeadlineExceeded`]). `None` waits without a deadline;
+    /// a `needed` beyond the capacity can never fit and fails at once with
+    /// `DeadlineExceeded`.
     ///
     /// A successful return is advisory: the lock is released before the
     /// caller retries its submit, so the room may be gone again. The caller
@@ -113,21 +115,29 @@ impl ShardQueue {
     pub(crate) fn wait_for_space(
         &self,
         needed: usize,
-        deadline: Instant,
+        deadline: Option<Instant>,
     ) -> Result<(), ServeError> {
         let mut state = lock_recover(&self.state);
         loop {
             if state.closed {
                 return Err(ServeError::ShutDown);
             }
+            if needed > self.capacity {
+                return Err(ServeError::DeadlineExceeded);
+            }
             if state.items.len() + needed <= self.capacity {
                 return Ok(());
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(ServeError::DeadlineExceeded);
-            }
-            (state, _) = wait_timeout_recover(&self.space, state, deadline - now);
+            state = match deadline {
+                None => wait_recover(&self.space, state),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Err(ServeError::DeadlineExceeded);
+                    }
+                    wait_timeout_recover(&self.space, state, deadline - now).0
+                }
+            };
         }
     }
 
@@ -253,7 +263,7 @@ mod tests {
         let waiter = {
             let queue = queue.clone();
             std::thread::spawn(move || {
-                queue.wait_for_space(1, Instant::now() + Duration::from_secs(10))
+                queue.wait_for_space(1, Some(Instant::now() + Duration::from_secs(10)))
             })
         };
         std::thread::sleep(Duration::from_millis(30));
@@ -268,25 +278,29 @@ mod tests {
     /// the submitter waited on a signal that never came.
     #[test]
     fn close_wakes_a_submitter_blocked_on_space() {
-        let queue = Arc::new(ShardQueue::new(1));
-        let batch = BatchShared::new(1);
-        try_submit_all(std::slice::from_ref(&queue), &mut [(0, vec![request(0, &batch)])]).unwrap();
-        let waiter = {
-            let queue = queue.clone();
-            std::thread::spawn(move || {
-                let start = Instant::now();
-                let result = queue.wait_for_space(1, Instant::now() + Duration::from_secs(30));
-                (result, start.elapsed())
-            })
-        };
-        std::thread::sleep(Duration::from_millis(30));
-        queue.close();
-        let (result, elapsed) = waiter.join().unwrap();
-        assert_eq!(result, Err(ServeError::ShutDown));
-        assert!(
-            elapsed < Duration::from_secs(5),
-            "close must wake the space waiter promptly, took {elapsed:?}"
-        );
+        // With a deadline and without one: neither may outlive the close.
+        for deadline in [Some(Instant::now() + Duration::from_secs(30)), None] {
+            let queue = Arc::new(ShardQueue::new(1));
+            let batch = BatchShared::new(1);
+            try_submit_all(std::slice::from_ref(&queue), &mut [(0, vec![request(0, &batch)])])
+                .unwrap();
+            let waiter = {
+                let queue = queue.clone();
+                std::thread::spawn(move || {
+                    let start = Instant::now();
+                    let result = queue.wait_for_space(1, deadline);
+                    (result, start.elapsed())
+                })
+            };
+            std::thread::sleep(Duration::from_millis(30));
+            queue.close();
+            let (result, elapsed) = waiter.join().unwrap();
+            assert_eq!(result, Err(ServeError::ShutDown));
+            assert!(
+                elapsed < Duration::from_secs(5),
+                "close must wake the space waiter promptly, took {elapsed:?}"
+            );
+        }
     }
 
     #[test]
@@ -296,7 +310,7 @@ mod tests {
         try_submit_all(std::slice::from_ref(&queue), &mut [(0, vec![request(0, &batch)])]).unwrap();
         // No worker will ever drain; the wait must end at the deadline.
         let start = Instant::now();
-        let result = queue.wait_for_space(1, Instant::now() + Duration::from_millis(50));
+        let result = queue.wait_for_space(1, Some(Instant::now() + Duration::from_millis(50)));
         assert_eq!(result, Err(ServeError::DeadlineExceeded));
         assert!(start.elapsed() >= Duration::from_millis(50));
         assert!(start.elapsed() < Duration::from_secs(5));

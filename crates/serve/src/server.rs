@@ -163,50 +163,21 @@ impl Submit {
     }
 }
 
-/// How [`StreamServer::submit_with_retry`] backs off between attempts:
-/// bounded exponential — the delay doubles from `initial_backoff` up to
-/// `max_backoff`, for at most `max_attempts` submit attempts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct RetryPolicy {
-    /// Total submit attempts (including the first). Minimum 1.
-    pub max_attempts: u32,
-    /// Sleep after the first refused attempt.
-    pub initial_backoff: Duration,
-    /// Cap on the per-attempt sleep.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 6,
-            initial_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(64),
-        }
+/// The admission check every transport runs before a batch is enqueued or
+/// sent: the batch is non-empty and every feature vector has `n_features`
+/// entries. [`StreamServer`] runs it on submit; `ficsum-net`'s client runs
+/// it before a round trip, so a batch the server would refuse never
+/// crosses the wire.
+pub fn validate_batch(batch: &[Submit], n_features: usize) -> Result<(), ServeError> {
+    if batch.is_empty() {
+        return Err(ServeError::EmptyBatch);
     }
-}
-
-impl RetryPolicy {
-    /// Returns the policy with `max_attempts` replaced.
-    #[must_use]
-    pub fn with_max_attempts(mut self, attempts: u32) -> Self {
-        self.max_attempts = attempts;
-        self
-    }
-
-    /// Returns the policy with `initial_backoff` replaced.
-    #[must_use]
-    pub fn with_initial_backoff(mut self, backoff: Duration) -> Self {
-        self.initial_backoff = backoff;
-        self
-    }
-
-    /// Returns the policy with `max_backoff` replaced.
-    #[must_use]
-    pub fn with_max_backoff(mut self, backoff: Duration) -> Self {
-        self.max_backoff = backoff;
-        self
+    match batch.iter().find(|submit| submit.features.len() != n_features) {
+        Some(submit) => Err(ServeError::DimensionMismatch {
+            expected: n_features,
+            got: submit.features.len(),
+        }),
+        None => Ok(()),
     }
 }
 
@@ -267,8 +238,8 @@ pub struct ServeReport {
 /// * **Backpressure** — [`StreamServer::try_submit`] never blocks. If any
 ///   involved shard queue lacks room for the batch, the whole batch is
 ///   refused ([`ServeError::Overloaded`]) and nothing is enqueued.
-///   [`StreamServer::submit_with_deadline`] and
-///   [`StreamServer::submit_with_retry`] layer bounded waiting on top.
+///   [`StreamServer::submit_with_deadline`] waits for room instead, up to
+///   a deadline.
 /// * **Lifecycle** — sessions are created on first sight from the shared
 ///   template and evicted LRU at the per-shard cap; evicted and
 ///   shutdown-surviving sessions leave a [`SessionSnapshot`] whose
@@ -296,21 +267,6 @@ impl StreamServer {
     /// `template`, with no observability attached.
     pub fn new(template: SessionTemplate, config: ServeConfig) -> Self {
         Self::with_options(template, config, ServeOptions::default())
-            .expect("no restore snapshots, construction cannot fail")
-    }
-
-    /// Like [`StreamServer::new`], with a per-shard recorder. The factory
-    /// runs on each worker thread at startup; see [`RecorderFactory`].
-    pub fn with_recorder_factory(
-        template: SessionTemplate,
-        config: ServeConfig,
-        recorder_factory: Option<RecorderFactory>,
-    ) -> Self {
-        let mut options = ServeOptions::default();
-        if let Some(factory) = recorder_factory {
-            options = options.with_recorder_factory(factory);
-        }
-        Self::with_options(template, config, options)
             .expect("no restore snapshots, construction cannot fail")
     }
 
@@ -396,8 +352,8 @@ impl StreamServer {
     /// one; await them (in submission order) through the returned
     /// [`BatchReply`]. On error **nothing** was enqueued: the caller still
     /// owns the batch and can retry it verbatim after backing off — or use
-    /// [`StreamServer::submit_with_deadline`] /
-    /// [`StreamServer::submit_with_retry`] to have the server do so.
+    /// [`StreamServer::submit_with_deadline`] to have the server wait for
+    /// room.
     pub fn try_submit(&self, batch: &[Submit]) -> Result<BatchReply, ServeError> {
         let (shared, mut grouped) = self.prepare(batch)?;
         queue::try_submit_all(&self.queues, &mut grouped)?;
@@ -411,15 +367,18 @@ impl StreamServer {
     /// the worker drains — no spin, no sleep tuning. Fails with
     /// [`ServeError::DeadlineExceeded`] if the batch could not be accepted
     /// in time (nothing was enqueued) and [`ServeError::ShutDown`] if a
-    /// needed shard closed while waiting. The timeout bounds *admission*
-    /// only; pair it with [`BatchReply::wait_timeout`] to also bound the
-    /// wait for results.
+    /// needed shard closed while waiting. A batch whose share of one shard
+    /// exceeds the queue capacity can never be accepted and fails with
+    /// `DeadlineExceeded` at once. A `timeout` past the clock's range (such
+    /// as [`Duration::MAX`]) waits without limit. The timeout bounds
+    /// *admission* only; pair it with [`BatchReply::wait_timeout`] to also
+    /// bound the wait for results.
     pub fn submit_with_deadline(
         &self,
         batch: &[Submit],
         timeout: Duration,
     ) -> Result<BatchReply, ServeError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let (shared, mut grouped) = self.prepare(batch)?;
         loop {
             match queue::try_submit_all(&self.queues, &mut grouped) {
@@ -439,49 +398,10 @@ impl StreamServer {
         }
     }
 
-    /// Submits a batch, retrying refused ([`ServeError::Overloaded`])
-    /// attempts under `policy`'s bounded exponential backoff. Returns the
-    /// last refusal once attempts are exhausted; non-transient errors
-    /// (shutdown, validation) fail immediately without retrying.
-    pub fn submit_with_retry(
-        &self,
-        batch: &[Submit],
-        policy: RetryPolicy,
-    ) -> Result<BatchReply, ServeError> {
-        let attempts = policy.max_attempts.max(1);
-        let mut backoff = policy.initial_backoff;
-        let mut last = ServeError::EmptyBatch;
-        for attempt in 0..attempts {
-            match self.try_submit(batch) {
-                Ok(reply) => return Ok(reply),
-                Err(error @ ServeError::Overloaded { .. }) => {
-                    last = error;
-                    if attempt + 1 < attempts {
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(policy.max_backoff);
-                    }
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        Err(last)
-    }
-
-    /// Validates a batch and groups it per shard; shared submission front
-    /// half of the `submit` family.
+    /// Validates a batch and groups it per shard; shared front half of both
+    /// submit modes.
     fn prepare(&self, batch: &[Submit]) -> Result<(Arc<BatchShared>, ShardGroups), ServeError> {
-        if batch.is_empty() {
-            return Err(ServeError::EmptyBatch);
-        }
-        let expected = self.template.n_features();
-        for submit in batch {
-            if submit.features.len() != expected {
-                return Err(ServeError::DimensionMismatch {
-                    expected,
-                    got: submit.features.len(),
-                });
-            }
-        }
+        validate_batch(batch, self.template.n_features())?;
         let shared = BatchShared::new(batch.len());
         let now = Instant::now();
         let mut grouped: BTreeMap<usize, Vec<Request>> = BTreeMap::new();
@@ -734,26 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn submit_with_retry_gives_up_with_the_last_refusal() {
-        let server = StreamServer::new(
-            template(),
-            ServeConfig::default().with_shards(1).with_queue_capacity(1),
-        );
-        let first = server.try_submit(&[Submit::new(SessionId(0), vec![0.1, 0.2], 0)]).unwrap();
-        // A 2-request batch can never fit the capacity-1 queue, so every
-        // retry observes Overloaded no matter how fast the worker drains.
-        let oversize: Vec<Submit> =
-            (0..2).map(|i| Submit::new(SessionId(0), vec![0.1, 0.2], i % 2)).collect();
-        let policy = RetryPolicy::default()
-            .with_max_attempts(3)
-            .with_initial_backoff(Duration::from_micros(100))
-            .with_max_backoff(Duration::from_micros(200));
-        let result = server.submit_with_retry(&oversize, policy);
-        assert_eq!(result.map(|_| ()), Err(ServeError::Overloaded { shard: 0 }));
-        assert_eq!(first.wait().len(), 1);
-    }
-
-    #[test]
     fn submit_with_deadline_waits_for_space_and_succeeds() {
         let server = StreamServer::new(
             template(),
@@ -774,11 +674,23 @@ mod tests {
         let total: usize = replies.into_iter().map(|reply| outcomes(reply).len()).sum();
         assert_eq!(total, 32);
         // A batch that can never fit (5 > capacity 4) fails with
-        // DeadlineExceeded, enqueueing nothing.
+        // DeadlineExceeded, enqueueing nothing — even without a deadline.
         let huge: Vec<Submit> =
             (0..5).map(|_| Submit::new(SessionId(0), vec![0.3, 0.6], 0)).collect();
-        let result = server.submit_with_deadline(&huge, Duration::from_millis(50));
-        assert_eq!(result.map(|_| ()), Err(ServeError::DeadlineExceeded));
+        for timeout in [Duration::from_millis(50), Duration::MAX] {
+            let result = server.submit_with_deadline(&huge, timeout);
+            assert_eq!(result.map(|_| ()), Err(ServeError::DeadlineExceeded));
+        }
+    }
+
+    /// Regression: `Instant::now() + Duration::MAX` overflowed and panicked.
+    /// A deadline past the clock's range now means "no deadline".
+    #[test]
+    fn unbounded_deadline_submit_is_served() {
+        let server = StreamServer::new(template(), ServeConfig::default().with_shards(1));
+        let batch = [Submit::new(SessionId(0), vec![0.3, 0.6], 1)];
+        let reply = server.submit_with_deadline(&batch, Duration::MAX).expect("queue has room");
+        assert_eq!(outcomes(reply).len(), 1);
     }
 
     #[test]

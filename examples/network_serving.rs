@@ -6,14 +6,16 @@
 //! produces outcomes bit-identical to a standalone pipeline stamped from
 //! the same template (the run verifies one session against its local
 //! reference at the end). Backpressure works the same way it does
-//! in-process — a refused batch enqueued nothing and is retried verbatim,
-//! here by `submit_with_retry` under bounded exponential backoff.
+//! in-process — a refused batch enqueued nothing and can be retried
+//! verbatim; here `submit_with_deadline` has the server wait for queue room
+//! instead, up to a deadline.
 //!
 //! ```sh
 //! cargo run --release --example network_serving
 //! ```
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use ficsum::prelude::*;
 
@@ -66,12 +68,11 @@ fn main() {
                         (0..SESSIONS).filter(|s| *s as usize % CLIENTS == c).collect();
                     let mut results: Vec<(u64, Vec<RemoteOutcome>)> =
                         mine.iter().map(|&s| (s, Vec::new())).collect();
-                    let policy = RetryPolicy::default();
                     let mut cursors: Vec<_> =
                         mine.iter().map(|&s| tapes[s as usize].iter()).collect();
                     for _ in 0..STEPS {
-                        // One observation per owned session per batch;
-                        // refusals under load are retried verbatim.
+                        // One observation per owned session per batch; a
+                        // full shard queue is waited out server-side.
                         let wave: Vec<Submit> = mine
                             .iter()
                             .zip(cursors.iter_mut())
@@ -81,8 +82,9 @@ fn main() {
                                 Submit::new(SessionId(s), features.clone(), *label)
                             })
                             .collect();
-                        let replies =
-                            client.submit_with_retry(&wave, policy).expect("retry succeeds");
+                        let replies = client
+                            .submit_with_deadline(&wave, Duration::from_secs(10))
+                            .expect("queues drain within the deadline");
                         for (slot, reply) in replies.into_iter().enumerate() {
                             results[slot].1.push(reply.expect("no faults in this run"));
                         }

@@ -97,7 +97,7 @@ pub mod prelude {
         MonotonicClock, NullRecorder, Recorder, SharedRecorder, Stage, StreamEvent,
     };
     pub use ficsum_serve::{
-        BatchReply, EvictReason, RecorderFactory, RetryPolicy, ServeConfig, ServeError,
+        BatchReply, EvictReason, RecorderFactory, ServeConfig, ServeError,
         ServeOptions, ServeReport, SessionId, SessionSnapshot, ShardMetrics, StepError,
         StepResult, StreamServer, Submit,
     };
