@@ -12,6 +12,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tests =="
 cargo test -q
+# The root package's tests alone leave out every member crate's unit and
+# integration tests (engine, spline, EMD and frame bit-identity included).
+cargo test -q --workspace
 
 echo "== property tests =="
 cargo test -q --features property-tests

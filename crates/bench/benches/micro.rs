@@ -21,7 +21,8 @@ use ficsum_core::{
 };
 use ficsum_drift::{Adwin, DriftDetector};
 use ficsum_meta::{
-    imf_entropies, lagged_mutual_information, EmdConfig, FingerprintEngine, FingerprintExtractor,
+    imf_entropies, imf_entropies_scratch, lagged_mutual_information, EmdConfig, EmdScratch,
+    FingerprintEngine, FingerprintExtractor,
 };
 use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
 use ficsum_stream::FrameWindows;
@@ -81,6 +82,16 @@ fn bench_meta_functions() {
     report("emd_imf_entropies_n75", || {
         black_box(imf_entropies(black_box(&xs), &EmdConfig::default()));
     });
+    // The engine's allocation-free path, on a continuous (feature) window
+    // and on a binary (error) window, whose plateaus change the extrema.
+    let mut scratch = EmdScratch::new();
+    report("emd_imf_entropies_scratch_n75", || {
+        black_box(imf_entropies_scratch(black_box(&xs), &EmdConfig::default(), &mut scratch));
+    });
+    let binary: Vec<f64> = (0..75).map(|_| rng.random_range(0..2usize) as f64).collect();
+    report("emd_imf_entropies_scratch_binary_n75", || {
+        black_box(imf_entropies_scratch(black_box(&binary), &EmdConfig::default(), &mut scratch));
+    });
     report("mutual_information_n75", || {
         black_box(lagged_mutual_information(black_box(&xs), 1, 8));
     });
@@ -120,6 +131,11 @@ fn bench_hoeffding() {
     });
     report("hoeffding_contributions_d10", || {
         black_box(tree.feature_contributions(black_box(&x)));
+    });
+    // The engine's per-frame call: prediction and contributions in one walk.
+    let (mut contrib, mut proba) = (Vec::new(), Vec::new());
+    report("hoeffding_contributions_with_d10", || {
+        black_box(tree.contributions_with(black_box(&x), &mut contrib, &mut proba));
     });
 }
 

@@ -57,25 +57,22 @@ pub trait Classifier: Send + Sync {
     }
 
     /// Allocation-free variant of [`Self::feature_contributions`]: fills
-    /// `out` and returns `true` when the learner can attribute the
-    /// prediction, returns `false` (leaving `out` unspecified) otherwise.
+    /// `out` and returns the label it explains — which must equal
+    /// [`Self::predict_with`] on `x` — when the learner can attribute the
+    /// prediction; returns `None` (leaving `out` unspecified) otherwise.
     /// `proba_scratch` is caller-owned scratch for the probability walks.
-    /// Must produce the same values as `feature_contributions`.
+    /// Must produce the same values as `feature_contributions`, so one call
+    /// serves a caller that needs both the prediction and its attribution.
     fn contributions_with(
         &self,
         x: &[f64],
         out: &mut Vec<f64>,
         proba_scratch: &mut Vec<f64>,
-    ) -> bool {
-        let _ = proba_scratch;
-        match self.feature_contributions(x) {
-            Some(c) => {
-                out.clear();
-                out.extend_from_slice(&c);
-                true
-            }
-            None => false,
-        }
+    ) -> Option<usize> {
+        let c = self.feature_contributions(x)?;
+        out.clear();
+        out.extend_from_slice(&c);
+        Some(self.predict_with(x, proba_scratch))
     }
 
     /// A rough model-complexity measure (splits for trees, experts for

@@ -466,10 +466,14 @@ impl Classifier for HoeffdingTree {
         x: &[f64],
         out: &mut Vec<f64>,
         proba_scratch: &mut Vec<f64>,
-    ) -> bool {
+    ) -> Option<usize> {
         out.clear();
         out.resize(self.n_features, 0.0);
         let pred = self.predict_with(x, proba_scratch);
+        // `predict_with` evaluated the leaf `x` routes to; the walk below
+        // ends at that same leaf, so its P(pred) is reused for the final
+        // hop instead of being evaluated a second time.
+        let p_leaf = proba_scratch[pred];
         let norm_counts = |counts: &[f64], scratch: &mut Vec<f64>| {
             scratch.clear();
             scratch.extend_from_slice(counts);
@@ -485,16 +489,13 @@ impl Classifier for HoeffdingTree {
             let p_here = norm_counts(class_counts, proba_scratch);
             let child = if x[*feature] <= *threshold { *left } else { *right };
             let p_child = match &self.nodes[child] {
-                Node::Leaf(l) => {
-                    self.leaf_proba_into(l, x, proba_scratch);
-                    proba_scratch[pred]
-                }
+                Node::Leaf(_) => p_leaf,
                 Node::Split { class_counts, .. } => norm_counts(class_counts, proba_scratch),
             };
             out[*feature] += p_child - p_here;
             idx = child;
         }
-        true
+        Some(pred)
     }
 }
 
@@ -570,6 +571,95 @@ mod tests {
             acc[0] > acc[1],
             "feature 0 drives labels; contributions {acc:?} disagree"
         );
+    }
+
+    /// The contributions walk with the leaf evaluated again at the final
+    /// hop through `leaf_proba_into`: the oracle for the walk that reuses
+    /// the prediction's leaf probability.
+    fn reference_contributions(tree: &HoeffdingTree, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; tree.n_features];
+        let mut scratch = Vec::new();
+        let pred = tree.predict_with(x, &mut scratch);
+        let norm_counts = |counts: &[f64], scratch: &mut Vec<f64>| {
+            scratch.clear();
+            scratch.extend_from_slice(counts);
+            normalize_or_uniform_in_place(scratch);
+            scratch[pred]
+        };
+        let mut idx = tree.root;
+        while let Node::Split { feature, threshold, class_counts, left, right } = &tree.nodes[idx]
+        {
+            let p_here = norm_counts(class_counts, &mut scratch);
+            let child = if x[*feature] <= *threshold { *left } else { *right };
+            let p_child = match &tree.nodes[child] {
+                Node::Leaf(l) => {
+                    tree.leaf_proba_into(l, x, &mut scratch);
+                    scratch[pred]
+                }
+                Node::Split { class_counts, .. } => norm_counts(class_counts, &mut scratch),
+            };
+            out[*feature] += p_child - p_here;
+            idx = child;
+        }
+        out
+    }
+
+    /// Checks the fused walk against the reference on `queries`: identical
+    /// contribution bits and a returned label equal to `predict_with`.
+    fn assert_contributions_match_reference(tree: &HoeffdingTree, queries: &[Vec<f64>]) {
+        let (mut out, mut scratch, mut pscratch) = (Vec::new(), Vec::new(), Vec::new());
+        for (q, x) in queries.iter().enumerate() {
+            let label = tree.contributions_with(x, &mut out, &mut scratch);
+            assert_eq!(label, Some(tree.predict_with(x, &mut pscratch)), "query {q}: label");
+            let expected = reference_contributions(tree, x);
+            let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&expected), "query {q}: contributions");
+            let by_value = tree.feature_contributions(x).unwrap();
+            assert_eq!(bits(&by_value), bits(&expected), "query {q}: feature_contributions");
+        }
+    }
+
+    #[test]
+    fn fused_contributions_walk_matches_reference() {
+        let mut rng = Xoshiro256pp::seed_from_u64(8);
+        // Three classes over four features with overlapping classes, so
+        // trees grow several levels and naive-Bayes leaves disagree with
+        // the majority class at some points.
+        let stream: Vec<(Vec<f64>, usize)> = (0..4000)
+            .map(|_| {
+                let x: Vec<f64> = (0..4).map(|_| rng.random::<f64>() * 4.0).collect();
+                let noisy = rng.random::<f64>() < 0.15;
+                let y = if noisy {
+                    rng.random_range(0..3usize)
+                } else {
+                    ((x[0] > 2.0) as usize + (x[1] + x[2] > 4.0) as usize) % 3
+                };
+                (x, y)
+            })
+            .collect();
+        let queries: Vec<Vec<f64>> =
+            (0..300).map(|_| (0..4).map(|_| rng.random::<f64>() * 5.0 - 0.5).collect()).collect();
+        for mode in [
+            LeafPrediction::MajorityClass,
+            LeafPrediction::NaiveBayes,
+            LeafPrediction::NaiveBayesAdaptive,
+        ] {
+            let config = HoeffdingTreeConfig { leaf_prediction: mode, ..Default::default() };
+            let mut tree = HoeffdingTree::with_config(4, 3, config);
+            // Untrained: a single uniform leaf.
+            assert_contributions_match_reference(&tree, &queries);
+            // Root only: trained, but fewer observations than a grace period.
+            for (x, y) in &stream[..10] {
+                tree.train(x, *y);
+            }
+            assert_eq!(tree.n_splits(), 0, "{mode:?}: premise, root-only tree");
+            assert_contributions_match_reference(&tree, &queries);
+            for (x, y) in &stream[10..] {
+                tree.train(x, *y);
+            }
+            assert!(tree.depth() >= 2, "{mode:?}: premise, multi-level tree");
+            assert_contributions_match_reference(&tree, &queries);
+        }
     }
 
     #[test]

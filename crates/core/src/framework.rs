@@ -921,6 +921,8 @@ impl Ficsum {
                 self.normalizer.version(),
             );
             if self.weights_stamp != Some(stamp) {
+                // The weights exist to score similarity on this path, so
+                // their recompute is booked to that stage.
                 let t0 = self.span_start();
                 self.weights.compute_into(
                     &self.active_fp,
@@ -928,7 +930,7 @@ impl Ficsum {
                     &self.normalizer,
                     self.config.sigma_floor,
                 );
-                self.span_end(Stage::RepositoryReassess, t0);
+                self.span_end(Stage::Similarity, t0);
                 self.weights_gen += 1;
                 self.weights_stamp = Some(stamp);
                 self.weights.publish_shape(&mut *self.recorder);

@@ -194,11 +194,15 @@ struct SiftBuffers {
     ky: Vec<f64>,
     upper: SplineScratch,
     lower: SplineScratch,
+    /// The two envelopes evaluated at every point of the window.
+    upper_env: Vec<f64>,
+    lower_env: Vec<f64>,
 }
 
-/// Both [`local_extrema`] passes fused into one sweep over `xs` (the
-/// maximum and minimum conditions are mutually exclusive, so a single
-/// branch per point reproduces both index lists exactly).
+/// Both [`local_extrema`] passes fused into one branchless sweep over `xs`:
+/// every interior index is written to the next free slot of both buffers
+/// (presized to `n`) and each slot is kept only when its flag is set, which
+/// reproduces both index lists exactly.
 fn local_extrema_both_into(xs: &[f64], max_out: &mut Vec<usize>, min_out: &mut Vec<usize>) {
     max_out.clear();
     min_out.clear();
@@ -206,14 +210,18 @@ fn local_extrema_both_into(xs: &[f64], max_out: &mut Vec<usize>, min_out: &mut V
     if n < 3 {
         return;
     }
-    for i in 1..n - 1 {
-        let (a, b, c) = (xs[i - 1], xs[i], xs[i + 1]);
-        if b > a && b >= c {
-            max_out.push(i);
-        } else if b < a && b <= c {
-            min_out.push(i);
-        }
+    max_out.resize(n, 0);
+    min_out.resize(n, 0);
+    let (mut n_max, mut n_min) = (0usize, 0usize);
+    for (w, i) in xs.windows(3).zip(1..) {
+        let (a, b, c) = (w[0], w[1], w[2]);
+        max_out[n_max] = i;
+        min_out[n_min] = i;
+        n_max += ((b > a) & (b >= c)) as usize;
+        n_min += ((b < a) & (b <= c)) as usize;
     }
+    max_out.truncate(n_max);
+    min_out.truncate(n_min);
 }
 
 /// Fits an endpoint-anchored envelope through the extrema at `idx`,
@@ -242,8 +250,8 @@ fn fit_envelope(
 }
 
 /// [`sift_once`] with reused buffers; returns `false` where the allocating
-/// version returns `None`. The monotone spline evaluation walks `x = 0..n`
-/// in order, matching the binary-search result at every point.
+/// version returns `None`. Both envelopes are evaluated over the whole grid
+/// `x = 0..n`, matching [`CubicSpline::eval`] at every point.
 fn sift_once_into(xs: &[f64], out: &mut Vec<f64>, s: &mut SiftBuffers) -> bool {
     local_extrema_both_into(xs, &mut s.max_idx, &mut s.min_idx);
     if s.max_idx.len() < 2 || s.min_idx.len() < 2 {
@@ -255,11 +263,17 @@ fn sift_once_into(xs: &[f64], out: &mut Vec<f64>, s: &mut SiftBuffers) -> bool {
     if !fit_envelope(xs, &s.min_idx, &mut s.kx, &mut s.ky, &mut s.lower) {
         return false;
     }
+    s.upper_env.resize(xs.len(), 0.0);
+    s.lower_env.resize(xs.len(), 0.0);
+    s.upper.eval_grid_into(&mut s.upper_env);
+    s.lower.eval_grid_into(&mut s.lower_env);
     out.clear();
-    out.extend(xs.iter().enumerate().map(|(i, &v)| {
-        let x = i as f64;
-        v - 0.5 * (s.upper.eval_monotone(x) + s.lower.eval_monotone(x))
-    }));
+    out.extend(
+        xs.iter()
+            .zip(&s.upper_env)
+            .zip(&s.lower_env)
+            .map(|((&v, &u), &l)| v - 0.5 * (u + l)),
+    );
     true
 }
 
@@ -439,6 +453,69 @@ mod tests {
             hn - hs > 0.5,
             "dense ({hn}) vs spiky ({hs}) IMF1 entropy should differ clearly"
         );
+    }
+
+    #[test]
+    fn fused_extrema_match_the_two_pass_lists() {
+        let mut rng = Xoshiro256pp::seed_from_u64(12);
+        let (mut max_idx, mut min_idx) = (Vec::new(), Vec::new());
+        for n in 0..60 {
+            for levels in [2usize, 3, 0] {
+                let xs: Vec<f64> = (0..n)
+                    .map(|_| match levels {
+                        0 => rng.random::<f64>(),
+                        l => rng.random_range(0..l) as f64,
+                    })
+                    .collect();
+                local_extrema_both_into(&xs, &mut max_idx, &mut min_idx);
+                assert_eq!(max_idx, local_extrema(&xs, true), "n {n}, levels {levels}");
+                assert_eq!(min_idx, local_extrema(&xs, false), "n {n}, levels {levels}");
+            }
+        }
+    }
+
+    /// Generated windows of the shapes the behaviour sources produce:
+    /// continuous features, binary errors, small-integer labels and
+    /// predictions, and plateau-heavy runs (repeated values).
+    fn generated_window(rng: &mut Xoshiro256pp, shape: usize, n: usize) -> Vec<f64> {
+        match shape {
+            0 => (0..n).map(|_| rng.random_range(-3.0..3.0)).collect(),
+            1 => (0..n).map(|_| rng.random_range(0..2usize) as f64).collect(),
+            2 => (0..n).map(|_| rng.random_range(0..5usize) as f64).collect(),
+            _ => {
+                let mut v = 0.0;
+                (0..n)
+                    .map(|_| {
+                        if rng.random::<f64>() < 0.3 {
+                            v = rng.random_range(0..4usize) as f64 + rng.random::<f64>();
+                        }
+                        v
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_entropies_are_bit_identical_to_the_allocating_path() {
+        let mut rng = Xoshiro256pp::seed_from_u64(14);
+        let config = EmdConfig::default();
+        // One scratch across every window, so stale buffer contents from a
+        // longer window would show up on a shorter one.
+        let mut scratch = EmdScratch::new();
+        let sizes = (0..=10).chain([75, 200]);
+        for n in sizes {
+            for shape in 0..4 {
+                for rep in 0..8 {
+                    let xs = generated_window(&mut rng, shape, n);
+                    let (a1, a2) = imf_entropies(&xs, &config);
+                    let (s1, s2) = imf_entropies_scratch(&xs, &config, &mut scratch);
+                    let ctx = format!("n {n}, shape {shape}, rep {rep}");
+                    assert_eq!(a1.to_bits(), s1.to_bits(), "IMF1 entropy, {ctx}");
+                    assert_eq!(a2.to_bits(), s2.to_bits(), "IMF2 entropy, {ctx}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -223,6 +223,8 @@ pub struct FingerprintEngine {
     seqs: Vec<Vec<f64>>,
     /// Incremental substitutes, aligned with `kinds` (`None` = batch).
     tracked: Vec<Option<TrackedVals>>,
+    /// Column-marginal scratch for the incremental mutual information.
+    mi_cols: Vec<u32>,
     /// The window's labels as re-predicted by the extraction's classifier.
     preds: Vec<usize>,
     /// Probability scratch for allocation-free classifier calls.
@@ -261,6 +263,7 @@ impl FingerprintEngine {
             emd_cache: [Vec::new(), Vec::new()],
             seqs: vec![Vec::new(); n_sources],
             tracked: Vec::new(),
+            mi_cols: Vec::new(),
             preds: Vec::new(),
             proba: Vec::new(),
             contrib: Vec::new(),
@@ -392,13 +395,12 @@ impl FingerprintEngine {
     ) {
         self.fill_tracked_vals(window);
         self.set_active_bank(window);
-        self.repredict(window, classifier);
-        self.fill_sequences(window, Pass::All);
         out.clear();
         out.resize(self.extractor.schema().len(), 0.0);
+        self.predict_frames(window, classifier, out);
+        self.fill_sequences(window, Pass::All);
         let src_len = self.kinds.len() * self.extractor.functions().len();
         self.eval_sources(&mut out[..src_len], Pass::All);
-        self.importance_into(window, classifier, out);
     }
 
     /// Evaluates the classifier-independent sources of `window` into
@@ -431,10 +433,10 @@ impl FingerprintEngine {
         out: &mut Vec<f64>,
     ) {
         debug_assert!(scan.ready, "extract_with_scan before static_scan_tracked");
-        self.repredict(window, classifier);
-        self.fill_sequences(window, Pass::Dynamic);
         out.clear();
         out.resize(self.extractor.schema().len(), 0.0);
+        self.predict_frames(window, classifier, out);
+        self.fill_sequences(window, Pass::Dynamic);
         let nf = self.extractor.functions().len();
         let src_len = self.kinds.len() * nf;
         debug_assert_eq!(scan.vals.len(), src_len, "scan built for another schema");
@@ -444,7 +446,6 @@ impl FingerprintEngine {
             }
         }
         self.eval_sources(&mut out[..src_len], Pass::Dynamic);
-        self.importance_into(window, classifier, out);
     }
 
     /// Populates the incremental substitutes for the feature and label
@@ -461,20 +462,21 @@ impl FingerprintEngine {
         }
         let n = window.len();
         let mi_bins = self.extractor.mi_bins();
-        for &kind in &self.kinds {
-            self.tracked.push(match kind {
+        let Self { kinds, tracked, mi_cols, .. } = self;
+        for &kind in kinds.iter() {
+            tracked.push(match kind {
                 SourceKind::Feature(j) => {
                     let m = window.feature_moments(j);
-                    let ext = window
-                        .feature_stats(j)
-                        .and_then(|s| ext_vals(s, m, n, mi_bins, |i| window.features(i)[j]));
+                    let ext = window.feature_stats(j).and_then(|s| {
+                        ext_vals(s, m, n, mi_bins, |i| window.features(i)[j], mi_cols)
+                    });
                     Some(TrackedVals::new(m, ext))
                 }
                 SourceKind::Labels => {
                     let m = window.label_moments();
-                    let ext = window
-                        .label_stats()
-                        .and_then(|s| ext_vals(s, m, n, mi_bins, |i| window.label(i) as f64));
+                    let ext = window.label_stats().and_then(|s| {
+                        ext_vals(s, m, n, mi_bins, |i| window.label(i) as f64, mi_cols)
+                    });
                     Some(TrackedVals::new(m, ext))
                 }
                 _ => None,
@@ -497,13 +499,50 @@ impl FingerprintEngine {
         };
     }
 
-    /// Re-predicts every frame of `window` through `classifier` into
-    /// `preds`.
-    fn repredict(&mut self, window: &TrackedFrames<'_>, classifier: &dyn Classifier) {
-        let Self { preds, proba, .. } = self;
+    /// The one classifier pass of an extraction: re-predicts every frame of
+    /// `window` through `classifier` into `preds` and, when the extractor
+    /// includes feature importance, accumulates `classifier`'s mean absolute
+    /// per-feature contribution over the window into the last `n_features`
+    /// slots of `out` (zeroed by the caller). A learner that attributes its
+    /// prediction returns the label with the contributions, so each frame
+    /// walks the classifier once; otherwise the frame falls back to
+    /// `predict_with`. Frames and their contributions are visited in window
+    /// order, as two separate passes would.
+    fn predict_frames(
+        &mut self,
+        window: &TrackedFrames<'_>,
+        classifier: &dyn Classifier,
+        out: &mut [f64],
+    ) {
+        let Self { preds, contrib, proba, extractor, .. } = self;
         preds.clear();
+        if !extractor.includes_feature_importance() {
+            for i in 0..window.len() {
+                preds.push(classifier.predict_with(window.features(i), proba));
+            }
+            return;
+        }
+        let tail = out.len() - extractor.n_features();
+        let importance = &mut out[tail..];
+        let mut counted = 0usize;
         for i in 0..window.len() {
-            preds.push(classifier.predict_with(window.features(i), proba));
+            let x = window.features(i);
+            let label = match classifier.contributions_with(x, contrib, proba) {
+                Some(label) => {
+                    for (acc, c) in importance.iter_mut().zip(contrib.iter()) {
+                        *acc += c.abs();
+                    }
+                    counted += 1;
+                    label
+                }
+                None => classifier.predict_with(x, proba),
+            };
+            preds.push(label);
+        }
+        if counted > 0 {
+            for acc in importance.iter_mut() {
+                *acc /= counted as f64;
+            }
         }
     }
 
@@ -536,38 +575,6 @@ impl FingerprintEngine {
                         }
                     }
                 }
-            }
-        }
-    }
-
-    /// The feature-importance tail: `classifier`'s mean absolute
-    /// per-feature contribution over the window, into the last
-    /// `n_features` slots of `out` (zeroed by the caller). A no-op unless
-    /// the extractor includes feature importance.
-    fn importance_into(
-        &mut self,
-        window: &TrackedFrames<'_>,
-        classifier: &dyn Classifier,
-        out: &mut [f64],
-    ) {
-        if !self.extractor.includes_feature_importance() {
-            return;
-        }
-        let tail = out.len() - self.extractor.n_features();
-        let importance = &mut out[tail..];
-        let mut counted = 0usize;
-        let Self { contrib, proba, .. } = self;
-        for i in 0..window.len() {
-            if classifier.contributions_with(window.features(i), contrib, proba) {
-                for (acc, c) in importance.iter_mut().zip(contrib.iter()) {
-                    *acc += c.abs();
-                }
-                counted += 1;
-            }
-        }
-        if counted > 0 {
-            for acc in importance.iter_mut() {
-                *acc /= counted as f64;
             }
         }
     }

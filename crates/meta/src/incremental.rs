@@ -42,13 +42,15 @@ const PACF_DENOM_FLOOR: f64 = 1e-3;
 /// `None` when the state is unusable (invalid, stale length, mismatched
 /// histogram resolution, or a tolerance-threatening PACF denominator) and
 /// the caller must take the batch path. `get(i)` reads window value `i`
-/// (oldest first) for the O(lag) re-centering corrections.
+/// (oldest first) for the O(lag) re-centering corrections; `mi_cols` is
+/// reusable storage for the mutual information's column marginals.
 pub(crate) fn ext_vals<G: Fn(usize) -> f64>(
     stats: &SeqStats,
     moments: &Moments,
     n: usize,
     mi_bins: usize,
     get: G,
+    mi_cols: &mut Vec<u32>,
 ) -> Option<ExtVals> {
     if !stats.is_valid() || stats.count() != n || stats.bins() != mi_bins || mi_bins < 2 {
         return None;
@@ -72,7 +74,7 @@ pub(crate) fn ext_vals<G: Fn(usize) -> f64>(
         // Durbin–Levinson: pacf(1) is acf(1).
         pacf1: r1,
         pacf2,
-        mi: mutual_information(stats, n),
+        mi: mutual_information(stats, n, mi_cols),
         tpr: turning_point_rate(stats, n),
     })
 }
@@ -111,8 +113,9 @@ fn acf<G: Fn(usize) -> f64>(
 /// Lag-1 mutual information from the joint histogram — the same counts,
 /// normalisation and summation order as the batch estimator, so the value
 /// is bit-identical. The marginals are derived from the joint by integer
-/// row/column sums (exact: counts are far below 2^53).
-fn mutual_information(stats: &SeqStats, n: usize) -> f64 {
+/// row/column sums (exact: counts are far below 2^53); the column sums are
+/// taken once into `cols` rather than per nonzero cell.
+fn mutual_information(stats: &SeqStats, n: usize, cols: &mut Vec<u32>) -> f64 {
     let lag = 1usize;
     let bins = stats.bins();
     if n <= lag + 2 || bins < 2 {
@@ -123,19 +126,24 @@ fn mutual_information(stats: &SeqStats, n: usize) -> f64 {
         return 0.0;
     }
     let joint = stats.joint();
+    cols.clear();
+    cols.resize(bins, 0);
+    for row in joint.chunks_exact(bins) {
+        for (col, &c) in cols.iter_mut().zip(row) {
+            *col += c;
+        }
+    }
     let pairs = (n - lag) as f64;
     let mut mi = 0.0;
-    for a in 0..bins {
-        let px: u32 = joint[a * bins..(a + 1) * bins].iter().sum();
+    for row in joint.chunks_exact(bins) {
+        let px: u32 = row.iter().sum();
         if px == 0 {
             continue;
         }
-        for b in 0..bins {
-            let c = joint[a * bins + b];
+        for (&c, &py) in row.iter().zip(cols.iter()) {
             if c == 0 {
                 continue;
             }
-            let py: u32 = (0..bins).map(|r| joint[r * bins + b]).sum();
             let pj = c as f64 / pairs;
             let pa = px as f64 / pairs;
             let pb = py as f64 / pairs;
@@ -173,13 +181,22 @@ mod tests {
     #[test]
     fn matches_batch_functions_on_random_windows() {
         let mut rng = Xoshiro256pp::seed_from_u64(31);
-        for trial in 0..50 {
+        let mut cols = Vec::new();
+        // Continuous windows at a random offset, then binary and
+        // small-integer windows (errors, labels, predictions), whose joint
+        // histograms have empty rows and columns.
+        for trial in 0..150 {
             let n = rng.random_range(4..120usize);
-            let offset = rng.random_range(-1e4..1e4);
-            let xs: Vec<f64> =
-                (0..n).map(|_| offset + rng.random_range(-3.0..3.0)).collect();
+            let xs: Vec<f64> = match trial % 3 {
+                0 => {
+                    let offset = rng.random_range(-1e4..1e4);
+                    (0..n).map(|_| offset + rng.random_range(-3.0..3.0)).collect()
+                }
+                1 => (0..n).map(|_| rng.random_range(0..2usize) as f64).collect(),
+                _ => (0..n).map(|_| rng.random_range(0..5usize) as f64).collect(),
+            };
             let (s, m) = assemble(&xs, 8);
-            let Some(e) = ext_vals(&s, &m, n, 8, |i| xs[i]) else {
+            let Some(e) = ext_vals(&s, &m, n, 8, |i| xs[i], &mut cols) else {
                 continue; // PACF denominator floor: batch fallback is legal.
             };
             let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + b.abs());
@@ -187,8 +204,12 @@ mod tests {
             assert!(close(e.acf2, autocorrelation(&xs, 2)), "trial {trial} acf2");
             assert!(close(e.pacf1, partial_autocorrelation(&xs, 1)), "trial {trial} pacf1");
             assert!(close(e.pacf2, partial_autocorrelation(&xs, 2)), "trial {trial} pacf2");
-            assert_eq!(e.mi, lagged_mutual_information(&xs, 1, 8), "trial {trial} mi");
-            assert_eq!(e.tpr, batch_tpr(&xs), "trial {trial} tpr");
+            assert_eq!(
+                e.mi.to_bits(),
+                lagged_mutual_information(&xs, 1, 8).to_bits(),
+                "trial {trial} mi"
+            );
+            assert_eq!(e.tpr.to_bits(), batch_tpr(&xs).to_bits(), "trial {trial} tpr");
         }
     }
 
@@ -196,7 +217,7 @@ mod tests {
     fn constant_window_gates_to_zero() {
         let xs = vec![2.5; 30];
         let (s, m) = assemble(&xs, 8);
-        let e = ext_vals(&s, &m, xs.len(), 8, |i| xs[i]).expect("valid state");
+        let e = ext_vals(&s, &m, xs.len(), 8, |i| xs[i], &mut Vec::new()).expect("valid state");
         assert_eq!(e.acf1, 0.0);
         assert_eq!(e.acf2, 0.0);
         assert_eq!(e.pacf2, 0.0);
@@ -208,11 +229,11 @@ mod tests {
     fn invalid_or_mismatched_state_is_refused() {
         let xs = [1.0, f64::NAN, 3.0, 4.0, 2.0];
         let (s, m) = assemble(&xs, 8);
-        assert!(ext_vals(&s, &m, xs.len(), 8, |i| xs[i]).is_none(), "non-finite");
+        assert!(ext_vals(&s, &m, xs.len(), 8, |i| xs[i], &mut Vec::new()).is_none(), "non-finite");
         let clean = [1.0, 2.0, 3.0, 4.0, 2.0];
         let (s, m) = assemble(&clean, 8);
-        assert!(ext_vals(&s, &m, 4, 8, |i| clean[i]).is_none(), "stale length");
-        assert!(ext_vals(&s, &m, clean.len(), 4, |i| clean[i]).is_none(), "bins mismatch");
+        assert!(ext_vals(&s, &m, 4, 8, |i| clean[i], &mut Vec::new()).is_none(), "stale length");
+        assert!(ext_vals(&s, &m, clean.len(), 4, |i| clean[i], &mut Vec::new()).is_none(), "bins mismatch");
     }
 
     #[test]
@@ -223,6 +244,6 @@ mod tests {
         let (s, m) = assemble(&xs, 8);
         let r1 = autocorrelation(&xs, 1);
         assert!(1.0 - r1 * r1 < PACF_DENOM_FLOOR, "premise: ramp is near-unit ACF");
-        assert!(ext_vals(&s, &m, xs.len(), 8, |i| xs[i]).is_none());
+        assert!(ext_vals(&s, &m, xs.len(), 8, |i| xs[i], &mut Vec::new()).is_none());
     }
 }

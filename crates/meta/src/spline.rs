@@ -91,11 +91,11 @@ impl CubicSpline {
 /// allocates nothing after warm-up. Built for the EMD sifting loop, which
 /// refits two envelopes per sifting pass.
 ///
-/// Evaluation is optimised for *ascending* query points (the EMD case:
-/// `x = 0, 1, 2, …`): [`SplineScratch::eval_monotone`] walks a cursor
-/// forward instead of binary-searching per point, which is O(n + k) over a
-/// whole sweep instead of O(n log k) — and produces bit-identical values,
-/// including the exact-knot-hit behaviour of [`CubicSpline::eval`].
+/// Evaluation covers the EMD case only — every integer point `x = 0..n` at
+/// once: [`SplineScratch::eval_grid_into`] fills the grid segment by
+/// segment, O(n + k) instead of O(n log k) binary searches, and produces
+/// bit-identical values, including the exact-knot-hit and clamped-end
+/// behaviour of [`CubicSpline::eval`].
 #[derive(Debug, Clone, Default)]
 pub struct SplineScratch {
     xs: Vec<f64>,
@@ -106,16 +106,6 @@ pub struct SplineScratch {
     b: Vec<f64>,
     c: Vec<f64>,
     d: Vec<f64>,
-    /// Interval cursor for monotone evaluation; reset on every fit.
-    cursor: usize,
-    /// Segment index the cached evaluation terms below were computed for
-    /// (`usize::MAX` = none).
-    cached_seg: usize,
-    seg_six_h: f64,
-    seg_c0: f64,
-    seg_c1: f64,
-    seg_m0: f64,
-    seg_m1: f64,
 }
 
 impl SplineScratch {
@@ -142,8 +132,6 @@ impl SplineScratch {
         self.ys.extend_from_slice(ys);
         self.m.clear();
         self.m.resize(n, 0.0);
-        self.cursor = 0;
-        self.cached_seg = usize::MAX;
         if n > 2 {
             let k = n - 2; // interior unknowns
             // Every element of a/b/c/d is overwritten below before it is
@@ -211,45 +199,46 @@ impl SplineScratch {
         true
     }
 
-    /// Evaluates the fitted spline at `x`, assuming `x` is not smaller than
-    /// any previously queried point since the last fit. Bit-identical to
-    /// [`CubicSpline::eval`] at every point, including exact knot hits and
-    /// clamped extrapolation.
-    pub fn eval_monotone(&mut self, x: f64) -> f64 {
-        let n = self.xs.len();
-        if x <= self.xs[0] {
-            return self.ys[0];
+    /// Evaluates the fitted spline at every integer point `x = 0..out.len()`
+    /// into `out`. Bit-identical to [`CubicSpline::eval`] at each point,
+    /// including exact knot hits and clamped extrapolation.
+    ///
+    /// The grid is written segment by segment: the terms of the
+    /// interpolation formula that do not depend on `x` are computed once
+    /// per segment by exactly the expressions [`CubicSpline::eval`]
+    /// evaluates per point, so every point sees the same operands in the
+    /// same order while doing one division instead of five.
+    pub fn eval_grid_into(&self, out: &mut [f64]) {
+        let n = out.len();
+        let k = self.xs.len();
+        // Number of grid points strictly below `x` (capped at `n`).
+        let below = |x: f64| if x > 0.0 { (x.ceil() as usize).min(n) } else { 0 };
+        // Left clamp: every point before the first knot.
+        let mut j = below(self.xs[0]);
+        out[..j].fill(self.ys[0]);
+        for i in 0..k - 1 {
+            let (x0, x1) = (self.xs[i], self.xs[i + 1]);
+            // Exact knot hit; at the first knot this is the clamped value.
+            if j < n && j as f64 == x0 {
+                out[j] = self.ys[i];
+                j += 1;
+            }
+            let stop = below(x1).max(j);
+            let h = x1 - x0;
+            let six_h = 6.0 * h;
+            let (m0, m1) = (self.m[i], self.m[i + 1]);
+            let c0 = self.ys[i] / h - m0 * h / 6.0;
+            let c1 = self.ys[i + 1] / h - m1 * h / 6.0;
+            for (o, p) in out[j..stop].iter_mut().zip(j..) {
+                let x = p as f64;
+                let t = x - x0;
+                let u = x1 - x;
+                *o = (m0 * u * u * u + m1 * t * t * t) / six_h + c0 * u + c1 * t;
+            }
+            j = stop;
         }
-        if x >= self.xs[n - 1] {
-            return self.ys[n - 1];
-        }
-        while self.cursor + 1 < n && self.xs[self.cursor + 1] <= x {
-            self.cursor += 1;
-        }
-        let i = self.cursor;
-        debug_assert!(self.xs[i] <= x, "eval_monotone called with descending x");
-        if x == self.xs[i] {
-            return self.ys[i];
-        }
-        // The interpolation terms that do not depend on `x` are cached per
-        // segment: consecutive queries land in the same interval, and every
-        // cached value is produced by exactly the expression
-        // [`CubicSpline::eval`] would evaluate per point, so results stay
-        // bit-identical while the per-point divisions drop from three to one.
-        if self.cached_seg != i {
-            let h = self.xs[i + 1] - self.xs[i];
-            self.seg_six_h = 6.0 * h;
-            self.seg_m0 = self.m[i];
-            self.seg_m1 = self.m[i + 1];
-            self.seg_c0 = self.ys[i] / h - self.m[i] * h / 6.0;
-            self.seg_c1 = self.ys[i + 1] / h - self.m[i + 1] * h / 6.0;
-            self.cached_seg = i;
-        }
-        let t = x - self.xs[i];
-        let u = self.xs[i + 1] - x;
-        (self.seg_m0 * u * u * u + self.seg_m1 * t * t * t) / self.seg_six_h
-            + self.seg_c0 * u
-            + self.seg_c1 * t
+        // Right clamp: the last knot and every point after it.
+        out[j..].fill(self.ys[k - 1]);
     }
 }
 
@@ -306,32 +295,60 @@ mod tests {
         assert!(CubicSpline::fit(&[1.0, 0.5], &[1.0, 2.0]).is_none());
     }
 
+    /// Draws `k` strictly increasing knots starting at `start`, spaced by
+    /// one plus a random whole or fractional gap, with values in [-2, 2).
+    fn random_knots(
+        rng: &mut ficsum_stream::rng::Xoshiro256pp,
+        k: usize,
+        start: f64,
+        fractional: bool,
+    ) -> (Vec<f64>, Vec<f64>) {
+        use ficsum_stream::rng::RandomSource;
+        let mut x = start;
+        let mut xs = Vec::new();
+        for _ in 0..k {
+            xs.push(x);
+            let gap = rng.random::<f64>() * 3.0;
+            x += 1.0 + if fractional { gap } else { gap.floor() };
+        }
+        let ys: Vec<f64> = (0..k).map(|_| rng.random::<f64>() * 4.0 - 2.0).collect();
+        (xs, ys)
+    }
+
     #[test]
-    fn scratch_is_bit_identical_to_legacy_on_ascending_queries() {
-        use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
+    fn grid_evaluation_is_bit_identical_to_legacy() {
+        use ficsum_stream::rng::Xoshiro256pp;
         let mut rng = Xoshiro256pp::seed_from_u64(77);
         let mut scratch = SplineScratch::new();
-        for trial in 0..50 {
+        let mut grid = Vec::new();
+        for trial in 0..200 {
             let k = 2 + (trial % 30);
-            // Integer-spaced knots with occasional gaps, like EMD extrema.
-            let mut x = 0.0;
-            let mut xs = Vec::new();
-            for _ in 0..k {
-                xs.push(x);
-                x += 1.0 + (rng.random::<f64>() * 3.0).floor();
-            }
-            let ys: Vec<f64> = (0..k).map(|_| rng.random::<f64>() * 4.0 - 2.0).collect();
+            // Integer knots from 0 (the EMD case: every knot is hit), then
+            // integer knots from a negative or positive offset, then
+            // fractional knots that no grid point hits.
+            let (start, fractional) = match trial % 4 {
+                0 | 1 => (0.0, false),
+                2 => ((trial % 7) as f64 - 3.0, false),
+                _ => ((trial % 5) as f64 * 0.7 - 1.3, true),
+            };
+            let (xs, ys) = random_knots(&mut rng, k, start, fractional);
             let legacy = CubicSpline::fit(&xs, &ys).unwrap();
             assert!(scratch.fit(&xs, &ys));
+            // Grids that end before, on and past the last knot, so both
+            // clamped ends are exercised.
             let last = *xs.last().unwrap();
-            let mut q = -1.0;
-            while q <= last + 2.0 {
-                assert_eq!(
-                    legacy.eval(q).to_bits(),
-                    scratch.eval_monotone(q).to_bits(),
-                    "trial {trial}, query {q}"
-                );
-                q += 0.5; // hits every integer knot exactly
+            for n in [0, 1, 2, last.max(0.0) as usize, last.max(0.0) as usize + 1, last as usize + 4]
+            {
+                grid.clear();
+                grid.resize(n, f64::NAN);
+                scratch.eval_grid_into(&mut grid);
+                for (p, &v) in grid.iter().enumerate() {
+                    assert_eq!(
+                        legacy.eval(p as f64).to_bits(),
+                        v.to_bits(),
+                        "trial {trial}, n {n}, point {p}"
+                    );
+                }
             }
         }
     }

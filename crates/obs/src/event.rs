@@ -8,7 +8,8 @@
 pub enum Stage {
     /// Meta-feature extraction of a window (the fingerprint engine).
     Extract,
-    /// Fingerprint similarity computation and baseline maintenance.
+    /// Fingerprint similarity computation and baseline maintenance,
+    /// including the steady-path dynamic-weights recompute.
     Similarity,
     /// Feeding the detector and deciding whether a drift fired.
     DriftCheck,

@@ -108,3 +108,30 @@ fn counters_reconcile_with_event_stream() {
         .sum::<u64>();
     assert_eq!(switch_events, reuses, "every switch is classified exactly once");
 }
+
+#[test]
+fn steady_path_books_no_repository_work() {
+    use ficsum::stream::rng::{RandomSource, Xoshiro256pp};
+    // One fixed labelling function, and a run short enough that the
+    // settling tree raises no false alarm: the run stays on its first
+    // concept, so the repository stays empty and no post-drift work ever
+    // happens. The dynamic weights are still recomputed on the fingerprint
+    // cadence.
+    let keep = shared(InMemoryRecorder::new());
+    let mut system = FicsumBuilder::new(3, 2).recorder(Box::new(keep.clone())).build().unwrap();
+    let mut rng = Xoshiro256pp::seed_from_u64(3);
+    for _ in 0..400 {
+        let x: Vec<f64> = (0..3).map(|_| rng.random::<f64>()).collect();
+        let y = (x[0] > 0.5) as usize;
+        system.process(&x, y);
+    }
+    assert_eq!(system.stats().n_drifts, 0, "premise: drift-free run");
+    assert!(system.repository().is_empty(), "premise: empty repository");
+    let rec = keep.borrow();
+    assert!(rec.event_count("weights_recomputed") > 0, "premise: weights were recomputed");
+    assert!(rec.stage_histogram(Stage::Similarity).is_some());
+    assert!(
+        rec.stage_histogram(Stage::RepositoryReassess).is_none(),
+        "steady-path work booked to repository_reassess"
+    );
+}
