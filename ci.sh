@@ -1,6 +1,7 @@
 #!/bin/bash
-# Tier-1 gate: build, test, property tests, and the deprecated-accessor
-# allowlist. Run from anywhere; exits non-zero on the first failure.
+# Tier-1 gate: build, lint, docs, test, property tests, and the
+# deprecated-accessor allowlist. Run from anywhere; exits non-zero on the
+# first failure.
 set -eu
 cd "$(dirname "$0")"
 
@@ -9,6 +10,11 @@ cargo build --release
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== docs =="
+# Broken intra-doc links and unescaped brackets surface as rustdoc
+# warnings; the workspace documents cleanly, and this keeps it so.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "== tests =="
 cargo test -q

@@ -1,7 +1,8 @@
 //! Std-only micro-benchmarks for the hot paths of the FiCSUM pipeline:
 //! meta-feature extraction (legacy extractor and the fingerprint engine,
-//! EMD, mutual information), the ADWIN detector, Hoeffding-tree
-//! training/prediction and the weighted similarity/weight computations.
+//! EMD, mutual information, ACF/PACF), incremental stat-bank rebuilds, the
+//! ADWIN detector, Hoeffding-tree training/prediction and the weighted
+//! similarity/weight computations.
 //!
 //! No external harness: timing comes from
 //! [`ficsum_bench::harness::time_throughput`], and randomness from the
@@ -15,17 +16,17 @@
 use std::hint::black_box;
 
 use ficsum_bench::harness::{synthetic_window, time_throughput};
-use ficsum_classifiers::{Classifier, HoeffdingTree};
+use ficsum_classifiers::{Classifier, HoeffdingTree, HoeffdingTreeConfig, LeafPrediction};
 use ficsum_core::{
     weighted_cosine, ConceptFingerprint, DynamicWeights, FingerprintNormalizer, Repository,
 };
 use ficsum_drift::{Adwin, DriftDetector};
 use ficsum_meta::{
-    imf_entropies, imf_entropies_scratch, lagged_mutual_information, EmdConfig, EmdScratch,
-    FingerprintEngine, FingerprintExtractor,
+    acf_pacf_12, imf_entropies, imf_entropies_scratch, lagged_mutual_information, EmdConfig,
+    EmdScratch, FingerprintEngine, FingerprintExtractor,
 };
 use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
-use ficsum_stream::FrameWindows;
+use ficsum_stream::{FrameWindows, SeqStats};
 
 const SECS_PER_CASE: f64 = 0.4;
 
@@ -48,6 +49,19 @@ fn trained_tree(d: usize) -> HoeffdingTree {
     for _ in 0..2000 {
         let x: Vec<f64> = (0..d).map(|_| rng.random()).collect();
         let y = (x[0] > 0.5) as usize;
+        tree.train(&x, y);
+    }
+    tree
+}
+
+/// Trains `tree` on a linear concept over all `d` features with label
+/// noise: leaves stay impure, so naive Bayes beats the majority class.
+fn train_noisy_linear(mut tree: HoeffdingTree, d: usize) -> HoeffdingTree {
+    let mut rng = Xoshiro256pp::seed_from_u64(8);
+    for _ in 0..2000 {
+        let x: Vec<f64> = (0..d).map(|_| rng.random()).collect();
+        let noisy = rng.random::<f64>() < 0.1;
+        let y = (x.iter().sum::<f64>() > d as f64 / 2.0) as usize ^ noisy as usize;
         tree.train(&x, y);
     }
     tree
@@ -95,6 +109,27 @@ fn bench_meta_functions() {
     report("mutual_information_n75", || {
         black_box(lagged_mutual_information(black_box(&xs), 1, 8));
     });
+    report("meta_acf_pacf_n75", || {
+        black_box(acf_pacf_12(black_box(&xs)));
+    });
+}
+
+/// A full stat-bank rebuild of one 75-frame window column: the O(w) work
+/// an incremental-mode push pays whenever a histogram edge moves. Binary
+/// columns (labels, errors) hit an edge on almost every eviction.
+fn bench_seqstats() {
+    let mut rng = Xoshiro256pp::seed_from_u64(6);
+    let continuous: Vec<f64> = (0..75).map(|_| rng.random()).collect();
+    let binary: Vec<f64> = (0..75).map(|_| rng.random_range(0..2usize) as f64).collect();
+    let mut stats = SeqStats::new(8);
+    report("seqstats_rebuild_w75_binary", || {
+        stats.rebuild(black_box(&binary));
+        black_box(&stats);
+    });
+    report("seqstats_rebuild_w75_continuous", || {
+        stats.rebuild(black_box(&continuous));
+        black_box(&stats);
+    });
 }
 
 fn bench_adwin() {
@@ -124,8 +159,19 @@ fn bench_hoeffding() {
         }
         black_box(&tree);
     });
-    let tree = trained_tree(10);
+    let tree = train_noisy_linear(HoeffdingTree::new(10, 2), 10);
     let x: Vec<f64> = (0..10).map(|i| i as f64 * 0.1).collect();
+    // The default adaptive tree answers with naive Bayes only at leaves
+    // where it has out-predicted the majority class (nb_correct >
+    // mc_correct); an identically trained pure naive-Bayes tree must then
+    // give the same probabilities.
+    let nb_config =
+        HoeffdingTreeConfig { leaf_prediction: LeafPrediction::NaiveBayes, ..Default::default() };
+    assert_eq!(
+        tree.predict_proba(&x),
+        train_noisy_linear(HoeffdingTree::with_config(10, 2, nb_config), 10).predict_proba(&x),
+        "hoeffding_predict_d10 must reach a leaf that answers with naive Bayes"
+    );
     report("hoeffding_predict_d10", || {
         black_box(tree.predict(black_box(&x)));
     });
@@ -166,6 +212,7 @@ fn main() {
     bench_extraction();
     bench_adwin();
     bench_meta_functions();
+    bench_seqstats();
     bench_hoeffding();
     bench_similarity();
 }

@@ -6,5 +6,5 @@
 pub mod observer;
 pub mod tree;
 
-pub use observer::{entropy, normal_cdf, GaussianObserver, SplitCandidate};
+pub use observer::{entropy, normal_cdf, GaussianObserver, NbTerm, SplitCandidate};
 pub use tree::{HoeffdingTree, HoeffdingTreeConfig, LeafPrediction};

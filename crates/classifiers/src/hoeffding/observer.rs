@@ -63,10 +63,33 @@ pub struct SplitScratch {
     right: Vec<f64>,
 }
 
+/// One class's Gaussian estimator together with the naive-Bayes terms
+/// derived from it, refreshed whenever the estimator changes.
+#[derive(Debug, Clone, Copy, Default)]
+struct ClassGaussian {
+    stats: RunningStats,
+    /// `stats.std_dev().max(1e-6)`.
+    sd: f64,
+    /// `sd.ln()`.
+    ln_sd: f64,
+}
+
+/// The naive-Bayes leaf terms of one class's Gaussian: its mean, its
+/// floored standard deviation and that deviation's natural log.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NbTerm {
+    /// Class-conditional mean of the attribute.
+    pub mean: f64,
+    /// Population standard deviation, floored at `1e-6`.
+    pub sd: f64,
+    /// `sd.ln()`.
+    pub ln_sd: f64,
+}
+
 /// Per-attribute observer: one Gaussian per class + attribute range.
 #[derive(Debug, Clone)]
 pub struct GaussianObserver {
-    per_class: Vec<RunningStats>,
+    per_class: Vec<ClassGaussian>,
     min: f64,
     max: f64,
 }
@@ -75,18 +98,22 @@ impl GaussianObserver {
     /// Observer for an attribute under `n_classes` labels.
     pub fn new(n_classes: usize) -> Self {
         Self {
-            per_class: vec![RunningStats::new(); n_classes],
+            per_class: vec![ClassGaussian::default(); n_classes],
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
     }
 
-    /// Records attribute value `v` for an observation of class `class`.
+    /// Records attribute value `v` for an observation of class `class`,
+    /// refreshing that class's naive-Bayes terms.
     pub fn observe(&mut self, v: f64, class: usize) {
         if !v.is_finite() || class >= self.per_class.len() {
             return;
         }
-        self.per_class[class].push(v);
+        let g = &mut self.per_class[class];
+        g.stats.push(v);
+        g.sd = g.stats.std_dev().max(1e-6);
+        g.ln_sd = g.sd.ln();
         if v < self.min {
             self.min = v;
         }
@@ -112,7 +139,7 @@ impl GaussianObserver {
         left.resize(k, 0.0);
         right.clear();
         right.resize(k, 0.0);
-        for (c, s) in self.per_class.iter().enumerate() {
+        for (c, ClassGaussian { stats: s, .. }) in self.per_class.iter().enumerate() {
             let n = s.count() as f64;
             if n == 0.0 {
                 continue;
@@ -151,7 +178,7 @@ impl GaussianObserver {
         }
         let SplitScratch { totals, left, right } = scratch;
         totals.clear();
-        totals.extend(self.per_class.iter().map(|s| s.count() as f64));
+        totals.extend(self.per_class.iter().map(|g| g.stats.count() as f64));
         let n: f64 = totals.iter().sum();
         if n < 2.0 {
             return None;
@@ -177,12 +204,23 @@ impl GaussianObserver {
 
     /// Total observations recorded.
     pub fn total_count(&self) -> u64 {
-        self.per_class.iter().map(RunningStats::count).sum()
+        self.per_class.iter().map(|g| g.stats.count()).sum()
     }
 
-    /// Per-class Gaussian estimators (used by naive-Bayes leaf prediction).
-    pub fn class_stats(&self) -> &[RunningStats] {
-        &self.per_class
+    /// The naive-Bayes terms of class `class`, `None` while that class has
+    /// fewer than two observations (no spread to score against). Computed
+    /// when the class was last observed, not per call.
+    #[inline]
+    pub fn nb_term(&self, class: usize) -> Option<NbTerm> {
+        let g = &self.per_class[class];
+        (g.stats.count() >= 2).then_some(NbTerm { mean: g.stats.mean(), sd: g.sd, ln_sd: g.ln_sd })
+    }
+
+    /// Class `class`'s Gaussian estimator, for tests that recompute the
+    /// naive-Bayes terms from scratch.
+    #[cfg(test)]
+    pub(crate) fn running_stats(&self, class: usize) -> &RunningStats {
+        &self.per_class[class].stats
     }
 }
 

@@ -3,7 +3,7 @@
 use ficsum_stream::rng::{sample_indices, Xoshiro256pp};
 
 use crate::classifier::{argmax, normalize_or_uniform_in_place, Classifier};
-use crate::hoeffding::observer::{entropy, normal_cdf, GaussianObserver, SplitScratch};
+use crate::hoeffding::observer::{entropy, normal_cdf, GaussianObserver, NbTerm, SplitScratch};
 
 /// How leaves turn their sufficient statistics into predictions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -217,14 +217,10 @@ impl HoeffdingTree {
         for (c, log) in out.iter_mut().enumerate() {
             let prior = (leaf.class_counts[c] + 1.0) / (total + self.n_classes as f64);
             *log = prior.ln();
-            for (oi, &attr) in leaf.attrs.iter().enumerate() {
-                let stats = &leaf.observers[oi].class_stats()[c];
-                if stats.count() < 2 {
-                    continue;
-                }
-                let sd = stats.std_dev().max(1e-6);
-                let z = (x[attr] - stats.mean()) / sd;
-                *log += -0.5 * z * z - sd.ln();
+            for (obs, &attr) in leaf.observers.iter().zip(&leaf.attrs) {
+                let Some(NbTerm { mean, sd, ln_sd }) = obs.nb_term(c) else { continue };
+                let z = (x[attr] - mean) / sd;
+                *log += -0.5 * z * z - ln_sd;
             }
         }
         let max = out.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -659,6 +655,112 @@ mod tests {
             }
             assert!(tree.depth() >= 2, "{mode:?}: premise, multi-level tree");
             assert_contributions_match_reference(&tree, &queries);
+        }
+    }
+
+    /// Naive-Bayes leaf probabilities recomputing every term from the
+    /// class estimators on each call: the oracle for the cached terms.
+    fn reference_nb_proba(tree: &HoeffdingTree, leaf: &LeafData, x: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        let total: f64 = leaf.class_counts.iter().sum();
+        if total <= 0.0 {
+            out.resize(tree.n_classes, 1.0 / tree.n_classes as f64);
+            return out;
+        }
+        out.resize(tree.n_classes, 0.0);
+        for (c, log) in out.iter_mut().enumerate() {
+            let prior = (leaf.class_counts[c] + 1.0) / (total + tree.n_classes as f64);
+            *log = prior.ln();
+            for (oi, &attr) in leaf.attrs.iter().enumerate() {
+                let stats = leaf.observers[oi].running_stats(c);
+                if stats.count() < 2 {
+                    continue;
+                }
+                let sd = stats.std_dev().max(1e-6);
+                let z = (x[attr] - stats.mean()) / sd;
+                *log += -0.5 * z * z - sd.ln();
+            }
+        }
+        let max = out.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        for l in out.iter_mut() {
+            *l = (*l - max).exp();
+        }
+        normalize_or_uniform_in_place(&mut out);
+        out
+    }
+
+    /// Tree probabilities with the leaf answered by the reference above.
+    fn reference_proba(tree: &HoeffdingTree, x: &[f64]) -> Vec<f64> {
+        let Node::Leaf(leaf) = &tree.nodes[tree.sorted_leaf(x)] else { unreachable!() };
+        let mut mc = leaf.class_counts.clone();
+        normalize_or_uniform_in_place(&mut mc);
+        match tree.config.leaf_prediction {
+            LeafPrediction::MajorityClass => mc,
+            LeafPrediction::NaiveBayes => reference_nb_proba(tree, leaf, x),
+            LeafPrediction::NaiveBayesAdaptive if leaf.nb_correct > leaf.mc_correct => {
+                reference_nb_proba(tree, leaf, x)
+            }
+            LeafPrediction::NaiveBayesAdaptive => mc,
+        }
+    }
+
+    fn assert_proba_matches_reference(tree: &HoeffdingTree, queries: &[Vec<f64>], at: &str) {
+        let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        let mut out = Vec::new();
+        for (q, x) in queries.iter().enumerate() {
+            tree.predict_proba_into(x, &mut out);
+            assert_eq!(bits(&out), bits(&reference_proba(tree, x)), "{at} query {q}");
+        }
+    }
+
+    #[test]
+    fn cached_leaf_terms_match_recomputed_terms() {
+        let mut rng = Xoshiro256pp::seed_from_u64(9);
+        let mut stream: Vec<(Vec<f64>, usize)> = (0..3000)
+            .map(|_| {
+                let x: Vec<f64> = (0..4).map(|_| rng.random::<f64>() * 4.0).collect();
+                let y = if rng.random::<f64>() < 0.2 {
+                    rng.random_range(0..3usize)
+                } else {
+                    ((x[0] > 2.0) as usize + (x[1] + x[2] > 4.0) as usize) % 3
+                };
+                (x, y)
+            })
+            .collect();
+        // A non-finite attribute value is skipped by that attribute's
+        // observer alone, so its class counts fall behind the others.
+        stream[2].0[1] = f64::NAN;
+        stream[40].0[3] = f64::INFINITY;
+        let mut queries: Vec<Vec<f64>> =
+            (0..200).map(|_| (0..4).map(|_| rng.random::<f64>() * 5.0 - 0.5).collect()).collect();
+        queries.push(vec![1.0, f64::NAN, 2.0, 3.0]);
+        queries.push(vec![f64::INFINITY, 1.0, f64::NEG_INFINITY, 0.5]);
+        for mode in [
+            LeafPrediction::MajorityClass,
+            LeafPrediction::NaiveBayes,
+            LeafPrediction::NaiveBayesAdaptive,
+        ] {
+            for subspace in [None, Some(2)] {
+                let config = HoeffdingTreeConfig {
+                    leaf_prediction: mode,
+                    subspace,
+                    seed: 3,
+                    ..Default::default()
+                };
+                let mut tree = HoeffdingTree::with_config(4, 3, config);
+                let mut trained = 0;
+                // Untrained, then per-class observer counts of 0, 1 and 2+
+                // side by side, then a grown tree.
+                for upto in [0usize, 1, 2, 3, 5, 8, 3000] {
+                    for (x, y) in &stream[trained..upto] {
+                        tree.train(x, *y);
+                    }
+                    trained = upto;
+                    let at = format!("{mode:?} subspace {subspace:?} after {upto}");
+                    assert_proba_matches_reference(&tree, &queries, &at);
+                }
+                assert!(tree.depth() >= 2, "{mode:?}: premise, multi-level tree");
+            }
         }
     }
 

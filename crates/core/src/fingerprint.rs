@@ -7,7 +7,7 @@ use ficsum_stream::{MinMaxScaler, RunningStats};
 /// FiCSUM instance.
 ///
 /// The paper scales "the observed range of each meta-information feature ...
-/// to the range [0,1]" (Section III-A). The range is global (not
+/// to the range \[0,1\]" (Section III-A). The range is global (not
 /// per-concept) so fingerprints from different concepts stay comparable.
 #[derive(Debug, Clone)]
 pub struct FingerprintNormalizer {

@@ -42,7 +42,7 @@ use ficsum_classifiers::Classifier;
 use ficsum_obs::Clock;
 use ficsum_stream::{FrameSource, Moments, TrackedFrames};
 
-use crate::autocorr::{autocorrelation, partial_autocorrelation};
+use crate::autocorr::acf_pacf_12;
 use crate::emd::{imf_entropies_scratch, EmdConfig, EmdScratch};
 use crate::extractor::{FingerprintExtractor, FingerprintSchema};
 use crate::functions::{turning_point_rate, MetaFunction};
@@ -223,8 +223,8 @@ pub struct FingerprintEngine {
     seqs: Vec<Vec<f64>>,
     /// Incremental substitutes, aligned with `kinds` (`None` = batch).
     tracked: Vec<Option<TrackedVals>>,
-    /// Column-marginal scratch for the incremental mutual information.
-    mi_cols: Vec<u32>,
+    /// Column-probability scratch for the incremental mutual information.
+    mi_cols: Vec<f64>,
     /// The window's labels as re-predicted by the extraction's classifier.
     preds: Vec<usize>,
     /// Probability scratch for allocation-free classifier calls.
@@ -796,6 +796,18 @@ fn eval_source_into(
         cm3 = s3 / nf;
         cm4 = s4 / nf;
     }
+    // ACF and PACF at lags 1–2 share one mean and denominator sweep.
+    let acf = if ext.is_none()
+        && functions.iter().any(|f| {
+            matches!(
+                f,
+                MetaFunction::Acf1 | MetaFunction::Acf2 | MetaFunction::Pacf1 | MetaFunction::Pacf2
+            )
+        }) {
+        acf_pacf_12(seq)
+    } else {
+        (0.0, 0.0, 0.0)
+    };
     for (slot, &function) in out.iter_mut().zip(functions) {
         *slot = match function {
             MetaFunction::Mean => match tracked {
@@ -838,22 +850,11 @@ fn eval_source_into(
                     }
                 }
             },
-            MetaFunction::Acf1 => match ext {
-                Some(e) => e.acf1,
-                None => autocorrelation(seq, 1),
-            },
-            MetaFunction::Acf2 => match ext {
-                Some(e) => e.acf2,
-                None => autocorrelation(seq, 2),
-            },
-            MetaFunction::Pacf1 => match ext {
-                Some(e) => e.pacf1,
-                None => partial_autocorrelation(seq, 1),
-            },
-            MetaFunction::Pacf2 => match ext {
-                Some(e) => e.pacf2,
-                None => partial_autocorrelation(seq, 2),
-            },
+            MetaFunction::Acf1 => ext.map_or(acf.0, |e| e.acf1),
+            MetaFunction::Acf2 => ext.map_or(acf.1, |e| e.acf2),
+            // Durbin–Levinson: pacf(1) is acf(1).
+            MetaFunction::Pacf1 => ext.map_or(acf.0, |e| e.pacf1),
+            MetaFunction::Pacf2 => ext.map_or(acf.2, |e| e.pacf2),
             MetaFunction::MutualInformation => match ext {
                 Some(e) => e.mi,
                 None => lagged_mutual_information_scratch(seq, 1, mi_bins, &mut scratch.mi),

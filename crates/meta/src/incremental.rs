@@ -43,14 +43,14 @@ const PACF_DENOM_FLOOR: f64 = 1e-3;
 /// histogram resolution, or a tolerance-threatening PACF denominator) and
 /// the caller must take the batch path. `get(i)` reads window value `i`
 /// (oldest first) for the O(lag) re-centering corrections; `mi_cols` is
-/// reusable storage for the mutual information's column marginals.
+/// reusable storage for the mutual information's column probabilities.
 pub(crate) fn ext_vals<G: Fn(usize) -> f64>(
     stats: &SeqStats,
     moments: &Moments,
     n: usize,
     mi_bins: usize,
     get: G,
-    mi_cols: &mut Vec<u32>,
+    mi_cols: &mut Vec<f64>,
 ) -> Option<ExtVals> {
     if !stats.is_valid() || stats.count() != n || stats.bins() != mi_bins || mi_bins < 2 {
         return None;
@@ -112,10 +112,11 @@ fn acf<G: Fn(usize) -> f64>(
 
 /// Lag-1 mutual information from the joint histogram — the same counts,
 /// normalisation and summation order as the batch estimator, so the value
-/// is bit-identical. The marginals are derived from the joint by integer
-/// row/column sums (exact: counts are far below 2^53); the column sums are
-/// taken once into `cols` rather than per nonzero cell.
-fn mutual_information(stats: &SeqStats, n: usize, cols: &mut Vec<u32>) -> f64 {
+/// is bit-identical. The marginals are derived from the joint by row and
+/// column sums (exact: counts are far below 2^53); each row's probability
+/// is taken once per row, and each column's once into `cols`, rather than
+/// per nonzero cell.
+fn mutual_information(stats: &SeqStats, n: usize, cols: &mut Vec<f64>) -> f64 {
     let lag = 1usize;
     let bins = stats.bins();
     if n <= lag + 2 || bins < 2 {
@@ -126,27 +127,29 @@ fn mutual_information(stats: &SeqStats, n: usize, cols: &mut Vec<u32>) -> f64 {
         return 0.0;
     }
     let joint = stats.joint();
+    let pairs = (n - lag) as f64;
     cols.clear();
-    cols.resize(bins, 0);
+    cols.resize(bins, 0.0);
     for row in joint.chunks_exact(bins) {
         for (col, &c) in cols.iter_mut().zip(row) {
-            *col += c;
+            *col += c as f64;
         }
     }
-    let pairs = (n - lag) as f64;
+    for col in cols.iter_mut() {
+        *col /= pairs;
+    }
     let mut mi = 0.0;
     for row in joint.chunks_exact(bins) {
         let px: u32 = row.iter().sum();
         if px == 0 {
             continue;
         }
-        for (&c, &py) in row.iter().zip(cols.iter()) {
+        let pa = px as f64 / pairs;
+        for (&c, &pb) in row.iter().zip(cols.iter()) {
             if c == 0 {
                 continue;
             }
             let pj = c as f64 / pairs;
-            let pa = px as f64 / pairs;
-            let pb = py as f64 / pairs;
             mi += pj * (pj / (pa * pb)).ln();
         }
     }
@@ -172,7 +175,7 @@ mod tests {
 
     fn assemble(xs: &[f64], bins: usize) -> (SeqStats, Moments) {
         let mut s = SeqStats::new(bins);
-        s.rebuild(xs.len(), |i| xs[i]);
+        s.rebuild(xs);
         let mut m = Moments::new();
         xs.iter().for_each(|&x| m.push(x));
         (s, m)
@@ -210,6 +213,62 @@ mod tests {
                 "trial {trial} mi"
             );
             assert_eq!(e.tpr.to_bits(), batch_tpr(&xs).to_bits(), "trial {trial} tpr");
+        }
+    }
+
+    /// The per-cell estimator the row/column hoisting replaced, kept as
+    /// the bit-identity oracle.
+    fn reference_mutual_information(stats: &SeqStats, n: usize) -> f64 {
+        let bins = stats.bins();
+        if n <= 3 || bins < 2 {
+            return 0.0;
+        }
+        let (lo, hi) = stats.edges();
+        if !(hi - lo).is_finite() || hi - lo <= f64::EPSILON {
+            return 0.0;
+        }
+        let joint = stats.joint();
+        let mut cols = vec![0u32; bins];
+        for row in joint.chunks_exact(bins) {
+            for (col, &c) in cols.iter_mut().zip(row) {
+                *col += c;
+            }
+        }
+        let pairs = (n - 1) as f64;
+        let mut mi = 0.0;
+        for row in joint.chunks_exact(bins) {
+            let px: u32 = row.iter().sum();
+            if px == 0 {
+                continue;
+            }
+            for (&c, &py) in row.iter().zip(cols.iter()) {
+                if c == 0 {
+                    continue;
+                }
+                let pj = c as f64 / pairs;
+                let pa = px as f64 / pairs;
+                let pb = py as f64 / pairs;
+                mi += pj * (pj / (pa * pb)).ln();
+            }
+        }
+        mi.max(0.0)
+    }
+
+    #[test]
+    fn hoisted_marginals_are_bit_identical_to_per_cell_loop() {
+        let mut rng = Xoshiro256pp::seed_from_u64(32);
+        let mut cols = Vec::new();
+        for n in 0..=130usize {
+            let continuous: Vec<f64> = (0..n).map(|_| rng.random_range(-3.0..3.0)).collect();
+            let ints: Vec<f64> = (0..n).map(|_| rng.random_range(0..3usize) as f64).collect();
+            for (kind, xs) in [("continuous", &continuous), ("integer", &ints)] {
+                for bins in [2usize, 8] {
+                    let (s, _) = assemble(xs, bins);
+                    let got = mutual_information(&s, n, &mut cols);
+                    let want = reference_mutual_information(&s, n);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{kind} n {n} bins {bins}");
+                }
+            }
         }
     }
 

@@ -34,7 +34,7 @@ pub mod mutual_info;
 pub mod sources;
 pub mod spline;
 
-pub use autocorr::{autocorrelation, partial_autocorrelation};
+pub use autocorr::{acf_pacf_12, autocorrelation, partial_autocorrelation};
 pub use emd::{imf_entropies, imf_entropies_scratch, EmdConfig, EmdScratch};
 pub use engine::{ExtractionMode, FingerprintEngine, StaticScan};
 pub use extractor::{DimensionInfo, FingerprintExtractor, FingerprintSchema, SourceSelection};

@@ -65,15 +65,23 @@ pub fn lagged_mutual_information_scratch(
         py[b] += 1.0;
     }
     let n = n as f64;
+    // Marginal probabilities once per row and column, not once per cell;
+    // empty cells are skipped before any division.
+    for c in py.iter_mut() {
+        *c /= n;
+    }
     let mut mi = 0.0;
-    for a in 0..n_bins {
-        for b in 0..n_bins {
-            let pj = joint[a * n_bins + b] / n;
-            if pj > 0.0 {
-                let pa = px[a] / n;
-                let pb = py[b] / n;
-                mi += pj * (pj / (pa * pb)).ln();
+    for (row, &count_a) in joint.chunks_exact(n_bins).zip(px.iter()) {
+        if count_a == 0.0 {
+            continue;
+        }
+        let pa = count_a / n;
+        for (&c, &pb) in row.iter().zip(py.iter()) {
+            if c == 0.0 {
+                continue;
             }
+            let pj = c / n;
+            mi += pj * (pj / (pa * pb)).ln();
         }
     }
     mi.max(0.0)
@@ -83,6 +91,63 @@ pub fn lagged_mutual_information_scratch(
 mod tests {
     use super::*;
     use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
+
+    /// The per-cell estimator the row/column hoisting replaced, kept as
+    /// the bit-identity oracle.
+    fn reference_mi(xs: &[f64], lag: usize, n_bins: usize) -> f64 {
+        if xs.len() <= lag + 2 || n_bins < 2 {
+            return 0.0;
+        }
+        let n = xs.len() - lag;
+        let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
+        let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        if !(hi - lo).is_finite() || hi - lo <= f64::EPSILON {
+            return 0.0;
+        }
+        let bin = |v: f64| -> usize {
+            (((v - lo) / (hi - lo) * n_bins as f64) as usize).min(n_bins - 1)
+        };
+        let mut joint = vec![0.0; n_bins * n_bins];
+        let mut px = vec![0.0; n_bins];
+        let mut py = vec![0.0; n_bins];
+        for i in 0..n {
+            let a = bin(xs[i]);
+            let b = bin(xs[i + lag]);
+            joint[a * n_bins + b] += 1.0;
+            px[a] += 1.0;
+            py[b] += 1.0;
+        }
+        let n = n as f64;
+        let mut mi = 0.0;
+        for a in 0..n_bins {
+            for b in 0..n_bins {
+                let pj = joint[a * n_bins + b] / n;
+                if pj > 0.0 {
+                    let pa = px[a] / n;
+                    let pb = py[b] / n;
+                    mi += pj * (pj / (pa * pb)).ln();
+                }
+            }
+        }
+        mi.max(0.0)
+    }
+
+    #[test]
+    fn hoisted_marginals_are_bit_identical_to_per_cell_loop() {
+        let mut rng = Xoshiro256pp::seed_from_u64(7);
+        let mut scratch = MiScratch::new();
+        for n in 0..=130usize {
+            let continuous: Vec<f64> = (0..n).map(|_| rng.random::<f64>() * 6.0 - 3.0).collect();
+            let ints: Vec<f64> = (0..n).map(|_| rng.random_range(0..3usize) as f64).collect();
+            for (kind, xs) in [("continuous", &continuous), ("integer", &ints)] {
+                for (lag, bins) in [(1usize, 2usize), (1, 8), (2, 5)] {
+                    let got = lagged_mutual_information_scratch(xs, lag, bins, &mut scratch);
+                    let want = reference_mi(xs, lag, bins);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{kind} n {n} lag {lag} bins {bins}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn iid_noise_has_low_mi() {

@@ -53,10 +53,10 @@ impl BatchShared {
 /// Handle to a batch accepted by [`crate::StreamServer::try_submit`].
 ///
 /// The server guarantees every accepted request's slot *completes* — with
-/// the step's outcome, or with a [`StepError`] when a fault prevented one —
-/// so [`BatchReply::wait`] always terminates once the batch has flowed
-/// through its shards. Use [`BatchReply::wait_timeout`] to additionally
-/// bound how long "flowed through" may take.
+/// the step's outcome, or with a [`crate::StepError`] when a fault
+/// prevented one — so [`BatchReply::wait`] always terminates once the
+/// batch has flowed through its shards. Use [`BatchReply::wait_timeout`]
+/// to additionally bound how long "flowed through" may take.
 pub struct BatchReply {
     shared: Arc<BatchShared>,
     len: usize,

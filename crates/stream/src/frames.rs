@@ -132,6 +132,38 @@ impl FrameStore {
         self.preds[self.slot_of_age(age)]
     }
 
+    /// The ring slots holding ages `[newest_age, newest_age + len)`,
+    /// oldest first, as at most two contiguous slot ranges (the second is
+    /// non-empty only when the window wraps past the end of the ring).
+    fn slot_ranges(&self, newest_age: usize, len: usize) -> [std::ops::Range<usize>; 2] {
+        if len == 0 {
+            return [0..0, 0..0];
+        }
+        let start = self.slot_of_age(newest_age + len - 1);
+        let first_end = (start + len).min(self.rows);
+        [start..first_end, 0..len - (first_end - start)]
+    }
+
+    /// Feature `j` of the frames with ages `[newest_age, newest_age +
+    /// len)`, oldest first, written into `out` (cleared first). Walks the
+    /// ring slots directly: one index computation per call, not per frame.
+    pub fn gather_feature(&self, newest_age: usize, len: usize, j: usize, out: &mut Vec<f64>) {
+        debug_assert!(j < self.dims);
+        out.clear();
+        for slots in self.slot_ranges(newest_age, len) {
+            out.extend(slots.map(|slot| self.features[slot * self.dims + j]));
+        }
+    }
+
+    /// Labels of the frames with ages `[newest_age, newest_age + len)`,
+    /// oldest first, as `f64`, written into `out` (cleared first).
+    pub fn gather_labels(&self, newest_age: usize, len: usize, out: &mut Vec<f64>) {
+        out.clear();
+        for slots in self.slot_ranges(newest_age, len) {
+            out.extend(self.labels[slots].iter().map(|&y| y as f64));
+        }
+    }
+
     /// A borrowed window over the frames with ages
     /// `[newest_age, newest_age + len)`.
     pub fn view(&self, newest_age: usize, len: usize) -> FrameView<'_> {
@@ -272,6 +304,8 @@ struct WindowStats {
     bins: usize,
     a: StatBank,
     s: StatBank,
+    /// One gathered window column, reused by every bank rebuild.
+    column: Vec<f64>,
 }
 
 /// Algorithm 1's two windows as views over one shared [`FrameStore`].
@@ -456,9 +490,10 @@ impl FrameWindows {
             bins,
             a: StatBank::new(dims, bins),
             s: StatBank::new(dims, bins),
+            column: Vec::with_capacity(self.window),
         });
-        rebuild_bank(&self.store, 0, self.a_len(), &mut ws.a);
-        rebuild_bank(&self.store, self.delay, self.stale_len(), &mut ws.s);
+        rebuild_bank(&self.store, 0, self.a_len(), &mut ws.a, &mut ws.column);
+        rebuild_bank(&self.store, self.delay, self.stale_len(), &mut ws.s, &mut ws.column);
         self.stats = Some(ws);
     }
 
@@ -577,8 +612,9 @@ impl FrameWindows {
         let s_len = self.stale_len();
         let delay = self.delay;
         let Some(ws) = self.stats.as_deref_mut() else { return };
-        refresh_bank(&self.store, 0, a_len, &mut ws.a, &self.a_feat, &self.a_label);
-        refresh_bank(&self.store, delay, s_len, &mut ws.s, &self.s_feat, &self.s_label);
+        let col = &mut ws.column;
+        refresh_bank(&self.store, 0, a_len, &mut ws.a, col, &self.a_feat, &self.a_label);
+        refresh_bank(&self.store, delay, s_len, &mut ws.s, col, &self.s_feat, &self.s_label);
     }
 
     /// Logically empties the delay buffer and stale window (the ring keeps
@@ -645,7 +681,7 @@ impl FrameWindows {
         // Scheduled resummation of the stat bank rides the same cadence,
         // refreshing the cross-sums' shift reference to the current mean.
         if let Some(ws) = self.stats.as_deref_mut() {
-            rebuild_bank(&self.store, 0, len, &mut ws.a);
+            rebuild_bank(&self.store, 0, len, &mut ws.a, &mut ws.column);
         }
     }
 
@@ -664,45 +700,52 @@ impl FrameWindows {
         }
         self.s_evictions = 0;
         if let Some(ws) = self.stats.as_deref_mut() {
-            rebuild_bank(&self.store, self.delay, len, &mut ws.s);
+            rebuild_bank(&self.store, self.delay, len, &mut ws.s, &mut ws.column);
         }
     }
 }
 
 /// Exact rebuild of every stat in `bank` from the window with the given
-/// ring coordinates.
-fn rebuild_bank(store: &FrameStore, newest_age: usize, len: usize, bank: &mut StatBank) {
+/// ring coordinates, gathering each column into `col` first.
+fn rebuild_bank(
+    store: &FrameStore,
+    newest_age: usize,
+    len: usize,
+    bank: &mut StatBank,
+    col: &mut Vec<f64>,
+) {
     for (j, s) in bank.feat.iter_mut().enumerate() {
-        let view = store.view(newest_age, len);
-        s.rebuild(len, |i| view.features(i)[j]);
+        store.gather_feature(newest_age, len, j, col);
+        s.rebuild(col);
     }
-    let view = store.view(newest_age, len);
-    bank.label.rebuild(len, |i| view.label(i) as f64);
+    store.gather_labels(newest_age, len, col);
+    bank.label.rebuild(col);
 }
 
 /// Rebuilds the stats in `bank` that request it and resummates those whose
 /// shift reference drifted ≥ 16 sigma from the window mean (see
-/// [`SeqStats::shift_drifted`]).
+/// [`SeqStats::shift_drifted`]), gathering each rebuilt column into `col`.
 fn refresh_bank(
     store: &FrameStore,
     newest_age: usize,
     len: usize,
     bank: &mut StatBank,
+    col: &mut Vec<f64>,
     feat_moments: &[Moments],
     label_moments: &Moments,
 ) {
     for (j, s) in bank.feat.iter_mut().enumerate() {
         let m = &feat_moments[j];
         if s.needs_rebuild() || (s.is_valid() && s.shift_drifted(m.mean(), m.sum_sq_dev())) {
-            let view = store.view(newest_age, len);
-            s.rebuild(len, |i| view.features(i)[j]);
+            store.gather_feature(newest_age, len, j, col);
+            s.rebuild(col);
         }
     }
     let m = label_moments;
     let s = &mut bank.label;
     if s.needs_rebuild() || (s.is_valid() && s.shift_drifted(m.mean(), m.sum_sq_dev())) {
-        let view = store.view(newest_age, len);
-        s.rebuild(len, |i| view.label(i) as f64);
+        store.gather_labels(newest_age, len, col);
+        s.rebuild(col);
     }
 }
 
@@ -917,8 +960,9 @@ mod tests {
                         let got = tracked.feature_stats(j).expect("stats enabled");
                         assert!(got.is_valid(), "w{w} b{b} step {i} dim {j}");
                         assert_eq!(got.count(), len, "w{w} b{b} step {i} dim {j}");
+                        let col: Vec<f64> = (0..len).map(|i| view.features(i)[j]).collect();
                         let mut want = SeqStats::new(4);
-                        want.rebuild(len, |i| view.features(i)[j]);
+                        want.rebuild(&col);
                         assert_eq!(got.turning_points(), want.turning_points());
                         assert_eq!(got.edges(), want.edges(), "w{w} b{b} step {i} dim {j}");
                         assert_eq!(got.joint(), want.joint(), "w{w} b{b} step {i} dim {j}");
@@ -934,10 +978,42 @@ mod tests {
                         }
                     }
                     let got = tracked.label_stats().expect("stats enabled");
+                    let labels: Vec<f64> = (0..len).map(|i| view.label(i) as f64).collect();
                     let mut want = SeqStats::new(4);
-                    want.rebuild(len, |i| view.label(i) as f64);
+                    want.rebuild(&labels);
                     assert_eq!(got.turning_points(), want.turning_points());
                     assert_eq!(got.joint(), want.joint(), "w{w} b{b} step {i} labels");
+                }
+            }
+        }
+    }
+
+    /// Column gathers read exactly what the age-addressed view reads, for
+    /// every window position and length, including windows that wrap past
+    /// the end of the ring and windows that start on its first slot.
+    #[test]
+    fn column_gathers_match_view_reads_across_ring_wrap() {
+        let (rows, d) = (7usize, 3usize);
+        let mut store = FrameStore::new(rows, d);
+        let (mut col, mut labels) = (Vec::new(), Vec::new());
+        for step in 0..3 * rows {
+            let x: Vec<f64> = (0..d).map(|j| step as f64 + 0.25 * j as f64).collect();
+            store.push(&x, step % 4, 0);
+            let resident = store.len();
+            for newest_age in 0..resident {
+                for len in 0..=resident - newest_age {
+                    let view = store.view(newest_age, len);
+                    let at = format!("step {step} age {newest_age} len {len}");
+                    for j in 0..d {
+                        store.gather_feature(newest_age, len, j, &mut col);
+                        let want: Vec<u64> =
+                            (0..len).map(|i| view.features(i)[j].to_bits()).collect();
+                        let got: Vec<u64> = col.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(got, want, "{at} dim {j}");
+                    }
+                    store.gather_labels(newest_age, len, &mut labels);
+                    let want: Vec<f64> = (0..len).map(|i| view.label(i) as f64).collect();
+                    assert_eq!(labels, want, "{at} labels");
                 }
             }
         }

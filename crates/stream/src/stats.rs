@@ -308,7 +308,7 @@ impl Default for EwStats {
 /// Online min–max scaler mapping each observed value into `[0, 1]`.
 ///
 /// The paper scales "the observed range of each meta-information feature ...
-/// to the range [0,1]" (Section III-A). The range is learned online: the
+/// to the range \[0,1\]" (Section III-A). The range is learned online: the
 /// scaler widens as new extreme values arrive.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MinMaxScaler {

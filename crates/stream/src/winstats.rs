@@ -20,8 +20,15 @@
 //!   outside the edges, or evicting a value sitting exactly on an edge,
 //!   forces a rebuild — which keeps the frozen edges always equal to the
 //!   true window min/max, so the histogram counts are *bit-identical* to a
-//!   batch recount. For random data an edge event occurs O(1/w) of steps,
-//!   so maintenance stays O(1) amortized.
+//!   batch recount. For continuous data both kinds of edge event are rare —
+//!   the incoming or the evicted value is a window extremum on O(1/w) of
+//!   steps — so maintenance stays O(1) amortized. Integer-valued sources
+//!   are the opposite case: with few distinct values nearly every value
+//!   sits on an edge, so evicting one forces a rebuild on almost every
+//!   push (every eviction from a window holding only 0s and 1s is an edge
+//!   event). That O(w) rebuild is therefore a hot path in its own right,
+//!   and runs over one contiguous slice of the window (see
+//!   [`SeqStats::rebuild`]).
 //! * An exact **turning-point counter** (integer, bit-identical to the
 //!   batch count by construction: both sides evaluate the same
 //!   `(b-a)*(c-b) < 0` products on the same values).
@@ -35,8 +42,9 @@
 //! The owner ([`crate::frames::FrameWindows`]) drives maintenance: it
 //! reads the neighbour values each update needs from its frame ring and
 //! calls [`SeqStats::step`], then [`SeqStats::rebuild`]s any state that
-//! requested it. Periodic resummation piggybacks on the ring's existing
-//! moment-rebuild cadence to bound floating-point drift in the cross-sums.
+//! requested it from the window column gathered out of the ring.
+//! Periodic resummation piggybacks on the ring's existing moment-rebuild
+//! cadence to bound floating-point drift in the cross-sums.
 
 /// Incremental sufficient statistics for one behaviour-source sequence
 /// over a sliding window. See the module docs for the maintenance
@@ -238,51 +246,59 @@ impl SeqStats {
         }
     }
 
-    /// Exact recomputation from the window contents (`get(i)`, oldest
-    /// first). Refreshes the shift reference to the current window mean
-    /// and the histogram edges to the exact min/max, clearing the dirty
-    /// flag — unless non-finite values are present, in which case the
-    /// state stays invalid until they leave the window.
-    pub fn rebuild<F: Fn(usize) -> f64>(&mut self, len: usize, get: F) {
+    /// Exact recomputation from the window contents `xs`, oldest first.
+    /// Refreshes the shift reference to the current window mean and the
+    /// histogram edges to the exact min/max, clearing the dirty flag —
+    /// unless non-finite values are present, in which case the state stays
+    /// invalid until they leave the window.
+    ///
+    /// One sweep yields the non-finite count, the sum and the min/max; a
+    /// second accumulates the cross-sums, histogram and turning points in
+    /// window order, computing each value's bin once and carrying it to
+    /// the next pair.
+    pub fn rebuild(&mut self, xs: &[f64]) {
+        let len = xs.len();
         self.n = len;
-        self.nonfinite = (0..len).filter(|&i| !get(i).is_finite()).count() as u32;
-        if self.nonfinite > 0 {
-            self.dirty = true;
-            return;
-        }
+        let mut nonfinite = 0u32;
         let mut sum = 0.0;
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
-        for i in 0..len {
-            let x = get(i);
+        for &x in xs {
+            nonfinite += u32::from(!x.is_finite());
             sum += x;
             lo = lo.min(x);
             hi = hi.max(x);
+        }
+        self.nonfinite = nonfinite;
+        if nonfinite > 0 {
+            self.dirty = true;
+            return;
         }
         let k = if len == 0 { 0.0 } else { sum / len as f64 };
         self.shift = k;
         self.lo = lo;
         self.hi = hi;
-        self.c1 = 0.0;
-        self.c2 = 0.0;
-        self.turns = 0;
         self.joint.iter_mut().for_each(|c| *c = 0);
-        for i in 0..len {
-            let x = get(i);
-            if i + 1 < len {
-                let y = get(i + 1);
-                self.c1 += (x - k) * (y - k);
-                let at = self.bin(x) * self.bins + self.bin(y);
-                self.joint[at] += 1;
-            }
-            if i + 2 < len {
-                let z = get(i + 2);
-                self.c2 += (x - k) * (z - k);
-                if (get(i + 1) - x) * (z - get(i + 1)) < 0.0 {
-                    self.turns += 1;
+        let (mut c1, mut c2, mut turns) = (0.0, 0.0, 0u32);
+        if let Some(&first) = xs.first() {
+            let mut b_prev = self.bin(first);
+            for (i, pair) in xs.windows(2).enumerate() {
+                let (x, y) = (pair[0], pair[1]);
+                c1 += (x - k) * (y - k);
+                let b_next = self.bin(y);
+                self.joint[b_prev * self.bins + b_next] += 1;
+                b_prev = b_next;
+                if let Some(&z) = xs.get(i + 2) {
+                    c2 += (x - k) * (z - k);
+                    if (y - x) * (z - y) < 0.0 {
+                        turns += 1;
+                    }
                 }
             }
         }
+        self.c1 = c1;
+        self.c2 = c2;
+        self.turns = turns;
         self.dirty = false;
     }
 
@@ -354,8 +370,7 @@ mod tests {
                 win.remove(0);
             }
             if s.needs_rebuild() {
-                let snapshot = win.clone();
-                s.rebuild(snapshot.len(), |i| snapshot[i]);
+                s.rebuild(&win);
             }
             let finite = win.iter().all(|x| x.is_finite());
             assert_eq!(s.count(), win.len(), "step {step}: length");
@@ -375,6 +390,95 @@ mod tests {
                     (got - want).abs() <= tol,
                     "step {step}: c{lag} got {got} want {want}"
                 );
+            }
+        }
+    }
+
+    /// The closure-driven rebuild the slice form replaced, kept verbatim
+    /// as the bit-identity oracle.
+    fn reference_rebuild<F: Fn(usize) -> f64>(s: &mut SeqStats, len: usize, get: F) {
+        s.n = len;
+        s.nonfinite = (0..len).filter(|&i| !get(i).is_finite()).count() as u32;
+        if s.nonfinite > 0 {
+            s.dirty = true;
+            return;
+        }
+        let mut sum = 0.0;
+        let mut lo = f64::INFINITY;
+        let mut hi = f64::NEG_INFINITY;
+        for i in 0..len {
+            let x = get(i);
+            sum += x;
+            lo = lo.min(x);
+            hi = hi.max(x);
+        }
+        let k = if len == 0 { 0.0 } else { sum / len as f64 };
+        s.shift = k;
+        s.lo = lo;
+        s.hi = hi;
+        s.c1 = 0.0;
+        s.c2 = 0.0;
+        s.turns = 0;
+        s.joint.iter_mut().for_each(|c| *c = 0);
+        for i in 0..len {
+            let x = get(i);
+            if i + 1 < len {
+                let y = get(i + 1);
+                s.c1 += (x - k) * (y - k);
+                let at = s.bin(x) * s.bins + s.bin(y);
+                s.joint[at] += 1;
+            }
+            if i + 2 < len {
+                let z = get(i + 2);
+                s.c2 += (x - k) * (z - k);
+                if (get(i + 1) - x) * (z - get(i + 1)) < 0.0 {
+                    s.turns += 1;
+                }
+            }
+        }
+        s.dirty = false;
+    }
+
+    /// Every field, floats compared by bit pattern.
+    fn assert_bit_identical(got: &SeqStats, want: &SeqStats, what: &str) {
+        let floats = |s: &SeqStats| [s.shift, s.c1, s.c2, s.lo, s.hi].map(f64::to_bits);
+        assert_eq!(floats(got), floats(want), "{what}: shift, c1, c2, lo, hi");
+        assert_eq!(got.n, want.n, "{what}: n");
+        assert_eq!(got.turns, want.turns, "{what}: turns");
+        assert_eq!(got.nonfinite, want.nonfinite, "{what}: nonfinite");
+        assert_eq!(got.dirty, want.dirty, "{what}: dirty");
+        assert_eq!(got.joint, want.joint, "{what}: joint");
+    }
+
+    #[test]
+    fn slice_rebuild_is_bit_identical_to_closure_rebuild() {
+        let mut rng = Xoshiro256pp::seed_from_u64(15);
+        for n in 0..=130usize {
+            let continuous: Vec<f64> = (0..n).map(|_| rng.random_range(-5.0..5.0)).collect();
+            let binary: Vec<f64> = (0..n).map(|_| rng.random_range(0..2u32) as f64).collect();
+            let small_int: Vec<f64> = (0..n).map(|_| rng.random_range(0..5u32) as f64).collect();
+            let mut nan_bearing = continuous.clone();
+            if n > 0 {
+                nan_bearing[rng.random_range(0..n)] = f64::NAN;
+                nan_bearing[rng.random_range(0..n)] = f64::INFINITY;
+            }
+            let offset: Vec<f64> = continuous.iter().map(|x| 1e6 + x).collect();
+            for (kind, xs) in [
+                ("continuous", &continuous),
+                ("binary", &binary),
+                ("small-integer", &small_int),
+                ("nan-bearing", &nan_bearing),
+                ("offset", &offset),
+            ] {
+                for bins in [2usize, 8] {
+                    // Start from a used state so stale fields must be reset.
+                    let mut got = SeqStats::new(bins);
+                    got.rebuild(&[3.0, -1.0, 2.0, 0.5]);
+                    let mut want = got.clone();
+                    got.rebuild(xs);
+                    reference_rebuild(&mut want, xs.len(), |i| xs[i]);
+                    assert_bit_identical(&got, &want, &format!("{kind} n {n} bins {bins}"));
+                }
             }
         }
     }
@@ -420,7 +524,7 @@ mod tests {
     fn shift_drift_guard_fires_on_level_shifts() {
         let mut s = SeqStats::new(4);
         let base: Vec<f64> = (0..50).map(|i| (i as f64 * 0.1).sin()).collect();
-        s.rebuild(base.len(), |i| base[i]);
+        s.rebuild(&base);
         assert!(!s.shift_drifted(0.01, 25.0));
         // Mean ran 1e6 away from K with unit-scale variance: must fire.
         assert!(s.shift_drifted(1e6, 50.0));
@@ -430,7 +534,7 @@ mod tests {
     fn reset_returns_to_empty() {
         let mut s = SeqStats::new(4);
         let xs = [1.0, 2.0, 3.0, 1.0];
-        s.rebuild(xs.len(), |i| xs[i]);
+        s.rebuild(&xs);
         assert_eq!(s.count(), 4);
         s.reset();
         assert_eq!(s, SeqStats::new(4));
