@@ -21,9 +21,10 @@ use ficsum_core::{
     weighted_cosine, ConceptFingerprint, DynamicWeights, FingerprintNormalizer, Repository,
 };
 use ficsum_drift::{Adwin, DriftDetector};
+use ficsum_meta::spline::SplineScratch;
 use ficsum_meta::{
     acf_pacf_12, imf_entropies, imf_entropies_scratch, lagged_mutual_information, EmdConfig,
-    EmdScratch, FingerprintEngine, FingerprintExtractor,
+    EmdMemo, EmdScratch, FingerprintEngine, FingerprintExtractor,
 };
 use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
 use ficsum_stream::{FrameWindows, SeqStats};
@@ -105,6 +106,26 @@ fn bench_meta_functions() {
     let binary: Vec<f64> = (0..75).map(|_| rng.random_range(0..2usize) as f64).collect();
     report("emd_imf_entropies_scratch_binary_n75", || {
         black_box(imf_entropies_scratch(black_box(&binary), &EmdConfig::default(), &mut scratch));
+    });
+    // A repeated sequence: content hash plus the full bitwise comparison
+    // that confirms the hit, against the sifting it replaces.
+    let mut memo = EmdMemo::new();
+    memo.imf_entropies(&xs, &EmdConfig::default(), &mut scratch);
+    report("emd_memo_hit_n75", || {
+        black_box(memo.imf_entropies(black_box(&xs), &EmdConfig::default(), &mut scratch));
+    });
+    // The upper and lower envelope systems of one sifting pass, 15 knots
+    // each (a 75-point window has ~13 interior extrema of each kind plus
+    // the two anchors), solved in lockstep.
+    let knots = |rng: &mut Xoshiro256pp| -> (Vec<f64>, Vec<f64>) {
+        let xs: Vec<f64> = (0..15).map(|i| (i * 5 + rng.random_range(0..3usize)) as f64).collect();
+        (xs, (0..15).map(|_| rng.random()).collect())
+    };
+    let (mut upper, mut lower) = (SplineScratch::new(), SplineScratch::new());
+    let ((ux, uy), (lx, ly)) = (knots(&mut rng), knots(&mut rng));
+    assert!(upper.load_knots(&ux, &uy) && lower.load_knots(&lx, &ly));
+    report("spline_solve_pair_k15", || {
+        SplineScratch::solve_pair(black_box(&mut upper), black_box(&mut lower));
     });
     report("mutual_information_n75", || {
         black_box(lagged_mutual_information(black_box(&xs), 1, 8));

@@ -10,7 +10,7 @@
 use crate::spline::{CubicSpline, SplineScratch};
 
 /// Parameters of the sifting process.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmdConfig {
     /// Stop sifting when the normalised squared change falls below this
     /// (Huang's SD criterion, usually 0.2–0.3).
@@ -190,8 +190,7 @@ impl EmdScratch {
 struct SiftBuffers {
     max_idx: Vec<usize>,
     min_idx: Vec<usize>,
-    kx: Vec<f64>,
-    ky: Vec<f64>,
+    /// The two envelope splines, knots loaded straight from the extrema.
     upper: SplineScratch,
     lower: SplineScratch,
     /// The two envelopes evaluated at every point of the window.
@@ -224,45 +223,22 @@ fn local_extrema_both_into(xs: &[f64], max_out: &mut Vec<usize>, min_out: &mut V
     min_out.truncate(n_min);
 }
 
-/// Fits an endpoint-anchored envelope through the extrema at `idx`,
-/// mirroring the knot construction in [`sift_once`].
-fn fit_envelope(
-    xs: &[f64],
-    idx: &[usize],
-    kx: &mut Vec<f64>,
-    ky: &mut Vec<f64>,
-    spline: &mut SplineScratch,
-) -> bool {
-    let n = xs.len();
-    kx.clear();
-    ky.clear();
-    kx.push(0.0);
-    ky.push(xs[0]);
-    for &i in idx {
-        kx.push(i as f64);
-        ky.push(xs[i]);
-    }
-    if *idx.last().unwrap() != n - 1 {
-        kx.push((n - 1) as f64);
-        ky.push(xs[n - 1]);
-    }
-    spline.fit(kx, ky)
-}
-
 /// [`sift_once`] with reused buffers; returns `false` where the allocating
-/// version returns `None`. Both envelopes are evaluated over the whole grid
-/// `x = 0..n`, matching [`CubicSpline::eval`] at every point.
+/// version returns `None`. The envelope knots are the ones [`sift_once`]
+/// builds, loaded straight into the two splines, whose systems are solved
+/// as a pair (bit-identical to two [`CubicSpline::fit`] calls). Both
+/// envelopes are evaluated over the whole grid `x = 0..n`, matching
+/// [`CubicSpline::eval`] at every point.
 fn sift_once_into(xs: &[f64], out: &mut Vec<f64>, s: &mut SiftBuffers) -> bool {
     local_extrema_both_into(xs, &mut s.max_idx, &mut s.min_idx);
     if s.max_idx.len() < 2 || s.min_idx.len() < 2 {
         return false;
     }
-    if !fit_envelope(xs, &s.max_idx, &mut s.kx, &mut s.ky, &mut s.upper) {
-        return false;
-    }
-    if !fit_envelope(xs, &s.min_idx, &mut s.kx, &mut s.ky, &mut s.lower) {
-        return false;
-    }
+    // Interior extrema give strictly increasing knots, so neither fit can
+    // fail the way `CubicSpline::fit` checks for.
+    s.upper.load_envelope(xs, &s.max_idx);
+    s.lower.load_envelope(xs, &s.min_idx);
+    SplineScratch::solve_pair(&mut s.upper, &mut s.lower);
     s.upper_env.resize(xs.len(), 0.0);
     s.lower_env.resize(xs.len(), 0.0);
     s.upper.eval_grid_into(&mut s.upper_env);
@@ -340,28 +316,51 @@ fn histogram_entropy_into(xs: &[f64], bins: usize, counts: &mut Vec<f64>) -> f64
         .sum::<f64>()
 }
 
-/// Allocation-free variant of [`imf_entropies`]: decomposition, sifting and
-/// the entropy histograms all run inside `scratch`. Bit-identical output.
-pub fn imf_entropies_scratch(xs: &[f64], config: &EmdConfig, scratch: &mut EmdScratch) -> (f64, f64) {
+/// The decomposition loop of [`decompose`] inside `scratch`: extracts up
+/// to `config.n_imfs` IMFs, handing each to `visit` (with its index and the
+/// scratch's histogram counts) before subtracting it from the residual.
+fn decompose_scratch_with(
+    xs: &[f64],
+    config: &EmdConfig,
+    scratch: &mut EmdScratch,
+    mut visit: impl FnMut(usize, &[f64], &mut Vec<f64>),
+) {
     let EmdScratch { residual, h, next, sift, counts } = scratch;
     residual.clear();
     residual.extend_from_slice(xs);
-    let mut out = (0.0, 0.0);
     for k in 0..config.n_imfs {
         if !extract_imf_into(residual, h, next, sift, config) {
             break;
         }
-        let e = histogram_entropy_into(h, config.entropy_bins, counts);
+        visit(k, h, counts);
+        for (r, i) in residual.iter_mut().zip(h.iter()) {
+            *r -= i;
+        }
+    }
+}
+
+/// Allocation-free variant of [`imf_entropies`]: decomposition, sifting and
+/// the entropy histograms all run inside `scratch`. Bit-identical output.
+pub fn imf_entropies_scratch(xs: &[f64], config: &EmdConfig, scratch: &mut EmdScratch) -> (f64, f64) {
+    let mut out = (0.0, 0.0);
+    decompose_scratch_with(xs, config, scratch, |k, imf, counts| {
+        let e = histogram_entropy_into(imf, config.entropy_bins, counts);
         if k == 0 {
             out.0 = e;
         } else if k == 1 {
             out.1 = e;
         }
-        for (r, i) in residual.iter_mut().zip(h.iter()) {
-            *r -= i;
-        }
-    }
+    });
     out
+}
+
+/// [`decompose`] through the scratch path's sifting code, for the IMF-level
+/// bit-identity tests.
+#[cfg(test)]
+fn decompose_scratch(xs: &[f64], config: &EmdConfig, scratch: &mut EmdScratch) -> Vec<Vec<f64>> {
+    let mut imfs = Vec::new();
+    decompose_scratch_with(xs, config, scratch, |_, imf, _| imfs.push(imf.to_vec()));
+    imfs
 }
 
 #[cfg(test)]
@@ -474,14 +473,23 @@ mod tests {
         }
     }
 
+    /// Number of window shapes [`generated_window`] draws.
+    const SHAPES: usize = 6;
+
     /// Generated windows of the shapes the behaviour sources produce:
     /// continuous features, binary errors, small-integer labels and
-    /// predictions, and plateau-heavy runs (repeated values).
+    /// predictions, constant runs (a one-class window), error distances
+    /// (small positive gaps, usually short sequences), and plateau-heavy
+    /// runs (repeated values).
     fn generated_window(rng: &mut Xoshiro256pp, shape: usize, n: usize) -> Vec<f64> {
         match shape {
             0 => (0..n).map(|_| rng.random_range(-3.0..3.0)).collect(),
             1 => (0..n).map(|_| rng.random_range(0..2usize) as f64).collect(),
             2 => (0..n).map(|_| rng.random_range(0..5usize) as f64).collect(),
+            3 => vec![rng.random_range(0..3usize) as f64; n],
+            4 => (0..n)
+                .map(|_| 1.0 + (rng.random::<f64>() * rng.random::<f64>() * 12.0).floor())
+                .collect(),
             _ => {
                 let mut v = 0.0;
                 (0..n)
@@ -505,7 +513,7 @@ mod tests {
         let mut scratch = EmdScratch::new();
         let sizes = (0..=10).chain([75, 200]);
         for n in sizes {
-            for shape in 0..4 {
+            for shape in 0..SHAPES {
                 for rep in 0..8 {
                     let xs = generated_window(&mut rng, shape, n);
                     let (a1, a2) = imf_entropies(&xs, &config);
@@ -516,6 +524,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn scratch_imfs_are_bit_identical_to_decompose() {
+        // The IMFs themselves, not their entropies: a histogram entropy
+        // absorbs ulp-level drift in the values it bins, so only an
+        // IMF-level comparison pins the sifting arithmetic.
+        let mut rng = Xoshiro256pp::seed_from_u64(15);
+        let config = EmdConfig::default();
+        let mut scratch = EmdScratch::new();
+        let mut sifted = 0;
+        for n in (0..=12).chain([24, 31, 50, 75, 100]) {
+            for shape in 0..SHAPES {
+                for rep in 0..10 {
+                    let xs = generated_window(&mut rng, shape, n);
+                    let want = decompose(&xs, &config);
+                    let got = decompose_scratch(&xs, &config, &mut scratch);
+                    let ctx = format!("n {n}, shape {shape}, rep {rep}");
+                    assert_eq!(got.len(), want.len(), "IMF count, {ctx}");
+                    for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                        let g: Vec<u64> = g.iter().map(|v| v.to_bits()).collect();
+                        let w: Vec<u64> = w.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(g, w, "IMF {k}, {ctx}");
+                    }
+                    sifted += want.len();
+                }
+            }
+        }
+        assert!(sifted > 500, "too few windows yielded an IMF: {sifted}");
     }
 
     #[test]

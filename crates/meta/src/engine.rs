@@ -27,6 +27,10 @@
 //!   many classifiers: [`FingerprintEngine::static_scan_tracked`] evaluates
 //!   the classifier-independent sources once and
 //!   [`FingerprintEngine::extract_with_scan`] reuses them per classifier.
+//! * **Exact EMD memo** — every worker remembers the IMF entropies of the
+//!   last sequences it sifted ([`EmdMemo`]), so a source whose content
+//!   repeats — across sources, windows, extractions or the classifiers of
+//!   a sweep — is served without sifting, bit for bit.
 //! * **Opt-in parallelism** — [`FingerprintEngine::set_threads`] fans the
 //!   `d + 4` behaviour sources across a [`std::thread::scope`] worker pool.
 //!   Each source's computation is independent and writes a disjoint slice
@@ -112,10 +116,12 @@ impl TrackedVals {
     }
 }
 
-/// One cached EMD result: the IMF entropies of the last sequence this
-/// source computed them for, keyed by a content hash so an unchanged
-/// window reuses them exactly, plus a staleness age for the bounded-stride
-/// amortisation of [`ExtractionMode::emd_stride`].
+/// One cached EMD result of the incremental mode: the IMF entropies of the
+/// last sequence this source computed them for, keyed by a content hash so
+/// an unchanged window reuses them without sifting, plus a staleness age
+/// for the bounded-stride amortisation of [`ExtractionMode::emd_stride`].
+/// A slot follows one source of one window across extractions; the
+/// worker's [`EmdMemo`] behind it serves any source whose content repeats.
 #[derive(Debug, Clone, Copy, Default)]
 struct EmdSlot {
     hash: u64,
@@ -141,7 +147,134 @@ type SourceTask<'a> = (
 #[derive(Debug, Clone, Default)]
 struct SourceScratch {
     emd: EmdScratch,
+    memo: EmdMemo,
     mi: MiScratch,
+}
+
+/// Entries an [`EmdMemo`] holds.
+const EMD_MEMO_CAPACITY: usize = 16;
+
+/// One remembered sifting: the sequence, its content hash and its IMF
+/// entropies.
+#[derive(Debug, Clone, Default)]
+struct MemoEntry {
+    hash: u64,
+    seq: Vec<f64>,
+    vals: (f64, f64),
+}
+
+/// A bounded, exact memo of IMF entropies, addressed by sequence content.
+///
+/// Sifting is a pure, deterministic function of the sequence and the
+/// [`EmdConfig`], so a sequence sifted before can reuse its entropies
+/// bit for bit. Repeats are common: the labels window is unchanged between
+/// two fingerprints of a quiet stream, two classifiers of a repository
+/// sweep make the same errors, and an error-free window leaves the error
+/// sources constant.
+///
+/// Each entry is keyed by a 64-bit content hash and confirmed by comparing
+/// the length and every value's bits, so a hash collision can cost a sift
+/// but never return another sequence's entropies. The memo keeps the last
+/// 16 distinct sequences sifted under one configuration
+/// (first in, first out; a different configuration empties it), and
+/// preallocates every entry to the longest sequence seen, so a steady
+/// stream of fixed-length windows memoises without allocating.
+///
+/// The memo is keyed by content alone, so it stays valid across
+/// classifier switches ([`FingerprintEngine::invalidate_emd_cache`] leaves
+/// it alone) and holds no session state: a checkpoint does not carry it,
+/// and a restored session starts with an empty one.
+#[derive(Debug, Clone, Default)]
+pub struct EmdMemo {
+    /// Up to [`EMD_MEMO_CAPACITY`] entries, allocated on first use.
+    entries: Vec<MemoEntry>,
+    /// Entries holding a sequence (the first `filled` of `entries`).
+    filled: usize,
+    /// The entry the next insertion overwrites.
+    next: usize,
+    /// Capacity every entry's sequence buffer is grown to.
+    width: usize,
+    /// The configuration the entries were sifted under.
+    config: Option<EmdConfig>,
+    /// Test-only bypass: every lookup misses and nothing is remembered.
+    #[cfg(test)]
+    bypass: bool,
+}
+
+impl EmdMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The IMF entropies of `xs` (as [`imf_entropies_scratch`] computes
+    /// them): remembered ones when the memo holds exactly `xs`, otherwise
+    /// sifted in `scratch` and remembered.
+    pub fn imf_entropies(
+        &mut self,
+        xs: &[f64],
+        config: &EmdConfig,
+        scratch: &mut EmdScratch,
+    ) -> (f64, f64) {
+        self.lookup_or_sift(xs, hash_seq(xs), config, scratch)
+    }
+
+    /// [`EmdMemo::imf_entropies`] with `xs`'s [`hash_seq`] already known.
+    fn lookup_or_sift(
+        &mut self,
+        xs: &[f64],
+        hash: u64,
+        config: &EmdConfig,
+        scratch: &mut EmdScratch,
+    ) -> (f64, f64) {
+        #[cfg(test)]
+        if self.bypass {
+            return imf_entropies_scratch(xs, config, scratch);
+        }
+        if self.config != Some(*config) {
+            self.config = Some(*config);
+            self.filled = 0;
+            self.next = 0;
+        }
+        if let Some(vals) = self.get(xs, hash) {
+            return vals;
+        }
+        let vals = imf_entropies_scratch(xs, config, scratch);
+        self.insert(xs, hash, vals);
+        vals
+    }
+
+    /// The remembered entropies of exactly `xs`, if any.
+    fn get(&self, xs: &[f64], hash: u64) -> Option<(f64, f64)> {
+        self.entries[..self.filled]
+            .iter()
+            .find(|e| {
+                e.hash == hash
+                    && e.seq.len() == xs.len()
+                    && e.seq.iter().zip(xs).all(|(a, b)| a.to_bits() == b.to_bits())
+            })
+            .map(|e| e.vals)
+    }
+
+    /// Remembers `xs`, overwriting the oldest entry once the memo is full.
+    fn insert(&mut self, xs: &[f64], hash: u64, vals: (f64, f64)) {
+        if self.entries.is_empty() {
+            self.entries.resize_with(EMD_MEMO_CAPACITY, MemoEntry::default);
+        }
+        if xs.len() > self.width {
+            self.width = xs.len();
+            for e in &mut self.entries {
+                e.seq.reserve_exact(self.width - e.seq.len());
+            }
+        }
+        let e = &mut self.entries[self.next];
+        e.hash = hash;
+        e.seq.clear();
+        e.seq.extend_from_slice(xs);
+        e.vals = vals;
+        self.next = (self.next + 1) % EMD_MEMO_CAPACITY;
+        self.filled = (self.filled + 1).min(EMD_MEMO_CAPACITY);
+    }
 }
 
 /// The classifier-independent half of one window's repredicted extraction.
@@ -315,10 +448,13 @@ impl FingerprintEngine {
         self.mode.incremental
     }
 
-    /// Drops every cached EMD result. The framework calls this when the
-    /// active classifier changes (model switch, plasticity reset): the
-    /// prediction-dependent sources' sequences change meaning, so stale
-    /// reuse across the switch would mix classifiers.
+    /// Drops every cached per-source EMD result. The framework calls this
+    /// when the active classifier changes (model switch, plasticity
+    /// reset): the prediction-dependent sources' sequences change meaning,
+    /// so stale reuse across the switch would mix classifiers. The
+    /// workers' [`EmdMemo`]s are kept: they return entropies only for the
+    /// exact sequence they were sifted from, whichever classifier produced
+    /// it.
     pub fn invalidate_emd_cache(&mut self) {
         for bank in &mut self.emd_cache {
             bank.iter_mut().for_each(|s| s.valid = false);
@@ -716,12 +852,12 @@ fn hash_seq(seq: &[f64]) -> u64 {
 
 /// EMD with the per-source cache: an unchanged sequence (by content hash)
 /// reuses the previous sifting exactly; a changed one reuses the stale
-/// values while the slot is within its stride budget, and re-sifts
-/// otherwise.
+/// values while the slot is within its stride budget, and is looked up in
+/// the worker's memo — sifted only if it is not there — otherwise.
 fn cached_imf(
     seq: &[f64],
     emd_cfg: &EmdConfig,
-    scratch: &mut EmdScratch,
+    scratch: &mut SourceScratch,
     slot: &mut EmdSlot,
     stride: u32,
 ) -> (f64, f64) {
@@ -733,7 +869,7 @@ fn cached_imf(
         slot.age += 1;
         return slot.vals;
     }
-    let vals = imf_entropies_scratch(seq, emd_cfg, scratch);
+    let vals = scratch.memo.lookup_or_sift(seq, hash, emd_cfg, &mut scratch.emd);
     *slot = EmdSlot { hash, len: seq.len(), vals, age: 0, valid: true };
     vals
 }
@@ -761,8 +897,8 @@ fn eval_source_into(
 ) {
     let imf = if needs_emd {
         Some(match emd_slot {
-            Some((slot, stride)) => cached_imf(seq, emd_cfg, &mut scratch.emd, slot, stride),
-            None => imf_entropies_scratch(seq, emd_cfg, &mut scratch.emd),
+            Some((slot, stride)) => cached_imf(seq, emd_cfg, scratch, slot, stride),
+            None => scratch.memo.lookup_or_sift(seq, hash_seq(seq), emd_cfg, &mut scratch.emd),
         })
     } else {
         None
@@ -934,6 +1070,10 @@ mod tests {
             tree.train(&x, y);
         }
         tree
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     fn incremental(emd_stride: u32) -> ExtractionMode {
@@ -1190,6 +1330,198 @@ mod tests {
             let seq: Vec<f64> = (0..16).map(|i| ((bits >> i) & 1) as f64).collect();
             assert!(seen.insert(hash_seq(&seq)), "collision at {bits:#x}");
         }
+    }
+
+    /// `engine` with `workers` worker scratches whose memos are bypassed:
+    /// every EMD is sifted afresh.
+    fn without_memo(mut engine: FingerprintEngine, workers: usize) -> FingerprintEngine {
+        engine.workers = (0..workers)
+            .map(|_| SourceScratch {
+                memo: EmdMemo { bypass: true, ..EmdMemo::default() },
+                ..SourceScratch::default()
+            })
+            .collect();
+        engine
+    }
+
+    /// Overwrites the entropies of every entry the engine's memos hold
+    /// with `marker`, so an extraction that reads the memo shows it.
+    fn poison_memos(engine: &mut FingerprintEngine, marker: (f64, f64)) -> usize {
+        let mut n = 0;
+        for w in &mut engine.workers {
+            for e in &mut w.memo.entries[..w.memo.filled] {
+                e.vals = marker;
+                n += 1;
+            }
+        }
+        n
+    }
+
+    /// Indices of the two IMF-entropy dimensions of source `s` in a full
+    /// extractor's output.
+    fn emd_dims_of(s: usize) -> [usize; 2] {
+        let nf = MetaFunction::SEQUENCE_FUNCTIONS.len();
+        [s * nf + 10, s * nf + 11]
+    }
+
+    #[test]
+    fn memo_never_returns_a_colliding_entry() {
+        let mut rng = Xoshiro256pp::seed_from_u64(51);
+        let config = EmdConfig::default();
+        let mut scratch = EmdScratch::new();
+        for n in [2usize, 9, 75] {
+            let xs: Vec<f64> = (0..n).map(|_| rng.random_range(0..3usize) as f64).collect();
+            let mut other = xs.clone();
+            other[n / 2] += 1.0;
+            let want = imf_entropies_scratch(&xs, &config, &mut scratch);
+            // Plant `other` under `xs`'s hash and length, with entropies no
+            // sifting produces; then the exact entry with a marker.
+            let mut memo = EmdMemo { config: Some(config), ..EmdMemo::new() };
+            memo.insert(&other, hash_seq(&xs), (-7.0, -7.0));
+            let got = memo.imf_entropies(&xs, &config, &mut scratch);
+            assert_eq!((got.0.to_bits(), got.1.to_bits()), (want.0.to_bits(), want.1.to_bits()));
+            let mut memo = EmdMemo { config: Some(config), ..EmdMemo::new() };
+            memo.insert(&xs, hash_seq(&xs), (-7.0, -7.0));
+            assert_eq!(memo.imf_entropies(&xs, &config, &mut scratch), (-7.0, -7.0), "n {n}");
+            // The same content under another configuration is sifted again.
+            let coarse = EmdConfig { entropy_bins: 4, ..config };
+            let fresh = imf_entropies_scratch(&xs, &coarse, &mut scratch);
+            assert_eq!(memo.imf_entropies(&xs, &coarse, &mut scratch), fresh, "n {n}");
+        }
+    }
+
+    #[test]
+    fn memo_is_bounded_and_first_in_first_out() {
+        let config = EmdConfig::default();
+        let mut scratch = EmdScratch::new();
+        let mut memo = EmdMemo::new();
+        // Distinct by their first value.
+        let seqs: Vec<Vec<f64>> = (0..EMD_MEMO_CAPACITY + 3)
+            .map(|k| (0..20).map(|i| if i == 0 { k as f64 } else { (i % 5) as f64 }).collect())
+            .collect();
+        for seq in &seqs {
+            memo.imf_entropies(seq, &config, &mut scratch);
+        }
+        assert_eq!(memo.entries.len(), EMD_MEMO_CAPACITY);
+        assert_eq!(memo.filled, EMD_MEMO_CAPACITY);
+        // The three oldest were overwritten; the rest are still held.
+        for (k, seq) in seqs.iter().enumerate() {
+            assert_eq!(memo.get(seq, hash_seq(seq)).is_some(), k >= 3, "sequence {k}");
+        }
+        assert!(memo.entries.iter().all(|e| e.seq.capacity() >= 20));
+    }
+
+    #[test]
+    fn memo_does_not_change_extraction() {
+        let mut rng = Xoshiro256pp::seed_from_u64(52);
+        let d = 4;
+        let ex = FingerprintExtractor::full(d);
+        let trees: Vec<HoeffdingTree> = (0..3).map(|_| trained_tree(&mut rng, d)).collect();
+        for threads in [1usize, 3] {
+            let mut memo = FingerprintEngine::new(ex.clone()).with_threads(threads);
+            let mut bare =
+                without_memo(FingerprintEngine::new(ex.clone()), threads).with_threads(threads);
+            let (mut scan_m, mut scan_b) = (StaticScan::new(), StaticScan::new());
+            let mut fw = frames_of(&window(&mut rng, 50, d, 2), 50);
+            for trial in 0..6 {
+                // Odd trials repeat the previous window, so the memo serves
+                // whole extractions as well as single sources.
+                if trial % 2 == 0 {
+                    let rows = window(&mut rng, 50 + trial * 5, d, 2);
+                    fw = frames_of(&rows, rows.len());
+                }
+                for tree in &trees {
+                    let (a, b) = (extract(&mut memo, &fw, tree), extract(&mut bare, &fw, tree));
+                    assert_eq!(bits(&a), bits(&b), "threads {threads}, trial {trial}");
+                }
+                memo.static_scan_tracked(&fw.a_tracked(), &mut scan_m);
+                bare.static_scan_tracked(&fw.a_tracked(), &mut scan_b);
+                for tree in &trees {
+                    let (mut a, mut b) = (Vec::new(), Vec::new());
+                    memo.extract_with_scan(&fw.a_tracked(), &scan_m, tree, &mut a);
+                    bare.extract_with_scan(&fw.a_tracked(), &scan_b, tree, &mut b);
+                    assert_eq!(bits(&a), bits(&b), "scanned, threads {threads}, trial {trial}");
+                }
+            }
+            assert!(memo.workers.iter().any(|w| w.memo.filled > 0));
+            assert!(bare.workers.iter().all(|w| w.memo.filled == 0));
+        }
+    }
+
+    #[test]
+    fn memo_does_not_change_incremental_extraction() {
+        let mut rng = Xoshiro256pp::seed_from_u64(53);
+        let d = 3;
+        let ex = FingerprintExtractor::full(d);
+        let tree = trained_tree(&mut rng, d);
+        for threads in [1usize, 2] {
+            let mode = incremental(4);
+            let mut memo = FingerprintEngine::new(ex.clone()).with_mode(mode).with_threads(threads);
+            let mut bare = without_memo(FingerprintEngine::new(ex.clone()), threads)
+                .with_mode(mode)
+                .with_threads(threads);
+            let mut fw = FrameWindows::new(40, 8, d);
+            fw.enable_stats(8);
+            for step in 0..160 {
+                // Runs of repeated rows make whole windows recur.
+                let x: Vec<f64> = (0..d).map(|j| ((step / 3 + j) % 4) as f64).collect();
+                fw.push(&x, (step / 5) % 2, 0);
+                if step % 7 != 0 {
+                    continue;
+                }
+                if step % 21 == 0 {
+                    memo.invalidate_emd_cache();
+                    bare.invalidate_emd_cache();
+                }
+                let (a, b) = (extract(&mut memo, &fw, &tree), extract(&mut bare, &fw, &tree));
+                assert_eq!(bits(&a), bits(&b), "threads {threads}, step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_sift_path_consults_the_memo_and_invalidation_keeps_it() {
+        let mut rng = Xoshiro256pp::seed_from_u64(54);
+        let d = 2;
+        let ex = FingerprintExtractor::full(d);
+        let tree = trained_tree(&mut rng, d);
+        let marker = (-3.0, -4.0);
+        let rows = window(&mut rng, 60, d, 2);
+        let fw = frames_of(&rows, rows.len());
+        let is_marked = |out: &[f64], s: usize| {
+            let [i, j] = emd_dims_of(s);
+            (out[i], out[j]) == marker
+        };
+        // Batch extraction.
+        let mut engine = FingerprintEngine::new(ex.clone());
+        let _ = extract(&mut engine, &fw, &tree);
+        assert!(poison_memos(&mut engine, marker) > 0);
+        let out = extract(&mut engine, &fw, &tree);
+        assert!((0..d + 4).all(|s| is_marked(&out, s)), "batch path must read the memo");
+        // A scanned sweep's prediction-dependent sources.
+        let mut scan = StaticScan::new();
+        let mut engine = FingerprintEngine::new(ex.clone());
+        engine.static_scan_tracked(&fw.a_tracked(), &mut scan);
+        let mut out = Vec::new();
+        engine.extract_with_scan(&fw.a_tracked(), &scan, &tree, &mut out);
+        poison_memos(&mut engine, marker);
+        engine.extract_with_scan(&fw.a_tracked(), &scan, &tree, &mut out);
+        assert!((d + 1..d + 4).all(|s| is_marked(&out, s)), "dynamic pass must read the memo");
+        assert!((0..d + 1).all(|s| !is_marked(&out, s)), "static dims come from the scan");
+        // Incremental mode: an unchanged window is served by its slots;
+        // after invalidation the slots miss and the kept memo serves it.
+        let mut fw = FrameWindows::new(60, 0, d);
+        fw.enable_stats(8);
+        for o in &rows {
+            fw.push(o.features(), o.label(), o.prediction);
+        }
+        let mut engine = FingerprintEngine::new(ex).with_mode(incremental(4));
+        let first = extract(&mut engine, &fw, &tree);
+        poison_memos(&mut engine, marker);
+        assert_eq!(bits(&extract(&mut engine, &fw, &tree)), bits(&first), "slots hit first");
+        engine.invalidate_emd_cache();
+        let out = extract(&mut engine, &fw, &tree);
+        assert!((0..d + 4).all(|s| is_marked(&out, s)), "memo must survive invalidation");
     }
 
     #[test]

@@ -157,7 +157,7 @@ impl NetClient {
         deadline_ms: u64,
         batch: &[Submit],
     ) -> Result<Vec<RemoteStepResult>, NetError> {
-        validate_batch(batch, self.n_features).map_err(NetError::Rejected)?;
+        validate_batch(batch, self.n_features, self.n_classes).map_err(NetError::Rejected)?;
         write_frame(&mut self.stream, kind::SUBMIT, &encode_submit(mode, deadline_ms, batch))?;
         let frame = expect_frame(&mut self.stream)?;
         match frame.kind {

@@ -208,6 +208,12 @@ pub(crate) fn encode_serve_error(error: &ServeError) -> (u16, u64, u64) {
         ServeError::DimensionMismatch { expected, got } => {
             (code::DIMENSION_MISMATCH, *expected as u64, *got as u64)
         }
+        ServeError::LabelOutOfRange { label, n_classes } => {
+            (code::LABEL_OUT_OF_RANGE, *label as u64, *n_classes as u64)
+        }
+        ServeError::NonFiniteFeature { request, feature } => {
+            (code::NON_FINITE_FEATURE, *request as u64, *feature as u64)
+        }
         ServeError::ShutDown => (code::SHUT_DOWN, 0, 0),
         ServeError::EmptyBatch => (code::EMPTY_BATCH, 0, 0),
         ServeError::DeadlineExceeded => (code::DEADLINE_EXCEEDED, 0, 0),
@@ -233,6 +239,14 @@ pub(crate) fn decode_rejection(code: u16, a: u64, b: u64) -> NetError {
         code::DIMENSION_MISMATCH => NetError::Rejected(ServeError::DimensionMismatch {
             expected: a as usize,
             got: b as usize,
+        }),
+        code::LABEL_OUT_OF_RANGE => NetError::Rejected(ServeError::LabelOutOfRange {
+            label: a as usize,
+            n_classes: b as usize,
+        }),
+        code::NON_FINITE_FEATURE => NetError::Rejected(ServeError::NonFiniteFeature {
+            request: a as usize,
+            feature: b as usize,
         }),
         code::SHUT_DOWN => NetError::Rejected(ServeError::ShutDown),
         code::EMPTY_BATCH => NetError::Rejected(ServeError::EmptyBatch),
@@ -283,6 +297,8 @@ mod tests {
         let cases = [
             ServeError::Overloaded { shard: 3 },
             ServeError::DimensionMismatch { expected: 8, got: 5 },
+            ServeError::LabelOutOfRange { label: 4, n_classes: 2 },
+            ServeError::NonFiniteFeature { request: 6, feature: 1 },
             ServeError::ShutDown,
             ServeError::EmptyBatch,
             ServeError::DeadlineExceeded,

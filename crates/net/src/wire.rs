@@ -98,6 +98,12 @@ pub mod code {
     /// A restore snapshot carried no checkpoint (`a` = session). Not
     /// produced on the submit path; reserved.
     pub const MISSING_CHECKPOINT: u16 = 7;
+    /// A request's label is not a template class (`a` = label, `b` =
+    /// n_classes).
+    pub const LABEL_OUT_OF_RANGE: u16 = 8;
+    /// A request has a NaN or infinite feature (`a` = request position in
+    /// the batch, `b` = feature index).
+    pub const NON_FINITE_FEATURE: u16 = 9;
 
     /// The request's session is quarantined (`a` = session).
     pub const SESSION_POISONED: u16 = 32;

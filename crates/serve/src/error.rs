@@ -40,6 +40,21 @@ pub enum ServeError {
         /// Features in the offending request.
         got: usize,
     },
+    /// A request's label is not one of the template's classes
+    /// (`0..n_classes`).
+    LabelOutOfRange {
+        /// The offending label.
+        label: usize,
+        /// Classes the server's template was built for.
+        n_classes: usize,
+    },
+    /// A request's feature vector holds a NaN or infinite value.
+    NonFiniteFeature {
+        /// Position of the offending request in its batch.
+        request: usize,
+        /// Index of the first non-finite feature in that request.
+        feature: usize,
+    },
     /// The server has been shut down; no further batches are accepted.
     ShutDown,
     /// The batch contained no requests.
@@ -71,6 +86,12 @@ impl fmt::Display for ServeError {
             }
             ServeError::DimensionMismatch { expected, got } => {
                 write!(f, "expected {expected} features per observation, got {got}")
+            }
+            ServeError::LabelOutOfRange { label, n_classes } => {
+                write!(f, "label {label} is not one of the {n_classes} classes")
+            }
+            ServeError::NonFiniteFeature { request, feature } => {
+                write!(f, "request {request} has a non-finite value at feature {feature}")
             }
             ServeError::ShutDown => write!(f, "server has shut down"),
             ServeError::EmptyBatch => write!(f, "batch contains no requests"),

@@ -164,21 +164,36 @@ impl Submit {
 }
 
 /// The admission check every transport runs before a batch is enqueued or
-/// sent: the batch is non-empty and every feature vector has `n_features`
-/// entries. [`StreamServer`] runs it on submit; `ficsum-net`'s client runs
-/// it before a round trip, so a batch the server would refuse never
-/// crosses the wire.
-pub fn validate_batch(batch: &[Submit], n_features: usize) -> Result<(), ServeError> {
+/// sent: the batch is non-empty, and every request has `n_features`
+/// finite features and a label in `0..n_classes`. [`StreamServer`] runs it
+/// on submit; `ficsum-net`'s client runs it before a round trip, so a batch
+/// the server would refuse never crosses the wire. A request that fails it
+/// would otherwise reach the session's pipeline and panic there, leaving
+/// the session quarantined; refusing it up front leaves the session
+/// serving. The first failing request, in batch order, names the error.
+pub fn validate_batch(
+    batch: &[Submit],
+    n_features: usize,
+    n_classes: usize,
+) -> Result<(), ServeError> {
     if batch.is_empty() {
         return Err(ServeError::EmptyBatch);
     }
-    match batch.iter().find(|submit| submit.features.len() != n_features) {
-        Some(submit) => Err(ServeError::DimensionMismatch {
-            expected: n_features,
-            got: submit.features.len(),
-        }),
-        None => Ok(()),
+    for (request, submit) in batch.iter().enumerate() {
+        if submit.features.len() != n_features {
+            return Err(ServeError::DimensionMismatch {
+                expected: n_features,
+                got: submit.features.len(),
+            });
+        }
+        if submit.label >= n_classes {
+            return Err(ServeError::LabelOutOfRange { label: submit.label, n_classes });
+        }
+        if let Some(feature) = submit.features.iter().position(|x| !x.is_finite()) {
+            return Err(ServeError::NonFiniteFeature { request, feature });
+        }
     }
+    Ok(())
 }
 
 /// Point-in-time view of one shard's health.
@@ -401,7 +416,7 @@ impl StreamServer {
     /// Validates a batch and groups it per shard; shared front half of both
     /// submit modes.
     fn prepare(&self, batch: &[Submit]) -> Result<(Arc<BatchShared>, ShardGroups), ServeError> {
-        validate_batch(batch, self.template.n_features())?;
+        validate_batch(batch, self.template.n_features(), self.template.n_classes())?;
         let shared = BatchShared::new(batch.len());
         let now = Instant::now();
         let mut grouped: BTreeMap<usize, Vec<Request>> = BTreeMap::new();

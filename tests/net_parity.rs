@@ -319,6 +319,114 @@ fn schema_and_dimension_mismatches_fail_typed() {
     net.shutdown();
 }
 
+/// Reads one `[len][kind][payload]` frame off a raw socket.
+fn read_raw_frame(stream: &mut TcpStream) -> (u8, Vec<u8>) {
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len).expect("frame length");
+    let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+    stream.read_exact(&mut body).expect("frame body");
+    (body[0], body[1..].to_vec())
+}
+
+/// Writes one frame of `kind` carrying `payload` to a raw socket.
+fn write_raw_frame(stream: &mut TcpStream, kind: u8, payload: &[u8]) {
+    let mut frame = ((payload.len() + 1) as u32).to_le_bytes().to_vec();
+    frame.push(kind);
+    frame.extend_from_slice(payload);
+    stream.write_all(&frame).expect("write frame");
+}
+
+/// A `SUBMIT` payload in TRY mode, encoded by hand so that no client-side
+/// check runs on it.
+fn raw_submit(batch: &[Submit]) -> Vec<u8> {
+    let mut payload = vec![wire::submit_mode::TRY];
+    payload.extend_from_slice(&0u64.to_le_bytes());
+    payload.extend_from_slice(&(batch.len() as u32).to_le_bytes());
+    for submit in batch {
+        payload.extend_from_slice(&submit.session_id.0.to_le_bytes());
+        payload.extend_from_slice(&(submit.label as u64).to_le_bytes());
+        payload.extend_from_slice(&(submit.features.len() as u32).to_le_bytes());
+        for x in &submit.features {
+            payload.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+    }
+    payload
+}
+
+#[test]
+fn invalid_labels_and_features_are_refused_and_the_session_keeps_serving() {
+    let session = SessionId(5);
+    let valid = |label| Submit::new(session, vec![0.1, 0.2, 0.3], label);
+    // Template: 3 features, 2 classes. Each bad batch leads with a valid
+    // request, so a partial enqueue would show.
+    let bad: [(Vec<Submit>, ServeError); 3] = [
+        (vec![valid(0), valid(2)], ServeError::LabelOutOfRange { label: 2, n_classes: 2 }),
+        (
+            vec![valid(1), Submit::new(session, vec![0.1, f64::NAN, 0.3], 0)],
+            ServeError::NonFiniteFeature { request: 1, feature: 1 },
+        ),
+        (
+            vec![valid(0), Submit::new(session, vec![0.1, 0.2, f64::NEG_INFINITY], 1)],
+            ServeError::NonFiniteFeature { request: 1, feature: 2 },
+        ),
+    ];
+    let enqueued = |core: &StreamServer| core.metrics().iter().map(|m| m.enqueued).sum::<u64>();
+
+    // In process, both admission modes.
+    let core = StreamServer::new(template(), tcp_config());
+    assert_eq!(core.try_submit(&[valid(0)]).expect("valid batch").wait().len(), 1);
+    for (batch, error) in &bad {
+        assert_eq!(core.try_submit(batch).map(|_| ()), Err(*error));
+        assert_eq!(
+            core.submit_with_deadline(batch, Duration::from_millis(10)).map(|_| ()),
+            Err(*error)
+        );
+    }
+    assert_eq!(enqueued(&core), 1, "no bad request was enqueued");
+    let served = core.try_submit(&[valid(1), valid(0)]).expect("valid batch").wait();
+    assert!(served.iter().all(|r| r.is_ok()), "the session still serves: {served:?}");
+    let report = core.shutdown();
+    assert_eq!(report.metrics.iter().map(|m| m.sessions_poisoned).sum::<u64>(), 0);
+
+    // Over TCP: the client refuses locally, and a peer that skips the
+    // check is refused by the server with the same typed code.
+    let core = Arc::new(StreamServer::new(template(), tcp_config()));
+    let net = bind(core.clone());
+    let mut client = NetClient::connect(net.local_addr()).expect("handshake");
+    assert_eq!(client.submit(&[valid(0)]).expect("valid batch").len(), 1);
+    for (batch, error) in &bad {
+        match client.submit(batch) {
+            Err(NetError::Rejected(got)) => assert_eq!(got, *error),
+            other => panic!("expected {error:?}, got {other:?}"),
+        }
+    }
+    let mut raw = TcpStream::connect(net.local_addr()).expect("connect");
+    let mut hello = b"FCSM".to_vec();
+    hello.extend_from_slice(&wire::PROTOCOL_VERSION.to_le_bytes());
+    hello.extend_from_slice(&[0u8; 8]); // 0/0: discover the schema
+    write_raw_frame(&mut raw, kind::CLIENT_HELLO, &hello);
+    assert_eq!(read_raw_frame(&mut raw).0, kind::SERVER_HELLO);
+    let codes = [
+        wire::code::LABEL_OUT_OF_RANGE,
+        wire::code::NON_FINITE_FEATURE,
+        wire::code::NON_FINITE_FEATURE,
+    ];
+    for ((batch, error), code) in bad.iter().zip(codes) {
+        write_raw_frame(&mut raw, kind::SUBMIT, &raw_submit(batch));
+        let (frame_kind, payload) = read_raw_frame(&mut raw);
+        assert_eq!(frame_kind, kind::REJECTED, "{error:?}");
+        assert_eq!(u16::from_le_bytes([payload[0], payload[1]]), code, "{error:?}");
+    }
+    assert_eq!(enqueued(&core), 1, "no bad request was enqueued");
+    assert_eq!(net.metrics().batches_rejected, 3, "only the raw peer's batches reached the server");
+    write_raw_frame(&mut raw, kind::SUBMIT, &raw_submit(&[valid(1)]));
+    assert_eq!(read_raw_frame(&mut raw).0, kind::REPLY, "the raw connection still serves");
+    let served = client.submit(&[valid(1), valid(0)]).expect("valid batch");
+    assert!(served.iter().all(|r| r.is_ok()), "the session still serves: {served:?}");
+    drop(raw);
+    net.shutdown();
+}
+
 #[test]
 fn malformed_frames_are_refused_without_harming_other_connections() {
     let core = Arc::new(StreamServer::new(template(), tcp_config()));
