@@ -55,6 +55,18 @@ if [ -n "$offenders" ]; then
 fi
 echo "no deprecated items, no allowances"
 
+echo "== no environment reads in library crates =="
+# Library behaviour is set through builders and configs, and diagnostics
+# go through the recorder, so no library crate reads an environment
+# variable. The bench binaries (crates/bench) and tests/ are exempt.
+offenders=$(grep -rnE 'env::var' --include='*.rs' ./src ./crates/*/src | grep -v '^\./crates/bench/' || true)
+if [ -n "$offenders" ]; then
+  echo "environment read in a library crate:" >&2
+  echo "$offenders" >&2
+  exit 1
+fi
+echo "no environment reads"
+
 echo "== perf smoke (stream_throughput vs committed baseline) =="
 # Release-mode end-to-end throughput on the default synthetic stream,
 # compared against the committed BENCH_stream.json (DESIGN.md "Hot path &

@@ -17,9 +17,10 @@
 //! ```
 //!
 //! Defaults: STAGGER, seed 42, the full stream once, sequential, batch
-//! (bit-exact) extraction, no file output. `--incremental` switches the
-//! pipeline to incremental statistic substitution (with `--emd-stride`
-//! bounding IMF re-sifting); `--append` adds this run's line to an existing
+//! (bit-exact) extraction, EMD stride 1, no file output. `--incremental`
+//! switches the pipeline to incremental statistic substitution;
+//! `--emd-stride K` bounds IMF re-sifting to every K-th extraction per
+//! source in either mode; `--append` adds this run's line to an existing
 //! baseline file so one file can carry both modes. `--check` compares
 //! against the line in the baseline whose `mode` matches this run.
 //! Latency per processed observation is sampled with a per-step monotonic

@@ -1,39 +1,45 @@
 //! Session checkpoints: full, dependency-free captures of a running
 //! [`crate::Ficsum`] pipeline.
 //!
-//! A checkpoint is everything `process` reads or writes across steps — the
-//! active concept (fingerprints, classifier, similarity baseline, retained
-//! pairs), the stored repository, the frame ring, the drift detector, the
-//! normaliser, the dynamic weights and every counter — deep-cloned into an
-//! owned, `Send + Sync` value with no live borrows. Restoring it through
+//! The boundary is a type. [`crate::Ficsum`] keeps everything `process`
+//! reads or writes across steps in one private `SessionState` — the active
+//! concept as a [`ConceptEntry`], the stored repository, the frame ring, the
+//! drift detector, the normaliser, the dynamic weights and every counter —
+//! and a [`SessionCheckpoint`] is a clone of that value: owned, `Send +
+//! Sync`, with no live borrows. A field added to the state is captured and
+//! restored without touching any list. Restoring through
 //! [`crate::SessionTemplate::restore`] yields a pipeline that continues
 //! **bit-identically**: driven with the same observations it produces the
 //! same [`crate::StepOutcome`]s as the uninterrupted original (pinned by
-//! the snapshot→restore→replay property test).
+//! the snapshot→restore→replay tests).
 //!
-//! What is deliberately *not* captured:
-//!
-//! * pure caches and scratch buffers ([`crate::similarity::CachedFingerprint`],
-//!   extraction scratch, the recurrence-scan worker pool) — they are
-//!   recomputed on demand from captured state and the recomputation is
-//!   bit-identical by construction;
-//! * the observability recorder and clock — observers, not state; a
-//!   restored session gets whatever the restoring template attaches.
+//! What lives outside the state, and so outside every checkpoint, is what
+//! the pipeline struct holds beside it: the fingerprint engine and its
+//! caches, the drift-side weighted [`crate::similarity::CachedFingerprint`],
+//! extraction scratch, the recurrence-scan worker pool, the classifier
+//! factory, and the observability recorder and clock. The caches are
+//! recomputed on demand from the state, bit-identically by construction,
+//! with one exception: above an `emd_stride` of 1 the EMD cache's re-sift
+//! cadence restarts at the restore point (see
+//! [`crate::SessionTemplate::restore`]). Recorders and clocks are
+//! observers, and a restored session gets whatever the restoring template
+//! attaches.
 //!
 //! Classifiers cross the checkpoint boundary as [`Classifier::clone_box`]
 //! deep copies: the trait requires `Send + Sync`, so a checkpoint is plain
 //! data that can be handed between threads, parked on a session snapshot,
 //! or shipped to a fresh server — without this crate growing a
 //! serialisation dependency.
+//!
+//! [`Classifier::clone_box`]: ficsum_classifiers::Classifier::clone_box
 
-use ficsum_classifiers::Classifier;
 use ficsum_drift::Adwin;
-use ficsum_stream::{EwStats, FrameWindows};
+use ficsum_stream::FrameWindows;
 
 use crate::config::FicsumConfig;
-use crate::fingerprint::{ConceptFingerprint, FingerprintNormalizer};
+use crate::fingerprint::FingerprintNormalizer;
 use crate::framework::FicsumStats;
-use crate::repository::{ConceptId, Repository, RetainedPair};
+use crate::repository::{ConceptEntry, ConceptId, Repository};
 use crate::weights::DynamicWeights;
 
 /// Why a checkpoint cannot be restored through a given template.
@@ -94,6 +100,56 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
+/// The delayed second model-selection pass scheduled by a drift
+/// (Section III-A): due at observation `due`, and whether the incumbent it
+/// will defend was created by that drift.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PendingRecheck {
+    pub(crate) due: u64,
+    pub(crate) created_new: bool,
+}
+
+/// Everything a session learns or carries between steps. [`crate::Ficsum`]
+/// holds one and a [`SessionCheckpoint`] is a clone of it, so this
+/// declaration alone decides what a checkpoint captures.
+#[derive(Clone)]
+pub(crate) struct SessionState {
+    pub(crate) n_features: usize,
+    pub(crate) n_classes: usize,
+    pub(crate) config: FicsumConfig,
+    /// The active concept, held outside the repository while active. Its
+    /// `last_active` is stamped when it is stored.
+    pub(crate) active: ConceptEntry,
+    pub(crate) repo: Repository,
+    pub(crate) normalizer: FingerprintNormalizer,
+    pub(crate) weights: DynamicWeights,
+    /// Weight-vector generation: bumped on every actual recompute; part of
+    /// the weighted similarity cache key.
+    pub(crate) weights_gen: u64,
+    /// `(active fingerprint, repository, normaliser)` version stamp at the
+    /// last weight recompute. An equal stamp proves every input the
+    /// computation reads is unchanged, so the recompute is skipped — the
+    /// kept values are bit-identical to what it would produce.
+    pub(crate) weights_stamp: Option<(u64, u64, u64)>,
+    pub(crate) detector: Adwin,
+    /// Algorithm 1's active window `A` and delayed buffer `B` as views over
+    /// one shared structure-of-arrays frame ring (no per-step clones).
+    pub(crate) frames: FrameWindows,
+    pub(crate) t: u64,
+    pub(crate) pending_recheck: Option<PendingRecheck>,
+    pub(crate) stats: FicsumStats,
+    pub(crate) last_similarity: Option<f64>,
+    /// Consecutive extreme-deviation checks (hard drift trigger).
+    pub(crate) extreme_streak: u32,
+    /// Last observation index at which a plasticity reset happened.
+    pub(crate) last_plasticity: u64,
+    /// Consecutive buffer fingerprints skipped as outliers (robust baseline).
+    pub(crate) baseline_outliers: u32,
+    /// Drift checks are suppressed until `t` reaches this (post-switch
+    /// cooldown while the windows still hold pre-switch observations).
+    pub(crate) cooldown_until: u64,
+}
+
 /// A complete capture of one session's learned and in-flight state.
 ///
 /// Obtain one with [`crate::Ficsum::checkpoint`]; rehydrate it with
@@ -102,75 +158,48 @@ impl std::error::Error for RestoreError {}
 /// restored pipeline replays bit-identically.
 #[derive(Clone)]
 pub struct SessionCheckpoint {
-    pub(crate) n_features: usize,
-    pub(crate) n_classes: usize,
-    pub(crate) config: FicsumConfig,
-
-    pub(crate) active_id: ConceptId,
-    pub(crate) active_fp: ConceptFingerprint,
-    pub(crate) active_fp_sel: ConceptFingerprint,
-    pub(crate) active_clf: Box<dyn Classifier>,
-    pub(crate) active_sim: EwStats,
-    pub(crate) active_retained: Vec<RetainedPair>,
-    pub(crate) active_sc: ConceptFingerprint,
-
-    pub(crate) repo: Repository,
-    pub(crate) normalizer: FingerprintNormalizer,
-    pub(crate) weights: DynamicWeights,
-    pub(crate) weights_gen: u64,
-    pub(crate) weights_stamp: Option<(u64, u64, u64)>,
-    pub(crate) detector: Adwin,
-    pub(crate) frames: FrameWindows,
-
-    pub(crate) t: u64,
-    pub(crate) pending_recheck: Option<(u64, bool)>,
-    pub(crate) stats: FicsumStats,
-    pub(crate) last_similarity: Option<f64>,
-    pub(crate) extreme_streak: u32,
-    pub(crate) last_plasticity: u64,
-    pub(crate) baseline_outliers: u32,
-    pub(crate) cooldown_until: u64,
+    pub(crate) state: SessionState,
 }
 
 impl SessionCheckpoint {
     /// Observation count at capture time.
     pub fn steps(&self) -> u64 {
-        self.t
+        self.state.t
     }
 
     /// Feature dimensionality the session was built for.
     pub fn n_features(&self) -> usize {
-        self.n_features
+        self.state.n_features
     }
 
     /// Class count the session was built for.
     pub fn n_classes(&self) -> usize {
-        self.n_classes
+        self.state.n_classes
     }
 
     /// Fingerprint dimensions of the captured representation.
     pub fn dims(&self) -> usize {
-        self.active_fp.dims()
+        self.state.active.fingerprint.dims()
     }
 
     /// The hyper-parameters the session ran with.
     pub fn config(&self) -> &FicsumConfig {
-        &self.config
+        &self.state.config
     }
 
     /// Concept active at capture time.
     pub fn active_concept(&self) -> ConceptId {
-        self.active_id
+        self.state.active.id
     }
 
     /// Lifetime counters at capture time.
     pub fn stats(&self) -> FicsumStats {
-        self.stats
+        self.state.stats
     }
 
     /// Ids stored in the captured repository, ascending.
     pub fn stored_concepts(&self) -> Vec<ConceptId> {
-        let mut ids: Vec<ConceptId> = self.repo.iter().map(|e| e.id).collect();
+        let mut ids: Vec<ConceptId> = self.state.repo.iter().map(|e| e.id).collect();
         ids.sort_unstable();
         ids
     }
@@ -179,13 +208,13 @@ impl SessionCheckpoint {
 impl std::fmt::Debug for SessionCheckpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionCheckpoint")
-            .field("steps", &self.t)
-            .field("n_features", &self.n_features)
-            .field("n_classes", &self.n_classes)
+            .field("steps", &self.steps())
+            .field("n_features", &self.n_features())
+            .field("n_classes", &self.n_classes())
             .field("dims", &self.dims())
-            .field("active_concept", &self.active_id)
+            .field("active_concept", &self.active_concept())
             .field("stored_concepts", &self.stored_concepts())
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
@@ -206,7 +235,8 @@ mod tests {
     use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
     use ficsum_synth::{Labeller, StaggerLabeller};
 
-    use super::RestoreError;
+    use super::{RestoreError, SessionCheckpoint};
+    use crate::framework::FicsumStats;
 
     fn quick_config() -> FicsumConfig {
         FicsumConfig {
@@ -230,37 +260,87 @@ mod tests {
         (x, y)
     }
 
-    #[test]
-    fn restored_session_replays_bit_identically() {
+    /// Drives a fresh session over the drifting stream (seed 7, segments
+    /// of 400) for `cut` observations, restores a copy from its checkpoint,
+    /// then feeds both the next `tail` observations and asserts identical
+    /// outcomes and counters. Returns the checkpoint and the final counters.
+    fn assert_replays_from(cut: usize, tail: usize) -> (SessionCheckpoint, FicsumStats) {
         let template = template();
         let mut original = template.instantiate();
         let mut rng = Xoshiro256pp::seed_from_u64(7);
-        // Drive through at least one drift so the checkpoint captures a
-        // non-trivial repository, then checkpoint mid-segment.
-        for step in 0..1100 {
+        for step in 0..cut {
             let (x, y) = observation(&mut rng, step, 400);
             original.process(&x, y);
         }
         let checkpoint = original.checkpoint();
-        assert_eq!(checkpoint.steps(), 1100);
+        assert_eq!(checkpoint.steps(), cut as u64);
         assert_eq!(checkpoint.active_concept(), original.active_concept());
         let mut restored = template.restore(&checkpoint).expect("same template restores");
-        // The tail crosses further drift boundaries; every outcome must be
-        // bit-identical between the uninterrupted original and the restored
-        // copy.
-        for step in 1100..2600 {
+        for step in cut..cut + tail {
             let (x, y) = observation(&mut rng, step, 400);
             let a = original.process(&x, y);
             let b = restored.process(&x, y);
-            assert_eq!(a, b, "outcomes diverged at step {step}");
+            assert_eq!(a, b, "cut {cut}: outcomes diverged at step {step}");
+            assert_eq!(
+                original.last_similarity().map(f64::to_bits),
+                restored.last_similarity().map(f64::to_bits),
+                "cut {cut}: drift-check similarity diverged at step {step}"
+            );
         }
-        assert_eq!(original.stats(), restored.stats());
+        assert_eq!(original.stats(), restored.stats(), "cut {cut}: counters diverged");
+        (checkpoint, original.stats())
+    }
+
+    #[test]
+    fn restored_session_replays_bit_identically() {
+        // Cut mid-segment after a drift, so the checkpoint captures a
+        // non-trivial repository; the tail crosses further drift
+        // boundaries.
+        let (_, stats) = assert_replays_from(1100, 1500);
         assert!(
-            original.stats().n_drifts >= 2,
+            stats.n_drifts >= 2,
             "test must exercise drift + selection on both sides of the \
-             checkpoint: {:?}",
-            original.stats()
+             checkpoint: {stats:?}"
         );
+    }
+
+    #[test]
+    fn restore_replays_from_in_flight_points() {
+        // Scout the stream for the steps whose in-flight state a
+        // checkpoint most easily drops: a drift whose delayed recheck
+        // switches concept, and a plasticity reset.
+        let mut scout = template().instantiate();
+        let mut rng = Xoshiro256pp::seed_from_u64(7);
+        let (mut last_drift, mut drift, mut reset) = (0, None, None);
+        for step in 0..4000 {
+            let (x, y) = observation(&mut rng, step, 400);
+            let resets = scout.stats().n_plasticity_resets;
+            let out = scout.process(&x, y);
+            if out.drift {
+                last_drift = step + 1;
+            } else if out.concept_switched {
+                drift.get_or_insert(last_drift);
+            }
+            if scout.stats().n_plasticity_resets > resets {
+                reset.get_or_insert(step + 1);
+            }
+        }
+        let drift = drift.expect("the stream has a recheck switch");
+        let reset = reset.expect("the stream triggers a plasticity reset");
+
+        let (at_drift, _) = assert_replays_from(drift, 500);
+        let due = at_drift.state.pending_recheck.expect("a drift schedules the recheck").due;
+        let (in_recheck, _) = assert_replays_from(drift + 10, 500);
+        assert!(in_recheck.state.pending_recheck.is_some(), "cut inside the recheck window");
+        let (in_cooldown, _) = assert_replays_from(due as usize + 1, 500);
+        assert!(in_cooldown.state.pending_recheck.is_none(), "the recheck has run");
+        assert!(
+            in_cooldown.state.t < in_cooldown.state.cooldown_until,
+            "cut inside the post-switch cooldown"
+        );
+        let (at_reset, _) = assert_replays_from(reset, 500);
+        assert_eq!(at_reset.state.last_plasticity, reset as u64, "cut at the reset step");
+        assert_replays_from(reset + 1, 500);
     }
 
     #[test]

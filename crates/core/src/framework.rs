@@ -8,9 +8,9 @@ use ficsum_meta::{ExtractionMode, FingerprintEngine, FingerprintExtractor, Stati
 use ficsum_obs::{Clock, DriftTrigger, MonotonicClock, NullRecorder, Recorder, Stage, StreamEvent};
 use ficsum_stream::{EwStats, FrameWindows};
 
-use crate::checkpoint::SessionCheckpoint;
+use crate::checkpoint::{PendingRecheck, SessionCheckpoint, SessionState};
 use crate::config::{ConfigError, FicsumConfig};
-use crate::fingerprint::{ConceptFingerprint, FingerprintNormalizer};
+use crate::fingerprint::FingerprintNormalizer;
 use crate::repository::{ConceptEntry, ConceptId, Repository, RetainedPair};
 use crate::similarity::{fingerprint_similarity, fingerprint_similarity_unit, CachedFingerprint};
 use crate::weights::DynamicWeights;
@@ -39,12 +39,6 @@ pub struct StepOutcome {
 enum Selection {
     Reused(ConceptId),
     New(ConceptId),
-}
-
-#[derive(Debug, Clone, Copy)]
-struct PendingRecheck {
-    due: u64,
-    created_new: bool,
 }
 
 /// Counters exposed for diagnostics and tests.
@@ -103,48 +97,38 @@ fn expected_similarity_with(
     }
 }
 
+/// A brand-new concept: untrained fingerprints, no retained pairs, and a
+/// similarity baseline at the configured `sim_alpha`.
+fn fresh_concept(
+    config: &FicsumConfig,
+    id: ConceptId,
+    dims: usize,
+    classifier: Box<dyn Classifier>,
+) -> ConceptEntry {
+    ConceptEntry {
+        sim_stats: EwStats::new(config.sim_alpha),
+        ..ConceptEntry::new(id, dims, classifier)
+    }
+}
+
 /// The FiCSUM framework instance.
 ///
 /// Drive it prequentially with [`Ficsum::process`]; every call predicts,
 /// trains, updates the concept fingerprint and runs drift detection / model
 /// selection per Algorithm 1.
 pub struct Ficsum {
-    config: FicsumConfig,
+    /// Everything learned or carried between steps; a checkpoint is a clone
+    /// of it. The fields below it are machinery, caches and scratch.
+    state: SessionState,
     engine: FingerprintEngine,
-    normalizer: FingerprintNormalizer,
     factory: Box<dyn ClassifierFactory>,
-
-    // Active concept (held outside the repository while active).
-    active_id: ConceptId,
-    active_fp: ConceptFingerprint,
-    active_fp_sel: ConceptFingerprint,
-    active_clf: Box<dyn Classifier>,
-    active_sim: EwStats,
-    active_retained: Vec<RetainedPair>,
-    active_sc: ConceptFingerprint,
-
-    repo: Repository,
     recorder: Box<dyn Recorder>,
     clock: Arc<dyn Clock>,
-    detector: Adwin,
-    /// Algorithm 1's active window `A` and delayed buffer `B` as views over
-    /// one shared structure-of-arrays frame ring (no per-step clones).
-    frames: FrameWindows,
-    weights: DynamicWeights,
-    /// Weight-vector generation: bumped on every actual recompute; part of
-    /// the weighted similarity cache key.
-    weights_gen: u64,
-    /// `(active fingerprint, repository, normaliser)` version stamp at the
-    /// last weight recompute. An equal stamp proves every input the
-    /// computation reads is unchanged, so the recompute is skipped — the
-    /// kept values are bit-identical to what it would produce.
-    weights_stamp: Option<(u64, u64, u64)>,
     /// Cached scaled+weighted side of the active fingerprint's mean (the
-    /// drift-detection comparisons).
+    /// drift-detection comparisons). Invalidated whenever the active
+    /// concept changes; the unit-weight selection side travels with the
+    /// concept as its `sel_cache`.
     active_cache: CachedFingerprint,
-    /// Cached unit-weight side of the active *selection* fingerprint's
-    /// mean; travels with the concept into and out of the repository.
-    active_sel_cache: CachedFingerprint,
     /// Scratch: fingerprint extracted from the active window.
     fp_a: Vec<f64>,
     /// Scratch: fingerprint extracted from the stale window.
@@ -167,21 +151,6 @@ pub struct Ficsum {
     scan_pool: Vec<FingerprintEngine>,
     /// Worker threads for the recurrence scan (mirrors `FicsumBuilder::parallelism`).
     scan_threads: usize,
-    t: u64,
-    pending_recheck: Option<PendingRecheck>,
-    stats: FicsumStats,
-    n_classes: usize,
-    n_features: usize,
-    last_similarity: Option<f64>,
-    /// Consecutive extreme-deviation checks (hard drift trigger).
-    extreme_streak: u32,
-    /// Last observation index at which a plasticity reset happened.
-    last_plasticity: u64,
-    /// Consecutive buffer fingerprints skipped as outliers (robust baseline).
-    baseline_outliers: u32,
-    /// Drift checks are suppressed until `t` reaches this (post-switch
-    /// cooldown while the windows still hold pre-switch observations).
-    cooldown_until: u64,
 }
 
 impl Ficsum {
@@ -204,27 +173,53 @@ impl Ficsum {
         }
         let dims = extractor.schema().len();
         let mut repo = Repository::new(config.max_repository);
-        let active_id = repo.allocate_id();
-        let active_clf = factory.build();
-        Ok(Self {
-            normalizer: FingerprintNormalizer::new(dims),
-            active_id,
-            active_fp: ConceptFingerprint::new(dims),
-            active_fp_sel: ConceptFingerprint::new(dims),
-            active_clf,
-            active_sim: EwStats::new(config.sim_alpha),
-            active_retained: Vec::new(),
-            active_sc: ConceptFingerprint::new(dims),
+        let active = fresh_concept(&config, repo.allocate_id(), dims, factory.build());
+        let state = SessionState {
+            n_features,
+            n_classes,
+            config,
+            active,
             repo,
-            recorder: Box::new(NullRecorder),
-            clock: Arc::new(MonotonicClock::new()),
-            detector: Adwin::new(config.detector_delta),
-            frames: FrameWindows::new(config.window_size, config.buffer_delay(), n_features),
+            normalizer: FingerprintNormalizer::new(dims),
             weights: DynamicWeights::uniform(dims),
             weights_gen: 0,
             weights_stamp: None,
+            detector: Adwin::new(config.detector_delta),
+            frames: FrameWindows::new(config.window_size, config.buffer_delay(), n_features),
+            t: 0,
+            pending_recheck: None,
+            stats: FicsumStats::default(),
+            last_similarity: None,
+            extreme_streak: 0,
+            last_plasticity: 0,
+            baseline_outliers: 0,
+            cooldown_until: config.new_concept_grace as u64,
+        };
+        Ok(Self::from_state(state, extractor, factory))
+    }
+
+    /// Wraps `state` — fresh from [`Ficsum::from_parts`] or cloned out of a
+    /// checkpoint by [`crate::SessionTemplate::restore`], which validates
+    /// the pair first — in the non-state machinery.
+    ///
+    /// Caches, scratch buffers and the scan pool start empty: they are pure
+    /// functions of the state (version-keyed), so their first
+    /// `ensure`/rebuild reproduces exactly what the original session held.
+    /// The pipeline carries a [`NullRecorder`] and a fresh
+    /// [`MonotonicClock`] until others are attached; recorders are
+    /// observers, not state.
+    pub(crate) fn from_state(
+        state: SessionState,
+        extractor: FingerprintExtractor,
+        factory: Box<dyn ClassifierFactory>,
+    ) -> Self {
+        Self {
+            state,
+            engine: FingerprintEngine::new(extractor),
+            factory,
+            recorder: Box::new(NullRecorder),
+            clock: Arc::new(MonotonicClock::new()),
             active_cache: CachedFingerprint::new(),
-            active_sel_cache: CachedFingerprint::new(),
             fp_a: Vec::new(),
             fp_b: Vec::new(),
             fp_tmp: Vec::new(),
@@ -233,23 +228,11 @@ impl Ficsum {
             window_scan: StaticScan::new(),
             scan_pool: Vec::new(),
             scan_threads: 1,
-            t: 0,
-            pending_recheck: None,
-            stats: FicsumStats::default(),
-            config,
-            engine: FingerprintEngine::new(extractor),
-            factory,
-            n_classes,
-            n_features,
-            last_similarity: None,
-            extreme_streak: 0,
-            last_plasticity: 0,
-            baseline_outliers: 0,
-            cooldown_until: config.new_concept_grace as u64,
-        })
+        }
     }
 
-    /// Captures the session's complete learned and in-flight state.
+    /// Captures the session's complete learned and in-flight state: a
+    /// clone of the state the pipeline runs on.
     ///
     /// The checkpoint is an owned deep copy: the session keeps running
     /// unaffected, and later mutations do not leak into the capture. Pure
@@ -258,93 +241,7 @@ impl Ficsum {
     /// bit-identical-replay guarantee
     /// [`crate::SessionTemplate::restore`] provides.
     pub fn checkpoint(&self) -> SessionCheckpoint {
-        SessionCheckpoint {
-            n_features: self.n_features,
-            n_classes: self.n_classes,
-            config: self.config,
-            active_id: self.active_id,
-            active_fp: self.active_fp.clone(),
-            active_fp_sel: self.active_fp_sel.clone(),
-            active_clf: self.active_clf.clone(),
-            active_sim: self.active_sim,
-            active_retained: self.active_retained.clone(),
-            active_sc: self.active_sc.clone(),
-            repo: self.repo.clone(),
-            normalizer: self.normalizer.clone(),
-            weights: self.weights.clone(),
-            weights_gen: self.weights_gen,
-            weights_stamp: self.weights_stamp,
-            detector: self.detector.clone(),
-            frames: self.frames.clone(),
-            t: self.t,
-            pending_recheck: self.pending_recheck.map(|p| (p.due, p.created_new)),
-            stats: self.stats,
-            last_similarity: self.last_similarity,
-            extreme_streak: self.extreme_streak,
-            last_plasticity: self.last_plasticity,
-            baseline_outliers: self.baseline_outliers,
-            cooldown_until: self.cooldown_until,
-        }
-    }
-
-    /// Rehydrates a pipeline from a checkpoint. Compatibility between the
-    /// checkpoint and the construction inputs is the caller's contract —
-    /// [`crate::SessionTemplate::restore`] performs that validation and is
-    /// the public entry point.
-    ///
-    /// Caches, scratch buffers and the scan pool start empty: they are pure
-    /// functions of the captured state (version-keyed), so their first
-    /// `ensure`/rebuild reproduces exactly what the original session held.
-    /// The restored pipeline carries a [`NullRecorder`] until one is
-    /// attached; recorders are observers, not state.
-    pub(crate) fn from_checkpoint(
-        checkpoint: &SessionCheckpoint,
-        extractor: FingerprintExtractor,
-        factory: Box<dyn ClassifierFactory>,
-    ) -> Self {
-        Self {
-            config: checkpoint.config,
-            engine: FingerprintEngine::new(extractor),
-            normalizer: checkpoint.normalizer.clone(),
-            factory,
-            active_id: checkpoint.active_id,
-            active_fp: checkpoint.active_fp.clone(),
-            active_fp_sel: checkpoint.active_fp_sel.clone(),
-            active_clf: checkpoint.active_clf.clone(),
-            active_sim: checkpoint.active_sim,
-            active_retained: checkpoint.active_retained.clone(),
-            active_sc: checkpoint.active_sc.clone(),
-            repo: checkpoint.repo.clone(),
-            recorder: Box::new(NullRecorder),
-            clock: Arc::new(MonotonicClock::new()),
-            detector: checkpoint.detector.clone(),
-            frames: checkpoint.frames.clone(),
-            weights: checkpoint.weights.clone(),
-            weights_gen: checkpoint.weights_gen,
-            weights_stamp: checkpoint.weights_stamp,
-            active_cache: CachedFingerprint::new(),
-            active_sel_cache: CachedFingerprint::new(),
-            fp_a: Vec::new(),
-            fp_b: Vec::new(),
-            fp_tmp: Vec::new(),
-            scaled_q: Vec::new(),
-            proba_scratch: Vec::new(),
-            window_scan: StaticScan::new(),
-            scan_pool: Vec::new(),
-            scan_threads: 1,
-            t: checkpoint.t,
-            pending_recheck: checkpoint
-                .pending_recheck
-                .map(|(due, created_new)| PendingRecheck { due, created_new }),
-            stats: checkpoint.stats,
-            n_classes: checkpoint.n_classes,
-            n_features: checkpoint.n_features,
-            last_similarity: checkpoint.last_similarity,
-            extreme_streak: checkpoint.extreme_streak,
-            last_plasticity: checkpoint.last_plasticity,
-            baseline_outliers: checkpoint.baseline_outliers,
-            cooldown_until: checkpoint.cooldown_until,
-        }
+        SessionCheckpoint { state: self.state.clone() }
     }
 
     /// Sets the worker-thread count (see
@@ -368,9 +265,9 @@ impl Ficsum {
     /// them so no push pays for state nothing reads.
     pub(crate) fn configure_extraction(&mut self, mode: ExtractionMode) {
         if mode.incremental {
-            self.frames.enable_stats(self.engine.extractor().mi_bins());
+            self.state.frames.enable_stats(self.engine.extractor().mi_bins());
         } else {
-            self.frames.disable_stats();
+            self.state.frames.disable_stats();
         }
         self.engine.set_mode(mode);
         self.scan_pool.clear();
@@ -426,9 +323,9 @@ impl Ficsum {
     /// never disagree.
     fn emit(&mut self, event: StreamEvent) {
         if let StreamEvent::SimilarityObserved { value } = event {
-            self.last_similarity = Some(value);
+            self.state.last_similarity = Some(value);
         }
-        self.recorder.event(self.t, event);
+        self.recorder.event(self.state.t, event);
     }
 
     /// Reads the clock for a span start; 0 (no clock read) when the
@@ -453,40 +350,50 @@ impl Ficsum {
     /// `(mu_c, sigma_c, count)` as gauges. Callers gate on
     /// [`Recorder::enabled`].
     fn sim_gauges(&mut self) {
-        self.recorder.gauge("ficsum.sim.mean", self.active_sim.mean());
-        self.recorder.gauge("ficsum.sim.std_dev", self.active_sim.std_dev());
-        self.recorder.gauge("ficsum.sim.count", self.active_sim.count() as f64);
+        self.recorder.gauge("ficsum.sim.mean", self.state.active.sim_stats.mean());
+        self.recorder.gauge("ficsum.sim.std_dev", self.state.active.sim_stats.std_dev());
+        self.recorder.gauge("ficsum.sim.count", self.state.active.sim_stats.count() as f64);
+    }
+
+    /// The active concept's normal-similarity deviation `sigma_c`, floored.
+    fn sim_sigma(&self) -> f64 {
+        self.state.active.sim_stats.std_dev().max(self.state.config.sim_sigma_floor)
+    }
+
+    /// Observations until both windows hold only frames pushed from now on.
+    fn turnover(&self) -> u64 {
+        (self.state.config.window_size + self.state.config.buffer_delay()) as u64
     }
 
     /// Identifier of the currently active concept.
     pub fn active_concept(&self) -> ConceptId {
-        self.active_id
+        self.state.active.id
     }
 
     /// Stored (non-active) concepts.
     pub fn repository(&self) -> &Repository {
-        &self.repo
+        &self.state.repo
     }
 
     /// Diagnostic counters.
     pub fn stats(&self) -> FicsumStats {
-        self.stats
+        self.state.stats
     }
 
     /// Current dynamic weight vector (recomputed when its inputs change,
     /// checked every `P_C` observations).
     pub fn weights(&self) -> &DynamicWeights {
-        &self.weights
+        &self.state.weights
     }
 
     /// The most recent `Sim(F_c, F_A)` value fed to the drift detector.
     pub fn last_similarity(&self) -> Option<f64> {
-        self.last_similarity
+        self.state.last_similarity
     }
 
     /// Number of classes.
     pub fn n_classes(&self) -> usize {
-        self.n_classes
+        self.state.n_classes
     }
 
     /// Discrimination-ability probe (Section II-A of the paper).
@@ -499,30 +406,31 @@ impl Ficsum {
     /// impostors more decisively. `None` until the window, fingerprint and
     /// repository all exist.
     pub fn discrimination_probe(&mut self) -> Option<f64> {
-        if !self.frames.a_is_full()
-            || !self.active_fp.is_trained()
-            || self.repo.is_empty()
-            || self.active_sim.count() < 5
+        if !self.state.frames.a_is_full()
+            || !self.state.active.fingerprint.is_trained()
+            || self.state.repo.is_empty()
+            || self.state.active.sim_stats.count() < 5
         {
             return None;
         }
-        if !self.active_fp_sel.is_trained() {
+        if !self.state.active.sel_fingerprint.is_trained() {
             return None;
         }
         let mut f_a = Vec::new();
         self.engine.extract_tracked_frames_repredicted_into(
-            &self.frames.a_tracked(),
-            self.active_clf.as_ref(),
+            &self.state.frames.a_tracked(),
+            self.state.active.classifier.as_ref(),
             &mut f_a,
         );
-        let sim_active = self.selection_similarity(&self.active_fp_sel.mean_vector(), &f_a);
-        let sigma = self.active_sim.std_dev().max(self.config.sim_sigma_floor);
+        let sim_active =
+            self.selection_similarity(&self.state.active.sel_fingerprint.mean_vector(), &f_a);
+        let sigma = self.sim_sigma();
         let mut sum = 0.0;
         let mut n = 0.0;
         let mut f_as = Vec::new();
-        for entry in self.repo.iter().filter(|e| e.sel_fingerprint.is_trained()) {
+        for entry in self.state.repo.iter().filter(|e| e.sel_fingerprint.is_trained()) {
             self.engine.extract_tracked_frames_repredicted_into(
-                &self.frames.a_tracked(),
+                &self.state.frames.a_tracked(),
                 entry.classifier.as_ref(),
                 &mut f_as,
             );
@@ -535,7 +443,7 @@ impl Ficsum {
 
     /// Predicts without training or advancing any state.
     pub fn predict(&self, x: &[f64]) -> usize {
-        self.active_clf.predict(x)
+        self.state.active.classifier.predict(x)
     }
 
     /// Similarity used by model selection: normalised values under *uniform*
@@ -547,37 +455,33 @@ impl Ficsum {
     /// Diagnostics-path helper (it allocates); the selection hot path runs
     /// the same comparison through [`CachedFingerprint`] instead.
     fn selection_similarity(&self, raw_a: &[f64], raw_b: &[f64]) -> f64 {
-        let a = self.normalizer.scale(raw_a);
-        let b = self.normalizer.scale(raw_b);
+        let a = self.state.normalizer.scale(raw_a);
+        let b = self.state.normalizer.scale(raw_b);
         let ones = vec![1.0; a.len()];
         fingerprint_similarity(&a, &b, &ones)
     }
 
     /// Moves the active concept into the repository (classifier and all).
-    /// The prepared selection-side cache travels with it; the weighted
+    /// Its prepared selection-side cache travels with it; the weighted
     /// drift-side cache is dropped (the incoming active fingerprint is a
     /// different object whose version counter could collide).
+    ///
+    /// A fresh placeholder holds the active slot until `activate` or
+    /// `activate_new` replaces it. Its
+    /// classifier is never trained, but building it keeps the factory's
+    /// call sequence, which a seeded factory turns into classifier seeds,
+    /// the same at every drift.
     fn store_active(&mut self) {
-        let dims = self.engine.schema().len();
         self.active_cache.invalidate();
-        let entry = ConceptEntry {
-            id: self.active_id,
-            fingerprint: std::mem::replace(&mut self.active_fp, ConceptFingerprint::new(dims)),
-            sel_fingerprint: std::mem::replace(
-                &mut self.active_fp_sel,
-                ConceptFingerprint::new(dims),
-            ),
-            classifier: std::mem::replace(&mut self.active_clf, self.factory.build()),
-            sim_stats: std::mem::replace(
-                &mut self.active_sim,
-                EwStats::new(self.config.sim_alpha),
-            ),
-            sc_fingerprint: std::mem::replace(&mut self.active_sc, ConceptFingerprint::new(dims)),
-            retained: std::mem::take(&mut self.active_retained),
-            last_active: self.t,
-            sel_cache: std::mem::take(&mut self.active_sel_cache),
-        };
-        if let Some(evicted) = self.repo.insert(entry) {
+        let placeholder = fresh_concept(
+            &self.state.config,
+            self.state.active.id,
+            self.engine.schema().len(),
+            self.factory.build(),
+        );
+        let mut entry = std::mem::replace(&mut self.state.active, placeholder);
+        entry.last_active = self.state.t;
+        if let Some(evicted) = self.state.repo.insert(entry) {
             self.emit(StreamEvent::RepositoryEvicted { id: evicted as u64 });
             self.recorder.counter("ficsum.evictions", 1);
         }
@@ -589,29 +493,18 @@ impl Ficsum {
     /// outlier filter would otherwise block the baseline from ever
     /// re-converging.
     fn activate(&mut self, id: ConceptId) {
-        let entry = self.repo.take(id).expect("selection returned stored id");
-        self.active_id = entry.id;
-        self.active_fp = entry.fingerprint;
-        self.active_fp_sel = entry.sel_fingerprint;
-        self.active_clf = entry.classifier;
-        self.active_sim = EwStats::new(self.config.sim_alpha);
-        self.active_retained = entry.retained;
-        self.active_sc = entry.sc_fingerprint;
-        self.active_sel_cache = entry.sel_cache;
+        let entry = self.state.repo.take(id).expect("selection returned stored id");
+        self.state.active =
+            ConceptEntry { sim_stats: EwStats::new(self.state.config.sim_alpha), ..entry };
         self.active_cache.invalidate();
     }
 
     /// Starts a brand-new concept.
     fn activate_new(&mut self) {
-        let dims = self.engine.schema().len();
-        self.active_id = self.repo.allocate_id();
-        self.active_fp = ConceptFingerprint::new(dims);
-        self.active_fp_sel = ConceptFingerprint::new(dims);
-        self.active_clf = self.factory.build();
-        self.active_sim = EwStats::new(self.config.sim_alpha);
-        self.active_retained = Vec::new();
-        self.active_sc = ConceptFingerprint::new(dims);
-        self.active_sel_cache.invalidate();
+        let id = self.state.repo.allocate_id();
+        let classifier = self.factory.build();
+        self.state.active =
+            fresh_concept(&self.state.config, id, self.engine.schema().len(), classifier);
         self.active_cache.invalidate();
     }
 
@@ -657,16 +550,13 @@ impl Ficsum {
         // (and the recheck's incumbent extraction). It runs before the
         // candidate check so its EMD cache bookkeeping does not depend on
         // the repository's contents.
-        {
-            let Self { engine, frames, window_scan, .. } = self;
-            engine.static_scan_tracked(&frames.a_tracked(), window_scan);
-        }
-        let norm_v = self.normalizer.version();
+        self.engine.static_scan_tracked(&self.state.frames.a_tracked(), &mut self.window_scan);
+        let norm_v = self.state.normalizer.version();
         // Phase 0: refresh each candidate's cached selection side (cheap
         // version check per entry; recomputed only after the fingerprint or
         // the normaliser moved).
         {
-            let Self { repo, normalizer, .. } = self;
+            let SessionState { repo, normalizer, .. } = &mut self.state;
             for entry in repo.iter_mut() {
                 if is_candidate(entry) {
                     let key = (0, norm_v, entry.sel_fingerprint.version());
@@ -674,7 +564,7 @@ impl Ficsum {
                 }
             }
         }
-        let n_cands = self.repo.iter().filter(|e| is_candidate(e)).count();
+        let n_cands = self.state.repo.iter().filter(|e| is_candidate(e)).count();
         if n_cands == 0 {
             return None;
         }
@@ -682,9 +572,9 @@ impl Ficsum {
         // repository order.
         let mut scored: Vec<(ConceptId, f64, f64, f64)> = Vec::with_capacity(n_cands);
         if self.scan_threads <= 1 || n_cands < 2 {
-            let Self { engine, repo, normalizer, config, window_scan, frames, .. } = self;
-            let (normalizer, config, scan) = (&*normalizer, &*config, &*window_scan);
-            let window = &frames.a_tracked();
+            let Self { engine, state, window_scan, .. } = self;
+            let SessionState { repo, normalizer, config, frames, .. } = &*state;
+            let (window, scan) = (&frames.a_tracked(), &*window_scan);
             let (mut fp, mut scaled) = (Vec::new(), Vec::new());
             let (mut sa, mut sb, mut sims) = (Vec::new(), Vec::new(), Vec::new());
             for entry in repo.iter().filter(|e| is_candidate(e)) {
@@ -699,9 +589,9 @@ impl Ficsum {
         } else {
             let n_workers = self.scan_threads.min(n_cands);
             self.ensure_scan_pool(n_workers);
-            let Self { scan_pool, repo, normalizer, config, window_scan, frames, .. } = self;
-            let (normalizer, config, scan) = (&*normalizer, &*config, &*window_scan);
-            let window = &frames.a_tracked();
+            let Self { scan_pool, state, window_scan, .. } = self;
+            let SessionState { repo, normalizer, config, frames, .. } = &*state;
+            let (window, scan) = (&frames.a_tracked(), &*window_scan);
             let cands: Vec<&ConceptEntry> = repo.iter().filter(|e| is_candidate(e)).collect();
             let mut slots: Vec<Option<(ConceptId, f64, f64, f64)>> = vec![None; cands.len()];
             let per = cands.len().div_ceil(n_workers);
@@ -733,17 +623,10 @@ impl Ficsum {
             debug_assert_eq!(scored.len(), n_cands, "every scan slot must be filled");
         }
         // Acceptance fold, identical to the sequential reference loop.
-        let debug_on = std::env::var_os("FICSUM_DEBUG").is_some();
         let mut banded: Option<(ConceptId, f64)> = None;
         let mut all: Vec<(ConceptId, f64, f64)> = Vec::with_capacity(scored.len());
         for (id, sim, mu, sigma) in scored {
-            if debug_on {
-                eprintln!(
-                    "  [select t={}] entry {id}: sim={sim:.4} mu={mu:.4} sigma={sigma:.4}",
-                    self.t
-                );
-            }
-            if sim >= mu - self.config.accept_sigma * sigma
+            if sim >= mu - self.state.config.accept_sigma * sigma
                 && banded.is_none_or(|(_, b)| sim > b)
             {
                 banded = Some((id, sim));
@@ -768,25 +651,25 @@ impl Ficsum {
     /// Model selection (Algorithm 1 lines 25–35): store the incumbent, test
     /// every stored concept, and activate the best acceptor or a fresh one.
     fn model_select(&mut self) -> Selection {
-        let from = self.active_id;
+        let from = self.state.active.id;
         self.store_active();
         let (selection, similarity) = match self.select_best() {
             Some((id, sim)) => {
                 self.activate(id);
-                self.stats.n_reuses += 1;
+                self.state.stats.n_reuses += 1;
                 self.recorder.counter("ficsum.reuses", 1);
                 (Selection::Reused(id), Some(sim))
             }
             None => {
                 self.activate_new();
-                self.stats.n_new_concepts += 1;
+                self.state.stats.n_new_concepts += 1;
                 self.recorder.counter("ficsum.new_concepts", 1);
-                (Selection::New(self.active_id), None)
+                (Selection::New(self.state.active.id), None)
             }
         };
         self.emit(StreamEvent::ConceptSwitch {
             from: from as u64,
-            to: self.active_id as u64,
+            to: self.state.active.id as u64,
             similarity,
         });
         if self.recorder.enabled() {
@@ -807,28 +690,27 @@ impl Ficsum {
         let Some((id, best_sim)) = best else { return };
         // Score the incumbent on the same pure window; a fresh incumbent
         // with no history scores 0 (it cannot defend itself yet).
-        let incumbent_sim = if self.active_fp_sel.is_trained() {
-            {
-                // `select_best` just built the static scan of `A`.
-                let Self { engine, frames, active_clf, fp_tmp, window_scan, .. } = self;
-                engine.extract_with_scan(
-                    &frames.a_tracked(),
-                    &*window_scan,
-                    active_clf.as_ref(),
-                    fp_tmp,
-                );
-            }
-            let key = (0, self.normalizer.version(), self.active_fp_sel.version());
-            self.active_sel_cache.ensure(key, &self.active_fp_sel, &self.normalizer, None);
-            self.normalizer.scale_into(&self.fp_tmp, &mut self.scaled_q);
-            self.active_sel_cache.similarity_scaled(&self.scaled_q, None)
+        let incumbent_sim = if self.state.active.sel_fingerprint.is_trained() {
+            // `select_best` just built the static scan of `A`.
+            let Self { engine, state, fp_tmp, scaled_q, window_scan, .. } = self;
+            let SessionState { active, frames, normalizer, .. } = state;
+            engine.extract_with_scan(
+                &frames.a_tracked(),
+                &*window_scan,
+                active.classifier.as_ref(),
+                fp_tmp,
+            );
+            let key = (0, normalizer.version(), active.sel_fingerprint.version());
+            active.sel_cache.ensure(key, &active.sel_fingerprint, normalizer, None);
+            normalizer.scale_into(fp_tmp, scaled_q);
+            active.sel_cache.similarity_scaled(scaled_q, None)
         } else {
             0.0
         };
         if best_sim <= incumbent_sim {
             return;
         }
-        let from = self.active_id;
+        let from = self.state.active.id;
         if incumbent_new {
             // Drop the newcomer entirely.
             self.activate(id);
@@ -836,21 +718,20 @@ impl Ficsum {
             self.store_active();
             self.activate(id);
         }
-        self.stats.n_recheck_switches += 1;
+        self.state.stats.n_recheck_switches += 1;
         self.recorder.counter("ficsum.recheck_switches", 1);
         self.emit(StreamEvent::ConceptSwitch {
             from: from as u64,
-            to: self.active_id as u64,
+            to: self.state.active.id as u64,
             similarity: Some(best_sim),
         });
         if self.recorder.enabled() {
             self.sim_gauges();
         }
-        self.frames.clear_buffer();
-        self.detector.reset();
-        self.extreme_streak = 0;
-        self.cooldown_until =
-            self.t + (self.config.window_size + self.config.buffer_delay()) as u64;
+        self.state.frames.clear_buffer();
+        self.state.detector.reset();
+        self.state.extreme_streak = 0;
+        self.state.cooldown_until = self.state.t + self.turnover();
     }
 
     /// Processes one observation prequentially.
@@ -860,11 +741,12 @@ impl Ficsum {
     /// through reusable scratch buffers, and the dynamic weights are only
     /// recomputed when their version stamp shows an input changed.
     pub fn process(&mut self, x: &[f64], y: usize) -> StepOutcome {
-        debug_assert_eq!(x.len(), self.n_features);
-        let prediction = self.active_clf.predict_with(x, &mut self.proba_scratch);
-        self.active_clf.train(x, y);
-        self.frames.push(x, y, prediction);
-        self.t += 1;
+        debug_assert_eq!(x.len(), self.state.n_features);
+        let config = self.state.config;
+        let prediction = self.state.active.classifier.predict_with(x, &mut self.proba_scratch);
+        self.state.active.classifier.train(x, y);
+        self.state.frames.push(x, y, prediction);
+        self.state.t += 1;
 
         // Fingerprint plasticity: a significant classifier change (a new
         // tree branch) invalidates the stored distribution of classifier-
@@ -873,76 +755,78 @@ impl Ficsum {
         // (Section IV): refinements of an already-large tree barely move its
         // predictions, and resetting on every one of them would keep the
         // fingerprint permanently amnesiac. Resets are also rate-limited.
-        if self.config.plasticity
-            && self.active_clf.take_growth_event()
-            && self.active_clf.complexity() <= 8
-            && self.t >= self.last_plasticity + 300
-            && self.active_fp.is_trained() {
-                self.last_plasticity = self.t;
-                {
-                    let Self { engine, active_fp, active_fp_sel, .. } = self;
-                    let schema = engine.schema();
-                    active_fp.reset_dims(|i| schema.dims[i].depends_on_classifier());
-                    active_fp_sel.reset_dims(|i| schema.dims[i].depends_on_classifier());
-                }
-                self.stats.n_plasticity_resets += 1;
-                self.emit(StreamEvent::PlasticityReset);
-                self.recorder.counter("ficsum.plasticity_resets", 1);
-                // The grown classifier re-predicts differently from here on;
-                // do not let stale cached entropies bridge the change.
-                self.engine.invalidate_emd_cache();
-                // The reset dimensions read as empty until buffer windows
-                // refill them; comparing against the half-empty fingerprint
-                // would register as (false) drift.
-                self.extreme_streak = 0;
-                self.baseline_outliers = 0;
-                self.cooldown_until = self.cooldown_until.max(
-                    self.t + (self.config.window_size + self.config.buffer_delay()) as u64,
-                );
+        if config.plasticity
+            && self.state.active.classifier.take_growth_event()
+            && self.state.active.classifier.complexity() <= 8
+            && self.state.t >= self.state.last_plasticity + 300
+            && self.state.active.fingerprint.is_trained()
+        {
+            self.state.last_plasticity = self.state.t;
+            {
+                let schema = self.engine.schema();
+                let active = &mut self.state.active;
+                active.fingerprint.reset_dims(|i| schema.dims[i].depends_on_classifier());
+                active.sel_fingerprint.reset_dims(|i| schema.dims[i].depends_on_classifier());
             }
+            self.state.stats.n_plasticity_resets += 1;
+            self.emit(StreamEvent::PlasticityReset);
+            self.recorder.counter("ficsum.plasticity_resets", 1);
+            // The grown classifier re-predicts differently from here on;
+            // do not let stale cached entropies bridge the change.
+            self.engine.invalidate_emd_cache();
+            // The reset dimensions read as empty until buffer windows
+            // refill them; comparing against the half-empty fingerprint
+            // would register as (false) drift.
+            self.state.extreme_streak = 0;
+            self.state.baseline_outliers = 0;
+            self.state.cooldown_until =
+                self.state.cooldown_until.max(self.state.t + self.turnover());
+        }
 
         let mut outcome = StepOutcome {
             prediction,
             drift: false,
             concept_switched: false,
-            active_concept: self.active_id,
+            active_concept: self.state.active.id,
         };
 
         // Periodic fingerprint update + drift check (lines 16–24).
-        if self.t.is_multiple_of(self.config.fingerprint_gap as u64) && self.frames.a_is_full() {
+        if self.state.t.is_multiple_of(config.fingerprint_gap as u64)
+            && self.state.frames.a_is_full()
+        {
             let obs_on = self.recorder.enabled();
             // Epoch-gated dynamic weights: the computation is a pure
             // function of the active fingerprint, the repository and the
             // normaliser; an unchanged version stamp means the kept vector
             // is bit-identical to what a recompute would produce.
             let stamp = (
-                self.active_fp.version(),
-                self.repo.weights_stamp(),
-                self.normalizer.version(),
+                self.state.active.fingerprint.version(),
+                self.state.repo.weights_stamp(),
+                self.state.normalizer.version(),
             );
-            if self.weights_stamp != Some(stamp) {
+            if self.state.weights_stamp != Some(stamp) {
                 // The weights exist to score similarity on this path, so
                 // their recompute is booked to that stage.
                 let t0 = self.span_start();
-                self.weights.compute_into(
-                    &self.active_fp,
-                    &self.repo,
-                    &self.normalizer,
-                    self.config.sigma_floor,
+                self.state.weights.compute_into(
+                    &self.state.active.fingerprint,
+                    &self.state.repo,
+                    &self.state.normalizer,
+                    config.sigma_floor,
                 );
                 self.span_end(Stage::Similarity, t0);
-                self.weights_gen += 1;
-                self.weights_stamp = Some(stamp);
-                self.weights.publish_shape(&mut *self.recorder);
+                self.state.weights_gen += 1;
+                self.state.weights_stamp = Some(stamp);
+                self.state.weights.publish_shape(&mut *self.recorder);
                 if obs_on {
-                    let dims = self.weights.values.len() as u64;
-                    let spread = self.weights.spread();
+                    let dims = self.state.weights.values.len() as u64;
+                    let spread = self.state.weights.spread();
                     self.emit(StreamEvent::WeightsRecomputed { dims, spread });
                 }
             }
 
             let mut force_drift = false;
-            if self.frames.stale_is_full() {
+            if self.state.frames.stale_is_full() {
                 // The window is re-predicted through the current classifier
                 // (the paper's makeFingerprint uses the classifier, line 17):
                 // re-predicted error profiles are stable within a concept and
@@ -950,34 +834,34 @@ impl Ficsum {
                 // detection signal and consistency with model selection.
                 let t0 = self.span_start();
                 {
-                    let Self { engine, frames, active_clf, fp_b, .. } = self;
+                    let Self { engine, state, fp_b, .. } = self;
                     engine.extract_tracked_frames_repredicted_into(
-                        &frames.stale_tracked(),
-                        active_clf.as_ref(),
+                        &state.frames.stale_tracked(),
+                        state.active.classifier.as_ref(),
                         fp_b,
                     );
                 }
                 self.span_end(Stage::Extract, t0);
                 self.emit(StreamEvent::FingerprintExtracted { dims: self.fp_b.len() as u64 });
                 let t0 = self.span_start();
-                self.normalizer.observe(&self.fp_b);
+                self.state.normalizer.observe(&self.fp_b);
                 let mut incorporate = true;
-                if self.active_fp.is_trained() {
+                if self.state.active.fingerprint.is_trained() {
                     let key = (
-                        self.weights_gen,
-                        self.normalizer.version(),
-                        self.active_fp.version(),
+                        self.state.weights_gen,
+                        self.state.normalizer.version(),
+                        self.state.active.fingerprint.version(),
                     );
                     self.active_cache.ensure(
                         key,
-                        &self.active_fp,
-                        &self.normalizer,
-                        Some(&self.weights.values),
+                        &self.state.active.fingerprint,
+                        &self.state.normalizer,
+                        Some(&self.state.weights.values),
                     );
-                    self.normalizer.scale_into(&self.fp_b, &mut self.scaled_q);
+                    self.state.normalizer.scale_into(&self.fp_b, &mut self.scaled_q);
                     let norm_sim = self
                         .active_cache
-                        .similarity_scaled(&self.scaled_q, Some(&self.weights.values));
+                        .similarity_scaled(&self.scaled_q, Some(&self.state.weights.values));
                     // Robust baseline: a window whose similarity is an
                     // extreme outlier is most likely drawn from a drift
                     // region — folding it into mu_c / sigma_c / F_c would
@@ -985,21 +869,21 @@ impl Ficsum {
                     // against. Skip it, unless outliers persist (a genuine
                     // level shift, e.g. classifier evolution), in which case
                     // start absorbing again.
-                    let sigma = self.active_sim.std_dev().max(self.config.sim_sigma_floor);
-                    let z = (norm_sim - self.active_sim.mean()) / sigma;
+                    let sigma = self.sim_sigma();
+                    let z = (norm_sim - self.state.active.sim_stats.mean()) / sigma;
                     let outlier =
-                        self.active_sim.count() >= 5 && z.abs() >= self.config.outlier_z;
+                        self.state.active.sim_stats.count() >= 5 && z.abs() >= config.outlier_z;
                     if outlier {
-                        self.baseline_outliers += 1;
+                        self.state.baseline_outliers += 1;
                         incorporate = false;
                         // A long run of outlier windows is itself decisive
                         // evidence that the stream has left this concept.
-                        if self.baseline_outliers >= 20 {
+                        if self.state.baseline_outliers >= 20 {
                             force_drift = true;
                         }
                     } else {
-                        self.baseline_outliers = 0;
-                        self.active_sim.push(norm_sim);
+                        self.state.baseline_outliers = 0;
+                        self.state.active.sim_stats.push(norm_sim);
                         self.emit(StreamEvent::BaselineAbsorbed { value: norm_sim });
                         if obs_on {
                             self.sim_gauges();
@@ -1007,41 +891,43 @@ impl Ficsum {
                     }
                 }
                 if incorporate {
-                    self.active_fp.incorporate(&self.fp_b);
-                    self.active_fp_sel.incorporate(&self.fp_b);
+                    self.state.active.fingerprint.incorporate(&self.fp_b);
+                    self.state.active.sel_fingerprint.incorporate(&self.fp_b);
                 }
                 self.span_end(Stage::Similarity, t0);
             }
 
-            if self.active_fp.n_incorporated() >= 2 && self.t >= self.cooldown_until {
+            if self.state.active.fingerprint.n_incorporated() >= 2
+                && self.state.t >= self.state.cooldown_until
+            {
                 let t0 = self.span_start();
                 {
-                    let Self { engine, frames, active_clf, fp_a, .. } = self;
+                    let Self { engine, state, fp_a, .. } = self;
                     engine.extract_tracked_frames_repredicted_into(
-                        &frames.a_tracked(),
-                        active_clf.as_ref(),
+                        &state.frames.a_tracked(),
+                        state.active.classifier.as_ref(),
                         fp_a,
                     );
                 }
                 self.span_end(Stage::Extract, t0);
                 self.emit(StreamEvent::FingerprintExtracted { dims: self.fp_a.len() as u64 });
                 let t0 = self.span_start();
-                self.normalizer.observe(&self.fp_a);
+                self.state.normalizer.observe(&self.fp_a);
                 let key = (
-                    self.weights_gen,
-                    self.normalizer.version(),
-                    self.active_fp.version(),
+                    self.state.weights_gen,
+                    self.state.normalizer.version(),
+                    self.state.active.fingerprint.version(),
                 );
                 self.active_cache.ensure(
                     key,
-                    &self.active_fp,
-                    &self.normalizer,
-                    Some(&self.weights.values),
+                    &self.state.active.fingerprint,
+                    &self.state.normalizer,
+                    Some(&self.state.weights.values),
                 );
-                self.normalizer.scale_into(&self.fp_a, &mut self.scaled_q);
+                self.state.normalizer.scale_into(&self.fp_a, &mut self.scaled_q);
                 let sim_a = self
                     .active_cache
-                    .similarity_scaled(&self.scaled_q, Some(&self.weights.values));
+                    .similarity_scaled(&self.scaled_q, Some(&self.state.weights.values));
                 self.emit(StreamEvent::SimilarityObserved { value: sim_a });
                 // Retain occasional selection-space pairs: the selection
                 // fingerprint's mean against this window re-predicted
@@ -1050,29 +936,34 @@ impl Ficsum {
                 // the acceptance band (Section IV's record re-basing).
                 // `scaled_q` still holds this window's scaled fingerprint,
                 // which is exactly the selection query side.
-                if self.t.is_multiple_of(8 * self.config.fingerprint_gap as u64)
-                    && self.active_fp_sel.is_trained()
+                if self.state.t.is_multiple_of(8 * config.fingerprint_gap as u64)
+                    && self.state.active.sel_fingerprint.is_trained()
                 {
-                    let sel_key = (0, self.normalizer.version(), self.active_fp_sel.version());
-                    self.active_sel_cache.ensure(
+                    let sel_key = (
+                        0,
+                        self.state.normalizer.version(),
+                        self.state.active.sel_fingerprint.version(),
+                    );
+                    self.state.active.sel_cache.ensure(
                         sel_key,
-                        &self.active_fp_sel,
-                        &self.normalizer,
+                        &self.state.active.sel_fingerprint,
+                        &self.state.normalizer,
                         None,
                     );
-                    let sim_sel = self.active_sel_cache.similarity_scaled(&self.scaled_q, None);
+                    let sim_sel =
+                        self.state.active.sel_cache.similarity_scaled(&self.scaled_q, None);
                     // Ring-recycle the oldest pair's buffers once the cap is
                     // reached; steady state allocates nothing.
-                    let (mut a, mut b) = if self.active_retained.len() >= 8 {
-                        let p = self.active_retained.remove(0);
+                    let (mut a, mut b) = if self.state.active.retained.len() >= 8 {
+                        let p = self.state.active.retained.remove(0);
                         (p.a, p.b)
                     } else {
                         (Vec::new(), Vec::new())
                     };
-                    self.active_fp_sel.mean_into(&mut a);
+                    self.state.active.sel_fingerprint.mean_into(&mut a);
                     b.clear();
                     b.extend_from_slice(&self.fp_a);
-                    self.active_retained.push(RetainedPair { a, b, sim_then: sim_sel });
+                    self.state.active.retained.push(RetainedPair { a, b, sim_then: sim_sel });
                 }
                 self.span_end(Stage::Similarity, t0);
                 let t0 = self.span_start();
@@ -1081,26 +972,26 @@ impl Ficsum {
                 // compressed near 1 and their scale varies by dataset, while
                 // the deviation-from-normal is what "significantly
                 // different to normal" means (Section III-A).
-                let (z, detector_input) = if self.active_sim.count() >= 5 {
-                    let sigma = self.active_sim.std_dev().max(self.config.sim_sigma_floor);
-                    let c = self.config.deviation_clamp;
-                    let z = ((sim_a - self.active_sim.mean()) / sigma).clamp(-c, c);
+                let (z, detector_input) = if self.state.active.sim_stats.count() >= 5 {
+                    let sigma = self.sim_sigma();
+                    let c = config.deviation_clamp;
+                    let z = ((sim_a - self.state.active.sim_stats.mean()) / sigma).clamp(-c, c);
                     (z, (z + c) / (2.0 * c))
                 } else {
                     (0.0, 0.5)
                 };
                 // Hard trigger: several consecutive checks far outside the
                 // recorded normal band.
-                if z.abs() >= self.config.hard_z {
-                    self.extreme_streak += 1;
+                if z.abs() >= config.hard_z {
+                    self.state.extreme_streak += 1;
                 } else {
-                    self.extreme_streak = 0;
+                    self.state.extreme_streak = 0;
                 }
-                let adwin_fired = self.detector.add(detector_input) == DetectorState::Drift;
-                let hard_fired = self.extreme_streak >= self.config.hard_consecutive;
+                let adwin_fired = self.state.detector.add(detector_input) == DetectorState::Drift;
+                let hard_fired = self.state.extreme_streak >= config.hard_consecutive;
                 self.span_end(Stage::DriftCheck, t0);
                 if adwin_fired || hard_fired || force_drift {
-                    self.stats.n_drifts += 1;
+                    self.state.stats.n_drifts += 1;
                     let trigger = if adwin_fired {
                         DriftTrigger::Detector
                     } else if hard_fired {
@@ -1118,24 +1009,21 @@ impl Ficsum {
                     // prediction-dependent sources belong to the old one.
                     self.engine.invalidate_emd_cache();
                     outcome.concept_switched = true;
-                    self.frames.clear_buffer();
-                    self.detector.reset();
-                    self.extreme_streak = 0;
-                    self.baseline_outliers = 0;
+                    self.state.frames.clear_buffer();
+                    self.state.detector.reset();
+                    self.state.extreme_streak = 0;
+                    self.state.baseline_outliers = 0;
                     // Suppress checks until the windows hold only
                     // post-switch observations; a brand-new classifier gets
                     // longer to settle.
-                    let turnover =
-                        (self.config.window_size + self.config.buffer_delay()) as u64;
-                    self.cooldown_until = self.t
+                    let turnover = self.turnover();
+                    self.state.cooldown_until = self.state.t
                         + match selection {
-                            Selection::New(_) => {
-                                turnover.max(self.config.new_concept_grace as u64)
-                            }
+                            Selection::New(_) => turnover.max(config.new_concept_grace as u64),
                             Selection::Reused(_) => turnover,
                         };
-                    self.pending_recheck = self.config.second_check.then(|| PendingRecheck {
-                        due: self.t + self.config.window_size as u64,
+                    self.state.pending_recheck = config.second_check.then(|| PendingRecheck {
+                        due: self.state.t + config.window_size as u64,
                         created_new: matches!(selection, Selection::New(_)),
                     });
                 }
@@ -1145,19 +1033,19 @@ impl Ficsum {
         // Periodic non-active fingerprint update for the intra-classifier
         // weight component (lines 37–42).
         if !outcome.drift
-            && self.t.is_multiple_of(self.config.repository_gap as u64)
-            && self.frames.a_is_full()
-            && !self.repo.is_empty()
+            && self.state.t.is_multiple_of(config.repository_gap as u64)
+            && self.state.frames.a_is_full()
+            && !self.state.repo.is_empty()
         {
             let t0 = self.span_start();
             {
-                let Self { engine, repo, frames, fp_tmp, window_scan, .. } = self;
-                let tracked = frames.a_tracked();
+                let Self { engine, state, fp_tmp, window_scan, .. } = self;
+                let tracked = state.frames.a_tracked();
                 // One static scan of `A` serves every stored classifier:
                 // only the classifier-dependent sources are re-evaluated
                 // per entry.
                 engine.static_scan_tracked(&tracked, window_scan);
-                for entry in repo.iter_mut() {
+                for entry in state.repo.iter_mut() {
                     engine.extract_with_scan(
                         &tracked,
                         &*window_scan,
@@ -1171,14 +1059,14 @@ impl Ficsum {
         }
 
         // Delayed second model-selection pass (Section III-A).
-        if let Some(recheck) = self.pending_recheck {
-            if self.t >= recheck.due && self.frames.a_is_full() {
-                self.pending_recheck = None;
-                let before = self.active_id;
+        if let Some(recheck) = self.state.pending_recheck {
+            if self.state.t >= recheck.due && self.state.frames.a_is_full() {
+                self.state.pending_recheck = None;
+                let before = self.state.active.id;
                 let t0 = self.span_start();
                 self.run_recheck(recheck.created_new);
                 self.span_end(Stage::RepositoryReassess, t0);
-                if self.active_id != before {
+                if self.state.active.id != before {
                     outcome.concept_switched = true;
                     self.engine.invalidate_emd_cache();
                 }
@@ -1189,7 +1077,7 @@ impl Ficsum {
         // cost (enabled recorders share the framework clock with the
         // engine, see `attach_recorder`).
         if self.recorder.enabled()
-            && self.t.is_multiple_of(self.config.repository_gap as u64)
+            && self.state.t.is_multiple_of(config.repository_gap as u64)
             && self.engine.timing_enabled()
         {
             for (name, nanos) in self.engine.source_timings() {
@@ -1197,7 +1085,7 @@ impl Ficsum {
             }
         }
 
-        outcome.active_concept = self.active_id;
+        outcome.active_concept = self.state.active.id;
         outcome
     }
 }
@@ -1367,7 +1255,7 @@ mod tests {
                 let o = gen.generate();
                 let a = seq.process(&o.features, o.label);
                 let b = par.process(&o.features, o.label);
-                assert_eq!(a, b, "outcomes diverged at t={}", seq.t);
+                assert_eq!(a, b, "outcomes diverged at t={}", seq.state.t);
             }
         }
         assert!(seq.stats().n_drifts >= 1, "test must exercise model selection");
@@ -1379,7 +1267,7 @@ mod tests {
         use crate::template::SessionTemplate;
         let template = SessionTemplate::new(3, 2, quick_config(), Variant::Full).unwrap();
         let mut session = template.clone().with_incremental_stats(true).instantiate();
-        assert!(session.frames.stats_bins().is_some());
+        assert!(session.state.frames.stats_bins().is_some());
         let mut stream = stagger_stream(3);
         for _ in 0..300 {
             let o = stream.next_observation().unwrap();
@@ -1387,6 +1275,6 @@ mod tests {
         }
         let restored = template.restore(&session.checkpoint()).unwrap();
         assert!(!restored.engine().incremental_stats());
-        assert_eq!(restored.frames.stats_bins(), None, "batch mode reads no stat banks");
+        assert_eq!(restored.state.frames.stats_bins(), None, "batch mode reads no stat banks");
     }
 }

@@ -35,6 +35,8 @@ type FactoryFn = dyn Fn() -> Box<dyn ClassifierFactory> + Send + Sync;
 /// stamped from the same template are bit-identical in behaviour: driven
 /// with the same observations they produce the same
 /// [`crate::StepOutcome`]s (pinned by the template-cloning property test).
+/// Template sessions run sequentially: a sharded server parallelises
+/// across sessions, not within one.
 ///
 /// ```
 /// use ficsum_core::{FicsumConfig, SessionTemplate, Variant};
@@ -51,7 +53,6 @@ pub struct SessionTemplate {
     n_classes: usize,
     config: FicsumConfig,
     variant: Variant,
-    parallelism: usize,
     extraction: ExtractionMode,
     factory: Arc<FactoryFn>,
 }
@@ -72,7 +73,6 @@ impl SessionTemplate {
             n_classes,
             config,
             variant,
-            parallelism: 1,
             extraction: ExtractionMode::default(),
             factory: Arc::new(move || {
                 Box::new(move || {
@@ -93,15 +93,6 @@ impl SessionTemplate {
         self
     }
 
-    /// Per-session worker threads (see
-    /// [`crate::variant::FicsumBuilder::parallelism`]). A sharded server
-    /// normally keeps this at 1 — its parallelism is across sessions.
-    #[must_use]
-    pub fn with_parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = threads.max(1);
-        self
-    }
-
     /// Switches extraction to incremental mode (see
     /// [`crate::variant::FicsumBuilder::incremental_stats`]).
     #[must_use]
@@ -110,8 +101,8 @@ impl SessionTemplate {
         self
     }
 
-    /// Bounds the EMD re-sifting cadence under incremental statistics (see
-    /// [`crate::variant::FicsumBuilder::emd_stride`]).
+    /// Bounds the EMD re-sifting cadence, with batch and incremental
+    /// statistics alike (see [`crate::variant::FicsumBuilder::emd_stride`]).
     #[must_use]
     pub fn with_emd_stride(mut self, stride: u32) -> Self {
         self.extraction.emd_stride = stride;
@@ -150,9 +141,6 @@ impl SessionTemplate {
             (self.factory)(),
         )
         .expect("template was validated at construction");
-        if self.parallelism != 1 {
-            ficsum.configure_parallelism(self.parallelism);
-        }
         ficsum.configure_extraction(self.extraction);
         ficsum
     }
@@ -168,9 +156,7 @@ impl SessionTemplate {
     /// observations the original session would have seen next, it produces
     /// the same [`crate::StepOutcome`]s and statistics as the uninterrupted
     /// original (pinned by the snapshot→restore→replay property test). The
-    /// template's parallelism and extraction mode are applied to the
-    /// restored session. Parallelism is bit-identical to sequential, so it
-    /// may differ freely from the capturing template. The extraction mode
+    /// template's extraction mode is applied to the restored session. It
     /// changes extraction arithmetic (within its ≤ 1e-9 contract), so
     /// bit-identical replay requires the mode the capturing session ran
     /// with; the checkpointed frame windows carry their statistic banks,
@@ -183,10 +169,7 @@ impl SessionTemplate {
     pub fn restore(&self, checkpoint: &SessionCheckpoint) -> Result<Ficsum, RestoreError> {
         self.validate_checkpoint(checkpoint)?;
         let extractor = self.variant.extractor(self.n_features);
-        let mut ficsum = Ficsum::from_checkpoint(checkpoint, extractor, (self.factory)());
-        if self.parallelism != 1 {
-            ficsum.configure_parallelism(self.parallelism);
-        }
+        let mut ficsum = Ficsum::from_state(checkpoint.state.clone(), extractor, (self.factory)());
         ficsum.configure_extraction(self.extraction);
         Ok(ficsum)
     }
@@ -229,7 +212,6 @@ impl std::fmt::Debug for SessionTemplate {
             .field("n_features", &self.n_features)
             .field("n_classes", &self.n_classes)
             .field("variant", &self.variant)
-            .field("parallelism", &self.parallelism)
             .field("extraction", &self.extraction)
             .finish_non_exhaustive()
     }

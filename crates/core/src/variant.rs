@@ -153,11 +153,12 @@ impl FicsumBuilder {
         self
     }
 
-    /// Bounds how often IMF entropies are re-sifted when
-    /// [`FicsumBuilder::incremental_stats`] is on: a changed window
-    /// re-computes them at most every `stride`-th extraction per source
-    /// (default 1 = on every change, faithful to the batch values; larger
-    /// strides trade bounded staleness for a proportional cut in EMD cost).
+    /// Bounds how often IMF entropies are re-sifted, with batch and
+    /// incremental statistics alike: a changed window re-computes them at
+    /// most every `stride`-th extraction per source (default 1 = on every
+    /// change, faithful to the batch values; larger strides trade bounded
+    /// staleness for a proportional cut in EMD cost). See
+    /// [`ExtractionMode::emd_stride`].
     pub fn emd_stride(mut self, stride: u32) -> Self {
         self.extraction.emd_stride = stride;
         self

@@ -63,11 +63,11 @@ use crate::sources::{behaviour_sources, SourceKind};
 /// moments, ACF/PACF at lags 1–2 from rolling centered cross-sums, lagged
 /// mutual information from an add/remove joint histogram and the
 /// turning-point rate from an exact counter (see
-/// [`ficsum_stream::SeqStats`]) — and caches IMF entropies per source
-/// behind a content hash. The substituted values agree with the batch
-/// sweep to ≤ 1e-9 relative (MI and turning points bit-identically), but
-/// not bit for bit, so batch stays the default: drift trajectories are
-/// feedback loops in which any numeric difference can compound.
+/// [`ficsum_stream::SeqStats`]). The substituted values agree with the
+/// batch sweep to ≤ 1e-9 relative (MI and turning points bit-identically),
+/// but not bit for bit, so batch stays the default: drift trajectories are
+/// feedback loops in which any numeric difference can compound. The EMD
+/// stride is independent of the statistics: it applies in either mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExtractionMode {
     /// Substitute incremental statistics. The windows must have them
@@ -75,13 +75,15 @@ pub struct ExtractionMode {
     /// extractor's MI bin count); sources without usable state fall back
     /// to the batch sweep.
     pub incremental: bool,
-    /// EMD amortisation in incremental mode: a *changed* window re-sifts
-    /// IMF entropies at most every `emd_stride`-th extraction per source,
-    /// reusing the previous values in between (an unchanged window always
-    /// reuses them exactly). `1` re-sifts on every change, faithful to the
-    /// batch values; larger strides trade bounded staleness (at most
-    /// `emd_stride - 1` fingerprint gaps) for a proportional cut in
-    /// sifting cost. `0` counts as `1`.
+    /// EMD amortisation, in batch and incremental mode alike. Above 1, each
+    /// source of each window keeps its last IMF entropies behind a content
+    /// hash: an unchanged window reuses them, and a *changed* one re-sifts
+    /// at most every `emd_stride`-th extraction, reusing the previous
+    /// values in between. That trades bounded staleness (at most
+    /// `emd_stride - 1` fingerprint gaps) for a proportional cut in sifting
+    /// cost. `1` (the default) keeps no per-source cache: every sift goes
+    /// through the exact memo, faithful to the batch values. `0` counts as
+    /// `1`.
     pub emd_stride: u32,
 }
 
@@ -116,7 +118,7 @@ impl TrackedVals {
     }
 }
 
-/// One cached EMD result of the incremental mode: the IMF entropies of the
+/// One cached EMD result of a stride above 1: the IMF entropies of the
 /// last sequence this source computed them for, keyed by a content hash so
 /// an unchanged window reuses them without sifting, plus a staleness age
 /// for the bounded-stride amortisation of [`ExtractionMode::emd_stride`].
@@ -621,9 +623,10 @@ impl FingerprintEngine {
     }
 
     /// Selects (and lazily sizes) the EMD cache bank for an extraction
-    /// from `window`; `None` in batch mode.
+    /// from `window`; `None` at stride 1, where every sift goes through the
+    /// exact memo instead.
     fn set_active_bank(&mut self, window: &TrackedFrames<'_>) {
-        self.active_bank = if self.mode.incremental {
+        self.active_bank = if self.mode.emd_stride > 1 {
             let tag = window.window_tag().min(1);
             let n = self.kinds.len();
             if self.emd_cache[tag].len() != n {

@@ -401,14 +401,15 @@ fn handle_submit(
         }
         Err(refusal) => {
             let (code, a, b) = encode_serve_error(&refusal);
-            write_frame(stream, kind::REJECTED, &encode_code((code, a, b)))?;
+            // Count the refusal before replying, so a client that has read
+            // the REJECTED frame always finds it in the metrics.
             shared.metrics.update(|m| m.batches_rejected += 1);
             recorder.counter("net.batches_rejected", 1);
             recorder.event(
                 *batches,
                 StreamEvent::BatchRejected { conn: conn_id, code: code as u64 },
             );
-            Ok(())
+            write_frame(stream, kind::REJECTED, &encode_code((code, a, b)))
         }
     }
 }

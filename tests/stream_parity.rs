@@ -16,6 +16,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use ficsum::meta::ExtractionMode;
 use ficsum::prelude::*;
 
 /// FNV-1a over the raw little-endian bytes of each step outcome: any bit
@@ -77,19 +78,18 @@ fn run_scenario(
     seed: u64,
     steps: usize,
     config: FicsumConfig,
-    emd_stride: Option<u32>,
+    mode: ExtractionMode,
     threads: usize,
 ) -> Trajectory {
     let keep = shared(InMemoryRecorder::new());
     let mut stream = ficsum::synth::dataset_by_name(dataset, seed)
         .unwrap_or_else(|| panic!("unknown dataset {dataset}"));
-    let mut builder = FicsumBuilder::new(stream.dims(), stream.n_classes())
+    let builder = FicsumBuilder::new(stream.dims(), stream.n_classes())
         .config(config)
         .recorder(Box::new(keep.clone()))
-        .parallelism(threads);
-    if let Some(stride) = emd_stride {
-        builder = builder.incremental_stats(true).emd_stride(stride);
-    }
+        .parallelism(threads)
+        .incremental_stats(mode.incremental)
+        .emd_stride(mode.emd_stride);
     let mut system = builder.build().unwrap();
     let mut digest = Digest::new();
     let mut n = 0usize;
@@ -124,18 +124,32 @@ fn quick_config() -> FicsumConfig {
     FicsumConfig::default().with_window_size(50).with_fingerprint_gap(5).with_repository_gap(50)
 }
 
+fn batch(emd_stride: u32) -> ExtractionMode {
+    ExtractionMode { incremental: false, emd_stride }
+}
+
+fn incremental(emd_stride: u32) -> ExtractionMode {
+    ExtractionMode { incremental: true, emd_stride }
+}
+
+/// The `rtree_incremental` scenario, run with the given extraction mode.
+fn rtree_stride4(mode: ExtractionMode, threads: usize) -> Trajectory {
+    run_scenario("rtree_incremental", "RTREE", 3, 9_000, FicsumConfig::default(), mode, threads)
+}
+
 /// Batch-extraction scenarios first, then the incremental-statistics
-/// scenarios (`Some(emd_stride)`), which pin the substituted-statistic
-/// trajectory and the EMD cache cadence.
+/// scenarios, which pin the substituted-statistic trajectory and the EMD
+/// cache cadence.
 fn scenarios(threads: usize) -> String {
     let default = FicsumConfig::default();
+    let quick = quick_config();
     [
-        run_scenario("stagger_default", "STAGGER", 5, 12_000, default, None, threads),
-        run_scenario("stagger_quick", "STAGGER", 9, 9_000, quick_config(), None, threads),
-        run_scenario("rtree_default", "RTREE", 3, 9_000, default, None, threads),
-        run_scenario("hplane_quick", "HPLANE-U", 7, 9_000, quick_config(), None, threads),
-        run_scenario("rtree_incremental", "RTREE", 3, 9_000, default, Some(4), threads),
-        run_scenario("stagger_incremental", "STAGGER", 9, 9_000, quick_config(), Some(1), threads),
+        run_scenario("stagger_default", "STAGGER", 5, 12_000, default, batch(1), threads),
+        run_scenario("stagger_quick", "STAGGER", 9, 9_000, quick, batch(1), threads),
+        run_scenario("rtree_default", "RTREE", 3, 9_000, default, batch(1), threads),
+        run_scenario("hplane_quick", "HPLANE-U", 7, 9_000, quick, batch(1), threads),
+        rtree_stride4(incremental(4), threads),
+        run_scenario("stagger_incremental", "STAGGER", 9, 9_000, quick, incremental(1), threads),
     ]
     .iter()
     .map(Trajectory::render)
@@ -163,6 +177,27 @@ fn trajectories_match_golden_bit_exactly() {
         golden, rendered,
         "stream trajectories diverged from the blessed pre-refactor path"
     );
+}
+
+/// The blessed block of one scenario, as [`Trajectory::render`] writes it.
+fn golden_block(name: &str) -> String {
+    let path = golden_path();
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {} ({e})", path.display()));
+    golden
+        .split("\n\n")
+        .map(|block| format!("{}\n", block.trim_end()))
+        .find(|block| block.starts_with(&format!("scenario {name}\n")))
+        .unwrap_or_else(|| panic!("golden has no {name} block"))
+}
+
+#[test]
+fn emd_stride_alone_reproduces_the_incremental_trajectory() {
+    // The EMD stride is independent of the statistic mode: batch statistics
+    // at stride 4 follow the same trajectory, bit for bit, as incremental
+    // statistics at stride 4.
+    let rendered = rtree_stride4(batch(4), 1).render();
+    assert_eq!(rendered, golden_block("rtree_incremental"));
 }
 
 #[test]
