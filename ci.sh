@@ -31,6 +31,23 @@ echo "== benchmark build and unit tests (perfbench) =="
 # benchmark before the benchmark is run.
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
+echo "== benchmark checks (perfbench, one traced pass per workload) =="
+# A one-second traced run of each workload in BENCHMARK.json still runs
+# every check the benchmark makes: per-stream digests repeat, kappa matches
+# KappaEvaluator, the traced calls account for the wall time, and served
+# sessions match standalone replays. The last line must report them met.
+for workload in stagger-batch rtree-incremental; do
+  last=$(cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)
+  case "$last" in
+    '{"correct": true,'*) echo "$workload: all checks met" ;;
+    *)
+      echo "perfbench $workload failed a check: $last" >&2
+      exit 1
+      ;;
+  esac
+done
+
 echo "== fault-injection tests (ficsum-serve) =="
 # Supervision, quarantine, checkpoint-restore and deadline behaviour under
 # deterministic injected faults (DESIGN.md "Fault tolerance & recovery").

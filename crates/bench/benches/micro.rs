@@ -1,8 +1,8 @@
 //! Std-only micro-benchmarks for the hot paths of the FiCSUM pipeline:
 //! meta-feature extraction (legacy extractor and the fingerprint engine,
-//! EMD, mutual information, ACF/PACF), incremental stat-bank rebuilds, the
-//! ADWIN detector, Hoeffding-tree training/prediction and the weighted
-//! similarity/weight computations.
+//! EMD, mutual information, the fused source sweep), incremental stat-bank
+//! rebuilds, the ADWIN detector, Hoeffding-tree training/prediction and the
+//! weighted similarity/weight computations.
 //!
 //! No external harness: timing comes from
 //! [`ficsum_bench::harness::time_throughput`], and randomness from the
@@ -23,8 +23,8 @@ use ficsum_core::{
 use ficsum_drift::{Adwin, DriftDetector};
 use ficsum_meta::spline::SplineScratch;
 use ficsum_meta::{
-    acf_pacf_12, imf_entropies, imf_entropies_scratch, lagged_mutual_information, EmdConfig,
-    EmdMemo, EmdScratch, FingerprintEngine, FingerprintExtractor,
+    imf_entropies, imf_entropies_scratch, lagged_mutual_information, EmdConfig, EmdMemo,
+    EmdScratch, FingerprintEngine, FingerprintExtractor, SourceSweep,
 };
 use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
 use ficsum_stream::{FrameWindows, SeqStats};
@@ -85,6 +85,22 @@ fn bench_extraction() {
         engine.extract_tracked_frames_repredicted_into(&frames.a_tracked(), &tree, &mut fp);
         black_box(&fp);
     });
+    // A drift check: the stale window `B` (buffer b = 19) and then the
+    // active window `A` through one classifier state, under one fresh
+    // frame-memo key per check, so the 56 shared frames are predicted once.
+    let rows = synthetic_window(75 + 19, 10, 1);
+    let mut check_frames = FrameWindows::new(75, 19, 10);
+    for o in &rows {
+        check_frames.push(o.features(), o.label(), o.prediction);
+    }
+    let mut key = 0u64;
+    report("engine_check_pair_w75_d10", || {
+        key += 1;
+        engine.extract_keyed_into(&check_frames.stale_tracked(), &tree, Some(key), &mut fp);
+        black_box(&fp);
+        engine.extract_keyed_into(&check_frames.a_tracked(), &tree, Some(key), &mut fp);
+        black_box(&fp);
+    });
     let er = FingerprintExtractor::error_rate_only(10);
     report("fingerprint_extract_er_w75_d10", || {
         black_box(er.extract(black_box(&w), None));
@@ -130,8 +146,11 @@ fn bench_meta_functions() {
     report("mutual_information_n75", || {
         black_box(lagged_mutual_information(black_box(&xs), 1, 8));
     });
-    report("meta_acf_pacf_n75", || {
-        black_box(acf_pacf_12(black_box(&xs)));
+    // Every non-EMD statistic of one source: moments, ACF/PACF, MI with
+    // 8 bins and the turning-point rate.
+    let mut sweep = SourceSweep::new();
+    report("meta_source_sweep_n75", || {
+        black_box(sweep.stats(black_box(&xs), 8));
     });
 }
 

@@ -151,6 +151,9 @@ pub struct Ficsum {
     scan_pool: Vec<FingerprintEngine>,
     /// Worker threads for the recurrence scan (mirrors `FicsumBuilder::parallelism`).
     scan_threads: usize,
+    /// Test-only: check-step extractions bypass the engine's frame memo.
+    #[cfg(test)]
+    frame_memo_off: bool,
 }
 
 impl Ficsum {
@@ -228,6 +231,8 @@ impl Ficsum {
             window_scan: StaticScan::new(),
             scan_pool: Vec::new(),
             scan_threads: 1,
+            #[cfg(test)]
+            frame_memo_off: false,
         }
     }
 
@@ -439,6 +444,22 @@ impl Ficsum {
             n += 1.0;
         }
         (n > 0.0).then(|| sum / n)
+    }
+
+    /// The engine's frame-memo key for this step's extractions through the
+    /// active classifier (see [`FingerprintEngine::extract_keyed_into`]):
+    /// the step index. The active classifier trains exactly once per step,
+    /// before the check extracts `B` and then `A`, and no frame is pushed
+    /// between the two, so both see one classifier state over one ring
+    /// position. Every other extraction (the repository sweeps, the
+    /// recheck, [`Ficsum::discrimination_probe`]) runs another classifier
+    /// or a later state and passes no key.
+    fn frame_key(&self) -> Option<u64> {
+        #[cfg(test)]
+        if self.frame_memo_off {
+            return None;
+        }
+        Some(self.state.t)
     }
 
     /// Predicts without training or advancing any state.
@@ -833,11 +854,13 @@ impl Ficsum {
                 // jump when the labelling function moves, giving both a clean
                 // detection signal and consistency with model selection.
                 let t0 = self.span_start();
+                let key = self.frame_key();
                 {
                     let Self { engine, state, fp_b, .. } = self;
-                    engine.extract_tracked_frames_repredicted_into(
+                    engine.extract_keyed_into(
                         &state.frames.stale_tracked(),
                         state.active.classifier.as_ref(),
+                        key,
                         fp_b,
                     );
                 }
@@ -901,11 +924,13 @@ impl Ficsum {
                 && self.state.t >= self.state.cooldown_until
             {
                 let t0 = self.span_start();
+                let key = self.frame_key();
                 {
                     let Self { engine, state, fp_a, .. } = self;
-                    engine.extract_tracked_frames_repredicted_into(
+                    engine.extract_keyed_into(
                         &state.frames.a_tracked(),
                         state.active.classifier.as_ref(),
+                        key,
                         fp_a,
                     );
                 }
@@ -1260,6 +1285,65 @@ mod tests {
         }
         assert!(seq.stats().n_drifts >= 1, "test must exercise model selection");
         assert_eq!(seq.stats(), par.stats());
+    }
+
+    #[test]
+    fn frame_memo_does_not_change_check_extraction() {
+        // A pipeline whose check steps share re-predicted frames between
+        // `B` and `A` against one that predicts every frame afresh: every
+        // extracted fingerprint, similarity and outcome must agree bit for
+        // bit, through drifts, plasticity resets and recheck switches.
+        use ficsum_synth::{ConceptGenerator, LabelledConcept, UniformSampler};
+        for (incremental, stride) in [(false, 1), (true, 4)] {
+            let build = |memo: bool| {
+                let mut f = FicsumBuilder::new(3, 2)
+                    .config(quick_config())
+                    .incremental_stats(incremental)
+                    .emd_stride(stride)
+                    .build()
+                    .unwrap();
+                f.frame_memo_off = !memo;
+                f
+            };
+            let (mut memo, mut bare) = (build(true), build(false));
+            let mut gens: Vec<Box<dyn ConceptGenerator>> = (0..3)
+                .map(|c| {
+                    Box::new(LabelledConcept::new(
+                        UniformSampler::new(3, 90 + c as u64),
+                        StaggerLabeller::new(c),
+                        0.05,
+                        900 + c as u64,
+                    )) as Box<dyn ConceptGenerator>
+                })
+                .collect();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            for seg in 0..12 {
+                let gen = &mut gens[[0, 1, 0, 2][seg % 4]];
+                for _ in 0..300 {
+                    let o = gen.generate();
+                    let a = memo.process(&o.features, o.label);
+                    let b = bare.process(&o.features, o.label);
+                    let t = memo.state.t;
+                    assert_eq!(a, b, "outcomes diverged at t={t}");
+                    assert_eq!(bits(&memo.fp_b), bits(&bare.fp_b), "F_B diverged at t={t}");
+                    assert_eq!(bits(&memo.fp_a), bits(&bare.fp_a), "F_A diverged at t={t}");
+                    assert_eq!(
+                        memo.last_similarity().map(f64::to_bits),
+                        bare.last_similarity().map(f64::to_bits),
+                        "similarity diverged at t={t}"
+                    );
+                }
+            }
+            let stats = memo.stats();
+            assert_eq!(stats, bare.stats());
+            assert!(!memo.fp_a.is_empty() && !memo.fp_b.is_empty(), "no check extracted");
+            assert!(
+                stats.n_drifts >= 2
+                    && stats.n_plasticity_resets >= 1
+                    && stats.n_recheck_switches >= 1,
+                "the stream must drift, reset and switch on recheck: {stats:?}"
+            );
+        }
     }
 
     #[test]

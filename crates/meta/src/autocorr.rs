@@ -35,36 +35,13 @@ pub fn partial_autocorrelation(xs: &[f64], lag: usize) -> f64 {
 }
 
 /// The Durbin–Levinson lag-2 step from `acf(1)` and `acf(2)`.
-fn pacf2_from(r1: f64, r2: f64) -> f64 {
+pub(crate) fn pacf2_from(r1: f64, r2: f64) -> f64 {
     let denom = 1.0 - r1 * r1;
     if denom.abs() <= f64::EPSILON {
         0.0
     } else {
         (r2 - r1 * r1) / denom
     }
-}
-
-/// `(acf(1), acf(2), pacf(2))` of `xs` from one mean and one denominator
-/// sweep, where the separate calls sweep them five times. Every value is
-/// bit-identical to [`autocorrelation`] / [`partial_autocorrelation`]:
-/// the same gates and the same expressions in the same order. `pacf(1)`
-/// is `acf(1)`.
-pub fn acf_pacf_12(xs: &[f64]) -> (f64, f64, f64) {
-    let n = xs.len();
-    let m = mean(xs);
-    let denom: f64 = if n <= 2 { 0.0 } else { xs.iter().map(|&x| (x - m) * (x - m)).sum() };
-    if denom <= f64::EPSILON {
-        return (0.0, 0.0, pacf2_from(0.0, 0.0));
-    }
-    let lagged = |lag: usize| -> f64 {
-        if n <= lag + 1 {
-            return 0.0;
-        }
-        let num: f64 = xs.windows(lag + 1).map(|w| (w[0] - m) * (w[lag] - m)).sum();
-        num / denom
-    };
-    let (r1, r2) = (lagged(1), lagged(2));
-    (r1, r2, pacf2_from(r1, r2))
 }
 
 #[cfg(test)]
@@ -118,44 +95,6 @@ mod tests {
     fn short_series_is_zero() {
         assert_eq!(autocorrelation(&[1.0, 2.0], 2), 0.0);
         assert_eq!(autocorrelation(&[], 1), 0.0);
-    }
-
-    /// The fused sweep against the separate calls, bit for bit.
-    fn assert_fused_matches(xs: &[f64], what: &str) {
-        let (r1, r2, p2) = acf_pacf_12(xs);
-        let want = [
-            autocorrelation(xs, 1),
-            autocorrelation(xs, 2),
-            partial_autocorrelation(xs, 1),
-            partial_autocorrelation(xs, 2),
-        ];
-        let got = [r1, r2, r1, p2];
-        assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{what}: {got:?} vs {want:?}");
-    }
-
-    #[test]
-    fn fused_acf_pacf_is_bit_identical_to_separate_calls() {
-        let mut rng = Xoshiro256pp::seed_from_u64(6);
-        for n in 0..=5usize {
-            for trial in 0..50 {
-                let xs: Vec<f64> = (0..n).map(|_| rng.random::<f64>() * 4.0 - 2.0).collect();
-                assert_fused_matches(&xs, &format!("n {n} trial {trial}"));
-                let ints: Vec<f64> = (0..n).map(|_| rng.random_range(0..2usize) as f64).collect();
-                assert_fused_matches(&ints, &format!("binary n {n} trial {trial}"));
-            }
-        }
-        for n in [1usize, 2, 3, 4, 10, 75] {
-            for c in [0.0, -0.0, 3.5, 1e6] {
-                assert_fused_matches(&vec![c; n], &format!("constant {c} n {n}"));
-            }
-        }
-        for trial in 0..200 {
-            let n = rng.random_range(6..200usize);
-            let phi = rng.random::<f64>() * 1.8 - 0.9;
-            let xs = ar1(phi, n, 100 + trial);
-            assert_fused_matches(&xs, &format!("ar1 trial {trial}"));
-        }
-        assert_fused_matches(&[1.0, f64::NAN, 2.0, 0.5], "nan-bearing");
     }
 
     #[test]

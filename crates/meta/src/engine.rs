@@ -13,16 +13,22 @@
 //! the classifier it is given (the paper's makeFingerprint, Algorithm 1
 //! line 17), and reuses all working memory across calls:
 //!
-//! * **Cached source-sequence pass** — the window is materialised once into
-//!   per-source scratch buffers shared by every meta-function; repeated
-//!   extraction allocates nothing after warm-up (EMD, MI histograms and
-//!   spline fitting included).
-//! * **Fused moments** — mean, standard deviation, skew and kurtosis come
-//!   from a single two-pass sweep instead of nine, with bit-identical
-//!   results to the batch functions. In incremental [`ExtractionMode`] the
-//!   feature and label sources instead read the window's incrementally
-//!   maintained [`Moments`] and sequence statistics (`O(1)` per
-//!   observation rather than `O(window)` per fingerprint).
+//! * **One row-major frame walk** — the pass that re-predicts the window
+//!   reads every frame once and scatters its row into the per-source
+//!   scratch buffers shared by every meta-function; repeated extraction
+//!   allocates nothing after warm-up (EMD, MI histograms and spline
+//!   fitting included).
+//! * **Per-step frame memo** — a caller that extracts two overlapping
+//!   windows through one classifier state (the stale and active windows
+//!   of a drift check) passes a key with each call
+//!   ([`FingerprintEngine::extract_keyed_into`]); frames the two windows
+//!   share are re-predicted once.
+//! * **Fused statistics** — all non-EMD statistics of a source come from
+//!   two sweeps ([`SourceSweep`]) instead of about nine, with
+//!   bit-identical results to the one-function oracles. In incremental
+//!   [`ExtractionMode`] the feature and label sources instead read the
+//!   window's incrementally maintained [`Moments`] and sequence statistics
+//!   (`O(1)` per observation rather than `O(window)` per fingerprint).
 //! * **Shared static scans** — a repository sweep scores one window under
 //!   many classifiers: [`FingerprintEngine::static_scan_tracked`] evaluates
 //!   the classifier-independent sources once and
@@ -46,13 +52,12 @@ use ficsum_classifiers::Classifier;
 use ficsum_obs::Clock;
 use ficsum_stream::{FrameSource, Moments, TrackedFrames};
 
-use crate::autocorr::acf_pacf_12;
 use crate::emd::{imf_entropies_scratch, EmdConfig, EmdScratch};
 use crate::extractor::{FingerprintExtractor, FingerprintSchema};
-use crate::functions::{turning_point_rate, MetaFunction};
+use crate::functions::MetaFunction;
 use crate::incremental::{ext_vals, ExtVals};
-use crate::mutual_info::{lagged_mutual_information_scratch, MiScratch};
 use crate::sources::{behaviour_sources, SourceKind};
+use crate::sweep::{SourceSweep, SweepStats};
 
 /// How the engine evaluates the feature and label sources — the one
 /// extraction setting a pipeline carries.
@@ -150,7 +155,7 @@ type SourceTask<'a> = (
 struct SourceScratch {
     emd: EmdScratch,
     memo: EmdMemo,
-    mi: MiScratch,
+    sweep: SourceSweep,
 }
 
 /// Entries an [`EmdMemo`] holds.
@@ -279,6 +284,27 @@ impl EmdMemo {
     }
 }
 
+/// One memoised frame re-prediction: the key it was made under, the label,
+/// and how many feature contributions the classifier attributed it with
+/// (`None`: it gave none, and the frame fell back to `predict_with`).
+#[derive(Debug, Clone, Copy, Default)]
+struct FramePrediction {
+    key: Option<u64>,
+    label: usize,
+    contribs: Option<usize>,
+}
+
+/// The re-predictions of one key's extractions, addressed by frame age
+/// (0 = newest), so the stale and active windows of one ring position
+/// find each other's frames. An entry is valid only under the key it was
+/// made with; a new key makes every entry stale without clearing any.
+#[derive(Debug, Clone, Default)]
+struct FrameMemo {
+    frames: Vec<FramePrediction>,
+    /// Age `a`'s contributions, at `a * n_features..`.
+    contrib: Vec<f64>,
+}
+
 /// The classifier-independent half of one window's repredicted extraction.
 ///
 /// A repository sweep scores *one* window under *many* classifiers. The
@@ -362,6 +388,10 @@ pub struct FingerprintEngine {
     mi_cols: Vec<f64>,
     /// The window's labels as re-predicted by the extraction's classifier.
     preds: Vec<usize>,
+    /// The window's ground-truth labels, read by the frame walk.
+    labels: Vec<usize>,
+    /// Re-predictions shared by the keyed extractions of one step.
+    frame_memo: FrameMemo,
     /// Probability scratch for allocation-free classifier calls.
     proba: Vec<f64>,
     /// Contribution scratch for the feature-importance tail.
@@ -400,6 +430,8 @@ impl FingerprintEngine {
             tracked: Vec::new(),
             mi_cols: Vec::new(),
             preds: Vec::new(),
+            labels: Vec::new(),
+            frame_memo: FrameMemo::default(),
             proba: Vec::new(),
             contrib: Vec::new(),
             workers: vec![SourceScratch::default()],
@@ -531,12 +563,35 @@ impl FingerprintEngine {
         classifier: &dyn Classifier,
         out: &mut Vec<f64>,
     ) {
+        self.extract_keyed_into(window, classifier, None, out);
+    }
+
+    /// [`FingerprintEngine::extract_tracked_frames_repredicted_into`] with
+    /// a frame-memo key. Every frame this call re-predicts is remembered
+    /// by its age under `key`, and a frame the memo already holds under
+    /// `key` is not re-predicted: two overlapping windows extracted under
+    /// one key predict each shared frame once. `None` bypasses the memo.
+    ///
+    /// The key is the caller's promise, never checked: every call made
+    /// under one key passes the same classifier, in the same state, over
+    /// the same ring position (no frame pushed in between). A key used
+    /// before must not be reused once any of that changed. The output is
+    /// bit-identical to the memo-free call: a memoised frame contributes
+    /// the very label and contributions it was predicted with, in window
+    /// order.
+    pub fn extract_keyed_into(
+        &mut self,
+        window: &TrackedFrames<'_>,
+        classifier: &dyn Classifier,
+        key: Option<u64>,
+        out: &mut Vec<f64>,
+    ) {
         self.fill_tracked_vals(window);
         self.set_active_bank(window);
         out.clear();
         out.resize(self.extractor.schema().len(), 0.0);
-        self.predict_frames(window, classifier, out);
-        self.fill_sequences(window, Pass::All);
+        self.walk_frames(window, Some((classifier, key)), Pass::All, out);
+        self.fill_dynamic_sequences();
         let src_len = self.kinds.len() * self.extractor.functions().len();
         self.eval_sources(&mut out[..src_len], Pass::All);
     }
@@ -549,7 +604,7 @@ impl FingerprintEngine {
     pub fn static_scan_tracked(&mut self, window: &TrackedFrames<'_>, scan: &mut StaticScan) {
         self.fill_tracked_vals(window);
         self.set_active_bank(window);
-        self.fill_sequences(window, Pass::Static);
+        self.walk_frames(window, None, Pass::Static, &mut []);
         scan.vals.clear();
         scan.vals.resize(self.kinds.len() * self.extractor.functions().len(), 0.0);
         scan.ready = true;
@@ -573,8 +628,8 @@ impl FingerprintEngine {
         debug_assert!(scan.ready, "extract_with_scan before static_scan_tracked");
         out.clear();
         out.resize(self.extractor.schema().len(), 0.0);
-        self.predict_frames(window, classifier, out);
-        self.fill_sequences(window, Pass::Dynamic);
+        self.walk_frames(window, Some((classifier, None)), Pass::Dynamic, out);
+        self.fill_dynamic_sequences();
         let nf = self.extractor.functions().len();
         let src_len = self.kinds.len() * nf;
         debug_assert_eq!(scan.vals.len(), src_len, "scan built for another schema");
@@ -638,45 +693,94 @@ impl FingerprintEngine {
         };
     }
 
-    /// The one classifier pass of an extraction: re-predicts every frame of
-    /// `window` through `classifier` into `preds` and, when the extractor
-    /// includes feature importance, accumulates `classifier`'s mean absolute
-    /// per-feature contribution over the window into the last `n_features`
-    /// slots of `out` (zeroed by the caller). A learner that attributes its
-    /// prediction returns the label with the contributions, so each frame
-    /// walks the classifier once; otherwise the frame falls back to
-    /// `predict_with`. Frames and their contributions are visited in window
-    /// order, as two separate passes would.
-    fn predict_frames(
+    /// The one pass over the frames of `window`, oldest first: collects the
+    /// labels, scatters each frame's row into the sequences of the
+    /// classifier-independent sources `pass` covers and, given a
+    /// classifier, re-predicts the frame into `preds`.
+    ///
+    /// When the extractor includes feature importance, the classifier's
+    /// mean absolute per-feature contribution over the window is
+    /// accumulated into the last `n_features` slots of `out` (zeroed by the
+    /// caller). A learner that attributes its prediction returns the label
+    /// with the contributions, so each frame walks the classifier once;
+    /// otherwise the frame falls back to `predict_with`. With a memo key,
+    /// a frame already predicted under it is read back from the
+    /// [`FrameMemo`] instead (see
+    /// [`FingerprintEngine::extract_keyed_into`]).
+    fn walk_frames(
         &mut self,
         window: &TrackedFrames<'_>,
-        classifier: &dyn Classifier,
+        predict: Option<(&dyn Classifier, Option<u64>)>,
+        pass: Pass,
         out: &mut [f64],
     ) {
-        let Self { preds, contrib, proba, extractor, .. } = self;
-        preds.clear();
-        if !extractor.includes_feature_importance() {
-            for i in 0..window.len() {
-                preds.push(classifier.predict_with(window.features(i), proba));
+        let Self { kinds, seqs, preds, labels, frame_memo, contrib, proba, extractor, .. } = self;
+        let n = window.len();
+        let d = extractor.n_features();
+        let scatter = pass != Pass::Dynamic;
+        for (seq, &kind) in seqs.iter_mut().zip(kinds.iter()) {
+            if scatter && kind_is_static(kind) {
+                seq.clear();
             }
-            return;
         }
-        let tail = out.len() - extractor.n_features();
+        labels.clear();
+        preds.clear();
+        let importance_on = extractor.includes_feature_importance() && predict.is_some();
+        let tail = out.len() - if importance_on { d } else { 0 };
         let importance = &mut out[tail..];
-        let mut counted = 0usize;
-        for i in 0..window.len() {
-            let x = window.features(i);
-            let label = match classifier.contributions_with(x, contrib, proba) {
-                Some(label) => {
-                    for (acc, c) in importance.iter_mut().zip(contrib.iter()) {
-                        *acc += c.abs();
-                    }
-                    counted += 1;
-                    label
+        let key = predict.and_then(|(_, key)| key);
+        if key.is_some() {
+            let ages = window.newest_age() + n;
+            if frame_memo.frames.len() < ages {
+                frame_memo.frames.resize(ages, FramePrediction::default());
+                if importance_on {
+                    frame_memo.contrib.resize(ages * d, 0.0);
                 }
-                None => classifier.predict_with(x, proba),
+            }
+        }
+        let mut counted = 0usize;
+        for i in 0..n {
+            let x = window.features(i);
+            let y = window.label(i);
+            labels.push(y);
+            if scatter {
+                for (seq, &kind) in seqs.iter_mut().zip(kinds.iter()) {
+                    match kind {
+                        SourceKind::Feature(j) => seq.push(x[j]),
+                        SourceKind::Labels => seq.push(y as f64),
+                        _ => {}
+                    }
+                }
+            }
+            let Some((classifier, _)) = predict else {
+                continue;
+            };
+            let (label, contributions) = match key {
+                None => predict_frame(classifier, x, importance_on, contrib, proba),
+                Some(k) => {
+                    let age = window.newest_age() + n - 1 - i;
+                    let at = age * d;
+                    let entry = &mut frame_memo.frames[age];
+                    if entry.key != Some(k) {
+                        let (label, c) =
+                            predict_frame(classifier, x, importance_on, contrib, proba);
+                        let contribs = c.map(|c| {
+                            let m = c.len().min(d);
+                            frame_memo.contrib[at..at + m].copy_from_slice(&c[..m]);
+                            m
+                        });
+                        *entry = FramePrediction { key, label, contribs };
+                    }
+                    (entry.label, entry.contribs.map(|m| &frame_memo.contrib[at..at + m]))
+                }
             };
             preds.push(label);
+            if let Some(c) = contributions {
+                for (acc, c) in importance.iter_mut().zip(c) {
+                    *acc += c.abs();
+                }
+                counted += 1;
+            }
         }
         if counted > 0 {
             for acc in importance.iter_mut() {
@@ -685,28 +789,26 @@ impl FingerprintEngine {
         }
     }
 
-    /// The cached source-sequence pass: materialises the behaviour sources
-    /// `pass` covers into their scratch buffers, the prediction-dependent
-    /// ones from the re-predicted labels in `preds`.
-    fn fill_sequences(&mut self, window: &TrackedFrames<'_>, pass: Pass) {
-        let n = window.len();
-        let preds = &self.preds;
-        for (seq, &kind) in self.seqs.iter_mut().zip(&self.kinds) {
-            if !pass.covers(kind) {
-                continue;
-            }
-            seq.clear();
+    /// Materialises the prediction-dependent sources (predictions, errors,
+    /// error distances) from the walked `preds` and `labels`.
+    fn fill_dynamic_sequences(&mut self) {
+        let Self { kinds, seqs, preds, labels, .. } = self;
+        for (seq, &kind) in seqs.iter_mut().zip(kinds.iter()) {
             match kind {
-                SourceKind::Feature(j) => seq.extend((0..n).map(|i| window.features(i)[j])),
-                SourceKind::Labels => seq.extend((0..n).map(|i| window.label(i) as f64)),
-                SourceKind::Predictions => seq.extend(preds.iter().map(|&p| p as f64)),
-                SourceKind::Errors => seq.extend(
-                    (0..n).map(|i| if preds[i] != window.label(i) { 1.0 } else { 0.0 }),
-                ),
+                SourceKind::Feature(_) | SourceKind::Labels => continue,
+                SourceKind::Predictions => {
+                    seq.clear();
+                    seq.extend(preds.iter().map(|&p| p as f64));
+                }
+                SourceKind::Errors => {
+                    seq.clear();
+                    seq.extend(preds.iter().zip(labels.iter()).map(|(p, y)| (p != y) as u8 as f64));
+                }
                 SourceKind::ErrorDistances => {
+                    seq.clear();
                     let mut last: Option<usize> = None;
-                    for (i, &p) in preds.iter().enumerate() {
-                        if p != window.label(i) {
+                    for (i, (p, y)) in preds.iter().zip(labels.iter()).enumerate() {
+                        if p != y {
                             if let Some(prev) = last {
                                 seq.push((i - prev) as f64);
                             }
@@ -731,7 +833,12 @@ impl FingerprintEngine {
             .iter()
             .any(|f| matches!(f, MetaFunction::ImfEntropy1 | MetaFunction::ImfEntropy2));
         let emd_cfg = *self.extractor.emd_config();
-        let mi_bins = self.extractor.mi_bins();
+        // A sweep without the MI function skips the histogram.
+        let mi_bins = if functions.contains(&MetaFunction::MutualInformation) {
+            self.extractor.mi_bins()
+        } else {
+            0
+        };
         let emd_stride = self.mode.emd_stride;
         // A scanned sweep scores many classifiers on one window: their
         // prediction-dependent sources have no incremental substitutes,
@@ -826,6 +933,24 @@ impl FingerprintEngine {
     }
 }
 
+/// Re-predicts one frame through `classifier`: the label and, when
+/// `importance` is on and the classifier attributes its prediction, the
+/// per-feature contributions (written into `contrib`).
+fn predict_frame<'c>(
+    classifier: &dyn Classifier,
+    x: &[f64],
+    importance: bool,
+    contrib: &'c mut Vec<f64>,
+    proba: &mut Vec<f64>,
+) -> (usize, Option<&'c [f64]>) {
+    if importance {
+        if let Some(label) = classifier.contributions_with(x, contrib, proba) {
+            return (label, Some(contrib));
+        }
+    }
+    (classifier.predict_with(x, proba), None)
+}
+
 /// Whether `kind`'s behaviour sequence is independent of the classifier
 /// (and therefore cacheable across a repository sweep).
 fn kind_is_static(kind: SourceKind) -> bool {
@@ -880,11 +1005,12 @@ fn cached_imf(
 /// Evaluates one behaviour source's function block into `out`
 /// (`out.len() == functions.len()`).
 ///
-/// The moment statistics come from a fused two-pass sweep (or the tracked
-/// substitutes); the remaining functions run on the cached sequence with
-/// scratch-backed EMD and MI, unless the tracked substitutes carry the
-/// incrementally evaluated sequence statistics. With no substitutes and no
-/// EMD cache slot, every value is bit-identical to the corresponding
+/// The sequence statistics come from one fused [`SourceSweep`], unless the
+/// tracked substitutes cover every function asked for: the substituted
+/// moments and the incrementally evaluated sequence statistics override
+/// the swept values they cover. EMD goes through the source's cache slot
+/// or the worker's memo. With no substitutes and no EMD cache slot, every
+/// value is bit-identical to the corresponding
 /// [`FingerprintExtractor::extract`] dimension.
 #[allow(clippy::too_many_arguments)]
 fn eval_source_into(
@@ -907,101 +1033,32 @@ fn eval_source_into(
         None
     };
     let ext = tracked.and_then(|t| t.ext);
-    let n = seq.len();
-    let needs_moments = tracked.is_none()
-        && functions.iter().any(|f| {
-            matches!(
-                f,
-                MetaFunction::Mean
-                    | MetaFunction::StdDev
-                    | MetaFunction::Skew
-                    | MetaFunction::Kurtosis
-            )
-        });
-    let mut mean_v = 0.0;
-    let (mut cm2, mut cm3, mut cm4) = (0.0, 0.0, 0.0);
-    if needs_moments && n > 0 {
-        let nf = n as f64;
-        mean_v = seq.iter().sum::<f64>() / nf;
-        let (mut s2, mut s3, mut s4) = (0.0, 0.0, 0.0);
-        for &x in seq {
-            let d = x - mean_v;
-            let d2 = d * d;
-            s2 += d2;
-            s3 += d2 * d;
-            s4 += d2 * d2;
+    let needs_sweep = functions.iter().any(|f| match f {
+        MetaFunction::Mean | MetaFunction::StdDev | MetaFunction::Skew | MetaFunction::Kurtosis => {
+            tracked.is_none()
         }
-        cm2 = s2 / nf;
-        cm3 = s3 / nf;
-        cm4 = s4 / nf;
-    }
-    // ACF and PACF at lags 1–2 share one mean and denominator sweep.
-    let acf = if ext.is_none()
-        && functions.iter().any(|f| {
-            matches!(
-                f,
-                MetaFunction::Acf1 | MetaFunction::Acf2 | MetaFunction::Pacf1 | MetaFunction::Pacf2
-            )
-        }) {
-        acf_pacf_12(seq)
-    } else {
-        (0.0, 0.0, 0.0)
-    };
+        MetaFunction::Acf1
+        | MetaFunction::Acf2
+        | MetaFunction::Pacf1
+        | MetaFunction::Pacf2
+        | MetaFunction::MutualInformation
+        | MetaFunction::TurningPointRate => ext.is_none(),
+        _ => false,
+    });
+    let s = if needs_sweep { scratch.sweep.stats(seq, mi_bins) } else { SweepStats::default() };
     for (slot, &function) in out.iter_mut().zip(functions) {
         *slot = match function {
-            MetaFunction::Mean => match tracked {
-                Some(t) => t.mean,
-                None => {
-                    if n == 0 {
-                        0.0
-                    } else {
-                        mean_v
-                    }
-                }
-            },
-            MetaFunction::StdDev => match tracked {
-                Some(t) => t.std_dev,
-                None => {
-                    if n < 2 {
-                        0.0
-                    } else {
-                        cm2.sqrt()
-                    }
-                }
-            },
-            MetaFunction::Skew => match tracked {
-                Some(t) => t.skewness,
-                None => {
-                    if n < 3 || cm2 <= f64::EPSILON {
-                        0.0
-                    } else {
-                        cm3 / cm2.powf(1.5)
-                    }
-                }
-            },
-            MetaFunction::Kurtosis => match tracked {
-                Some(t) => t.kurtosis,
-                None => {
-                    if n < 4 || cm2 <= f64::EPSILON {
-                        0.0
-                    } else {
-                        cm4 / (cm2 * cm2) - 3.0
-                    }
-                }
-            },
-            MetaFunction::Acf1 => ext.map_or(acf.0, |e| e.acf1),
-            MetaFunction::Acf2 => ext.map_or(acf.1, |e| e.acf2),
+            MetaFunction::Mean => tracked.map_or(s.mean, |t| t.mean),
+            MetaFunction::StdDev => tracked.map_or(s.std_dev, |t| t.std_dev),
+            MetaFunction::Skew => tracked.map_or(s.skewness, |t| t.skewness),
+            MetaFunction::Kurtosis => tracked.map_or(s.kurtosis, |t| t.kurtosis),
+            MetaFunction::Acf1 => ext.map_or(s.acf1, |e| e.acf1),
+            MetaFunction::Acf2 => ext.map_or(s.acf2, |e| e.acf2),
             // Durbin–Levinson: pacf(1) is acf(1).
-            MetaFunction::Pacf1 => ext.map_or(acf.0, |e| e.pacf1),
-            MetaFunction::Pacf2 => ext.map_or(acf.2, |e| e.pacf2),
-            MetaFunction::MutualInformation => match ext {
-                Some(e) => e.mi,
-                None => lagged_mutual_information_scratch(seq, 1, mi_bins, &mut scratch.mi),
-            },
-            MetaFunction::TurningPointRate => match ext {
-                Some(e) => e.tpr,
-                None => turning_point_rate(seq),
-            },
+            MetaFunction::Pacf1 => ext.map_or(s.acf1, |e| e.pacf1),
+            MetaFunction::Pacf2 => ext.map_or(s.pacf2, |e| e.pacf2),
+            MetaFunction::MutualInformation => ext.map_or(s.mi, |e| e.mi),
+            MetaFunction::TurningPointRate => ext.map_or(s.tpr, |e| e.tpr),
             MetaFunction::ImfEntropy1 => imf.map_or(0.0, |(a, _)| a),
             MetaFunction::ImfEntropy2 => imf.map_or(0.0, |(_, b)| b),
             MetaFunction::FeatureImportance => {
@@ -1014,6 +1071,7 @@ fn eval_source_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autocorr::autocorrelation;
     use crate::extractor::SourceSelection;
     use ficsum_classifiers::HoeffdingTree;
     use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
@@ -1566,6 +1624,278 @@ mod tests {
         let mut timed = FingerprintEngine::new(FingerprintExtractor::full(3));
         timed.set_clock(Some(Arc::new(ManualClock::new())));
         assert_eq!(extract(&mut plain, &fw, &tree), extract(&mut timed, &fw, &tree));
+    }
+
+    /// A Hoeffding tree that counts the frames it is asked to predict.
+    #[derive(Clone)]
+    struct Counting {
+        tree: HoeffdingTree,
+        calls: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Counting {
+        fn calls(&self) -> usize {
+            self.calls.load(std::sync::atomic::Ordering::Relaxed)
+        }
+
+        fn count(&self) {
+            self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    impl Classifier for Counting {
+        fn predict(&self, x: &[f64]) -> usize {
+            self.count();
+            self.tree.predict(x)
+        }
+        fn predict_with(&self, x: &[f64], proba: &mut Vec<f64>) -> usize {
+            self.count();
+            self.tree.predict_with(x, proba)
+        }
+        fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
+            self.tree.predict_proba(x)
+        }
+        fn train(&mut self, x: &[f64], y: usize) {
+            self.tree.train(x, y);
+        }
+        fn n_classes(&self) -> usize {
+            self.tree.n_classes()
+        }
+        fn n_features(&self) -> usize {
+            self.tree.n_features()
+        }
+        fn n_trained(&self) -> usize {
+            self.tree.n_trained()
+        }
+        fn reset(&mut self) {
+            self.tree.reset();
+        }
+        fn clone_box(&self) -> Box<dyn Classifier> {
+            Box::new(self.clone())
+        }
+        fn contributions_with(
+            &self,
+            x: &[f64],
+            out: &mut Vec<f64>,
+            proba: &mut Vec<f64>,
+        ) -> Option<usize> {
+            self.count();
+            self.tree.contributions_with(x, out, proba)
+        }
+    }
+
+    #[test]
+    fn keyed_check_pairs_match_memo_free_extraction() {
+        // Drift checks as the framework makes them: each step pushes a
+        // frame and trains the classifier, and every third step extracts
+        // `B` then `A` under that step's key. Between the two, unkeyed
+        // extractions through another classifier must leave the memo be.
+        let mut rng = Xoshiro256pp::seed_from_u64(71);
+        let d = 3;
+        let (w, b) = (40usize, 10usize);
+        let without_importance = FingerprintExtractor::new(
+            d,
+            MetaFunction::SEQUENCE_FUNCTIONS.to_vec(),
+            SourceSelection::all(),
+            false,
+        );
+        for ex in [FingerprintExtractor::full(d), without_importance] {
+            let mut keyed = FingerprintEngine::new(ex.clone());
+            let mut bare = FingerprintEngine::new(ex.clone());
+            let mut clf =
+                Counting { tree: trained_tree(&mut rng, d), calls: Arc::new(Default::default()) };
+            let other = trained_tree(&mut rng, d);
+            let mut scan = StaticScan::new();
+            let mut fw = FrameWindows::new(w, b, d);
+            let (mut kb, mut ka, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+            let mut pairs = 0;
+            for step in 0..400u64 {
+                let x: Vec<f64> = (0..d).map(|_| rng.random_range(-2.0..2.0)).collect();
+                let y = rng.random_range(0..2usize);
+                fw.push(&x, y, 0);
+                clf.train(&x, y);
+                if step % 3 != 0 || !fw.stale_is_full() {
+                    continue;
+                }
+                let before = clf.calls();
+                keyed.extract_keyed_into(&fw.stale_tracked(), &clf, Some(step), &mut kb);
+                keyed.extract_tracked_frames_repredicted_into(
+                    &fw.a_tracked(),
+                    &other,
+                    &mut scratch,
+                );
+                keyed.static_scan_tracked(&fw.a_tracked(), &mut scan);
+                keyed.extract_with_scan(&fw.a_tracked(), &scan, &other, &mut scratch);
+                keyed.extract_keyed_into(&fw.a_tracked(), &clf, Some(step), &mut ka);
+                assert_eq!(clf.calls() - before, w + b, "step {step}: one prediction per frame");
+                let want_b = {
+                    bare.extract_tracked_frames_repredicted_into(
+                        &fw.stale_tracked(),
+                        &clf,
+                        &mut scratch,
+                    );
+                    bits(&scratch)
+                };
+                assert_eq!(bits(&kb), want_b, "step {step}: B");
+                bare.extract_tracked_frames_repredicted_into(&fw.a_tracked(), &clf, &mut scratch);
+                assert_eq!(bits(&ka), bits(&scratch), "step {step}: A");
+                pairs += 1;
+            }
+            assert!(pairs > 100);
+        }
+    }
+
+    #[test]
+    fn repeated_key_reuses_every_frame_and_a_new_key_none() {
+        let mut rng = Xoshiro256pp::seed_from_u64(72);
+        let d = 2;
+        let clf = Counting { tree: trained_tree(&mut rng, d), calls: Arc::new(Default::default()) };
+        let rows = window(&mut rng, 70, d, 2);
+        let mut fw = FrameWindows::new(50, 20, d);
+        for o in &rows {
+            fw.push(o.features(), o.label(), o.prediction);
+        }
+        let mut engine = FingerprintEngine::new(FingerprintExtractor::full(d));
+        let mut out = Vec::new();
+        engine.extract_keyed_into(&fw.a_tracked(), &clf, Some(1), &mut out);
+        assert_eq!(clf.calls(), 50);
+        let first = bits(&out);
+        engine.extract_keyed_into(&fw.a_tracked(), &clf, Some(1), &mut out);
+        assert_eq!((clf.calls(), bits(&out)), (50, first.clone()), "same key: all memoised");
+        engine.extract_keyed_into(&fw.stale_tracked(), &clf, Some(1), &mut out);
+        assert_eq!(clf.calls(), 70, "only B's 20 frames older than A are new");
+        engine.extract_keyed_into(&fw.a_tracked(), &clf, Some(2), &mut out);
+        assert_eq!((clf.calls(), bits(&out)), (120, first), "a new key predicts afresh");
+        engine.extract_keyed_into(&fw.a_tracked(), &clf, None, &mut out);
+        assert_eq!(clf.calls(), 170, "no key, no memo");
+    }
+
+    #[test]
+    fn degenerate_window_policy() {
+        // DESIGN.md "Degenerate windows": what every meta-function returns
+        // on windows too short or too flat to measure, through the engine
+        // and the stateless extractor alike. The classifier always
+        // predicts class 0, so the labels fix the error sources.
+        use ficsum_classifiers::MajorityClass;
+        let clf = MajorityClass::new(1, 2);
+        let ex = FingerprintExtractor::full(1);
+        let nf = MetaFunction::SEQUENCE_FUNCTIONS.len();
+        // Sources of a one-feature extractor.
+        let (x0, y, l, err, dist) = (0usize, 1, 2, 3, 4);
+        const ALL: [usize; 12] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11];
+        // Function indices: 0 mean, 1 std, 2 skew, 3 kurtosis, 4 acf1,
+        // 5 acf2, 6 pacf1, 7 pacf2, 8 mi, 9 tpr, 10 imf1, 11 imf2.
+        let rows = |xs: &[f64], labels: &[usize]| -> Vec<LabeledObservation> {
+            xs.iter().zip(labels).map(|(&x, &y)| LabeledObservation::new(vec![x], y, 0)).collect()
+        };
+        let ramp: Vec<f64> = (0..20).map(|i| ((i * 7) % 5) as f64 - 1.5).collect();
+        let mut two_errors = vec![0usize; 20];
+        (two_errors[3], two_errors[10]) = (1, 1);
+        let mut one_error = vec![0usize; 20];
+        one_error[7] = 1;
+        let r1_of_3 = autocorrelation(&[1.0, 4.0, 2.0], 1);
+        // (case, window, [(source, functions, value)]): every listed
+        // function of the source must read exactly `value`.
+        type Expect = (usize, &'static [usize], f64);
+        let cases: Vec<(&str, Vec<LabeledObservation>, Vec<Expect>)> = vec![
+            (
+                "n = 1",
+                rows(&[2.5], &[1]),
+                vec![
+                    (x0, &[0], 2.5),
+                    (x0, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 0.0),
+                    (dist, &ALL, 0.0),
+                ],
+            ),
+            (
+                "n = 2",
+                rows(&[1.0, 4.0], &[0, 1]),
+                vec![
+                    (x0, &[0], 2.5),
+                    (x0, &[1], 1.5),
+                    (x0, &[2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 0.0),
+                ],
+            ),
+            (
+                "n = 3",
+                rows(&[1.0, 4.0, 2.0], &[0, 1, 0]),
+                vec![
+                    (x0, &[3, 5, 8, 10, 11], 0.0),
+                    (x0, &[4, 6], r1_of_3),
+                    (x0, &[7], -(r1_of_3 * r1_of_3) / (1.0 - r1_of_3 * r1_of_3)),
+                    (x0, &[9], 1.0),
+                ],
+            ),
+            (
+                "constant 3.5",
+                rows(&[3.5; 20], &[0; 20]),
+                vec![(x0, &[0], 3.5), (x0, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 0.0)],
+            ),
+            (
+                "constant -0.0",
+                rows(&[-0.0; 20], &[0; 20]),
+                vec![(x0, &[0], -0.0), (x0, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 0.0)],
+            ),
+            (
+                "constant 1e6",
+                rows(&[1e6; 20], &[0; 20]),
+                vec![(x0, &[0], 1e6), (x0, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 0.0)],
+            ),
+            // Every label 1 against a class-0 classifier: labels and
+            // errors constant 1, error distances 19 ones, predictions
+            // constant 0.
+            (
+                "one class, every frame wrong",
+                rows(&ramp, &[1; 20]),
+                vec![
+                    (y, &[0], 1.0),
+                    (y, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 0.0),
+                    (l, &ALL, 0.0),
+                    (err, &[0], 1.0),
+                    (err, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 0.0),
+                    (dist, &[0], 1.0),
+                    (dist, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 0.0),
+                ],
+            ),
+            (
+                "no error",
+                rows(&ramp, &[0; 20]),
+                vec![(y, &ALL, 0.0), (err, &ALL, 0.0), (dist, &ALL, 0.0)],
+            ),
+            ("one error", rows(&ramp, &one_error), vec![(dist, &ALL, 0.0)]),
+            (
+                "two errors",
+                rows(&ramp, &two_errors),
+                vec![(dist, &[0], 7.0), (dist, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 0.0)],
+            ),
+        ];
+        let mut engine = FingerprintEngine::new(ex.clone());
+        for (case, window, expect) in &cases {
+            let fw = frames_of(window, window.len());
+            let paths = [
+                ("engine", extract(&mut engine, &fw, &clf)),
+                ("extractor", relabelled_oracle(&ex, window, &clf)),
+            ];
+            for (path, out) in &paths {
+                for &(source, functions, value) in expect {
+                    for &f in functions {
+                        let got = out[source * nf + f];
+                        assert_eq!(
+                            got.to_bits(),
+                            value.to_bits(),
+                            "{case}, {path}: source {source} function {f} is {got}, want {value}"
+                        );
+                    }
+                }
+            }
+        }
+        // A zero `1 - r1^2` PACF denominator: no finite window reaches
+        // |r1| = 1 (the sum of squares exceeds the lag-1 sum by half of
+        // d0^2 + dn^2 + the squared steps), so the gate is pinned here.
+        for r2 in [0.3, -1.0, 1.0] {
+            assert_eq!(crate::autocorr::pacf2_from(1.0, r2), 0.0);
+            assert_eq!(crate::autocorr::pacf2_from(-1.0, r2), 0.0);
+        }
     }
 
     #[test]

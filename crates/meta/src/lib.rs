@@ -33,14 +33,16 @@ mod incremental;
 pub mod mutual_info;
 pub mod sources;
 pub mod spline;
+pub mod sweep;
 
-pub use autocorr::{acf_pacf_12, autocorrelation, partial_autocorrelation};
+pub use autocorr::{autocorrelation, partial_autocorrelation};
 pub use emd::{imf_entropies, imf_entropies_scratch, EmdConfig, EmdScratch};
 pub use engine::{EmdMemo, ExtractionMode, FingerprintEngine, StaticScan};
 pub use extractor::{DimensionInfo, FingerprintExtractor, FingerprintSchema, SourceSelection};
 pub use functions::{kurtosis, mean, skewness, std_dev, turning_point_rate, MetaFunction};
-pub use mutual_info::{lagged_mutual_information, lagged_mutual_information_scratch, MiScratch};
+pub use mutual_info::lagged_mutual_information;
 pub use sources::{
     behaviour_sources, error_distances, error_distances_into, source_sequence,
     source_sequence_into, SourceKind,
 };
+pub use sweep::{SourceSweep, SweepStats};

@@ -10,33 +10,6 @@
 ///
 /// Returns 0 for degenerate inputs (constant or too-short series).
 pub fn lagged_mutual_information(xs: &[f64], lag: usize, n_bins: usize) -> f64 {
-    let mut scratch = MiScratch::new();
-    lagged_mutual_information_scratch(xs, lag, n_bins, &mut scratch)
-}
-
-/// Reusable histogram storage for [`lagged_mutual_information_scratch`].
-#[derive(Debug, Clone, Default)]
-pub struct MiScratch {
-    joint: Vec<f64>,
-    px: Vec<f64>,
-    py: Vec<f64>,
-}
-
-impl MiScratch {
-    /// Empty scratch; buffers grow on first use and are reused afterwards.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// [`lagged_mutual_information`] with caller-owned histogram buffers, so
-/// repeated estimation allocates nothing. Bit-identical output.
-pub fn lagged_mutual_information_scratch(
-    xs: &[f64],
-    lag: usize,
-    n_bins: usize,
-    scratch: &mut MiScratch,
-) -> f64 {
     if xs.len() <= lag + 2 || n_bins < 2 {
         return 0.0;
     }
@@ -46,32 +19,38 @@ pub fn lagged_mutual_information_scratch(
     if !(hi - lo).is_finite() || hi - lo <= f64::EPSILON {
         return 0.0;
     }
-    let bin = |v: f64| -> usize {
-        (((v - lo) / (hi - lo) * n_bins as f64) as usize).min(n_bins - 1)
-    };
-
-    let MiScratch { joint, px, py } = scratch;
-    joint.clear();
-    joint.resize(n_bins * n_bins, 0.0);
-    px.clear();
-    px.resize(n_bins, 0.0);
-    py.clear();
-    py.resize(n_bins, 0.0);
+    let mut joint = vec![0.0; n_bins * n_bins];
+    let mut px = vec![0.0; n_bins];
+    let mut py = vec![0.0; n_bins];
     for i in 0..n {
-        let a = bin(xs[i]);
-        let b = bin(xs[i + lag]);
+        let a = bin_of(xs[i], lo, hi - lo, n_bins);
+        let b = bin_of(xs[i + lag], lo, hi - lo, n_bins);
         joint[a * n_bins + b] += 1.0;
         px[a] += 1.0;
         py[b] += 1.0;
     }
-    let n = n as f64;
-    // Marginal probabilities once per row and column, not once per cell;
-    // empty cells are skipped before any division.
+    mi_from_counts(&joint, &px, &mut py, n)
+}
+
+/// The equal-width histogram bin of `v` over `[lo, lo + range]`, the top
+/// edge folded into the last bin.
+#[inline]
+pub(crate) fn bin_of(v: f64, lo: f64, range: f64, n_bins: usize) -> usize {
+    (((v - lo) / range * n_bins as f64) as usize).min(n_bins - 1)
+}
+
+/// The plug-in mutual information of `pairs` counted pairs: `joint` is the
+/// `n_bins x n_bins` row-major pair histogram, `px` and `py` its row and
+/// column sums (`py` is turned into probabilities in place). Marginal
+/// probabilities are taken once per row and column, not once per cell, and
+/// empty cells are skipped before any division.
+pub(crate) fn mi_from_counts(joint: &[f64], px: &[f64], py: &mut [f64], pairs: usize) -> f64 {
+    let n = pairs as f64;
     for c in py.iter_mut() {
         *c /= n;
     }
     let mut mi = 0.0;
-    for (row, &count_a) in joint.chunks_exact(n_bins).zip(px.iter()) {
+    for (row, &count_a) in joint.chunks_exact(px.len()).zip(px.iter()) {
         if count_a == 0.0 {
             continue;
         }
@@ -135,13 +114,12 @@ mod tests {
     #[test]
     fn hoisted_marginals_are_bit_identical_to_per_cell_loop() {
         let mut rng = Xoshiro256pp::seed_from_u64(7);
-        let mut scratch = MiScratch::new();
         for n in 0..=130usize {
             let continuous: Vec<f64> = (0..n).map(|_| rng.random::<f64>() * 6.0 - 3.0).collect();
             let ints: Vec<f64> = (0..n).map(|_| rng.random_range(0..3usize) as f64).collect();
             for (kind, xs) in [("continuous", &continuous), ("integer", &ints)] {
                 for (lag, bins) in [(1usize, 2usize), (1, 8), (2, 5)] {
-                    let got = lagged_mutual_information_scratch(xs, lag, bins, &mut scratch);
+                    let got = lagged_mutual_information(xs, lag, bins);
                     let want = reference_mi(xs, lag, bins);
                     assert_eq!(got.to_bits(), want.to_bits(), "{kind} n {n} lag {lag} bins {bins}");
                 }

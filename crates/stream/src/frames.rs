@@ -267,6 +267,13 @@ impl TrackedFrames<'_> {
         self.stats.map(|b| &b.label)
     }
 
+    /// Age of the window's newest frame (0 for `A`, `b` for `B`): frame `i`
+    /// is `newest_age() + len() - 1 - i` pushes old, so two windows of one
+    /// ring position address a shared frame by the same age.
+    pub fn newest_age(&self) -> usize {
+        self.view.newest_age
+    }
+
     /// Which window of Algorithm 1 this is (0 = active `A`, 1 = stale
     /// `B`); keys the engine's per-window result caches.
     pub fn window_tag(&self) -> usize {
