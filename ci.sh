@@ -36,7 +36,14 @@ echo "== benchmark checks (perfbench, one traced pass per workload) =="
 # every check the benchmark makes: per-stream digests repeat, kappa matches
 # KappaEvaluator, the traced calls account for the wall time, and served
 # sessions match standalone replays. The last line must report them met.
-for workload in stagger-batch rtree-incremental; do
+# The workload names are read from BENCHMARK.json (one per line with a
+# "why"), so a renamed or added workload is checked without editing this.
+workloads=$(grep '"why"' BENCHMARK.json | sed -E 's/.*"name": *"([^"]+)".*/\1/')
+if [ -z "$workloads" ]; then
+  echo "no workloads found in BENCHMARK.json" >&2
+  exit 1
+fi
+for workload in $workloads; do
   last=$(cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)
   case "$last" in

@@ -17,7 +17,10 @@
 //! ```
 //!
 //! Defaults: STAGGER, seed 42, the full stream once, sequential, batch
-//! (bit-exact) extraction, EMD stride 1, no file output. `--incremental`
+//! (bit-exact) extraction, EMD stride 1, no file output. `--threads T`
+//! fans each extraction's behaviour sources over T threads
+//! (`FicsumBuilder::parallelism`); it pays on wide streams such as QG and
+//! costs on narrow ones (DESIGN.md "Parallelism"). `--incremental`
 //! switches the pipeline to incremental statistic substitution;
 //! `--emd-stride K` bounds IMF re-sifting to every K-th extraction per
 //! source in either mode; `--append` adds this run's line to an existing

@@ -16,7 +16,7 @@
 //! What lives outside the state, and so outside every checkpoint, is what
 //! the pipeline struct holds beside it: the fingerprint engine and its
 //! caches, the drift-side weighted [`crate::similarity::CachedFingerprint`],
-//! extraction scratch, the recurrence-scan worker pool, the classifier
+//! extraction scratch and the shared static scan, the classifier
 //! factory, and the observability recorder and clock. The caches are
 //! recomputed on demand from the state, bit-identically by construction,
 //! with one exception: above an `emd_stride` of 1 the EMD cache's re-sift

@@ -6,13 +6,13 @@ use ficsum_classifiers::{Classifier, ClassifierFactory};
 use ficsum_drift::{Adwin, DetectorState, DriftDetector};
 use ficsum_meta::{ExtractionMode, FingerprintEngine, FingerprintExtractor, StaticScan};
 use ficsum_obs::{Clock, DriftTrigger, MonotonicClock, NullRecorder, Recorder, Stage, StreamEvent};
-use ficsum_stream::{EwStats, FrameWindows};
+use ficsum_stream::{EwStats, FrameWindows, TrackedFrames};
 
 use crate::checkpoint::{PendingRecheck, SessionCheckpoint, SessionState};
 use crate::config::{ConfigError, FicsumConfig};
-use crate::fingerprint::FingerprintNormalizer;
+use crate::fingerprint::{ConceptFingerprint, FingerprintNormalizer};
 use crate::repository::{ConceptEntry, ConceptId, Repository, RetainedPair};
-use crate::similarity::{fingerprint_similarity, fingerprint_similarity_unit, CachedFingerprint};
+use crate::similarity::{fingerprint_similarity_unit, CachedFingerprint};
 use crate::weights::DynamicWeights;
 
 /// What happened while processing one observation.
@@ -56,7 +56,7 @@ pub struct FicsumStats {
     pub n_plasticity_resets: u64,
 }
 
-/// Whether a stored entry participates in the recurrence scan: its
+/// Whether a stored entry is a recurrence candidate at selection: its
 /// selection fingerprint must be trained and it must carry either enough
 /// similarity history or retained pairs to define an acceptance band.
 fn is_candidate(entry: &ConceptEntry) -> bool {
@@ -71,8 +71,8 @@ fn is_candidate(entry: &ConceptEntry) -> bool {
 /// recurrence should score now, their spread the normal variation. Falls
 /// back to the raw recorded `mu_c`/`sigma_c` when no pairs were retained.
 ///
-/// A free function (not a method) so the parallel recurrence scan can call
-/// it from worker threads against disjoint entries; `sa`/`sb`/`sims` are
+/// A free function (not a method) so selection can call it while it holds
+/// the engine and the repository entries borrowed; `sa`/`sb`/`sims` are
 /// caller-owned scratch reused across entries.
 fn expected_similarity_with(
     config: &FicsumConfig,
@@ -95,6 +95,64 @@ fn expected_similarity_with(
     } else {
         (entry.sim_stats.mean(), entry.sim_stats.std_dev().max(0.01))
     }
+}
+
+/// One window scored in selection space: re-predicted through a
+/// concept's classifier, extracted, scaled by today's normaliser and
+/// compared under unit weights against the concept's prepared
+/// [`CachedFingerprint`] side (see [`ensure_selection_side`]).
+///
+/// The one comparison behind model selection, the recheck's incumbent and
+/// [`Ficsum::discrimination_probe`]. Selection compares in a
+/// weight-stationary space: the dynamic weights are tuned to make the
+/// drift detector sensitive around the active concept and move over time,
+/// which would destabilise the acceptance bands recorded for stored
+/// concepts.
+struct SelectionScan<'a, 'w> {
+    engine: &'a mut FingerprintEngine,
+    /// The window, with its classifier-independent sources in `scan`.
+    window: &'a TrackedFrames<'w>,
+    scan: &'a StaticScan,
+    normalizer: &'a FingerprintNormalizer,
+    /// Scratch: the extracted and the scaled fingerprint.
+    fp: &'a mut Vec<f64>,
+    scaled: &'a mut Vec<f64>,
+}
+
+impl SelectionScan<'_, '_> {
+    /// `Sim(side, F_AS)` for the window re-predicted through `classifier`.
+    fn score(&mut self, classifier: &dyn Classifier, side: &CachedFingerprint) -> f64 {
+        self.engine.extract_with_scan(self.window, self.scan, classifier, self.fp);
+        self.normalizer.scale_into(self.fp, self.scaled);
+        side.similarity_scaled(self.scaled, None)
+    }
+}
+
+/// Prepares `side` as `fingerprint`'s unit-weight selection side under
+/// today's `normalizer` (weights generation 0 in the cache key).
+fn ensure_selection_side(
+    side: &mut CachedFingerprint,
+    fingerprint: &ConceptFingerprint,
+    normalizer: &FingerprintNormalizer,
+) {
+    side.ensure((0, normalizer.version(), fingerprint.version()), fingerprint, normalizer, None);
+}
+
+/// The drift check's `Sim(F_c, query)`: the active fingerprint's side
+/// under the dynamic weights (prepared in `cache`, keyed by the weights
+/// generation and the normaliser and fingerprint versions) against `query`,
+/// scaled into `scaled`, which keeps it for the caller.
+fn check_similarity(
+    state: &SessionState,
+    cache: &mut CachedFingerprint,
+    query: &[f64],
+    scaled: &mut Vec<f64>,
+) -> f64 {
+    let SessionState { active, normalizer, weights, weights_gen, .. } = state;
+    let key = (*weights_gen, normalizer.version(), active.fingerprint.version());
+    cache.ensure(key, &active.fingerprint, normalizer, Some(&weights.values));
+    normalizer.scale_into(query, scaled);
+    cache.similarity_scaled(scaled, Some(&weights.values))
 }
 
 /// A brand-new concept: untrained fingerprints, no retained pairs, and a
@@ -133,7 +191,7 @@ pub struct Ficsum {
     fp_a: Vec<f64>,
     /// Scratch: fingerprint extracted from the stale window.
     fp_b: Vec<f64>,
-    /// Scratch: per-entry fingerprint (F_SC refresh, recheck incumbent).
+    /// Scratch: per-entry fingerprint (F_SC refresh, selection, recheck).
     fp_tmp: Vec<f64>,
     /// Scratch: scaled query vector for cached similarities.
     scaled_q: Vec<f64>,
@@ -145,12 +203,6 @@ pub struct Ficsum {
     /// and the F_SC refresh) compute them once per window and splice the
     /// results into every per-classifier extraction.
     window_scan: StaticScan,
-    /// Per-worker engines for the parallel recurrence scan, built lazily on
-    /// the first multi-candidate drift and invalidated when the engine's
-    /// configuration changes.
-    scan_pool: Vec<FingerprintEngine>,
-    /// Worker threads for the recurrence scan (mirrors `FicsumBuilder::parallelism`).
-    scan_threads: usize,
     /// Test-only: check-step extractions bypass the engine's frame memo.
     #[cfg(test)]
     frame_memo_off: bool,
@@ -205,7 +257,7 @@ impl Ficsum {
     /// checkpoint by [`crate::SessionTemplate::restore`], which validates
     /// the pair first — in the non-state machinery.
     ///
-    /// Caches, scratch buffers and the scan pool start empty: they are pure
+    /// Caches and scratch buffers start empty: they are pure
     /// functions of the state (version-keyed), so their first
     /// `ensure`/rebuild reproduces exactly what the original session held.
     /// The pipeline carries a [`NullRecorder`] and a fresh
@@ -229,8 +281,6 @@ impl Ficsum {
             scaled_q: Vec::new(),
             proba_scratch: Vec::new(),
             window_scan: StaticScan::new(),
-            scan_pool: Vec::new(),
-            scan_threads: 1,
             #[cfg(test)]
             frame_memo_off: false,
         }
@@ -250,15 +300,13 @@ impl Ficsum {
     }
 
     /// Sets the worker-thread count (see
-    /// [`crate::variant::FicsumBuilder::parallelism`]). The fingerprint
-    /// engine fans behaviour sources across the threads during extraction,
-    /// and the recurrence scan at drift fans stored concepts across them
-    /// (1 = sequential, the default). Both parallel paths are bit-identical
-    /// to sequential, so this only changes wall-clock behaviour.
+    /// [`crate::variant::FicsumBuilder::parallelism`]): the fingerprint
+    /// engine fans each extraction's behaviour sources across the threads
+    /// (1 = sequential, the default). Everything else runs on the calling
+    /// thread. The fan-out is bit-identical to sequential, so this only
+    /// changes wall-clock behaviour.
     pub(crate) fn configure_parallelism(&mut self, threads: usize) {
         self.engine.set_threads(threads);
-        self.scan_threads = threads.max(1);
-        self.scan_pool.clear();
     }
 
     /// Applies the extraction mode (see
@@ -275,7 +323,6 @@ impl Ficsum {
             self.state.frames.disable_stats();
         }
         self.engine.set_mode(mode);
-        self.scan_pool.clear();
     }
 
     /// The fingerprint engine driving extraction.
@@ -410,37 +457,44 @@ impl Ficsum {
     /// values mean the representation separates the true concept from the
     /// impostors more decisively. `None` until the window, fingerprint and
     /// repository all exist.
-    pub fn discrimination_probe(&mut self) -> Option<f64> {
+    ///
+    /// Similarities are selection-space scores, the comparison model
+    /// selection makes. The probe is a pure read: it extracts through a
+    /// scratch clone of the engine, so the pipeline's EMD stride cache
+    /// (and with it every later step) is the same whether or not it ran.
+    pub fn discrimination_probe(&self) -> Option<f64> {
         if !self.state.frames.a_is_full()
             || !self.state.active.fingerprint.is_trained()
             || self.state.repo.is_empty()
             || self.state.active.sim_stats.count() < 5
+            || !self.state.active.sel_fingerprint.is_trained()
         {
             return None;
         }
-        if !self.state.active.sel_fingerprint.is_trained() {
-            return None;
-        }
-        let mut f_a = Vec::new();
-        self.engine.extract_tracked_frames_repredicted_into(
-            &self.state.frames.a_tracked(),
-            self.state.active.classifier.as_ref(),
-            &mut f_a,
-        );
-        let sim_active =
-            self.selection_similarity(&self.state.active.sel_fingerprint.mean_vector(), &f_a);
+        let normalizer = &self.state.normalizer;
+        let window = self.state.frames.a_tracked();
+        let (mut engine, mut scan) = (self.engine.clone(), StaticScan::new());
+        engine.static_scan_tracked(&window, &mut scan);
+        let (mut fp, mut scaled) = (Vec::new(), Vec::new());
+        let mut scorer = SelectionScan {
+            engine: &mut engine,
+            window: &window,
+            scan: &scan,
+            normalizer,
+            fp: &mut fp,
+            scaled: &mut scaled,
+        };
+        let mut score = |entry: &ConceptEntry| {
+            let mut side = CachedFingerprint::new();
+            ensure_selection_side(&mut side, &entry.sel_fingerprint, normalizer);
+            scorer.score(entry.classifier.as_ref(), &side)
+        };
+        let sim_active = score(&self.state.active);
         let sigma = self.sim_sigma();
         let mut sum = 0.0;
         let mut n = 0.0;
-        let mut f_as = Vec::new();
         for entry in self.state.repo.iter().filter(|e| e.sel_fingerprint.is_trained()) {
-            self.engine.extract_tracked_frames_repredicted_into(
-                &self.state.frames.a_tracked(),
-                entry.classifier.as_ref(),
-                &mut f_as,
-            );
-            let sim_i = self.selection_similarity(&entry.sel_fingerprint.mean_vector(), &f_as);
-            sum += (sim_active - sim_i) / sigma;
+            sum += (sim_active - score(entry)) / sigma;
             n += 1.0;
         }
         (n > 0.0).then(|| sum / n)
@@ -465,21 +519,6 @@ impl Ficsum {
     /// Predicts without training or advancing any state.
     pub fn predict(&self, x: &[f64]) -> usize {
         self.state.active.classifier.predict(x)
-    }
-
-    /// Similarity used by model selection: normalised values under *uniform*
-    /// weights. The dynamic weights are tuned to make the drift detector
-    /// maximally sensitive around the active concept, but they move over
-    /// time, which destabilises the acceptance bands recorded for stored
-    /// concepts; selection instead compares in a weight-stationary space.
-    ///
-    /// Diagnostics-path helper (it allocates); the selection hot path runs
-    /// the same comparison through [`CachedFingerprint`] instead.
-    fn selection_similarity(&self, raw_a: &[f64], raw_b: &[f64]) -> f64 {
-        let a = self.state.normalizer.scale(raw_a);
-        let b = self.state.normalizer.scale(raw_b);
-        let ones = vec![1.0; a.len()];
-        fingerprint_similarity(&a, &b, &ones)
     }
 
     /// Moves the active concept into the repository (classifier and all).
@@ -529,18 +568,6 @@ impl Ficsum {
         self.active_cache.invalidate();
     }
 
-    /// Grows the scan-worker engine pool to `n` single-threaded clones of
-    /// the main engine (same extractor and extraction mode, no span clock —
-    /// the workers' cost is attributed to the selection span).
-    fn ensure_scan_pool(&mut self, n: usize) {
-        while self.scan_pool.len() < n {
-            let mut e = self.engine.clone();
-            e.set_threads(1);
-            e.set_clock(None);
-            self.scan_pool.push(e);
-        }
-    }
-
     /// Finds the best stored recurrence candidate for the active window
     /// `A`.
     ///
@@ -552,13 +579,8 @@ impl Ficsum {
     /// weights) but whose relative identity is unambiguous; without it the
     /// repository fragments, which is fatal to concept tracking (C-F1).
     ///
-    /// Scoring a candidate — re-predict the window through its classifier,
-    /// extract, compare — is independent per candidate, so with
-    /// [`crate::variant::FicsumBuilder::parallelism`] > 1 candidates are fanned across a
-    /// scoped worker pool. Workers write disjoint slots that are merged in
-    /// repository order, and the acceptance fold runs over the merged list
-    /// exactly as the sequential loop would: the outcome is bit-identical
-    /// whichever thread scored an entry.
+    /// Each candidate is scored by [`SelectionScan::score`] in repository
+    /// order, and the acceptance fold runs as it goes.
     ///
     /// Reads `A` live from the frame ring: nothing between the drift check
     /// and the end of selection or recheck pushes a frame, and the one
@@ -572,87 +594,34 @@ impl Ficsum {
         // candidate check so its EMD cache bookkeeping does not depend on
         // the repository's contents.
         self.engine.static_scan_tracked(&self.state.frames.a_tracked(), &mut self.window_scan);
-        let norm_v = self.state.normalizer.version();
-        // Phase 0: refresh each candidate's cached selection side (cheap
-        // version check per entry; recomputed only after the fingerprint or
-        // the normaliser moved).
-        {
-            let SessionState { repo, normalizer, .. } = &mut self.state;
-            for entry in repo.iter_mut() {
-                if is_candidate(entry) {
-                    let key = (0, norm_v, entry.sel_fingerprint.version());
-                    entry.sel_cache.ensure(key, &entry.sel_fingerprint, normalizer, None);
-                }
-            }
+        let Self { engine, state, window_scan, fp_tmp, scaled_q, .. } = self;
+        let SessionState { repo, normalizer, config, frames, .. } = state;
+        // Refresh each candidate's cached selection side (cheap version
+        // check per entry; recomputed only after the fingerprint or the
+        // normaliser moved).
+        for entry in repo.iter_mut().filter(|e| is_candidate(e)) {
+            ensure_selection_side(&mut entry.sel_cache, &entry.sel_fingerprint, normalizer);
         }
-        let n_cands = self.state.repo.iter().filter(|e| is_candidate(e)).count();
-        if n_cands == 0 {
-            return None;
-        }
-        // Phase 1: score every candidate -> (id, sim, mu, sigma) in
-        // repository order.
-        let mut scored: Vec<(ConceptId, f64, f64, f64)> = Vec::with_capacity(n_cands);
-        if self.scan_threads <= 1 || n_cands < 2 {
-            let Self { engine, state, window_scan, .. } = self;
-            let SessionState { repo, normalizer, config, frames, .. } = &*state;
-            let (window, scan) = (&frames.a_tracked(), &*window_scan);
-            let (mut fp, mut scaled) = (Vec::new(), Vec::new());
-            let (mut sa, mut sb, mut sims) = (Vec::new(), Vec::new(), Vec::new());
-            for entry in repo.iter().filter(|e| is_candidate(e)) {
-                engine.extract_with_scan(window, scan, entry.classifier.as_ref(), &mut fp);
-                normalizer.scale_into(&fp, &mut scaled);
-                let sim = entry.sel_cache.similarity_scaled(&scaled, None);
-                let (mu, sigma) = expected_similarity_with(
-                    config, normalizer, entry, &mut sa, &mut sb, &mut sims,
-                );
-                scored.push((entry.id, sim, mu, sigma));
-            }
-        } else {
-            let n_workers = self.scan_threads.min(n_cands);
-            self.ensure_scan_pool(n_workers);
-            let Self { scan_pool, state, window_scan, .. } = self;
-            let SessionState { repo, normalizer, config, frames, .. } = &*state;
-            let (window, scan) = (&frames.a_tracked(), &*window_scan);
-            let cands: Vec<&ConceptEntry> = repo.iter().filter(|e| is_candidate(e)).collect();
-            let mut slots: Vec<Option<(ConceptId, f64, f64, f64)>> = vec![None; cands.len()];
-            let per = cands.len().div_ceil(n_workers);
-            std::thread::scope(|scope| {
-                for (engine, (chunk, out)) in
-                    scan_pool.iter_mut().zip(cands.chunks(per).zip(slots.chunks_mut(per)))
-                {
-                    scope.spawn(move || {
-                        let (mut fp, mut scaled) = (Vec::new(), Vec::new());
-                        let (mut sa, mut sb, mut sims) = (Vec::new(), Vec::new(), Vec::new());
-                        for (slot, entry) in out.iter_mut().zip(chunk) {
-                            engine.extract_with_scan(
-                                window,
-                                scan,
-                                entry.classifier.as_ref(),
-                                &mut fp,
-                            );
-                            normalizer.scale_into(&fp, &mut scaled);
-                            let sim = entry.sel_cache.similarity_scaled(&scaled, None);
-                            let (mu, sigma) = expected_similarity_with(
-                                config, normalizer, entry, &mut sa, &mut sb, &mut sims,
-                            );
-                            *slot = Some((entry.id, sim, mu, sigma));
-                        }
-                    });
-                }
-            });
-            scored.extend(slots.into_iter().flatten());
-            debug_assert_eq!(scored.len(), n_cands, "every scan slot must be filled");
-        }
-        // Acceptance fold, identical to the sequential reference loop.
+        let window = frames.a_tracked();
+        let mut scorer = SelectionScan {
+            engine,
+            window: &window,
+            scan: window_scan,
+            normalizer,
+            fp: fp_tmp,
+            scaled: scaled_q,
+        };
+        let (mut sa, mut sb, mut sims) = (Vec::new(), Vec::new(), Vec::new());
         let mut banded: Option<(ConceptId, f64)> = None;
-        let mut all: Vec<(ConceptId, f64, f64)> = Vec::with_capacity(scored.len());
-        for (id, sim, mu, sigma) in scored {
-            if sim >= mu - self.state.config.accept_sigma * sigma
-                && banded.is_none_or(|(_, b)| sim > b)
-            {
-                banded = Some((id, sim));
+        let mut all: Vec<(ConceptId, f64, f64)> = Vec::new();
+        for entry in repo.iter().filter(|e| is_candidate(e)) {
+            let sim = scorer.score(entry.classifier.as_ref(), &entry.sel_cache);
+            let (mu, sigma) =
+                expected_similarity_with(config, normalizer, entry, &mut sa, &mut sb, &mut sims);
+            if sim >= mu - config.accept_sigma * sigma && banded.is_none_or(|(_, b)| sim > b) {
+                banded = Some((entry.id, sim));
             }
-            all.push((id, sim, mu));
+            all.push((entry.id, sim, mu));
         }
         if banded.is_some() {
             return banded;
@@ -715,16 +684,17 @@ impl Ficsum {
             // `select_best` just built the static scan of `A`.
             let Self { engine, state, fp_tmp, scaled_q, window_scan, .. } = self;
             let SessionState { active, frames, normalizer, .. } = state;
-            engine.extract_with_scan(
-                &frames.a_tracked(),
-                &*window_scan,
-                active.classifier.as_ref(),
-                fp_tmp,
-            );
-            let key = (0, normalizer.version(), active.sel_fingerprint.version());
-            active.sel_cache.ensure(key, &active.sel_fingerprint, normalizer, None);
-            normalizer.scale_into(fp_tmp, scaled_q);
-            active.sel_cache.similarity_scaled(scaled_q, None)
+            ensure_selection_side(&mut active.sel_cache, &active.sel_fingerprint, normalizer);
+            let window = frames.a_tracked();
+            SelectionScan {
+                engine,
+                window: &window,
+                scan: window_scan,
+                normalizer,
+                fp: fp_tmp,
+                scaled: scaled_q,
+            }
+            .score(active.classifier.as_ref(), &active.sel_cache)
         } else {
             0.0
         };
@@ -870,21 +840,12 @@ impl Ficsum {
                 self.state.normalizer.observe(&self.fp_b);
                 let mut incorporate = true;
                 if self.state.active.fingerprint.is_trained() {
-                    let key = (
-                        self.state.weights_gen,
-                        self.state.normalizer.version(),
-                        self.state.active.fingerprint.version(),
+                    let norm_sim = check_similarity(
+                        &self.state,
+                        &mut self.active_cache,
+                        &self.fp_b,
+                        &mut self.scaled_q,
                     );
-                    self.active_cache.ensure(
-                        key,
-                        &self.state.active.fingerprint,
-                        &self.state.normalizer,
-                        Some(&self.state.weights.values),
-                    );
-                    self.state.normalizer.scale_into(&self.fp_b, &mut self.scaled_q);
-                    let norm_sim = self
-                        .active_cache
-                        .similarity_scaled(&self.scaled_q, Some(&self.state.weights.values));
                     // Robust baseline: a window whose similarity is an
                     // extreme outlier is most likely drawn from a drift
                     // region — folding it into mu_c / sigma_c / F_c would
@@ -938,21 +899,12 @@ impl Ficsum {
                 self.emit(StreamEvent::FingerprintExtracted { dims: self.fp_a.len() as u64 });
                 let t0 = self.span_start();
                 self.state.normalizer.observe(&self.fp_a);
-                let key = (
-                    self.state.weights_gen,
-                    self.state.normalizer.version(),
-                    self.state.active.fingerprint.version(),
+                let sim_a = check_similarity(
+                    &self.state,
+                    &mut self.active_cache,
+                    &self.fp_a,
+                    &mut self.scaled_q,
                 );
-                self.active_cache.ensure(
-                    key,
-                    &self.state.active.fingerprint,
-                    &self.state.normalizer,
-                    Some(&self.state.weights.values),
-                );
-                self.state.normalizer.scale_into(&self.fp_a, &mut self.scaled_q);
-                let sim_a = self
-                    .active_cache
-                    .similarity_scaled(&self.scaled_q, Some(&self.state.weights.values));
                 self.emit(StreamEvent::SimilarityObserved { value: sim_a });
                 // Retain occasional selection-space pairs: the selection
                 // fingerprint's mean against this window re-predicted
@@ -964,16 +916,11 @@ impl Ficsum {
                 if self.state.t.is_multiple_of(8 * config.fingerprint_gap as u64)
                     && self.state.active.sel_fingerprint.is_trained()
                 {
-                    let sel_key = (
-                        0,
-                        self.state.normalizer.version(),
-                        self.state.active.sel_fingerprint.version(),
-                    );
-                    self.state.active.sel_cache.ensure(
-                        sel_key,
-                        &self.state.active.sel_fingerprint,
+                    let active = &mut self.state.active;
+                    ensure_selection_side(
+                        &mut active.sel_cache,
+                        &active.sel_fingerprint,
                         &self.state.normalizer,
-                        None,
                     );
                     let sim_sel =
                         self.state.active.sel_cache.similarity_scaled(&self.scaled_q, None);
@@ -1252,7 +1199,8 @@ mod tests {
 
     #[test]
     fn parallel_recurrence_scan_matches_sequential() {
-        // Same stream, threads = 1 vs threads = 4; every step outcome must
+        // Same stream, threads = 1 vs threads = 4 (the engine's source
+        // fan-out; selection itself is sequential); every step outcome must
         // be bit-identical (drifts, selections, active concept ids).
         use ficsum_synth::{ConceptGenerator, LabelledConcept, UniformSampler};
         let build = |threads: usize| {
@@ -1343,6 +1291,110 @@ mod tests {
                     && stats.n_recheck_switches >= 1,
                 "the stream must drift, reset and switch on recheck: {stats:?}"
             );
+        }
+    }
+
+    /// The extraction modes the probe tests cover: stride 1 batch, stride 1
+    /// incremental and stride 4 (whose EMD cache a probe through the live
+    /// engine would age).
+    const PROBE_MODES: [(bool, u32); 3] = [(false, 1), (true, 1), (false, 4)];
+
+    /// A pipeline for RTREE seed 3 under default hyper-parameters and
+    /// `mode`.
+    fn rtree_pipeline((incremental, stride): (bool, u32)) -> Ficsum {
+        let stream = ficsum_synth::rtree_stream(3);
+        FicsumBuilder::new(stream.dims(), stream.n_classes())
+            .incremental_stats(incremental)
+            .emd_stride(stride)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn discrimination_probe_leaves_the_trajectory_unchanged() {
+        // A pipeline probed every 7 steps against one never probed: the
+        // probe is a read, so every outcome and similarity must agree bit
+        // for bit in every extraction mode.
+        for mode in PROBE_MODES {
+            let (mut probed, mut plain) = (rtree_pipeline(mode), rtree_pipeline(mode));
+            let mut stream = ficsum_synth::rtree_stream(3);
+            let mut answered = 0;
+            for step in 1..=2_000 {
+                let o = stream.next_observation().unwrap();
+                let a = probed.process(&o.features, o.label);
+                let b = plain.process(&o.features, o.label);
+                assert_eq!(a, b, "{mode:?}: outcomes diverged at step {step}");
+                assert_eq!(
+                    probed.last_similarity().map(f64::to_bits),
+                    plain.last_similarity().map(f64::to_bits),
+                    "{mode:?}: similarity diverged at step {step}"
+                );
+                if step % 7 == 0 {
+                    answered += probed.discrimination_probe().is_some() as usize;
+                }
+            }
+            assert_eq!(probed.stats(), plain.stats());
+            assert!(answered >= 20, "{mode:?}: only {answered} probes answered");
+        }
+    }
+
+    /// The probe as a plain formula: each classifier's full extraction of
+    /// `A`, scaled and compared under unit weights with the allocating
+    /// reference similarity, through a clone of the engine.
+    fn reference_probe(f: &Ficsum) -> Option<f64> {
+        let s = &f.state;
+        if !s.frames.a_is_full()
+            || !s.active.fingerprint.is_trained()
+            || s.repo.is_empty()
+            || s.active.sim_stats.count() < 5
+            || !s.active.sel_fingerprint.is_trained()
+        {
+            return None;
+        }
+        let mut engine = f.engine.clone();
+        let mut sim = |entry: &ConceptEntry| {
+            let mut fp = Vec::new();
+            engine.extract_tracked_frames_repredicted_into(
+                &s.frames.a_tracked(),
+                entry.classifier.as_ref(),
+                &mut fp,
+            );
+            let a = s.normalizer.scale(&entry.sel_fingerprint.mean_vector());
+            let b = s.normalizer.scale(&fp);
+            crate::similarity::fingerprint_similarity(&a, &b, &vec![1.0; a.len()])
+        };
+        let sim_active = sim(&s.active);
+        let sigma = f.sim_sigma();
+        let (mut sum, mut n) = (0.0, 0.0);
+        for entry in s.repo.iter().filter(|e| e.sel_fingerprint.is_trained()) {
+            sum += (sim_active - sim(entry)) / sigma;
+            n += 1.0;
+        }
+        (n > 0.0).then(|| sum / n)
+    }
+
+    #[test]
+    fn discrimination_probe_matches_full_extraction() {
+        // At stride 1 the probe's shared static scan and cached unit-weight
+        // sides reproduce the full per-classifier formula bit for bit.
+        for mode in PROBE_MODES.into_iter().filter(|&(_, stride)| stride == 1) {
+            let mut f = rtree_pipeline(mode);
+            let mut stream = ficsum_synth::rtree_stream(3);
+            let mut answered = 0;
+            for step in 1..=2_000 {
+                let o = stream.next_observation().unwrap();
+                f.process(&o.features, o.label);
+                if step % 7 == 0 {
+                    let probe = f.discrimination_probe();
+                    assert_eq!(
+                        probe.map(f64::to_bits),
+                        reference_probe(&f).map(f64::to_bits),
+                        "{mode:?}: probe differs at step {step}"
+                    );
+                    answered += probe.is_some() as usize;
+                }
+            }
+            assert!(answered >= 20, "{mode:?}: only {answered} probes answered");
         }
     }
 

@@ -59,7 +59,7 @@ pub struct ConceptEntry {
     /// Timestamp of last activation (for LRU eviction).
     pub last_active: u64,
     /// Cached scaled/weighted side of `sel_fingerprint`'s mean vector,
-    /// reused across recurrence scans while fingerprint and normaliser are
+    /// reused across model selections while fingerprint and normaliser are
     /// unchanged. Pure cache: carries no semantic state.
     pub sel_cache: CachedFingerprint,
 }

@@ -130,10 +130,11 @@ impl FicsumBuilder {
     }
 
     /// Number of worker threads the pipeline may use (default 1 =
-    /// sequential): the fingerprint engine fans behaviour sources across
-    /// them during extraction, and the recurrence scan at drift fans stored
-    /// concepts across them. Both parallel paths are bit-identical to
-    /// sequential, so this only changes wall-clock behaviour.
+    /// sequential): the fingerprint engine fans each extraction's
+    /// behaviour sources across them. Everything else, model selection
+    /// included, runs on the calling thread. The fan-out is bit-identical
+    /// to sequential, so this only changes wall-clock behaviour; it pays on
+    /// wide streams (QG, 63 features) and costs on narrow ones.
     pub fn parallelism(mut self, threads: usize) -> Self {
         self.parallelism = threads.max(1);
         self

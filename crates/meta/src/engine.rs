@@ -139,7 +139,7 @@ struct EmdSlot {
     valid: bool,
 }
 
-/// One work item of the parallel source sweep: the source sequence, its
+/// One work item of the source sweep: the source sequence, its
 /// tracked substitutes, its EMD cache slot (with the stride budget), the
 /// disjoint output chunk it fills, and its per-source timing slot.
 type SourceTask<'a> = (
@@ -848,88 +848,60 @@ impl FingerprintEngine {
         let kinds = &self.kinds;
         let tracked = &self.tracked;
         let seqs = &self.seqs;
-        let clock = self.clock.clone();
+        let clock = self.clock.as_deref();
         let nanos = &mut self.source_nanos;
         if pass != Pass::Static && self.timed_extractions < u64::MAX {
             self.timed_extractions += clock.is_some() as u64;
         }
-        let tracked_of =
-            |i: usize| if stateful { tracked.get(i).copied().flatten() } else { None };
-        let mut cache = match self.active_bank {
+        let cache = match self.active_bank {
             Some(b) if stateful => Some(&mut self.emd_cache[b]),
             _ => None,
         };
-        let n_workers = self.threads.min(kinds.len());
-        if n_workers <= 1 {
-            if self.workers.is_empty() {
-                self.workers.push(SourceScratch::default());
-            }
-            let worker = &mut self.workers[0];
-            for (i, ((seq, chunk), nano)) in
-                seqs.iter().zip(out.chunks_mut(nf)).zip(nanos.iter_mut()).enumerate()
-            {
-                if !pass.covers(kinds[i]) {
-                    continue;
-                }
-                let t0 = clock.as_deref().map(Clock::now_nanos);
-                eval_source_into(
-                    seq,
-                    functions,
-                    needs_emd,
-                    &emd_cfg,
-                    mi_bins,
-                    tracked_of(i),
-                    cache.as_deref_mut().map(|c| (&mut c[i], emd_stride)),
-                    worker,
-                    chunk,
-                );
-                if let (Some(c), Some(t0)) = (clock.as_deref(), t0) {
-                    *nano += c.now_nanos().saturating_sub(t0);
-                }
-            }
-        } else {
-            if self.workers.len() < n_workers {
-                self.workers.resize_with(n_workers, SourceScratch::default);
-            }
-            let mut slots: Vec<Option<(&mut EmdSlot, u32)>> = Vec::with_capacity(kinds.len());
-            match cache {
-                Some(c) => slots.extend(c.iter_mut().map(|s| Some((s, emd_stride)))),
-                None => slots.extend(kinds.iter().map(|_| None)),
-            }
-            // Round-robin the covered sources over the workers; each work
-            // item owns a disjoint slice of `out` (and its own timing and
-            // EMD cache slots), so no synchronisation is needed and the
-            // result cannot depend on scheduling.
-            let mut batches: Vec<Vec<SourceTask<'_>>> =
-                (0..n_workers).map(|_| Vec::new()).collect();
-            let items = seqs
-                .iter()
-                .zip(out.chunks_mut(nf))
-                .zip(nanos.iter_mut())
-                .zip(slots)
-                .enumerate()
-                .filter(|(i, _)| pass.covers(kinds[*i]));
-            for (k, (i, (((seq, chunk), nano), slot))) in items.enumerate() {
-                batches[k % n_workers].push((seq, tracked_of(i), slot, chunk, nano));
-            }
-            std::thread::scope(|scope| {
-                for (worker, batch) in self.workers.iter_mut().zip(batches) {
-                    let clock = clock.clone();
-                    scope.spawn(move || {
-                        for (seq, tv, slot, chunk, nano) in batch {
-                            let t0 = clock.as_deref().map(Clock::now_nanos);
-                            eval_source_into(
-                                seq, functions, needs_emd, &emd_cfg, mi_bins, tv, slot, worker,
-                                chunk,
-                            );
-                            if let (Some(c), Some(t0)) = (clock.as_deref(), t0) {
-                                *nano += c.now_nanos().saturating_sub(t0);
-                            }
-                        }
-                    });
-                }
+        // The bank holds one slot per source; without it, no source has one.
+        let slots = cache.into_iter().flatten().map(Some).chain(std::iter::repeat_with(|| None));
+        // One work item per covered source; each owns a disjoint slice of
+        // `out` (and its own timing and EMD cache slots), so no
+        // synchronisation is needed and the result cannot depend on
+        // which worker runs it.
+        let tasks = seqs
+            .iter()
+            .zip(out.chunks_mut(nf))
+            .zip(nanos.iter_mut())
+            .zip(slots)
+            .enumerate()
+            .filter(|(i, _)| pass.covers(kinds[*i]))
+            .map(|(i, (((seq, chunk), nano), slot))| {
+                let tv = if stateful { tracked.get(i).copied().flatten() } else { None };
+                (seq.as_slice(), tv, slot.map(|s| (s, emd_stride)), chunk, nano)
             });
+        let run = |worker: &mut SourceScratch, (seq, tv, slot, chunk, nano): SourceTask<'_>| {
+            let t0 = clock.map(Clock::now_nanos);
+            eval_source_into(seq, functions, needs_emd, &emd_cfg, mi_bins, tv, slot, worker, chunk);
+            if let (Some(c), Some(t0)) = (clock, t0) {
+                *nano += c.now_nanos().saturating_sub(t0);
+            }
+        };
+        let covered = kinds.iter().filter(|&&k| pass.covers(k)).count();
+        let n_workers = self.threads.min(covered).max(1);
+        if self.workers.len() < n_workers {
+            self.workers.resize_with(n_workers, SourceScratch::default);
         }
+        if n_workers == 1 {
+            let worker = &mut self.workers[0];
+            tasks.for_each(|task| run(worker, task));
+            return;
+        }
+        // Round-robin the covered sources over the workers.
+        let mut batches: Vec<Vec<SourceTask<'_>>> = (0..n_workers).map(|_| Vec::new()).collect();
+        for (k, task) in tasks.enumerate() {
+            batches[k % n_workers].push(task);
+        }
+        let run = &run;
+        std::thread::scope(|scope| {
+            for (worker, batch) in self.workers.iter_mut().zip(batches) {
+                scope.spawn(move || batch.into_iter().for_each(|task| run(worker, task)));
+            }
+        });
     }
 }
 
@@ -1250,6 +1222,26 @@ mod tests {
             assert_eq!(a, b, "scanned trial {trial}");
             assert_eq!(a, sequential, "scanned vs plain, trial {trial}");
         }
+    }
+
+    #[test]
+    fn worker_pool_is_sized_from_the_covered_sources() {
+        // A scanned sweep evaluates only the 3 prediction-dependent
+        // sources, so an 8-thread engine runs it on 3 workers; a plain
+        // extraction of d + 4 = 10 sources uses all 8.
+        let mut rng = Xoshiro256pp::seed_from_u64(17);
+        let d = 6;
+        let fw = frames_of(&window(&mut rng, 80, d, 2), 80);
+        let tree = trained_tree(&mut rng, d);
+        let mut scan = StaticScan::new();
+        FingerprintEngine::new(FingerprintExtractor::full(d))
+            .static_scan_tracked(&fw.a_tracked(), &mut scan);
+        let mut engine = FingerprintEngine::new(FingerprintExtractor::full(d)).with_threads(8);
+        let mut out = Vec::new();
+        engine.extract_with_scan(&fw.a_tracked(), &scan, &tree, &mut out);
+        assert_eq!(engine.workers.len(), 3);
+        assert_eq!(out, extract(&mut engine, &fw, &tree), "scanned vs plain");
+        assert_eq!(engine.workers.len(), 8);
     }
 
     #[test]

@@ -173,7 +173,7 @@ impl FrameStore {
 }
 
 /// A borrowed, age-addressed window over a [`FrameStore`]; cheap to copy
-/// and safe to share across scan worker threads.
+/// and safe to share across threads.
 #[derive(Debug, Clone, Copy)]
 pub struct FrameView<'a> {
     store: &'a FrameStore,

@@ -1,7 +1,7 @@
 //! Golden end-to-end parity for the streaming hot path.
 //!
 //! The SoA frame store, cached similarity norms, epoch-gated weights and
-//! the parallel recurrence scan are all required to be *bit-identical* to
+//! the parallel source fan-out are all required to be *bit-identical* to
 //! the original per-observation path. This test pins the full trajectory
 //! of deterministic runs — every `StepOutcome`, every drift point, every
 //! recorded event count — against a golden file blessed from the
@@ -202,9 +202,9 @@ fn emd_stride_alone_reproduces_the_incremental_trajectory() {
 
 #[test]
 fn parallel_scan_is_bit_identical_to_sequential() {
-    // The drift-time repository scan fans out across worker threads; its
-    // merge is required to be deterministic, so the whole trajectory must
-    // be invariant to the thread count.
+    // Every extraction fans its behaviour sources out across worker
+    // threads; each source writes a disjoint slice whichever thread runs
+    // it, so the whole trajectory must be invariant to the thread count.
     let sequential = scenarios(1);
     let parallel = scenarios(4);
     assert_eq!(sequential, parallel, "thread count must not change any trajectory");
