@@ -1,7 +1,8 @@
 #!/bin/bash
-# Tier-1 gate: build, lint, docs, test, property tests, and the
-# deprecated-accessor allowlist. Run from anywhere; exits non-zero on the
-# first failure.
+# Tier-1 gate: build, lint (feature-gated code included), docs, tests,
+# property tests, the benchmark's own checks, fault injection, bans on
+# deprecated API and environment reads, and the perf smokes. Run from
+# anywhere; exits non-zero on the first failure.
 set -eu
 cd "$(dirname "$0")"
 
@@ -10,6 +11,10 @@ cargo build --release
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
+# The workspace pass compiles no feature-gated target: tests/proptests.rs,
+# benches/micro.rs and the alloc-count paths need their features on.
+cargo clippy --all-targets --features property-tests -- -D warnings
+cargo clippy -p ficsum-bench --all-targets --features property-tests,alloc-count -- -D warnings
 
 echo "== docs =="
 # Broken intra-doc links and unescaped brackets surface as rustdoc

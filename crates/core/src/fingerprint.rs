@@ -1,6 +1,5 @@
 //! Concept fingerprints and online normalisation.
 
-use ficsum_meta::FingerprintSchema;
 use ficsum_stream::{MinMaxScaler, RunningStats};
 
 /// Online per-dimension min–max normaliser shared by all fingerprints of a
@@ -184,12 +183,6 @@ impl ConceptFingerprint {
         }
         self.version += 1;
     }
-
-    /// Resets every supervised dimension according to `schema`.
-    pub fn reset_supervised(&mut self, schema: &FingerprintSchema) {
-        debug_assert_eq!(schema.len(), self.stats.len());
-        self.reset_dims(|i| schema.dims[i].is_supervised());
-    }
 }
 
 #[cfg(test)]
@@ -229,7 +222,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_supervised_keeps_unsupervised() {
+    fn plasticity_reset_keeps_classifier_independent_dims() {
         let ex = FingerprintExtractor::new(
             2,
             vec![MetaFunction::Mean],
@@ -239,11 +232,15 @@ mod tests {
         // dims: x0.mean, x1.mean, y.mean, l.mean, err.mean, errdist.mean
         let mut cf = ConceptFingerprint::new(ex.schema().len());
         cf.incorporate(&[0.1, 0.2, 0.3, 0.4, 0.5, 0.6]);
-        cf.reset_supervised(ex.schema());
-        assert!((cf.mean(0) - 0.1).abs() < 1e-12);
-        assert!((cf.mean(1) - 0.2).abs() < 1e-12);
-        for dim in 2..6 {
-            assert_eq!(cf.mean(dim), 0.0, "supervised dim {dim} must reset");
+        let version = cf.version();
+        let schema = ex.schema();
+        cf.reset_dims(|i| schema.dims[i].depends_on_classifier());
+        assert!(cf.version() > version, "a reset must invalidate cached sides");
+        for (dim, kept) in [0.1, 0.2, 0.3].into_iter().enumerate() {
+            assert!((cf.mean(dim) - kept).abs() < 1e-12, "dim {dim} must survive");
+        }
+        for dim in 3..6 {
+            assert_eq!(cf.mean(dim), 0.0, "classifier-dependent dim {dim} must reset");
         }
     }
 

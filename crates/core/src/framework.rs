@@ -57,11 +57,10 @@ pub struct FicsumStats {
 }
 
 /// Whether a stored entry is a recurrence candidate at selection: its
-/// selection fingerprint must be trained and it must carry either enough
-/// similarity history or retained pairs to define an acceptance band.
+/// fingerprint must be trained and it must carry either enough similarity
+/// history or retained pairs to define an acceptance band.
 fn is_candidate(entry: &ConceptEntry) -> bool {
-    entry.sel_fingerprint.is_trained()
-        && (entry.sim_stats.count() >= 3 || !entry.retained.is_empty())
+    entry.fingerprint.is_trained() && (entry.sim_stats.count() >= 3 || !entry.retained.is_empty())
 }
 
 /// Expected `(mu_s, sigma_s)` of a stored entry's within-concept
@@ -467,7 +466,6 @@ impl Ficsum {
             || !self.state.active.fingerprint.is_trained()
             || self.state.repo.is_empty()
             || self.state.active.sim_stats.count() < 5
-            || !self.state.active.sel_fingerprint.is_trained()
         {
             return None;
         }
@@ -486,14 +484,14 @@ impl Ficsum {
         };
         let mut score = |entry: &ConceptEntry| {
             let mut side = CachedFingerprint::new();
-            ensure_selection_side(&mut side, &entry.sel_fingerprint, normalizer);
+            ensure_selection_side(&mut side, &entry.fingerprint, normalizer);
             scorer.score(entry.classifier.as_ref(), &side)
         };
         let sim_active = score(&self.state.active);
         let sigma = self.sim_sigma();
         let mut sum = 0.0;
         let mut n = 0.0;
-        for entry in self.state.repo.iter().filter(|e| e.sel_fingerprint.is_trained()) {
+        for entry in self.state.repo.iter().filter(|e| e.fingerprint.is_trained()) {
             sum += (sim_active - score(entry)) / sigma;
             n += 1.0;
         }
@@ -600,7 +598,7 @@ impl Ficsum {
         // check per entry; recomputed only after the fingerprint or the
         // normaliser moved).
         for entry in repo.iter_mut().filter(|e| is_candidate(e)) {
-            ensure_selection_side(&mut entry.sel_cache, &entry.sel_fingerprint, normalizer);
+            ensure_selection_side(&mut entry.sel_cache, &entry.fingerprint, normalizer);
         }
         let window = frames.a_tracked();
         let mut scorer = SelectionScan {
@@ -680,11 +678,11 @@ impl Ficsum {
         let Some((id, best_sim)) = best else { return };
         // Score the incumbent on the same pure window; a fresh incumbent
         // with no history scores 0 (it cannot defend itself yet).
-        let incumbent_sim = if self.state.active.sel_fingerprint.is_trained() {
+        let incumbent_sim = if self.state.active.fingerprint.is_trained() {
             // `select_best` just built the static scan of `A`.
             let Self { engine, state, fp_tmp, scaled_q, window_scan, .. } = self;
             let SessionState { active, frames, normalizer, .. } = state;
-            ensure_selection_side(&mut active.sel_cache, &active.sel_fingerprint, normalizer);
+            ensure_selection_side(&mut active.sel_cache, &active.fingerprint, normalizer);
             let window = frames.a_tracked();
             SelectionScan {
                 engine,
@@ -753,12 +751,8 @@ impl Ficsum {
             && self.state.active.fingerprint.is_trained()
         {
             self.state.last_plasticity = self.state.t;
-            {
-                let schema = self.engine.schema();
-                let active = &mut self.state.active;
-                active.fingerprint.reset_dims(|i| schema.dims[i].depends_on_classifier());
-                active.sel_fingerprint.reset_dims(|i| schema.dims[i].depends_on_classifier());
-            }
+            let schema = self.engine.schema();
+            self.state.active.fingerprint.reset_dims(|i| schema.dims[i].depends_on_classifier());
             self.state.stats.n_plasticity_resets += 1;
             self.emit(StreamEvent::PlasticityReset);
             self.recorder.counter("ficsum.plasticity_resets", 1);
@@ -876,7 +870,6 @@ impl Ficsum {
                 }
                 if incorporate {
                     self.state.active.fingerprint.incorporate(&self.fp_b);
-                    self.state.active.sel_fingerprint.incorporate(&self.fp_b);
                 }
                 self.span_end(Stage::Similarity, t0);
             }
@@ -906,36 +899,23 @@ impl Ficsum {
                     &mut self.scaled_q,
                 );
                 self.emit(StreamEvent::SimilarityObserved { value: sim_a });
-                // Retain occasional selection-space pairs: the selection
-                // fingerprint's mean against this window re-predicted
-                // through the classifier — exactly the comparison model
-                // selection performs — so re-scoring them later calibrates
-                // the acceptance band (Section IV's record re-basing).
-                // `scaled_q` still holds this window's scaled fingerprint,
-                // which is exactly the selection query side.
-                if self.state.t.is_multiple_of(8 * config.fingerprint_gap as u64)
-                    && self.state.active.sel_fingerprint.is_trained()
-                {
+                // Retain an occasional (fingerprint mean, window) pair:
+                // re-scoring them later calibrates the acceptance band
+                // (Section IV's record re-basing). Ring-recycle the oldest
+                // pair's buffers once the cap is reached; steady state
+                // allocates nothing.
+                if self.state.t.is_multiple_of(8 * config.fingerprint_gap as u64) {
                     let active = &mut self.state.active;
-                    ensure_selection_side(
-                        &mut active.sel_cache,
-                        &active.sel_fingerprint,
-                        &self.state.normalizer,
-                    );
-                    let sim_sel =
-                        self.state.active.sel_cache.similarity_scaled(&self.scaled_q, None);
-                    // Ring-recycle the oldest pair's buffers once the cap is
-                    // reached; steady state allocates nothing.
-                    let (mut a, mut b) = if self.state.active.retained.len() >= 8 {
-                        let p = self.state.active.retained.remove(0);
+                    let (mut a, mut b) = if active.retained.len() >= 8 {
+                        let p = active.retained.remove(0);
                         (p.a, p.b)
                     } else {
                         (Vec::new(), Vec::new())
                     };
-                    self.state.active.sel_fingerprint.mean_into(&mut a);
+                    active.fingerprint.mean_into(&mut a);
                     b.clear();
                     b.extend_from_slice(&self.fp_a);
-                    self.state.active.retained.push(RetainedPair { a, b, sim_then: sim_sel });
+                    active.retained.push(RetainedPair { a, b });
                 }
                 self.span_end(Stage::Similarity, t0);
                 let t0 = self.span_start();
@@ -1347,7 +1327,6 @@ mod tests {
             || !s.active.fingerprint.is_trained()
             || s.repo.is_empty()
             || s.active.sim_stats.count() < 5
-            || !s.active.sel_fingerprint.is_trained()
         {
             return None;
         }
@@ -1359,14 +1338,14 @@ mod tests {
                 entry.classifier.as_ref(),
                 &mut fp,
             );
-            let a = s.normalizer.scale(&entry.sel_fingerprint.mean_vector());
+            let a = s.normalizer.scale(&entry.fingerprint.mean_vector());
             let b = s.normalizer.scale(&fp);
             crate::similarity::fingerprint_similarity(&a, &b, &vec![1.0; a.len()])
         };
         let sim_active = sim(&s.active);
         let sigma = f.sim_sigma();
         let (mut sum, mut n) = (0.0, 0.0);
-        for entry in s.repo.iter().filter(|e| e.sel_fingerprint.is_trained()) {
+        for entry in s.repo.iter().filter(|e| e.fingerprint.is_trained()) {
             sum += (sim_active - sim(entry)) / sigma;
             n += 1.0;
         }

@@ -11,17 +11,14 @@ use crate::similarity::CachedFingerprint;
 /// the "model" identity `M` in the C-F1 evaluation.
 pub type ConceptId = usize;
 
-/// A retained fingerprint pair with the similarity recorded between them at
-/// storage time — used to re-base old similarity records when the dynamic
-/// weighting has since changed (Section IV).
+/// A retained fingerprint pair, re-scored at selection to re-base old
+/// similarity records under today's normalisation (Section IV).
 #[derive(Debug, Clone)]
 pub struct RetainedPair {
-    /// First normalised fingerprint of the pair.
+    /// The concept fingerprint's raw (unnormalised) mean at record time.
     pub a: Vec<f64>,
-    /// Second normalised fingerprint of the pair.
+    /// The raw (unnormalised) fingerprint of the window compared with it.
     pub b: Vec<f64>,
-    /// Similarity between `a` and `b` under the weights at record time.
-    pub sim_then: f64,
 }
 
 /// Everything stored about one concept.
@@ -33,17 +30,10 @@ pub struct RetainedPair {
 pub struct ConceptEntry {
     /// Stable identifier.
     pub id: ConceptId,
-    /// The concept fingerprint `F_c` built from *online* (prequential)
-    /// predictions — the representation drift detection compares against.
+    /// The concept fingerprint `F_c`: what drift detection compares the
+    /// active window against and what model selection scores a stored
+    /// concept by.
     pub fingerprint: ConceptFingerprint,
-    /// The concept fingerprint built from windows *re-predicted* through
-    /// the classifier — the representation model selection compares
-    /// against. Algorithm 1 computes `F_AS` by re-predicting the query
-    /// window (line 29), so the stored side must be built the same way;
-    /// the online fingerprint meanwhile must match the online-labelled
-    /// windows the detector sees (line 11). One representation cannot be
-    /// consistent with both, hence the pair.
-    pub sel_fingerprint: ConceptFingerprint,
     /// The classifier `I_c` trained on this concept.
     pub classifier: Box<dyn Classifier>,
     /// Distribution of `Sim(F_c, F_B)` under recent stationary conditions
@@ -54,11 +44,11 @@ pub struct ConceptEntry {
     /// drawn from *other* (currently active) concepts — drives the
     /// intra-classifier weight component.
     pub sc_fingerprint: ConceptFingerprint,
-    /// Retained pairs for similarity re-basing.
+    /// Retained pairs for similarity re-basing, oldest first (at most 8).
     pub retained: Vec<RetainedPair>,
     /// Timestamp of last activation (for LRU eviction).
     pub last_active: u64,
-    /// Cached scaled/weighted side of `sel_fingerprint`'s mean vector,
+    /// Cached scaled, unit-weight side of `fingerprint`'s mean vector,
     /// reused across model selections while fingerprint and normaliser are
     /// unchanged. Pure cache: carries no semantic state.
     pub sel_cache: CachedFingerprint,
@@ -70,22 +60,12 @@ impl ConceptEntry {
         Self {
             id,
             fingerprint: ConceptFingerprint::new(dims),
-            sel_fingerprint: ConceptFingerprint::new(dims),
             classifier,
             sim_stats: EwStats::default(),
             sc_fingerprint: ConceptFingerprint::new(dims),
             retained: Vec::new(),
             last_active: 0,
             sel_cache: CachedFingerprint::new(),
-        }
-    }
-
-    /// Records a fingerprint pair for future similarity re-basing, keeping
-    /// at most `cap` recent pairs.
-    pub fn retain_pair(&mut self, a: Vec<f64>, b: Vec<f64>, sim_then: f64, cap: usize) {
-        self.retained.push(RetainedPair { a, b, sim_then });
-        if self.retained.len() > cap {
-            self.retained.remove(0);
         }
     }
 }
@@ -292,15 +272,5 @@ mod tests {
         assert_eq!(e.id, id);
         assert!(r.is_empty());
         assert!(r.take(id).is_none());
-    }
-
-    #[test]
-    fn retained_pairs_are_capped() {
-        let mut e = ConceptEntry::new(0, 2, Box::new(MajorityClass::new(1, 2)));
-        for i in 0..10 {
-            e.retain_pair(vec![i as f64], vec![i as f64], 1.0, 3);
-        }
-        assert_eq!(e.retained.len(), 3);
-        assert_eq!(e.retained[0].a, vec![7.0]);
     }
 }

@@ -161,7 +161,9 @@ impl SessionTemplate {
     /// bit-identical replay requires the mode the capturing session ran
     /// with; the checkpointed frame windows carry their statistic banks,
     /// and re-enabling the same resolution on restore is an exact no-op,
-    /// while a batch template drops them. One caveat: the engine's EMD
+    /// while a batch template drops them. An incremental template given a
+    /// batch checkpoint builds the banks, moments included, from the
+    /// resident frames. One caveat: the engine's EMD
     /// entropy cache is scratch, not state, so an `emd_stride` above 1
     /// restarts its re-sift cadence at the restore point — replay stays
     /// within the tolerance contract but is bit-pinned only at the default

@@ -140,11 +140,12 @@ impl FicsumBuilder {
         self
     }
 
-    /// Switches extraction to incremental mode: the feature and label
-    /// sources read the windows' O(1)-per-observation moments and sequence
-    /// statistics (ACF/PACF at lags 1–2, lagged mutual information, the
-    /// turning-point rate) instead of sweeping the window, and IMF
-    /// entropies are reused by content hash. Substituted values agree with
+    /// Switches extraction to incremental mode: the windows keep a stat
+    /// bank each, and the feature and label sources read its
+    /// O(1)-per-observation moments and sequence statistics (ACF/PACF at
+    /// lags 1–2, lagged mutual information, the turning-point rate) instead
+    /// of sweeping the window. IMF entropies take the EMD path of either
+    /// mode (see [`FicsumBuilder::emd_stride`]). Substituted values agree with
     /// the batch sweep to ≤ 1e-9 relative (MI and turning points are
     /// bit-identical). Off by default because drift trajectories are
     /// feedback loops: batch extraction keeps them bit-exact against the

@@ -110,31 +110,15 @@ impl DynamicWeights {
             let w = w_sigma * w_d;
             values.push(if w.is_finite() && w > 0.0 { w } else { 1.0 });
         }
-        // Normalise to mean 1 so weight magnitudes stay comparable across
-        // updates (cosine similarity is invariant to a global scale, but the
-        // retained-pair re-basing benefits from stability).
+        // Normalise to mean 1 so weight magnitudes, and the `spread` the
+        // pipeline reports for them, stay comparable across updates (the
+        // cosine similarity itself is invariant to a global scale).
         let mean = values.iter().sum::<f64>() / dims.max(1) as f64;
         if mean > 0.0 && mean.is_finite() {
             for v in values.iter_mut() {
                 *v /= mean;
             }
         }
-    }
-
-    /// Same as [`DynamicWeights::compute`], publishing the recomputed
-    /// vector's shape to `recorder`: gauges `ficsum.weights.spread` and
-    /// `ficsum.weights.max`. A disabled recorder skips the derived
-    /// statistics entirely.
-    pub fn compute_recorded(
-        active: &ConceptFingerprint,
-        repo: &Repository,
-        normalizer: &FingerprintNormalizer,
-        sigma_floor: f64,
-        recorder: &mut dyn Recorder,
-    ) -> Self {
-        let w = Self::compute(active, repo, normalizer, sigma_floor);
-        w.publish_shape(recorder);
-        w
     }
 
     /// Publishes the vector's shape gauges (`ficsum.weights.spread`,
@@ -274,31 +258,19 @@ mod tests {
     }
 
     #[test]
-    fn compute_recorded_publishes_gauges() {
-        use ficsum_obs::{InMemoryRecorder, NullRecorder};
+    fn publish_shape_reports_gauges() {
+        use ficsum_obs::InMemoryRecorder;
         let mut active = ConceptFingerprint::new(2);
         for i in 0..10 {
             active.incorporate(&[0.1 * i as f64, 0.5]);
         }
         let repo = Repository::new(0);
         let mut rec = InMemoryRecorder::new();
-        let w = DynamicWeights::compute_recorded(
-            &active,
-            &repo,
-            &unit_normalizer(2),
-            0.01,
-            &mut rec,
-        );
+        let w = DynamicWeights::compute(&active, &repo, &unit_normalizer(2), 0.01);
+        w.publish_shape(&mut rec);
         assert_eq!(rec.gauge_value("ficsum.weights.spread"), Some(w.spread()));
-        // A disabled recorder produces the same weights and no gauges.
-        let w2 = DynamicWeights::compute_recorded(
-            &active,
-            &repo,
-            &unit_normalizer(2),
-            0.01,
-            &mut NullRecorder,
-        );
-        assert_eq!(w, w2);
+        let max = w.values.iter().copied().fold(0.0, f64::max);
+        assert_eq!(rec.gauge_value("ficsum.weights.max"), Some(max));
     }
 
     #[test]

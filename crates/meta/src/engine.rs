@@ -77,8 +77,8 @@ use crate::sweep::{SourceSweep, SweepStats};
 pub struct ExtractionMode {
     /// Substitute incremental statistics. The windows must have them
     /// enabled ([`ficsum_stream::FrameWindows::enable_stats`] with the
-    /// extractor's MI bin count); sources without usable state fall back
-    /// to the batch sweep.
+    /// extractor's MI bin count); a window without a stat bank, and
+    /// sources without usable state, fall back to the batch sweep.
     pub incremental: bool,
     /// EMD amortisation, in batch and incremental mode alike. Above 1, each
     /// source of each window keeps its last IMF entropies behind a content
@@ -642,7 +642,8 @@ impl FingerprintEngine {
     }
 
     /// Populates the incremental substitutes for the feature and label
-    /// sources; in batch mode `tracked` stays empty and every source takes
+    /// sources from the window's stat bank; in batch mode, or for a
+    /// window without a bank, `tracked` stays empty and every source takes
     /// the batch sweep. Each substitute carries the window's moments and,
     /// when its statistic state can honour the tolerance contract, the
     /// evaluated sequence statistics (see [`crate::incremental`]). The
@@ -650,26 +651,22 @@ impl FingerprintEngine {
     /// rebuilt from the classifier's fresh predictions on every call.
     fn fill_tracked_vals(&mut self, window: &TrackedFrames<'_>) {
         self.tracked.clear();
-        if !self.mode.incremental {
-            return;
-        }
+        let Some(bank) = window.bank().filter(|_| self.mode.incremental) else { return };
         let n = window.len();
         let mi_bins = self.extractor.mi_bins();
         let Self { kinds, tracked, mi_cols, .. } = self;
         for &kind in kinds.iter() {
             tracked.push(match kind {
                 SourceKind::Feature(j) => {
-                    let m = window.feature_moments(j);
-                    let ext = window.feature_stats(j).and_then(|s| {
-                        ext_vals(s, m, n, mi_bins, |i| window.features(i)[j], mi_cols)
-                    });
+                    let m = bank.feature_moments(j);
+                    let get = |i: usize| window.features(i)[j];
+                    let ext = ext_vals(bank.feature_stats(j), m, n, mi_bins, get, mi_cols);
                     Some(TrackedVals::new(m, ext))
                 }
                 SourceKind::Labels => {
-                    let m = window.label_moments();
-                    let ext = window.label_stats().and_then(|s| {
-                        ext_vals(s, m, n, mi_bins, |i| window.label(i) as f64, mi_cols)
-                    });
+                    let m = bank.label_moments();
+                    let get = |i: usize| window.label(i) as f64;
+                    let ext = ext_vals(bank.label_stats(), m, n, mi_bins, get, mi_cols);
                     Some(TrackedVals::new(m, ext))
                 }
                 _ => None,

@@ -17,7 +17,7 @@ use ficsum_serve::{SessionId, StepError, Submit};
 
 use crate::codec::{PayloadReader, PayloadWriter};
 use crate::error::{decode_step_error, encode_step_error, NetError, ProtocolError};
-use crate::wire::{kind, MAX_FRAME_LEN};
+use crate::wire::kind;
 
 /// Client-side view of one processed observation.
 ///
@@ -84,19 +84,20 @@ pub(crate) fn encode_submit(mode: u8, deadline_ms: u64, batch: &[Submit]) -> Vec
     payload.finish()
 }
 
-/// Decodes a `SUBMIT` payload. Counts are capped before allocating, so a
-/// lying length prefix fails on its first missing byte instead.
+/// Decodes a `SUBMIT` payload. Each count is capped by the bytes the
+/// payload holds before allocating (a request takes at least 20, a feature
+/// 8), so a lying length prefix fails on its first missing byte instead.
 pub(crate) fn decode_submit(payload: &[u8]) -> Result<SubmitBatch, NetError> {
     let mut r = PayloadReader::new(kind::SUBMIT, payload);
     let mode = r.u8()?;
     let deadline_ms = r.u64()?;
     let n = r.u32()? as usize;
-    let mut requests = Vec::with_capacity(n.min(MAX_FRAME_LEN as usize / 16));
+    let mut requests = Vec::with_capacity(n.min(payload.len() / 20));
     for _ in 0..n {
         let session = SessionId(r.u64()?);
         let label = r.u64()? as usize;
         let dims = r.u32()? as usize;
-        let mut features = Vec::with_capacity(dims.min(MAX_FRAME_LEN as usize / 8));
+        let mut features = Vec::with_capacity(dims.min(payload.len() / 8));
         for _ in 0..dims {
             features.push(r.f64()?);
         }
@@ -192,11 +193,24 @@ mod tests {
 
     #[test]
     fn lying_length_prefix_cannot_force_allocation() {
-        // A tiny payload claiming 4 billion requests must fail cleanly
-        // (bounds-checked reads), not attempt a proportional allocation.
-        let mut payload = PayloadWriter::new();
-        payload.u8(submit_mode::TRY).u64(0).u32(u32::MAX);
-        assert!(decode_submit(&payload.finish()).is_err());
+        // Tiny payloads claiming 4 billion requests, or 4 billion features
+        // in one request, must fail cleanly on their first missing byte
+        // (bounds-checked reads, capacities capped by the payload size),
+        // not attempt a proportional allocation.
+        let mut lying_count = PayloadWriter::new();
+        lying_count.u8(submit_mode::TRY).u64(0).u32(u32::MAX);
+        let mut lying_dims = PayloadWriter::new();
+        lying_dims.u8(submit_mode::TRY).u64(0).u32(1).u64(1).u64(0).u32(u32::MAX);
+        for payload in [lying_count.finish(), lying_dims.finish()] {
+            assert!(
+                matches!(
+                    decode_submit(&payload),
+                    Err(NetError::Protocol(ProtocolError::MalformedFrame { kind: kind::SUBMIT }))
+                ),
+                "{}-byte payload",
+                payload.len()
+            );
+        }
     }
 
     #[test]

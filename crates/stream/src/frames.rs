@@ -11,11 +11,12 @@
 //! [`FrameStore`] keeps exactly those frames once, as three parallel
 //! columns (a flat row-major `f64` feature arena, labels, predictions) in a
 //! fixed ring. [`FrameWindows`] layers the two windows of Algorithm 1 over
-//! it as *views by age* and maintains the incremental feature/label
-//! [`Moments`] (and, optionally, per-sequence [`SeqStats`]) the
-//! fingerprint engine substitutes in incremental mode. [`FrameSource`] is
-//! the read interface shared by plain ring views and the moment-carrying
-//! [`TrackedFrames`].
+//! it as *views by age*. Only when statistics are enabled does it also
+//! keep, per window, a [`StatBank`]: the incremental feature/label
+//! [`Moments`] and [`SeqStats`] the fingerprint engine substitutes in
+//! incremental mode. Batch windows keep neither, so their push is one ring
+//! write. [`FrameSource`] is the read interface shared by plain ring views
+//! and [`TrackedFrames`], which pairs a view with its window's bank.
 
 use crate::stats::Moments;
 use crate::winstats::SeqStats;
@@ -210,15 +211,12 @@ impl FrameSource for FrameView<'_> {
     }
 }
 
-/// A frame view paired with its window's incremental moments (and, when
-/// enabled, its incremental sequence statistics) — what the fingerprint
-/// engine extracts from.
+/// A frame view paired with its window's statistic bank, when the
+/// windows keep one — what the fingerprint engine extracts from.
 #[derive(Debug, Clone, Copy)]
 pub struct TrackedFrames<'a> {
     view: FrameView<'a>,
-    feat: &'a [Moments],
-    label: &'a Moments,
-    stats: Option<&'a StatBank>,
+    bank: Option<&'a StatBank>,
     tag: usize,
 }
 
@@ -244,27 +242,11 @@ impl FrameSource for TrackedFrames<'_> {
     }
 }
 
-impl TrackedFrames<'_> {
-    /// Moment accumulator for feature dimension `j`.
-    pub fn feature_moments(&self, j: usize) -> &Moments {
-        &self.feat[j]
-    }
-
-    /// Moment accumulator for the label sequence.
-    pub fn label_moments(&self) -> &Moments {
-        self.label
-    }
-
-    /// Sequence statistics for feature dimension `j`, `None` unless the
-    /// windows have statistics enabled
-    /// ([`FrameWindows::enable_stats`]).
-    pub fn feature_stats(&self, j: usize) -> Option<&SeqStats> {
-        self.stats.map(|b| &b.feat[j])
-    }
-
-    /// Sequence statistics for the label sequence, when enabled.
-    pub fn label_stats(&self) -> Option<&SeqStats> {
-        self.stats.map(|b| &b.label)
+impl<'a> TrackedFrames<'a> {
+    /// The window's incremental moments and sequence statistics, `None`
+    /// unless the windows keep them ([`FrameWindows::enable_stats`]).
+    pub fn bank(&self) -> Option<&'a StatBank> {
+        self.bank
     }
 
     /// Age of the window's newest frame (0 for `A`, `b` for `B`): frame `i`
@@ -281,27 +263,191 @@ impl TrackedFrames<'_> {
     }
 }
 
-/// One window's bank of incremental sequence statistics: one [`SeqStats`]
-/// per feature dimension plus one for the label sequence. Only these
-/// classifier-independent sequences are banked: extraction re-predicts
-/// every window through the current classifier, so push-time predictions
-/// and errors are never read.
+/// One sequence's incremental state: its [`Moments`] and its
+/// [`SeqStats`], stepped and rebuilt together.
+#[derive(Debug, Clone)]
+struct Tracked {
+    moments: Moments,
+    stats: SeqStats,
+}
+
+impl Tracked {
+    fn new(bins: usize) -> Self {
+        Self { moments: Moments::new(), stats: SeqStats::new(bins) }
+    }
+
+    fn reset(&mut self) {
+        self.moments.reset();
+        self.stats.reset();
+    }
+
+    /// Admits `v` and retires `evict`'s outgoing value (see
+    /// [`SeqStats::step`] for the arguments).
+    fn step(
+        &mut self,
+        v: f64,
+        p1: Option<f64>,
+        p2: Option<f64>,
+        evict: Option<(f64, Option<f64>, Option<f64>)>,
+    ) {
+        self.moments.push(v);
+        if let Some((x0, _, _)) = evict {
+            self.moments.remove(x0);
+        }
+        self.stats.step(v, p1, p2, evict);
+    }
+
+    /// Exact rebuild from the window's values, oldest first.
+    fn rebuild(&mut self, col: &[f64]) {
+        self.moments.reset();
+        for &v in col {
+            self.moments.push(v);
+        }
+        self.stats.rebuild(col);
+    }
+
+    /// Whether the statistics asked for a rebuild (histogram edge moved,
+    /// non-finite values just left the window) or their shift reference
+    /// drifted ≥ 16 sigma from the window mean (see
+    /// [`SeqStats::shift_drifted`]).
+    fn stats_stale(&self) -> bool {
+        let (s, m) = (&self.stats, &self.moments);
+        s.needs_rebuild() || (s.is_valid() && s.shift_drifted(m.mean(), m.sum_sq_dev()))
+    }
+}
+
+/// One window's bank of incremental statistics: [`Moments`] and
+/// [`SeqStats`] for each feature dimension and for the label sequence.
+/// Only these classifier-independent sequences are banked: extraction
+/// re-predicts every window through the current classifier, so push-time
+/// predictions and errors are never read.
 #[derive(Debug, Clone)]
 pub struct StatBank {
-    feat: Vec<SeqStats>,
-    label: SeqStats,
+    feat: Vec<Tracked>,
+    label: Tracked,
+    /// Evictions since the last full rebuild.
+    evictions: usize,
 }
 
 impl StatBank {
     fn new(dims: usize, bins: usize) -> Self {
-        Self { feat: vec![SeqStats::new(bins); dims], label: SeqStats::new(bins) }
+        Self { feat: vec![Tracked::new(bins); dims], label: Tracked::new(bins), evictions: 0 }
     }
 
     fn reset(&mut self) {
-        for s in &mut self.feat {
-            s.reset();
+        for t in &mut self.feat {
+            t.reset();
         }
         self.label.reset();
+        self.evictions = 0;
+    }
+
+    /// Moment accumulator for feature dimension `j`.
+    pub fn feature_moments(&self, j: usize) -> &Moments {
+        &self.feat[j].moments
+    }
+
+    /// Moment accumulator for the label sequence.
+    pub fn label_moments(&self) -> &Moments {
+        &self.label.moments
+    }
+
+    /// Sequence statistics for feature dimension `j`.
+    pub fn feature_stats(&self, j: usize) -> &SeqStats {
+        &self.feat[j].stats
+    }
+
+    /// Sequence statistics for the label sequence.
+    pub fn label_stats(&self) -> &SeqStats {
+        &self.label.stats
+    }
+
+    /// O(1) maintenance for one frame entering this window of capacity
+    /// `w`, whose `len` frames sit at ages `[newest_age, newest_age + len)`:
+    /// the row `g` with label `g_label` enters at the newest end and, when
+    /// the window is full, the frame `newest_age + w - 1` pushes old
+    /// leaves. Ring reads use pre-push ages, so the outgoing rows are
+    /// still readable. The post-append sequence is `[x_0 .. x_{w-1}, g]`,
+    /// so for tiny windows the evicted value's successors fall back to the
+    /// incoming value itself.
+    fn step(
+        &mut self,
+        store: &FrameStore,
+        w: usize,
+        newest_age: usize,
+        len: usize,
+        g: &[f64],
+        g_label: usize,
+    ) {
+        let o = newest_age;
+        let p1 = (len >= 1).then(|| store.features_at_age(o));
+        let p2 = (len >= 2).then(|| store.features_at_age(o + 1));
+        let ev = (len == w).then(|| {
+            (
+                store.features_at_age(o + w - 1),
+                (w >= 2).then(|| store.features_at_age(o + w - 2)),
+                (w >= 3).then(|| store.features_at_age(o + w - 3)),
+            )
+        });
+        for (j, t) in self.feat.iter_mut().enumerate() {
+            let v = g[j];
+            let evict = ev.map(|(x0, x1, x2)| {
+                let x1 = x1.map_or(Some(v), |r| Some(r[j]));
+                let x2 = x2.map(|r| r[j]).or((w == 2).then_some(v));
+                (x0[j], x1, x2)
+            });
+            t.step(v, p1.map(|r| r[j]), p2.map(|r| r[j]), evict);
+        }
+        let v = g_label as f64;
+        let evict = (len == w).then(|| {
+            let x1 = if w >= 2 { Some(store.label_at_age(o + w - 2) as f64) } else { Some(v) };
+            let x2 = if w >= 3 {
+                Some(store.label_at_age(o + w - 3) as f64)
+            } else {
+                (w == 2).then_some(v)
+            };
+            (store.label_at_age(o + w - 1) as f64, x1, x2)
+        });
+        self.label.step(
+            v,
+            (len >= 1).then(|| store.label_at_age(o) as f64),
+            (len >= 2).then(|| store.label_at_age(o + 1) as f64),
+            evict,
+        );
+        self.evictions += usize::from(len == w);
+    }
+
+    /// Exact rebuild of every sequence from the window with the given ring
+    /// coordinates, gathering each column into `col` first.
+    fn rebuild(&mut self, store: &FrameStore, newest_age: usize, len: usize, col: &mut Vec<f64>) {
+        for (j, t) in self.feat.iter_mut().enumerate() {
+            store.gather_feature(newest_age, len, j, col);
+            t.rebuild(col);
+        }
+        store.gather_labels(newest_age, len, col);
+        self.label.rebuild(col);
+        self.evictions = 0;
+    }
+
+    /// Post-push pass: the scheduled full rebuild every
+    /// [`FrameWindows::REBUILD_INTERVAL`] evictions (downdating is exact in
+    /// infinite precision but accretes rounding error over unbounded
+    /// insert/evict cycles, and the rebuild also refreshes the cross-sums'
+    /// shift reference), then a rebuild of each stale statistic.
+    fn refresh(&mut self, store: &FrameStore, newest_age: usize, len: usize, col: &mut Vec<f64>) {
+        if self.evictions >= FrameWindows::REBUILD_INTERVAL {
+            self.rebuild(store, newest_age, len, col);
+        }
+        for (j, t) in self.feat.iter_mut().enumerate() {
+            if t.stats_stale() {
+                store.gather_feature(newest_age, len, j, col);
+                t.stats.rebuild(col);
+            }
+        }
+        if self.label.stats_stale() {
+            store.gather_labels(newest_age, len, col);
+            self.label.stats.rebuild(col);
+        }
     }
 }
 
@@ -323,11 +469,10 @@ struct WindowStats {
 /// * the holding buffer — the `≤ b` newest frames not yet graduated.
 ///
 /// The windows share one arena of `b + w` rows; pushing a frame is one
-/// ring write plus O(d) moment updates, with no per-observation
-/// allocation. Moments are updated on admit and evict and rebuilt from
-/// the resident frames every [`FrameWindows::REBUILD_INTERVAL`] evictions
-/// per window. Clearing the buffer after a drift is a logical restart:
-/// frames pushed before the clear never graduate.
+/// ring write, with no per-observation allocation. Windows with
+/// statistics enabled also step each window's [`StatBank`] on admit and
+/// evict. Clearing the buffer after a drift is a logical restart: frames
+/// pushed before the clear never graduate.
 #[derive(Debug, Clone)]
 pub struct FrameWindows {
     store: FrameStore,
@@ -336,19 +481,11 @@ pub struct FrameWindows {
     /// `pushed` count at the last buffer clear; frames older than this
     /// never graduate into the stale window.
     s_start: u64,
-    a_feat: Vec<Moments>,
-    a_label: Moments,
-    a_evictions: usize,
-    s_feat: Vec<Moments>,
-    s_label: Moments,
-    s_evictions: usize,
     stats: Option<Box<WindowStats>>,
 }
 
 impl FrameWindows {
-    /// Evictions between full rebuilds of a window's moment accumulators:
-    /// downdating is exact in infinite precision but accretes rounding
-    /// error over unbounded insert/evict cycles.
+    /// Evictions between full rebuilds of a window's stat bank.
     pub const REBUILD_INTERVAL: usize = 4096;
 
     /// Windows of `window` frames with a graduation delay of `delay`
@@ -360,12 +497,6 @@ impl FrameWindows {
             window,
             delay,
             s_start: 0,
-            a_feat: vec![Moments::new(); dims],
-            a_label: Moments::new(),
-            a_evictions: 0,
-            s_feat: vec![Moments::new(); dims],
-            s_label: Moments::new(),
-            s_evictions: 0,
             stats: None,
         }
     }
@@ -412,79 +543,28 @@ impl FrameWindows {
         &self.store
     }
 
-    /// Pushes one frame into the shared arena, updating both windows'
-    /// membership and moments. Ring reads of outgoing frames happen before
-    /// the slot overwrite; moments admit the new frame, then retire the
-    /// outgoing one.
+    /// Pushes one frame into the shared arena, moving both windows
+    /// forward. With statistics enabled, each bank admits its incoming
+    /// value and retires its outgoing one before the slot overwrite, and
+    /// is refreshed after it.
     pub fn push(&mut self, x: &[f64], label: usize, prediction: usize) {
-        let (w, b) = (self.window, self.delay);
-        let n_a = self.a_len();
-        let s_len = self.stale_len();
-        let graduates = self.store.pushed - self.s_start >= b as u64;
-
-        for (m, &v) in self.a_feat.iter_mut().zip(x) {
-            m.push(v);
-        }
-        self.a_label.push(label as f64);
-        if n_a == w {
-            let out = self.store.features_at_age(w - 1);
-            for (m, &v) in self.a_feat.iter_mut().zip(out) {
-                m.remove(v);
-            }
-            self.a_label.remove(self.store.label_at_age(w - 1) as f64);
-            self.a_evictions += 1;
-        }
-
-        if graduates {
-            // The frame crossing age `b` enters the stale window; with a
-            // zero delay that is the incoming frame itself.
-            if b == 0 {
-                for (m, &v) in self.s_feat.iter_mut().zip(x) {
-                    m.push(v);
-                }
-                self.s_label.push(label as f64);
-            } else {
-                let g = self.store.features_at_age(b - 1);
-                for (m, &v) in self.s_feat.iter_mut().zip(g) {
-                    m.push(v);
-                }
-                self.s_label.push(self.store.label_at_age(b - 1) as f64);
-            }
-            if s_len == w {
-                let out = self.store.features_at_age(b + w - 1);
-                for (m, &v) in self.s_feat.iter_mut().zip(out) {
-                    m.remove(v);
-                }
-                self.s_label.remove(self.store.label_at_age(b + w - 1) as f64);
-                self.s_evictions += 1;
-            }
-        }
-
         if self.stats.is_some() {
-            self.step_stats(x, label, n_a, s_len, graduates);
+            self.step_stats(x, label);
         }
-
         self.store.push(x, label, prediction);
-
-        if self.a_evictions >= Self::REBUILD_INTERVAL {
-            self.rebuild_a();
-        }
-        if self.s_evictions >= Self::REBUILD_INTERVAL {
-            self.rebuild_s();
-        }
         if self.stats.is_some() {
             self.refresh_stats();
         }
     }
 
-    /// Enables incremental per-sequence statistics over both windows with
-    /// a `bins x bins` mutual-information histogram, building the state
-    /// from the frames already resident.
+    /// Enables incremental moments and per-sequence statistics over both
+    /// windows with a `bins x bins` mutual-information histogram, building
+    /// the state from the frames already resident.
     ///
     /// Idempotent when already enabled with the same `bins`: the
     /// continuously-maintained state is kept untouched, which
     /// checkpoint-restore relies on (rebuilding would perturb the
-    /// cross-sums' accumulation order and break bit-identical replay).
+    /// accumulation order and break bit-identical replay).
     pub fn enable_stats(&mut self, bins: usize) {
         assert!(bins >= 2, "mutual-information histogram needs at least 2 bins");
         if let Some(ws) = &self.stats {
@@ -499,13 +579,13 @@ impl FrameWindows {
             s: StatBank::new(dims, bins),
             column: Vec::with_capacity(self.window),
         });
-        rebuild_bank(&self.store, 0, self.a_len(), &mut ws.a, &mut ws.column);
-        rebuild_bank(&self.store, self.delay, self.stale_len(), &mut ws.s, &mut ws.column);
+        ws.a.rebuild(&self.store, 0, self.a_len(), &mut ws.column);
+        ws.s.rebuild(&self.store, self.delay, self.stale_len(), &mut ws.column);
         self.stats = Some(ws);
     }
 
-    /// Drops the incremental sequence statistics; tracked views fall back
-    /// to reporting no stats and consumers use the batch sweeps.
+    /// Drops the statistic banks; tracked views then carry no bank and
+    /// consumers use the batch sweeps.
     pub fn disable_stats(&mut self) {
         self.stats = None;
     }
@@ -515,113 +595,33 @@ impl FrameWindows {
         self.stats.as_deref().map(|ws| ws.bins)
     }
 
-    /// O(1) stat-bank maintenance for one incoming frame. Ring reads use
-    /// pre-push ages: the caller runs this before the slot overwrite, so
-    /// the outgoing rows are still readable. The neighbour plumbing
-    /// mirrors the membership rules of [`FrameWindows::push`] exactly:
-    /// for the active window the post-append sequence is
-    /// `[x_0 .. x_{w-1}, v]`, so for tiny windows the evicted value's
-    /// successors fall back to the incoming value itself.
-    fn step_stats(&mut self, x: &[f64], label: usize, n_a: usize, s_len: usize, graduates: bool) {
+    /// O(1) stat-bank maintenance for one incoming frame: `A` admits the
+    /// frame itself, `B` the frame graduating past age `b` (the incoming
+    /// frame when the delay is zero). Runs before the slot overwrite.
+    fn step_stats(&mut self, x: &[f64], label: usize) {
         let (w, b) = (self.window, self.delay);
+        let (n_a, s_len) = (self.a_len(), self.stale_len());
+        let graduates = self.store.pushed - self.s_start >= b as u64;
         let ws = self.stats.as_deref_mut().expect("caller checked stats are enabled");
         let store = &self.store;
-
-        // Active window A: the incoming frame enters, age w-1 leaves.
-        {
-            let p1 = (n_a >= 1).then(|| store.features_at_age(0));
-            let p2 = (n_a >= 2).then(|| store.features_at_age(1));
-            let ev = (n_a == w).then(|| {
-                (
-                    store.features_at_age(w - 1),
-                    (w >= 2).then(|| store.features_at_age(w - 2)),
-                    (w >= 3).then(|| store.features_at_age(w - 3)),
-                )
-            });
-            for (j, s) in ws.a.feat.iter_mut().enumerate() {
-                let v = x[j];
-                let evict = ev.map(|(x0, x1, x2)| {
-                    let x1 = x1.map_or(Some(v), |r| Some(r[j]));
-                    let x2 = x2.map(|r| r[j]).or((w == 2).then_some(v));
-                    (x0[j], x1, x2)
-                });
-                s.step(v, p1.map(|r| r[j]), p2.map(|r| r[j]), evict);
-            }
-            let v = label as f64;
-            let evict = (n_a == w).then(|| {
-                let x1 =
-                    if w >= 2 { Some(store.label_at_age(w - 2) as f64) } else { Some(v) };
-                let x2 = if w >= 3 {
-                    Some(store.label_at_age(w - 3) as f64)
-                } else {
-                    (w == 2).then_some(v)
-                };
-                (store.label_at_age(w - 1) as f64, x1, x2)
-            });
-            ws.a.label.step(
-                v,
-                (n_a >= 1).then(|| store.label_at_age(0) as f64),
-                (n_a >= 2).then(|| store.label_at_age(1) as f64),
-                evict,
-            );
-        }
-
-        // Stale window B: the graduating frame enters (the incoming frame
-        // itself when the delay is zero), age b + w - 1 leaves.
+        ws.a.step(store, w, 0, n_a, x, label);
         if graduates {
-            let gfeat = (b > 0).then(|| store.features_at_age(b - 1));
-            let p1 = (s_len >= 1).then(|| store.features_at_age(b));
-            let p2 = (s_len >= 2).then(|| store.features_at_age(b + 1));
-            let ev = (s_len == w).then(|| {
-                (
-                    store.features_at_age(b + w - 1),
-                    (w >= 2).then(|| store.features_at_age(b + w - 2)),
-                    (w >= 3).then(|| store.features_at_age(b + w - 3)),
-                )
-            });
-            for (j, s) in ws.s.feat.iter_mut().enumerate() {
-                let g = gfeat.map_or(x[j], |r| r[j]);
-                let evict = ev.map(|(x0, x1, x2)| {
-                    let x1 = x1.map_or(Some(g), |r| Some(r[j]));
-                    let x2 = x2.map(|r| r[j]).or((w == 2).then_some(g));
-                    (x0[j], x1, x2)
-                });
-                s.step(g, p1.map(|r| r[j]), p2.map(|r| r[j]), evict);
-            }
-            let g = if b == 0 { label as f64 } else { store.label_at_age(b - 1) as f64 };
-            let evict = (s_len == w).then(|| {
-                let x1 = if w >= 2 {
-                    Some(store.label_at_age(b + w - 2) as f64)
-                } else {
-                    Some(g)
-                };
-                let x2 = if w >= 3 {
-                    Some(store.label_at_age(b + w - 3) as f64)
-                } else {
-                    (w == 2).then_some(g)
-                };
-                (store.label_at_age(b + w - 1) as f64, x1, x2)
-            });
-            ws.s.label.step(
-                g,
-                (s_len >= 1).then(|| store.label_at_age(b) as f64),
-                (s_len >= 2).then(|| store.label_at_age(b + 1) as f64),
-                evict,
-            );
+            let (g, g_label) = if b == 0 {
+                (x, label)
+            } else {
+                (store.features_at_age(b - 1), store.label_at_age(b - 1))
+            };
+            ws.s.step(store, w, b, s_len, g, g_label);
         }
     }
 
-    /// Post-push pass: rebuilds any stat that requested it (histogram
-    /// edge moved, non-finite values just left the window) and resummates
-    /// any whose shift reference drifted too far from the window mean.
+    /// Post-push pass over both banks (see `StatBank::refresh`).
     fn refresh_stats(&mut self) {
-        let a_len = self.a_len();
-        let s_len = self.stale_len();
-        let delay = self.delay;
+        let (a_len, s_len, delay) = (self.a_len(), self.stale_len(), self.delay);
         let Some(ws) = self.stats.as_deref_mut() else { return };
-        let col = &mut ws.column;
-        refresh_bank(&self.store, 0, a_len, &mut ws.a, col, &self.a_feat, &self.a_label);
-        refresh_bank(&self.store, delay, s_len, &mut ws.s, col, &self.s_feat, &self.s_label);
+        let WindowStats { a, s, column, .. } = ws;
+        a.refresh(&self.store, 0, a_len, column);
+        s.refresh(&self.store, delay, s_len, column);
     }
 
     /// Logically empties the delay buffer and stale window (the ring keeps
@@ -629,11 +629,6 @@ impl FrameWindows {
     /// untouched.
     pub fn clear_buffer(&mut self) {
         self.s_start = self.store.pushed;
-        for m in &mut self.s_feat {
-            m.reset();
-        }
-        self.s_label.reset();
-        self.s_evictions = 0;
         if let Some(ws) = self.stats.as_deref_mut() {
             ws.s.reset();
         }
@@ -649,110 +644,18 @@ impl FrameWindows {
         self.store.view(self.delay, self.stale_len())
     }
 
-    /// The active window paired with its incremental moments.
+    /// The active window paired with its stat bank.
     pub fn a_tracked(&self) -> TrackedFrames<'_> {
-        TrackedFrames {
-            view: self.a_view(),
-            feat: &self.a_feat,
-            label: &self.a_label,
-            stats: self.stats.as_deref().map(|ws| &ws.a),
-            tag: 0,
-        }
+        TrackedFrames { view: self.a_view(), bank: self.stats.as_deref().map(|ws| &ws.a), tag: 0 }
     }
 
-    /// The stale window paired with its incremental moments.
+    /// The stale window paired with its stat bank.
     pub fn stale_tracked(&self) -> TrackedFrames<'_> {
         TrackedFrames {
             view: self.stale_view(),
-            feat: &self.s_feat,
-            label: &self.s_label,
-            stats: self.stats.as_deref().map(|ws| &ws.s),
+            bank: self.stats.as_deref().map(|ws| &ws.s),
             tag: 1,
         }
-    }
-
-    fn rebuild_a(&mut self) {
-        for m in &mut self.a_feat {
-            m.reset();
-        }
-        self.a_label.reset();
-        let len = self.a_len();
-        let view = self.store.view(0, len);
-        for i in 0..view.len() {
-            for (m, &v) in self.a_feat.iter_mut().zip(view.features(i)) {
-                m.push(v);
-            }
-            self.a_label.push(view.label(i) as f64);
-        }
-        self.a_evictions = 0;
-        // Scheduled resummation of the stat bank rides the same cadence,
-        // refreshing the cross-sums' shift reference to the current mean.
-        if let Some(ws) = self.stats.as_deref_mut() {
-            rebuild_bank(&self.store, 0, len, &mut ws.a, &mut ws.column);
-        }
-    }
-
-    fn rebuild_s(&mut self) {
-        for m in &mut self.s_feat {
-            m.reset();
-        }
-        self.s_label.reset();
-        let len = self.stale_len();
-        let view = self.store.view(self.delay, len);
-        for i in 0..view.len() {
-            for (m, &v) in self.s_feat.iter_mut().zip(view.features(i)) {
-                m.push(v);
-            }
-            self.s_label.push(view.label(i) as f64);
-        }
-        self.s_evictions = 0;
-        if let Some(ws) = self.stats.as_deref_mut() {
-            rebuild_bank(&self.store, self.delay, len, &mut ws.s, &mut ws.column);
-        }
-    }
-}
-
-/// Exact rebuild of every stat in `bank` from the window with the given
-/// ring coordinates, gathering each column into `col` first.
-fn rebuild_bank(
-    store: &FrameStore,
-    newest_age: usize,
-    len: usize,
-    bank: &mut StatBank,
-    col: &mut Vec<f64>,
-) {
-    for (j, s) in bank.feat.iter_mut().enumerate() {
-        store.gather_feature(newest_age, len, j, col);
-        s.rebuild(col);
-    }
-    store.gather_labels(newest_age, len, col);
-    bank.label.rebuild(col);
-}
-
-/// Rebuilds the stats in `bank` that request it and resummates those whose
-/// shift reference drifted ≥ 16 sigma from the window mean (see
-/// [`SeqStats::shift_drifted`]), gathering each rebuilt column into `col`.
-fn refresh_bank(
-    store: &FrameStore,
-    newest_age: usize,
-    len: usize,
-    bank: &mut StatBank,
-    col: &mut Vec<f64>,
-    feat_moments: &[Moments],
-    label_moments: &Moments,
-) {
-    for (j, s) in bank.feat.iter_mut().enumerate() {
-        let m = &feat_moments[j];
-        if s.needs_rebuild() || (s.is_valid() && s.shift_drifted(m.mean(), m.sum_sq_dev())) {
-            store.gather_feature(newest_age, len, j, col);
-            s.rebuild(col);
-        }
-    }
-    let m = label_moments;
-    let s = &mut bank.label;
-    if s.needs_rebuild() || (s.is_valid() && s.shift_drifted(m.mean(), m.sum_sq_dev())) {
-        store.gather_labels(newest_age, len, col);
-        s.rebuild(col);
     }
 }
 
@@ -818,8 +721,9 @@ mod tests {
     /// same rows: every feature column, then the label sequence.
     fn assert_moments(tracked: &TrackedFrames<'_>, rows: &[Row], what: &str) {
         let d = tracked.dims();
+        let bank = tracked.bank().expect("stats enabled");
         for j in 0..=d {
-            let m = if j < d { tracked.feature_moments(j) } else { tracked.label_moments() };
+            let m = if j < d { bank.feature_moments(j) } else { bank.label_moments() };
             let xs: Vec<f64> =
                 rows.iter().map(|(x, y, _)| if j < d { x[j] } else { *y as f64 }).collect();
             assert_eq!(m.count() as usize, xs.len(), "{what}: column {j} count");
@@ -840,6 +744,7 @@ mod tests {
         for &(w, b) in &[(5usize, 3usize), (6, 4), (1, 0), (3, 0), (2, 5)] {
             let d = 2;
             let mut frames = FrameWindows::new(w, b, d);
+            frames.enable_stats(4);
             let mut history = History::new(w, b);
             for i in 0..60 {
                 let (x, y, p) = obs(i);
@@ -910,21 +815,24 @@ mod tests {
     #[test]
     fn clear_buffer_restarts_the_stale_side_only() {
         let mut frames = FrameWindows::new(3, 3, 1);
+        frames.enable_stats(4);
         for i in 0..10 {
             frames.push(&[i as f64], 0, 0);
         }
         frames.clear_buffer();
         assert_eq!(frames.stale_len(), 0);
         assert_eq!(frames.holding_len(), 0);
-        assert_eq!(frames.stale_tracked().feature_moments(0).count(), 0);
-        assert_eq!(frames.stale_tracked().label_moments().count(), 0);
+        let bank = frames.stale_tracked().bank().expect("stats enabled");
+        assert_eq!(bank.feature_moments(0).count(), 0);
+        assert_eq!(bank.label_moments().count(), 0);
         assert!(frames.a_is_full(), "the active window survives the clear");
         for i in 10..14 {
             frames.push(&[i as f64], 0, 0);
         }
         // Only frames pushed after the clear graduate.
         assert_eq!(frames.stale_len(), 1);
-        assert_eq!(frames.stale_tracked().feature_moments(0).mean(), 10.0);
+        let bank = frames.stale_tracked().bank().expect("stats enabled");
+        assert_eq!(bank.feature_moments(0).mean(), 10.0);
     }
 
     /// Re-centers a maintained cross-sum around the exact window mean —
@@ -963,8 +871,9 @@ mod tests {
                     (frames.a_tracked(), frames.a_view(), frames.a_len()),
                     (frames.stale_tracked(), frames.stale_view(), frames.stale_len()),
                 ] {
+                    let bank = tracked.bank().expect("stats enabled");
                     for j in 0..d {
-                        let got = tracked.feature_stats(j).expect("stats enabled");
+                        let got = bank.feature_stats(j);
                         assert!(got.is_valid(), "w{w} b{b} step {i} dim {j}");
                         assert_eq!(got.count(), len, "w{w} b{b} step {i} dim {j}");
                         let col: Vec<f64> = (0..len).map(|i| view.features(i)[j]).collect();
@@ -984,7 +893,7 @@ mod tests {
                             }
                         }
                     }
-                    let got = tracked.label_stats().expect("stats enabled");
+                    let got = bank.label_stats();
                     let labels: Vec<f64> = (0..len).map(|i| view.label(i) as f64).collect();
                     let mut want = SeqStats::new(4);
                     want.rebuild(&labels);
@@ -1033,17 +942,61 @@ mod tests {
             frames.push(&[i as f64 * 0.3], i % 2, 0);
         }
         frames.enable_stats(8);
-        let before = frames.a_tracked().feature_stats(0).unwrap().clone();
+        let before = frames.a_tracked().bank().unwrap().feature_stats(0).clone();
         // Re-enabling with the same resolution must not touch the state.
         frames.enable_stats(8);
-        assert_eq!(frames.a_tracked().feature_stats(0).unwrap(), &before);
+        assert_eq!(frames.a_tracked().bank().unwrap().feature_stats(0), &before);
         assert_eq!(frames.stats_bins(), Some(8));
         frames.disable_stats();
-        assert!(frames.a_tracked().feature_stats(0).is_none());
-        assert!(frames.stale_tracked().label_stats().is_none());
+        assert!(frames.a_tracked().bank().is_none());
+        assert!(frames.stale_tracked().bank().is_none());
         assert_eq!(frames.stats_bins(), None);
         assert_eq!(frames.a_tracked().window_tag(), 0);
         assert_eq!(frames.stale_tracked().window_tag(), 1);
+    }
+
+    /// Windows without statistics carry no bank. Enabling statistics on
+    /// windows that already hold frames builds each bank's moments from
+    /// the resident frames, oldest first, bit for bit — after a buffer
+    /// clear and across ring wraps alike.
+    #[test]
+    fn enable_stats_builds_moments_from_resident_frames() {
+        let (w, b, d) = (5usize, 3usize, 2usize);
+        // The ring holds 8 rows: 19 and 23 pushes wrap it twice. A clear
+        // at step 17 leaves the stale window empty after 19 pushes and
+        // partly refilled after 23.
+        for (pushes, clear_at) in [(4, None), (23, None), (19, Some(17)), (23, Some(17))] {
+            let mut frames = FrameWindows::new(w, b, d);
+            for i in 0..pushes {
+                let (x, y, p) = obs(i);
+                frames.push(&x, y, p);
+                if Some(i) == clear_at {
+                    frames.clear_buffer();
+                }
+            }
+            assert!(frames.a_tracked().bank().is_none(), "batch windows keep no bank");
+            assert!(frames.stale_tracked().bank().is_none(), "batch windows keep no bank");
+            frames.enable_stats(4);
+            for (tracked, view) in [
+                (frames.a_tracked(), frames.a_view()),
+                (frames.stale_tracked(), frames.stale_view()),
+            ] {
+                let bank = tracked.bank().expect("stats enabled");
+                for j in 0..=d {
+                    let mut want = Moments::new();
+                    for i in 0..view.len() {
+                        want.push(if j < d { view.features(i)[j] } else { view.label(i) as f64 });
+                    }
+                    let got = if j < d { bank.feature_moments(j) } else { bank.label_moments() };
+                    assert_eq!(
+                        format!("{got:?}"),
+                        format!("{want:?}"),
+                        "{pushes} pushes, clear {clear_at:?}, tag {}, column {j}",
+                        tracked.window_tag()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1051,12 +1004,14 @@ mod tests {
         // Force many evictions through a tiny window to cross the rebuild
         // interval; the moments must stay equal to a batch recompute.
         let mut frames = FrameWindows::new(10, 1, 1);
+        frames.enable_stats(4);
         for i in 0..(FrameWindows::REBUILD_INTERVAL + 50) {
             frames.push(&[(i as f64 * 0.13).sin()], i % 2, 0);
         }
         let view = frames.a_view();
         let mean: f64 =
             (0..view.len()).map(|i| view.features(i)[0]).sum::<f64>() / view.len() as f64;
-        assert!((frames.a_tracked().feature_moments(0).mean() - mean).abs() < 1e-9);
+        let bank = frames.a_tracked().bank().expect("stats enabled");
+        assert!((bank.feature_moments(0).mean() - mean).abs() < 1e-9);
     }
 }

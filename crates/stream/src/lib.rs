@@ -10,7 +10,7 @@
 //!   truth concept identifier needed by the co-occurrence evaluation,
 //! * [`FrameWindows`] — the *active* window `A` and the delayed *buffer*
 //!   window `B` of Algorithm 1, as views over one shared frame ring, with
-//!   the incremental [`Moments`] and optional per-sequence [`SeqStats`]
+//!   the optional incremental [`Moments`] and per-sequence [`SeqStats`]
 //!   the fingerprint engine reads in incremental mode,
 //! * online statistics ([`RunningStats`], [`MinMaxScaler`]) used by the
 //!   fingerprinting and weighting machinery.
