@@ -60,6 +60,23 @@ for workload in $workloads; do
   esac
 done
 
+echo "== quality gate (EMD stride default vs stride 1, quick) =="
+# The paper's metrics at the default EMD stride against the exact stride
+# 1 (DESIGN.md deviation 11): the quality bench in quick mode
+# (12k-observation streams) on STAGGER and RTREE-U, seeds 1-3. Fails if
+# the default's seed-mean kappa or C-F1 on either dataset falls below
+# stride 1's by more than stride 1's max-min seed spread, as recorded for
+# this subset in BENCH_quality.json.
+if [ ! -f BENCH_quality.json ]; then
+  echo "BENCH_quality.json missing; record it with:" >&2
+  echo "  cargo run --release -p ficsum-bench --bin quality -- --seeds 5 --out BENCH_quality.json" >&2
+  echo "  cargo run --release -p ficsum-bench --bin quality -- --quick --seeds 3 \\" >&2
+  echo "    --only STAGGER,RTREE-U --strides 1,2 --append BENCH_quality.json" >&2
+  exit 1
+fi
+cargo run --release -q -p ficsum-bench --bin quality -- \
+  --quick --seeds 3 --only STAGGER,RTREE-U --check BENCH_quality.json
+
 echo "== fault-injection tests (ficsum-serve) =="
 # Supervision, quarantine, checkpoint-restore and deadline behaviour under
 # deterministic injected faults (DESIGN.md "Fault tolerance & recovery").

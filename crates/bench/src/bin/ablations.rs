@@ -34,14 +34,12 @@ fn main() {
         let mut kappa_cells = Vec::new();
         let mut cf1_cells = Vec::new();
         for name in DATASETS {
-            let results: Vec<_> = (0..opts.seeds)
-                .map(|seed| {
-                    let mut stream = build_stream(name, seed + 1, &opts);
-                    let (d, k) = (stream.dims(), stream.n_classes());
-                    let mut system = FicsumSystem::with_config(d, k, Variant::Full, config);
-                    evaluate_with(&mut system, &mut stream, &run_options(k, seed + 1, &opts))
-                })
-                .collect();
+            let results = opts.run_seeds(|seed| {
+                let mut stream = build_stream(name, seed, &opts);
+                let (d, k) = (stream.dims(), stream.n_classes());
+                let mut system = FicsumSystem::with_config(d, k, Variant::Full, config);
+                evaluate_with(&mut system, &mut stream, &run_options(k, seed, &opts))
+            });
             if let Some(rep) = reporter.as_mut() {
                 for r in &results {
                     rep.record(name, r);

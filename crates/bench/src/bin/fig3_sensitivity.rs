@@ -13,11 +13,13 @@ use ficsum_stream::StreamSource;
 fn run(config: FicsumConfig, opts: &Options, reporter: &mut Option<JsonlReporter>) -> (f64, f64) {
     let mut acc = 0.0;
     let mut rt = 0.0;
-    for seed in 0..opts.seeds {
-        let mut stream = build_stream("Arabic", seed + 1, opts);
+    let results = opts.run_seeds(|seed| {
+        let mut stream = build_stream("Arabic", seed, opts);
         let (d, k) = (stream.dims(), stream.n_classes());
         let mut system = FicsumSystem::with_config(d, k, Variant::Full, config);
-        let r = evaluate_with(&mut system, &mut stream, &run_options(k, seed + 1, opts));
+        evaluate_with(&mut system, &mut stream, &run_options(k, seed, opts))
+    });
+    for r in results {
         if let Some(rep) = reporter.as_mut() {
             rep.record("Arabic", &r);
         }

@@ -25,9 +25,7 @@ fn main() {
         let mut kappa_row = Vec::new();
         let mut cf1_row = Vec::new();
         for variant in VARIANT_COLUMNS {
-            let results: Vec<_> = (0..opts.seeds)
-                .map(|seed| run_variant(spec.name, variant, seed + 1, &opts))
-                .collect();
+            let results = opts.run_seeds(|seed| run_variant(spec.name, variant, seed, &opts));
             if let Some(rep) = reporter.as_mut() {
                 for r in &results {
                     rep.record(spec.name, r);

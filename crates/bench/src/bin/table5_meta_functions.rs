@@ -44,12 +44,14 @@ fn main() {
             let mut kappas = Vec::new();
             let mut cf1s = Vec::new();
             let mut discs = Vec::new();
-            for seed in 0..opts.seeds {
-                let stream = synth_stream(&drifts, n_concepts, segment, seed + 1);
+            let results = opts.run_seeds(|seed| {
+                let stream = synth_stream(&drifts, n_concepts, segment, seed);
                 let mut stream = truncate(stream, opts.stream_cap());
                 let (d, k) = (stream.dims(), stream.n_classes());
                 let mut system = FicsumSystem::new(d, k, variant);
-                let r = evaluate_with(&mut system, &mut stream, &run_options(k, seed + 1, &opts));
+                evaluate_with(&mut system, &mut stream, &run_options(k, seed, &opts))
+            });
+            for r in results {
                 if let Some(rep) = reporter.as_mut() {
                     rep.record(&format!("Synth_{combo}"), &r);
                 }

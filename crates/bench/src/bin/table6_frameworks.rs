@@ -26,9 +26,7 @@ fn main() {
         let mut cf1_cells = Vec::new();
         let mut rt_cells = Vec::new();
         for framework in Framework::ALL {
-            let results: Vec<_> = (0..opts.seeds)
-                .map(|seed| run_framework(name, framework, seed + 1, &opts))
-                .collect();
+            let results = opts.run_seeds(|seed| run_framework(name, framework, seed, &opts));
             if let Some(rep) = reporter.as_mut() {
                 for r in &results {
                     rep.record(name, r);

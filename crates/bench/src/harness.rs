@@ -1,6 +1,8 @@
 //! Shared experiment harness: CLI options, system construction, seed
-//! aggregation, stream truncation and a std-only throughput timer.
+//! fan-out and aggregation, stream truncation and a std-only throughput
+//! timer.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use ficsum_baselines::{EnsembleSystem, FicsumSystem, Htcd, Rcd};
@@ -18,7 +20,8 @@ pub struct Options {
     pub seeds: u64,
     /// Quick mode: 1 seed and streams truncated to 12k observations.
     pub quick: bool,
-    /// Optional dataset filter (case-insensitive substring).
+    /// Optional dataset filter: comma-separated case-insensitive
+    /// substrings, any of which selects a dataset.
     pub only: Option<String>,
     /// Optional JSONL output path (`-` = stdout): every run result (and,
     /// for systems that support recorders, its observability summary) is
@@ -27,7 +30,8 @@ pub struct Options {
 }
 
 impl Options {
-    /// Parses `--seeds N`, `--quick`, `--only NAME`.
+    /// Parses `--seeds N`, `--quick`, `--only NAME[,NAME...]`,
+    /// `--jsonl PATH`.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
         let mut opts = Options { seeds: 2, quick: false, only: None, jsonl: None };
@@ -77,10 +81,56 @@ impl Options {
     /// Whether `name` passes the dataset filter.
     pub fn selected(&self, name: &str) -> bool {
         match &self.only {
-            Some(f) => name.to_lowercase().contains(&f.to_lowercase()),
+            Some(f) => {
+                let name = name.to_lowercase();
+                f.split(',').any(|part| name.contains(&part.trim().to_lowercase()))
+            }
             None => true,
         }
     }
+
+    /// Runs `run(seed)` for seeds `1..=self.seeds`; the results come back
+    /// in seed order (see [`fan_out`]).
+    pub fn run_seeds<T: Send>(&self, run: impl Fn(u64) -> T + Sync) -> Vec<T> {
+        fan_out(self.seeds as usize, |i| run(i as u64 + 1))
+    }
+}
+
+/// Runs `job(0)`, …, `job(n - 1)` and returns their results in index
+/// order. The jobs are independent runs, so they are spread over at most
+/// `available_parallelism()` scoped worker threads, each taking the next
+/// unclaimed index. Each result lands in its index's slot, so the output
+/// is the same whatever the worker count or the order the jobs finish in.
+pub fn fan_out<T: Send>(n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = std::thread::available_parallelism().map_or(1, |p| p.get()).min(n);
+    if workers <= 1 {
+        return (0..n).map(job).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let (next, job) = (&next, &job);
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return done;
+                        }
+                        done.push((i, job(i)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, result) in handle.join().expect("an experiment run panicked") {
+                slots[i] = Some(result);
+            }
+        }
+    });
+    slots.into_iter().map(|r| r.expect("every job ran")).collect()
 }
 
 /// Builds a dataset stream, truncated to the option cap.
@@ -277,10 +327,22 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_keeps_index_order() {
+        let squares = fan_out(23, |i| i * i);
+        assert_eq!(squares, (0..23).map(|i| i * i).collect::<Vec<_>>());
+        assert!(fan_out(0, |i| i).is_empty());
+        let o = Options { seeds: 5, quick: false, only: None, jsonl: None };
+        assert_eq!(o.run_seeds(|seed| seed), vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
     fn selection_filter() {
         let o = Options { seeds: 1, quick: false, only: Some("stag".into()), jsonl: None };
         assert!(o.selected("STAGGER"));
         assert!(!o.selected("RBF"));
+        let both = Options { only: Some("STAGGER,rtree-u".into()), ..o };
+        assert!(both.selected("STAGGER") && both.selected("RTREE-U"));
+        assert!(!both.selected("RTREE"));
         let all = Options { seeds: 1, quick: false, only: None, jsonl: None };
         assert!(all.selected("anything"));
     }

@@ -7,23 +7,23 @@
 //! drift detector, the normaliser, the dynamic weights and every counter —
 //! and a [`SessionCheckpoint`] is a clone of that value: owned, `Send +
 //! Sync`, with no live borrows. A field added to the state is captured and
-//! restored without touching any list. Restoring through
-//! [`crate::SessionTemplate::restore`] yields a pipeline that continues
-//! **bit-identically**: driven with the same observations it produces the
-//! same [`crate::StepOutcome`]s as the uninterrupted original (pinned by
-//! the snapshot→restore→replay tests).
+//! restored without touching any list. Beside it the checkpoint carries the
+//! engine's [`EmdCadence`]: above an `emd_stride` of 1 it decides which
+//! fingerprint check re-sifts each source, so it is state too, though the
+//! engine holds it. Restoring through [`crate::SessionTemplate::restore`]
+//! yields a pipeline that continues **bit-identically**, at every stride:
+//! driven with the same observations it produces the same
+//! [`crate::StepOutcome`]s and similarities as the uninterrupted original
+//! (pinned by the snapshot→restore→replay tests).
 //!
-//! What lives outside the state, and so outside every checkpoint, is what
-//! the pipeline struct holds beside it: the fingerprint engine and its
-//! caches, the drift-side weighted [`crate::similarity::CachedFingerprint`],
-//! extraction scratch and the shared static scan, the classifier
-//! factory, and the observability recorder and clock. The caches are
-//! recomputed on demand from the state, bit-identically by construction,
-//! with one exception: above an `emd_stride` of 1 the EMD cache's re-sift
-//! cadence restarts at the restore point (see
-//! [`crate::SessionTemplate::restore`]). Recorders and clocks are
-//! observers, and a restored session gets whatever the restoring template
-//! attaches.
+//! What lives outside the checkpoint is the rest of what the pipeline
+//! struct holds beside the state: the fingerprint engine's caches (the
+//! exact EMD memo and frame memo included), the drift-side weighted
+//! [`crate::similarity::CachedFingerprint`], extraction scratch and the
+//! shared static scan, the classifier factory, and the observability
+//! recorder and clock. The caches are recomputed on demand from the state,
+//! bit-identically by construction. Recorders and clocks are observers, and
+//! a restored session gets whatever the restoring template attaches.
 //!
 //! Classifiers cross the checkpoint boundary as [`Classifier::clone_box`]
 //! deep copies: the trait requires `Send + Sync`, so a checkpoint is plain
@@ -34,6 +34,7 @@
 //! [`Classifier::clone_box`]: ficsum_classifiers::Classifier::clone_box
 
 use ficsum_drift::Adwin;
+use ficsum_meta::EmdCadence;
 use ficsum_stream::FrameWindows;
 
 use crate::config::FicsumConfig;
@@ -159,6 +160,8 @@ pub(crate) struct SessionState {
 #[derive(Clone)]
 pub struct SessionCheckpoint {
     pub(crate) state: SessionState,
+    /// The engine's EMD stride cadence at capture time.
+    pub(crate) emd_cadence: EmdCadence,
 }
 
 impl SessionCheckpoint {
@@ -260,12 +263,16 @@ mod tests {
         (x, y)
     }
 
-    /// Drives a fresh session over the drifting stream (seed 7, segments
-    /// of 400) for `cut` observations, restores a copy from its checkpoint,
-    /// then feeds both the next `tail` observations and asserts identical
-    /// outcomes and counters. Returns the checkpoint and the final counters.
-    fn assert_replays_from(cut: usize, tail: usize) -> (SessionCheckpoint, FicsumStats) {
-        let template = template();
+    /// Drives a fresh session of `template` over the drifting stream
+    /// (seed 7, segments of 400) for `cut` observations, restores a copy
+    /// from its checkpoint, then feeds both the next `tail` observations
+    /// and asserts identical outcomes, similarities and counters. Returns
+    /// the checkpoint and the final counters.
+    fn assert_replays_with(
+        template: &SessionTemplate,
+        cut: usize,
+        tail: usize,
+    ) -> (SessionCheckpoint, FicsumStats) {
         let mut original = template.instantiate();
         let mut rng = Xoshiro256pp::seed_from_u64(7);
         for step in 0..cut {
@@ -291,6 +298,11 @@ mod tests {
         (checkpoint, original.stats())
     }
 
+    /// [`assert_replays_with`] at the default template.
+    fn assert_replays_from(cut: usize, tail: usize) -> (SessionCheckpoint, FicsumStats) {
+        assert_replays_with(&template(), cut, tail)
+    }
+
     #[test]
     fn restored_session_replays_bit_identically() {
         // Cut mid-segment after a drift, so the checkpoint captures a
@@ -308,8 +320,11 @@ mod tests {
     fn restore_replays_from_in_flight_points() {
         // Scout the stream for the steps whose in-flight state a
         // checkpoint most easily drops: a drift whose delayed recheck
-        // switches concept, and a plasticity reset.
-        let mut scout = template().instantiate();
+        // switches concept, and a plasticity reset. The scouted points are
+        // those of the exact path (EMD stride 1); at the default stride
+        // this stream has no recheck switch.
+        let template = &template().with_emd_stride(1);
+        let mut scout = template.instantiate();
         let mut rng = Xoshiro256pp::seed_from_u64(7);
         let (mut last_drift, mut drift, mut reset) = (0, None, None);
         for step in 0..4000 {
@@ -328,19 +343,19 @@ mod tests {
         let drift = drift.expect("the stream has a recheck switch");
         let reset = reset.expect("the stream triggers a plasticity reset");
 
-        let (at_drift, _) = assert_replays_from(drift, 500);
+        let (at_drift, _) = assert_replays_with(template, drift, 500);
         let due = at_drift.state.pending_recheck.expect("a drift schedules the recheck").due;
-        let (in_recheck, _) = assert_replays_from(drift + 10, 500);
+        let (in_recheck, _) = assert_replays_with(template, drift + 10, 500);
         assert!(in_recheck.state.pending_recheck.is_some(), "cut inside the recheck window");
-        let (in_cooldown, _) = assert_replays_from(due as usize + 1, 500);
+        let (in_cooldown, _) = assert_replays_with(template, due as usize + 1, 500);
         assert!(in_cooldown.state.pending_recheck.is_none(), "the recheck has run");
         assert!(
             in_cooldown.state.t < in_cooldown.state.cooldown_until,
             "cut inside the post-switch cooldown"
         );
-        let (at_reset, _) = assert_replays_from(reset, 500);
+        let (at_reset, _) = assert_replays_with(template, reset, 500);
         assert_eq!(at_reset.state.last_plasticity, reset as u64, "cut at the reset step");
-        assert_replays_from(reset + 1, 500);
+        assert_replays_with(template, reset + 1, 500);
     }
 
     #[test]

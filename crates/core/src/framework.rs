@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use ficsum_classifiers::{Classifier, ClassifierFactory};
 use ficsum_drift::{Adwin, DetectorState, DriftDetector};
-use ficsum_meta::{ExtractionMode, FingerprintEngine, FingerprintExtractor, StaticScan};
+use ficsum_meta::{EmdCadence, ExtractionMode, FingerprintEngine, FingerprintExtractor, StaticScan};
 use ficsum_obs::{Clock, DriftTrigger, MonotonicClock, NullRecorder, Recorder, Stage, StreamEvent};
 use ficsum_stream::{EwStats, FrameWindows, TrackedFrames};
 
@@ -209,8 +209,8 @@ pub struct Ficsum {
 
 impl Ficsum {
     /// Builds a framework instance from its parts, validating the
-    /// configuration. Most callers should use
-    /// [`crate::variant::FicsumBuilder`] instead.
+    /// configuration. It runs the default [`ExtractionMode`]. Most callers
+    /// should use [`crate::variant::FicsumBuilder`] instead.
     pub fn from_parts(
         n_features: usize,
         n_classes: usize,
@@ -249,12 +249,15 @@ impl Ficsum {
             baseline_outliers: 0,
             cooldown_until: config.new_concept_grace as u64,
         };
-        Ok(Self::from_state(state, extractor, factory))
+        let mut ficsum = Self::from_state(state, EmdCadence::default(), extractor, factory);
+        ficsum.configure_extraction(ExtractionMode::default());
+        Ok(ficsum)
     }
 
     /// Wraps `state` — fresh from [`Ficsum::from_parts`] or cloned out of a
     /// checkpoint by [`crate::SessionTemplate::restore`], which validates
-    /// the pair first — in the non-state machinery.
+    /// the pair first — in the non-state machinery, the engine carrying
+    /// `emd_cadence` (empty for a fresh session).
     ///
     /// Caches and scratch buffers start empty: they are pure
     /// functions of the state (version-keyed), so their first
@@ -264,12 +267,15 @@ impl Ficsum {
     /// observers, not state.
     pub(crate) fn from_state(
         state: SessionState,
+        emd_cadence: EmdCadence,
         extractor: FingerprintExtractor,
         factory: Box<dyn ClassifierFactory>,
     ) -> Self {
+        let mut engine = FingerprintEngine::new(extractor);
+        engine.restore_emd_cadence(emd_cadence);
         Self {
             state,
-            engine: FingerprintEngine::new(extractor),
+            engine,
             factory,
             recorder: Box::new(NullRecorder),
             clock: Arc::new(MonotonicClock::new()),
@@ -286,7 +292,8 @@ impl Ficsum {
     }
 
     /// Captures the session's complete learned and in-flight state: a
-    /// clone of the state the pipeline runs on.
+    /// clone of the state the pipeline runs on, plus the engine's EMD
+    /// stride cadence.
     ///
     /// The checkpoint is an owned deep copy: the session keeps running
     /// unaffected, and later mutations do not leak into the capture. Pure
@@ -295,7 +302,10 @@ impl Ficsum {
     /// bit-identical-replay guarantee
     /// [`crate::SessionTemplate::restore`] provides.
     pub fn checkpoint(&self) -> SessionCheckpoint {
-        SessionCheckpoint { state: self.state.clone() }
+        SessionCheckpoint {
+            state: self.state.clone(),
+            emd_cadence: self.engine.emd_cadence().clone(),
+        }
     }
 
     /// Sets the worker-thread count (see

@@ -102,7 +102,11 @@ impl SessionTemplate {
     }
 
     /// Bounds the EMD re-sifting cadence, with batch and incremental
-    /// statistics alike (see [`crate::variant::FicsumBuilder::emd_stride`]).
+    /// statistics alike. Templates start at the default stride, 2; pass 1
+    /// for the exact path (see
+    /// [`crate::variant::FicsumBuilder::emd_stride`]). A checkpoint carries
+    /// the cadence, so [`SessionTemplate::restore`] replays bit-identically
+    /// at any stride.
     #[must_use]
     pub fn with_emd_stride(mut self, stride: u32) -> Self {
         self.extraction.emd_stride = stride;
@@ -163,15 +167,19 @@ impl SessionTemplate {
     /// and re-enabling the same resolution on restore is an exact no-op,
     /// while a batch template drops them. An incremental template given a
     /// batch checkpoint builds the banks, moments included, from the
-    /// resident frames. One caveat: the engine's EMD
-    /// entropy cache is scratch, not state, so an `emd_stride` above 1
-    /// restarts its re-sift cadence at the restore point — replay stays
-    /// within the tolerance contract but is bit-pinned only at the default
-    /// stride.
+    /// resident frames. The checkpoint also carries the engine's EMD
+    /// re-sift cadence, which is put back: a template at the capturing
+    /// session's `emd_stride` re-sifts on the same checks and replays
+    /// bit-identically, whatever that stride is.
     pub fn restore(&self, checkpoint: &SessionCheckpoint) -> Result<Ficsum, RestoreError> {
         self.validate_checkpoint(checkpoint)?;
         let extractor = self.variant.extractor(self.n_features);
-        let mut ficsum = Ficsum::from_state(checkpoint.state.clone(), extractor, (self.factory)());
+        let mut ficsum = Ficsum::from_state(
+            checkpoint.state.clone(),
+            checkpoint.emd_cadence.clone(),
+            extractor,
+            (self.factory)(),
+        );
         ficsum.configure_extraction(self.extraction);
         Ok(ficsum)
     }

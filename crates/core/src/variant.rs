@@ -148,8 +148,8 @@ impl FicsumBuilder {
     /// mode (see [`FicsumBuilder::emd_stride`]). Substituted values agree with
     /// the batch sweep to ≤ 1e-9 relative (MI and turning points are
     /// bit-identical). Off by default because drift trajectories are
-    /// feedback loops: batch extraction keeps them bit-exact against the
-    /// reference path. See [`ExtractionMode`].
+    /// feedback loops: batch statistics keep them bit-exact against the
+    /// reference sweep. See [`ExtractionMode`].
     pub fn incremental_stats(mut self, on: bool) -> Self {
         self.extraction.incremental = on;
         self
@@ -157,10 +157,14 @@ impl FicsumBuilder {
 
     /// Bounds how often IMF entropies are re-sifted, with batch and
     /// incremental statistics alike: a changed window re-computes them at
-    /// most every `stride`-th extraction per source (default 1 = on every
-    /// change, faithful to the batch values; larger strides trade bounded
-    /// staleness for a proportional cut in EMD cost). See
-    /// [`ExtractionMode::emd_stride`].
+    /// most every `stride`-th extraction per source. The default is 2, the
+    /// largest stride that kept the paper's metrics across seeds (the
+    /// `quality` bench; DESIGN.md deviation 11); it sifts about half as
+    /// often as stride 1. `1` re-sifts on every change and is the exact
+    /// path the golden trajectories pin; larger strides trade bounded
+    /// staleness for a further cut in EMD cost. Checkpoints carry the
+    /// re-sift cadence, so a restore replays bit-identically at any
+    /// stride. See [`ExtractionMode::emd_stride`].
     pub fn emd_stride(mut self, stride: u32) -> Self {
         self.extraction.emd_stride = stride;
         self

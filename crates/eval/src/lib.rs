@@ -26,5 +26,8 @@ pub use observability::{ObsSummary, StageCost};
 pub use report::{CellReport, ExperimentReport};
 pub use kappa::KappaEvaluator;
 pub use runner::{evaluate_with, EvaluatedSystem, RunOptions, RunResult};
-pub use stats::{friedman_test, mean_std, nemenyi_critical_difference, rank_rows, FriedmanOutcome};
+pub use stats::{
+    friedman_test, mean_std, nemenyi_critical_difference, rank_rows, sign_test_higher,
+    FriedmanOutcome, SignTest,
+};
 pub use table::{format_cell, Table};

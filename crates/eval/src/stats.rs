@@ -174,9 +174,61 @@ pub fn nemenyi_critical_difference(k: usize, n: usize) -> f64 {
     q * ((k * (k + 1)) as f64 / (6.0 * n as f64)).sqrt()
 }
 
+/// Outcome of a paired, one-sided exact sign test.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SignTest {
+    /// Pairs in which the candidate is higher than the reference.
+    pub higher: usize,
+    /// Pairs in which it is lower.
+    pub lower: usize,
+    /// Tied pairs, dropped from the test.
+    pub ties: usize,
+    /// One-sided p-value that the candidate runs higher: the chance of at
+    /// least `higher` heads in `higher + lower` fair coin flips (1 when
+    /// every pair ties).
+    pub p_value: f64,
+}
+
+/// Exact sign test on `(candidate, reference)` pairs against the
+/// alternative that the candidate is higher; ties are dropped.
+pub fn sign_test_higher(pairs: impl IntoIterator<Item = (f64, f64)>) -> SignTest {
+    let (mut higher, mut lower, mut ties) = (0usize, 0usize, 0usize);
+    for (candidate, reference) in pairs {
+        match candidate.total_cmp(&reference) {
+            std::cmp::Ordering::Greater => higher += 1,
+            std::cmp::Ordering::Less => lower += 1,
+            std::cmp::Ordering::Equal => ties += 1,
+        }
+    }
+    let n = higher + lower;
+    let ln_fact = |m: usize| ln_gamma(m as f64 + 1.0);
+    let ln_choose = |k: usize| ln_fact(n) - ln_fact(k) - ln_fact(n - k);
+    let p_value = (higher..=n)
+        .map(|k| (ln_choose(k) - n as f64 * std::f64::consts::LN_2).exp())
+        .sum::<f64>()
+        .min(1.0);
+    SignTest { higher, lower, ties, p_value }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sign_test_matches_binomial_tails() {
+        // 8 of 10 untied pairs higher: P(X >= 8 | Bin(10, 0.5)) = 56/1024.
+        let mut pairs = vec![(2.0, 1.0); 8];
+        pairs.extend([(1.0, 2.0), (1.0, 2.0), (3.0, 3.0)]);
+        let t = sign_test_higher(pairs);
+        assert_eq!((t.higher, t.lower, t.ties), (8, 2, 1));
+        assert!((t.p_value - 56.0 / 1024.0).abs() < 1e-9, "p {}", t.p_value);
+        // No pair higher: the whole distribution, p = 1.
+        assert!((sign_test_higher([(0.0, 1.0); 5]).p_value - 1.0).abs() < 1e-9);
+        // All ties: nothing to test.
+        assert_eq!(sign_test_higher([(1.0, 1.0); 3]).p_value, 1.0);
+        // 6 of 6 higher: 1/64 < 0.05.
+        assert!((sign_test_higher([(1.0, 0.0); 6]).p_value - 1.0 / 64.0).abs() < 1e-9);
+    }
 
     #[test]
     fn mean_std_basics() {

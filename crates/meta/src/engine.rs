@@ -43,8 +43,8 @@
 //!   of the output, so parallel extraction is bit-identical to sequential.
 //!
 //! [`FingerprintExtractor::extract`] is kept untouched as the reference: in
-//! batch mode the engine is bit-identical to it on a copy of the window
-//! whose predictions were overwritten by the classifier.
+//! [`ExtractionMode::EXACT`] the engine is bit-identical to it on a copy of
+//! the window whose predictions were overwritten by the classifier.
 
 use std::sync::Arc;
 
@@ -59,11 +59,21 @@ use crate::incremental::{ext_vals, ExtVals};
 use crate::sources::{behaviour_sources, SourceKind};
 use crate::sweep::{SourceSweep, SweepStats};
 
-/// How the engine evaluates the feature and label sources — the one
-/// extraction setting a pipeline carries.
+/// How the engine evaluates the feature and label sources, and how often it
+/// re-sifts IMF entropies — the one extraction setting a pipeline carries.
 ///
-/// The default is batch: every statistic is swept over the window and the
-/// fingerprint is bit-identical to [`FingerprintExtractor::extract`].
+/// The default — what a pipeline runs unless its builder or template sets
+/// a mode — is batch statistics at an EMD stride of 2: every statistic is swept
+/// over the window, and a changed window's IMF entropies are re-sifted at
+/// every second extraction per source. The stride was chosen by the
+/// `quality` bench across seeds and the Table IV datasets: stride 2 kept
+/// the paper's kappa and C-F1 ranks and did not raise false alarms,
+/// misses or detection delay, while strides 4 and 8 raised false alarms
+/// (DESIGN.md deviation 11). [`ExtractionMode::EXACT`] (batch, stride 1)
+/// is the exact oracle: its fingerprints are bit-identical to
+/// [`FingerprintExtractor::extract`], the golden trajectories pin it, and a
+/// bare [`FingerprintEngine::new`] starts in it.
+///
 /// Incremental mode substitutes the window's O(1)-per-observation state —
 /// moments, ACF/PACF at lags 1–2 from rolling centered cross-sums, lagged
 /// mutual information from an add/remove joint histogram and the
@@ -73,6 +83,10 @@ use crate::sweep::{SourceSweep, SweepStats};
 /// but not bit for bit, so batch stays the default: drift trajectories are
 /// feedback loops in which any numeric difference can compound. The EMD
 /// stride is independent of the statistics: it applies in either mode.
+///
+/// Above stride 1 the per-source re-sift cadence is session state: a
+/// pipeline checkpoint carries it ([`EmdCadence`]), so a restored session
+/// replays bit-identically at any stride.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExtractionMode {
     /// Substitute incremental statistics. The windows must have them
@@ -86,15 +100,22 @@ pub struct ExtractionMode {
     /// at most every `emd_stride`-th extraction, reusing the previous
     /// values in between. That trades bounded staleness (at most
     /// `emd_stride - 1` fingerprint gaps) for a proportional cut in sifting
-    /// cost. `1` (the default) keeps no per-source cache: every sift goes
-    /// through the exact memo, faithful to the batch values. `0` counts as
-    /// `1`.
+    /// cost. The default is `2`. `1` keeps no per-source cache: every sift
+    /// goes through the exact memo, faithful to the batch values. `0`
+    /// counts as `1`.
     pub emd_stride: u32,
+}
+
+impl ExtractionMode {
+    /// Batch statistics at stride 1: every value bit-identical to
+    /// [`FingerprintExtractor::extract`]. The reference the golden
+    /// trajectories pin.
+    pub const EXACT: Self = Self { incremental: false, emd_stride: 1 };
 }
 
 impl Default for ExtractionMode {
     fn default() -> Self {
-        Self { incremental: false, emd_stride: 1 }
+        Self { incremental: false, emd_stride: 2 }
     }
 }
 
@@ -137,6 +158,22 @@ struct EmdSlot {
     /// Consecutive stale reuses since the last fresh sifting.
     age: u32,
     valid: bool,
+}
+
+/// The EMD stride's per-source cadence: one bank of cache slots per window
+/// tag (0 = active `A`, 1 = stale `B`, so the two fingerprint cadences
+/// never evict each other), each slot holding a source's last IMF
+/// entropies and its staleness age.
+///
+/// Above a stride of 1 this decides which extraction re-sifts a source and
+/// which reuses stale values, so it is session state, not scratch: a
+/// pipeline checkpoint carries it ([`FingerprintEngine::emd_cadence`]) and
+/// a restore puts it back ([`FingerprintEngine::restore_emd_cadence`]), and
+/// the restored session re-sifts on the same checks as the original. At
+/// stride 1 it stays empty.
+#[derive(Debug, Clone, Default)]
+pub struct EmdCadence {
+    banks: [Vec<EmdSlot>; 2],
 }
 
 /// One work item of the source sweep: the source sequence, its
@@ -362,8 +399,8 @@ impl Pass {
 ///
 /// Wraps a [`FingerprintExtractor`] configuration and produces its
 /// fingerprints from [`TrackedFrames`] windows — allocation-free after
-/// warm-up and, in batch mode, bit-identical to the extractor. See the
-/// module docs for the full design.
+/// warm-up and, in [`ExtractionMode::EXACT`], bit-identical to the
+/// extractor. See the module docs for the full design.
 #[derive(Debug, Clone)]
 pub struct FingerprintEngine {
     extractor: FingerprintExtractor,
@@ -377,9 +414,8 @@ pub struct FingerprintEngine {
     /// Which EMD cache bank the current extraction uses (`None` = caching
     /// off for this call).
     active_bank: Option<usize>,
-    /// Per-source EMD cache slots, one bank per window tag (0 = active A,
-    /// 1 = stale B) so the two fingerprint cadences never evict each other.
-    emd_cache: [Vec<EmdSlot>; 2],
+    /// Per-source EMD cache slots of the stride above 1.
+    emd_cadence: EmdCadence,
     /// One cached sequence buffer per selected source.
     seqs: Vec<Vec<f64>>,
     /// Incremental substitutes, aligned with `kinds` (`None` = batch).
@@ -408,7 +444,9 @@ pub struct FingerprintEngine {
 }
 
 impl FingerprintEngine {
-    /// Sequential batch-mode engine around `extractor`.
+    /// Sequential engine around `extractor`, in [`ExtractionMode::EXACT`]:
+    /// bit-identical to the extractor until [`FingerprintEngine::set_mode`]
+    /// says otherwise.
     pub fn new(extractor: FingerprintExtractor) -> Self {
         let kinds = if extractor.functions().is_empty() {
             Vec::new()
@@ -423,9 +461,9 @@ impl FingerprintEngine {
             extractor,
             kinds,
             threads: 1,
-            mode: ExtractionMode::default(),
+            mode: ExtractionMode::EXACT,
             active_bank: None,
-            emd_cache: [Vec::new(), Vec::new()],
+            emd_cadence: EmdCadence::default(),
             seqs: vec![Vec::new(); n_sources],
             tracked: Vec::new(),
             mi_cols: Vec::new(),
@@ -490,9 +528,21 @@ impl FingerprintEngine {
     /// exact sequence they were sifted from, whichever classifier produced
     /// it.
     pub fn invalidate_emd_cache(&mut self) {
-        for bank in &mut self.emd_cache {
+        for bank in &mut self.emd_cadence.banks {
             bank.iter_mut().for_each(|s| s.valid = false);
         }
+    }
+
+    /// The EMD stride's per-source cadence, for a session checkpoint.
+    pub fn emd_cadence(&self) -> &EmdCadence {
+        &self.emd_cadence
+    }
+
+    /// Puts back a cadence captured with [`FingerprintEngine::emd_cadence`]
+    /// from an engine of the same schema, so the next extractions re-sift
+    /// exactly where the capturing engine's would have.
+    pub fn restore_emd_cadence(&mut self, cadence: EmdCadence) {
+        self.emd_cadence = cadence;
     }
 
     /// Enables per-source extraction timing against `clock` (pass `None` to
@@ -552,11 +602,12 @@ impl FingerprintEngine {
     /// Computes the fingerprint of `window` as seen by `classifier` into
     /// `out` (cleared first): every frame is re-predicted, and the
     /// prediction-dependent sources (predictions, errors, error distances)
-    /// are built from those fresh labels. In batch mode the result is
-    /// bit-identical to [`FingerprintExtractor::extract`] on a copy of the
-    /// window whose predictions were overwritten by `classifier`; in
-    /// incremental mode the feature and label sources read the window's
-    /// incremental state instead (see [`ExtractionMode`]).
+    /// are built from those fresh labels. In [`ExtractionMode::EXACT`] the
+    /// result is bit-identical to [`FingerprintExtractor::extract`] on a
+    /// copy of the window whose predictions were overwritten by
+    /// `classifier`; in incremental mode the feature and label sources read
+    /// the window's incremental state instead, and above stride 1 the IMF
+    /// entropies may be stale (see [`ExtractionMode`]).
     pub fn extract_tracked_frames_repredicted_into(
         &mut self,
         window: &TrackedFrames<'_>,
@@ -616,8 +667,8 @@ impl FingerprintEngine {
     /// only the prediction-dependent sources plus the importance tail are
     /// computed. Bit-identical to
     /// [`FingerprintEngine::extract_tracked_frames_repredicted_into`] on
-    /// the same window in batch mode — `window` must hold exactly the
-    /// contents the scan was built from.
+    /// the same window in [`ExtractionMode::EXACT`] — `window` must hold
+    /// exactly the contents the scan was built from.
     pub fn extract_with_scan(
         &mut self,
         window: &TrackedFrames<'_>,
@@ -681,8 +732,9 @@ impl FingerprintEngine {
         self.active_bank = if self.mode.emd_stride > 1 {
             let tag = window.window_tag().min(1);
             let n = self.kinds.len();
-            if self.emd_cache[tag].len() != n {
-                self.emd_cache[tag] = vec![EmdSlot::default(); n];
+            let bank = &mut self.emd_cadence.banks[tag];
+            if bank.len() != n {
+                *bank = vec![EmdSlot::default(); n];
             }
             Some(tag)
         } else {
@@ -851,7 +903,7 @@ impl FingerprintEngine {
             self.timed_extractions += clock.is_some() as u64;
         }
         let cache = match self.active_bank {
-            Some(b) if stateful => Some(&mut self.emd_cache[b]),
+            Some(b) if stateful => Some(&mut self.emd_cadence.banks[b]),
             _ => None,
         };
         // The bank holds one slot per source; without it, no source has one.

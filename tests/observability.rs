@@ -116,9 +116,14 @@ fn steady_path_books_no_repository_work() {
     // settling tree raises no false alarm: the run stays on its first
     // concept, so the repository stays empty and no post-drift work ever
     // happens. The dynamic weights are still recomputed on the fingerprint
-    // cadence.
+    // cadence. The premise holds on the exact path (EMD stride 1); at the
+    // default stride this seed's trajectory fires a drift.
     let keep = shared(InMemoryRecorder::new());
-    let mut system = FicsumBuilder::new(3, 2).recorder(Box::new(keep.clone())).build().unwrap();
+    let mut system = FicsumBuilder::new(3, 2)
+        .recorder(Box::new(keep.clone()))
+        .emd_stride(1)
+        .build()
+        .unwrap();
     let mut rng = Xoshiro256pp::seed_from_u64(3);
     for _ in 0..400 {
         let x: Vec<f64> = (0..3).map(|_| rng.random::<f64>()).collect();

@@ -307,40 +307,63 @@ fn template_sessions_replay_bit_identical_to_fresh_builds() {
 #[test]
 fn checkpoint_restore_replays_bit_identical_for_a_thousand_steps() {
     use ficsum::core::{FicsumConfig, SessionTemplate, Variant};
+    use ficsum::meta::ExtractionMode;
     // Fault-tolerant serving's restore contract: a pipeline checkpointed at
     // an arbitrary point and rehydrated through its template must be
     // indistinguishable from the uninterrupted original — same outcomes,
-    // same stats — over a long shared tail. Random configs and random
-    // checkpoint positions probe the capture across warm-up, drift, and
-    // recurrence phases.
-    for case in 0..8u64 {
-        let mut rng = Xoshiro256pp::seed_from_u64(0xC4EC_2000 + case);
-        let config = FicsumConfig::default()
-            .with_window_size(rng.random_range(30..80usize))
-            .with_fingerprint_gap(rng.random_range(3..10usize))
-            .with_repository_gap(rng.random_range(40..90usize));
-        let template = SessionTemplate::new(3, 2, config, Variant::Full)
-            .expect("sampled configs are within validated ranges");
-        let mut original = template.instantiate();
-        let cut = rng.random_range(50..700usize);
-        for _ in 0..cut {
-            let x: Vec<f64> = (0..3).map(|_| rng.random_range(0.0..1.0)).collect();
-            let y = rng.random_range(0..2usize);
-            original.process(&x, y);
+    // same drift-check similarity bits, same stats — over a long shared
+    // tail. Random configs and random checkpoint positions probe the
+    // capture across warm-up, drift, and recurrence phases. Every EMD
+    // stride is covered: above 1 the per-source re-sift cadence is session
+    // state, and a restore that restarted it would shift which checks
+    // re-sift. That shows in the similarity bits long before it flips an
+    // outcome. `None` is the template's default stride.
+    let default_stride = ExtractionMode::default().emd_stride;
+    let mut strides = vec![Some(1), Some(2), Some(4)];
+    if ![1, 2, 4].contains(&default_stride) {
+        strides.push(None);
+    }
+    for stride in strides {
+        for case in 0..8u64 {
+            let mut rng = Xoshiro256pp::seed_from_u64(0xC4EC_2000 + case);
+            let config = FicsumConfig::default()
+                .with_window_size(rng.random_range(30..80usize))
+                .with_fingerprint_gap(rng.random_range(3..10usize))
+                .with_repository_gap(rng.random_range(40..90usize));
+            let template = SessionTemplate::new(3, 2, config, Variant::Full)
+                .expect("sampled configs are within validated ranges");
+            let template = match stride {
+                Some(s) => template.with_emd_stride(s),
+                None => template,
+            };
+            let stride = stride.unwrap_or(default_stride);
+            let mut original = template.instantiate();
+            let cut = rng.random_range(50..700usize);
+            for _ in 0..cut {
+                let x: Vec<f64> = (0..3).map(|_| rng.random_range(0.0..1.0)).collect();
+                let y = rng.random_range(0..2usize);
+                original.process(&x, y);
+            }
+            let checkpoint = original.checkpoint();
+            assert_eq!(checkpoint.steps(), cut as u64);
+            let mut restored = template
+                .restore(&checkpoint)
+                .expect("a checkpoint from this template always restores");
+            for step in 0..1_000usize {
+                let x: Vec<f64> = (0..3).map(|_| rng.random_range(0.0..1.0)).collect();
+                let y = rng.random_range(0..2usize);
+                let a = original.process(&x, y);
+                let b = restored.process(&x, y);
+                assert_eq!(a, b, "stride {stride} case {case} (cut {cut}) diverged at step {step}");
+                assert_eq!(
+                    original.last_similarity().map(f64::to_bits),
+                    restored.last_similarity().map(f64::to_bits),
+                    "stride {stride} case {case} (cut {cut}): similarity diverged at step {step}"
+                );
+            }
+            let (a, b) = (original.stats(), restored.stats());
+            assert_eq!(a, b, "stride {stride} case {case} stats diverged");
         }
-        let checkpoint = original.checkpoint();
-        assert_eq!(checkpoint.steps(), cut as u64);
-        let mut restored = template
-            .restore(&checkpoint)
-            .expect("a checkpoint from this template always restores");
-        for step in 0..1_000usize {
-            let x: Vec<f64> = (0..3).map(|_| rng.random_range(0.0..1.0)).collect();
-            let y = rng.random_range(0..2usize);
-            let a = original.process(&x, y);
-            let b = restored.process(&x, y);
-            assert_eq!(a, b, "case {case} (cut {cut}) diverged at step {step}");
-        }
-        assert_eq!(original.stats(), restored.stats(), "case {case} stats diverged");
     }
 }
 
@@ -449,8 +472,8 @@ fn incremental_stats_checkpoint_restore_replays_bit_identical() {
     // the checkpoint carries the frame windows' stat banks verbatim and
     // `enable_stats` keeps them untouched on rehydration, so a restored
     // session replays bit-identically to the uninterrupted original. Runs
-    // at the default EMD stride (1), where the entropy cache is a pure
-    // content-hash memo and an empty cache recomputes the same bits.
+    // at the default EMD stride, whose re-sift cadence the checkpoint
+    // carries too.
     for case in 0..8u64 {
         let mut rng = Xoshiro256pp::seed_from_u64(0xE5D0_4000 + case);
         let config = FicsumConfig::default()
