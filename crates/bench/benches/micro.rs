@@ -1,8 +1,9 @@
 //! Std-only micro-benchmarks for the hot paths of the FiCSUM pipeline:
 //! meta-feature extraction (legacy extractor and the fingerprint engine,
-//! EMD, mutual information, the fused source sweep), incremental stat-bank
-//! rebuilds, the ADWIN detector, Hoeffding-tree training/prediction and the
-//! weighted similarity/weight computations.
+//! EMD, the IMF histogram entropy, mutual information, the fused source
+//! sweep), incremental stat-bank rebuilds and mutual information, the
+//! ADWIN detector, Hoeffding-tree training/prediction and the weighted
+//! similarity/weight computations.
 //!
 //! No external harness: timing comes from
 //! [`ficsum_bench::harness::time_throughput`], and randomness from the
@@ -21,6 +22,8 @@ use ficsum_core::{
     weighted_cosine, ConceptFingerprint, DynamicWeights, FingerprintNormalizer, Repository,
 };
 use ficsum_drift::{Adwin, DriftDetector};
+use ficsum_meta::emd::histogram_entropy;
+use ficsum_meta::entropy::mutual_information_from_counts;
 use ficsum_meta::spline::SplineScratch;
 use ficsum_meta::{
     imf_entropies, imf_entropies_scratch, lagged_mutual_information, EmdConfig, EmdMemo,
@@ -143,6 +146,12 @@ fn bench_meta_functions() {
     report("spline_solve_pair_k15", || {
         SplineScratch::solve_pair(black_box(&mut upper), black_box(&mut lower));
     });
+    // The entropy summary of one IMF: a 10-bin histogram into reused
+    // counts, then the closed-form entropy of the counts.
+    let mut counts = Vec::new();
+    report("imf_histogram_entropy_n75", || {
+        black_box(histogram_entropy(black_box(&xs), 10, &mut counts));
+    });
     report("mutual_information_n75", || {
         black_box(lagged_mutual_information(black_box(&xs), 1, 8));
     });
@@ -169,6 +178,11 @@ fn bench_seqstats() {
     report("seqstats_rebuild_w75_continuous", || {
         stats.rebuild(black_box(&continuous));
         black_box(&stats);
+    });
+    // The incremental path's lag-1 MI: the bank's 8x8 joint histogram of
+    // a continuous window straight to the estimate.
+    report("seqstats_mutual_information_w75", || {
+        black_box(mutual_information_from_counts(black_box(stats.joint()), stats.bins()));
     });
 }
 

@@ -63,6 +63,10 @@ impl Default for HoeffdingTreeConfig {
 #[derive(Debug, Clone)]
 struct LeafData {
     class_counts: Vec<f64>,
+    /// Naive-Bayes log-priors `ln((count_c + 1) / (total + K))` of
+    /// `class_counts`, computed when the leaf is made and refreshed by
+    /// [`LeafData::count_class`], the only other change to the counts.
+    ln_priors: Vec<f64>,
     observers: Vec<GaussianObserver>,
     /// Attributes this leaf observes (all, or a random subspace).
     attrs: Vec<usize>,
@@ -72,6 +76,22 @@ struct LeafData {
     /// Adaptive leaf-prediction bookkeeping.
     mc_correct: f64,
     nb_correct: f64,
+}
+
+impl LeafData {
+    /// Counts one observation of class `y`; every prior moves with the
+    /// total, so all of them are refreshed.
+    fn count_class(&mut self, y: usize) {
+        self.class_counts[y] += 1.0;
+        self.refresh_ln_priors();
+    }
+
+    fn refresh_ln_priors(&mut self) {
+        let total: f64 = self.class_counts.iter().sum();
+        let k = self.class_counts.len() as f64;
+        self.ln_priors.clear();
+        self.ln_priors.extend(self.class_counts.iter().map(|&c| ((c + 1.0) / (total + k)).ln()));
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -130,7 +150,8 @@ impl HoeffdingTree {
     pub fn with_config(n_features: usize, n_classes: usize, config: HoeffdingTreeConfig) -> Self {
         assert!(n_features > 0 && n_classes > 0);
         let mut rng = Xoshiro256pp::seed_from_u64(config.seed);
-        let root_leaf = Self::make_leaf(n_features, n_classes, &config, &mut rng, 0);
+        let root_leaf =
+            Self::make_leaf(n_features, n_classes, &config, &mut rng, 0, vec![0.0; n_classes]);
         Self {
             config,
             nodes: vec![Node::Leaf(root_leaf)],
@@ -146,19 +167,22 @@ impl HoeffdingTree {
         }
     }
 
+    /// A leaf at `depth` starting from `class_counts`.
     fn make_leaf(
         n_features: usize,
         n_classes: usize,
         config: &HoeffdingTreeConfig,
         rng: &mut Xoshiro256pp,
         depth: usize,
+        class_counts: Vec<f64>,
     ) -> LeafData {
         let attrs: Vec<usize> = match config.subspace {
             Some(k) if k < n_features => sample_indices(rng, n_features, k),
             _ => (0..n_features).collect(),
         };
-        LeafData {
-            class_counts: vec![0.0; n_classes],
+        let mut leaf = LeafData {
+            class_counts,
+            ln_priors: Vec::new(),
             observers: attrs.iter().map(|_| GaussianObserver::new(n_classes)).collect(),
             attrs,
             weight_seen: 0.0,
@@ -166,7 +190,9 @@ impl HoeffdingTree {
             depth,
             mc_correct: 0.0,
             nb_correct: 0.0,
-        }
+        };
+        leaf.refresh_ln_priors();
+        leaf
     }
 
     /// Number of splits performed so far (tree size proxy).
@@ -214,9 +240,8 @@ impl HoeffdingTree {
         }
         out.clear();
         out.resize(self.n_classes, 0.0);
-        for (c, log) in out.iter_mut().enumerate() {
-            let prior = (leaf.class_counts[c] + 1.0) / (total + self.n_classes as f64);
-            *log = prior.ln();
+        for ((c, log), &ln_prior) in out.iter_mut().enumerate().zip(&leaf.ln_priors) {
+            *log = ln_prior;
             for (obs, &attr) in leaf.observers.iter().zip(&leaf.attrs) {
                 let Some(NbTerm { mean, sd, ln_sd }) = obs.nb_term(c) else { continue };
                 let z = (x[attr] - mean) / sd;
@@ -320,12 +345,11 @@ impl HoeffdingTree {
             let (l, r) = leaf.observers[oi].project(threshold);
             (l, r, leaf.class_counts.clone())
         };
-        let mut left_leaf =
-            Self::make_leaf(self.n_features, self.n_classes, &self.config, &mut self.rng, depth + 1);
-        left_leaf.class_counts = left_counts;
-        let mut right_leaf =
-            Self::make_leaf(self.n_features, self.n_classes, &self.config, &mut self.rng, depth + 1);
-        right_leaf.class_counts = right_counts;
+        let (n_features, n_classes, config) = (self.n_features, self.n_classes, &self.config);
+        let left_leaf =
+            Self::make_leaf(n_features, n_classes, config, &mut self.rng, depth + 1, left_counts);
+        let right_leaf =
+            Self::make_leaf(n_features, n_classes, config, &mut self.rng, depth + 1, right_counts);
 
         let left = self.nodes.len();
         self.nodes.push(Node::Leaf(left_leaf));
@@ -399,7 +423,7 @@ impl Classifier for HoeffdingTree {
                 Node::Leaf(l) => l,
                 Node::Split { .. } => unreachable!(),
             };
-            leaf.class_counts[y] += 1.0;
+            leaf.count_class(y);
             leaf.weight_seen += 1.0;
             for oi in 0..leaf.attrs.len() {
                 let attr = leaf.attrs[oi];

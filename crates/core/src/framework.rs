@@ -742,8 +742,10 @@ impl Ficsum {
     pub fn process(&mut self, x: &[f64], y: usize) -> StepOutcome {
         debug_assert_eq!(x.len(), self.state.n_features);
         let config = self.state.config;
+        let t0 = self.span_start();
         let prediction = self.state.active.classifier.predict_with(x, &mut self.proba_scratch);
         self.state.active.classifier.train(x, y);
+        self.span_end(Stage::Classifier, t0);
         self.state.frames.push(x, y, prediction);
         self.state.t += 1;
 
@@ -1401,5 +1403,45 @@ mod tests {
         let restored = template.restore(&session.checkpoint()).unwrap();
         assert!(!restored.engine().incremental_stats());
         assert_eq!(restored.state.frames.stats_bins(), None, "batch mode reads no stat banks");
+    }
+
+    /// A clock that counts its reads.
+    #[derive(Debug, Default)]
+    struct CountingClock(std::sync::atomic::AtomicU64);
+
+    impl Clock for CountingClock {
+        fn now_nanos(&self) -> u64 {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    #[test]
+    fn classifier_stage_is_timed_only_when_recording() {
+        use ficsum_obs::{shared, InMemoryRecorder};
+        let steps = 400u64;
+        let run = |system: &mut Ficsum| {
+            let mut stream = stagger_stream(5);
+            for _ in 0..steps {
+                let o = stream.next_observation().unwrap();
+                system.process(&o.features, o.label);
+            }
+        };
+        let quiet = Arc::new(CountingClock::default());
+        let mut system =
+            FicsumBuilder::new(3, 2).config(quick_config()).clock(quiet.clone()).build().unwrap();
+        run(&mut system);
+        assert_eq!(quiet.now_nanos(), 0, "the null recorder path read the clock");
+
+        let keep = shared(InMemoryRecorder::new());
+        let mut system = FicsumBuilder::new(3, 2)
+            .config(quick_config())
+            .recorder(Box::new(keep.clone()))
+            .clock(Arc::new(CountingClock::default()))
+            .build()
+            .unwrap();
+        run(&mut system);
+        let rec = keep.borrow();
+        let classifier = rec.stage_histogram(Stage::Classifier).expect("classifier spans");
+        assert_eq!(classifier.count(), steps, "one classifier span per step");
     }
 }

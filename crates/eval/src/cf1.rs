@@ -5,16 +5,20 @@
 //! `m_t` that classified it. For each concept `C`, the model `M` maximising
 //! the F1 of "predicting C by M being active" is found; C-F1 is the mean of
 //! those maxima over concepts.
+//!
+//! The counts live in ordered maps, so the mean adds the concepts' best
+//! F1 values in ascending concept order and a given record sequence gives
+//! the same bits in every process.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Accumulates `(concept, model)` co-occurrence counts.
 #[derive(Debug, Clone, Default)]
 pub struct CoOccurrenceF1 {
     /// joint[(concept, model)] — time steps where both held.
-    joint: HashMap<(usize, usize), u64>,
-    concept_totals: HashMap<usize, u64>,
-    model_totals: HashMap<usize, u64>,
+    joint: BTreeMap<(usize, usize), u64>,
+    concept_totals: BTreeMap<usize, u64>,
+    model_totals: BTreeMap<usize, u64>,
 }
 
 impl CoOccurrenceF1 {
@@ -49,7 +53,8 @@ impl CoOccurrenceF1 {
             .fold(0.0, f64::max)
     }
 
-    /// The C-F1 score: mean best-F1 over all observed concepts.
+    /// The C-F1 score: mean best-F1 over all observed concepts, summed in
+    /// ascending concept order.
     pub fn c_f1(&self) -> f64 {
         if self.concept_totals.is_empty() {
             return 0.0;
@@ -115,6 +120,27 @@ mod tests {
         }
         // precision 0.5, recall 1.0 -> F1 = 2/3 for each concept.
         assert!((c.c_f1() - 2.0 / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn c_f1_sums_in_ascending_concept_order() {
+        let mut c = CoOccurrenceF1::new();
+        // Thirteen concepts of uneven length, each tracked by a few models.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..30_000 {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let concept = ((state >> 33) % 1_000).isqrt() as usize % 13;
+            let model = concept + (state >> 20) as usize % (1 + concept % 4);
+            c.record(concept, model);
+        }
+        let best: Vec<f64> = (0..13).map(|k| c.best_f1(k)).collect();
+        let sum_from = |start: usize| (0..13).map(|i| best[(start + i) % 13]).sum::<f64>() / 13.0;
+        let ascending = sum_from(0);
+        assert!(
+            (1..13).any(|start| sum_from(start).to_bits() != ascending.to_bits()),
+            "premise: the summation order changes the bits"
+        );
+        assert_eq!(c.c_f1().to_bits(), ascending.to_bits());
     }
 
     #[test]

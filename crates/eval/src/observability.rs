@@ -188,11 +188,15 @@ mod tests {
         r.span(Stage::Extract, 1_000);
         r.span(Stage::Extract, 3_000);
         r.span(Stage::DriftCheck, 500);
+        r.span(Stage::Classifier, 200);
         let s = ObsSummary::from_recorder(&r, &[], 0, 100);
-        assert_eq!(s.stage_costs.len(), 2);
+        assert_eq!(s.stage_costs.len(), 3);
+        // In `Stage::ALL` order, whatever order the spans arrived in.
+        let order: Vec<Stage> = s.stage_costs.iter().map(|c| c.stage).collect();
+        assert_eq!(order, [Stage::Classifier, Stage::Extract, Stage::DriftCheck]);
         let extract = s.stage_costs.iter().find(|c| c.stage == Stage::Extract).unwrap();
         assert_eq!(extract.count, 2);
         assert_eq!(extract.total_nanos, 4_000);
-        assert_eq!(s.total_stage_nanos(), 4_500);
+        assert_eq!(s.total_stage_nanos(), 4_700);
     }
 }

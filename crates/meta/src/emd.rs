@@ -5,8 +5,12 @@
 //! functions (IMFs) via sifting: repeatedly subtracting the mean of the
 //! cubic-spline envelopes through the local maxima and minima until the
 //! residual behaves like an IMF. Each IMF is then summarised by the Shannon
-//! entropy of its value histogram, capturing behaviour at that timescale.
+//! entropy of its value histogram, capturing behaviour at that timescale;
+//! [`histogram_entropy`] takes it from the integer bin counts in closed
+//! form ([`crate::entropy`]).
 
+use crate::entropy::entropy_from_counts;
+use crate::mutual_info::bin_of;
 use crate::spline::{CubicSpline, SplineScratch};
 
 /// Parameters of the sifting process.
@@ -123,30 +127,30 @@ pub fn decompose(xs: &[f64], config: &EmdConfig) -> Vec<Vec<f64>> {
     imfs
 }
 
-/// Shannon entropy (nats) of an equal-width histogram of `xs`.
-fn histogram_entropy(xs: &[f64], bins: usize) -> f64 {
+/// Shannon entropy (nats) of an equal-width `bins`-bin histogram of `xs`,
+/// counted into `counts` and evaluated from the integer counts in closed
+/// form ([`crate::entropy`]; no logarithm per bin). 0 for fewer than two
+/// values, fewer than two bins, or a range that is non-finite or at most
+/// `f64::EPSILON`.
+pub fn histogram_entropy(xs: &[f64], bins: usize, counts: &mut Vec<u32>) -> f64 {
     if xs.len() < 2 || bins < 2 {
         return 0.0;
     }
-    let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-    let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let mut lo = f64::INFINITY;
+    let mut hi = f64::NEG_INFINITY;
+    for &x in xs {
+        lo = lo.min(x);
+        hi = hi.max(x);
+    }
     if !(hi - lo).is_finite() || hi - lo <= f64::EPSILON {
         return 0.0;
     }
-    let mut counts = vec![0.0f64; bins];
+    counts.clear();
+    counts.resize(bins, 0);
     for &x in xs {
-        let b = (((x - lo) / (hi - lo) * bins as f64) as usize).min(bins - 1);
-        counts[b] += 1.0;
+        counts[bin_of(x, lo, hi - lo, bins)] += 1;
     }
-    let n = xs.len() as f64;
-    -counts
-        .iter()
-        .filter(|&&c| c > 0.0)
-        .map(|&c| {
-            let p = c / n;
-            p * p.ln()
-        })
-        .sum::<f64>()
+    entropy_from_counts(counts)
 }
 
 /// The two IMF-entropy meta-features: `(H(IMF1), H(IMF2))`.
@@ -155,8 +159,9 @@ fn histogram_entropy(xs: &[f64], bins: usize) -> f64 {
 /// is 0 (no oscillatory behaviour at that timescale).
 pub fn imf_entropies(xs: &[f64], config: &EmdConfig) -> (f64, f64) {
     let imfs = decompose(xs, config);
-    let h = |i: usize| {
-        imfs.get(i).map_or(0.0, |imf| histogram_entropy(imf, config.entropy_bins))
+    let mut counts = Vec::new();
+    let mut h = |i: usize| {
+        imfs.get(i).map_or(0.0, |imf| histogram_entropy(imf, config.entropy_bins, &mut counts))
     };
     (h(0), h(1))
 }
@@ -175,7 +180,7 @@ pub struct EmdScratch {
     h: Vec<f64>,
     next: Vec<f64>,
     sift: SiftBuffers,
-    counts: Vec<f64>,
+    counts: Vec<u32>,
 }
 
 impl EmdScratch {
@@ -285,37 +290,6 @@ fn extract_imf_into(
     true
 }
 
-/// [`histogram_entropy`] with a reused counts buffer.
-fn histogram_entropy_into(xs: &[f64], bins: usize, counts: &mut Vec<f64>) -> f64 {
-    if xs.len() < 2 || bins < 2 {
-        return 0.0;
-    }
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &x in xs {
-        lo = lo.min(x);
-        hi = hi.max(x);
-    }
-    if !(hi - lo).is_finite() || hi - lo <= f64::EPSILON {
-        return 0.0;
-    }
-    counts.clear();
-    counts.resize(bins, 0.0);
-    for &x in xs {
-        let b = (((x - lo) / (hi - lo) * bins as f64) as usize).min(bins - 1);
-        counts[b] += 1.0;
-    }
-    let n = xs.len() as f64;
-    -counts
-        .iter()
-        .filter(|&&c| c > 0.0)
-        .map(|&c| {
-            let p = c / n;
-            p * p.ln()
-        })
-        .sum::<f64>()
-}
-
 /// The decomposition loop of [`decompose`] inside `scratch`: extracts up
 /// to `config.n_imfs` IMFs, handing each to `visit` (with its index and the
 /// scratch's histogram counts) before subtracting it from the residual.
@@ -323,7 +297,7 @@ fn decompose_scratch_with(
     xs: &[f64],
     config: &EmdConfig,
     scratch: &mut EmdScratch,
-    mut visit: impl FnMut(usize, &[f64], &mut Vec<f64>),
+    mut visit: impl FnMut(usize, &[f64], &mut Vec<u32>),
 ) {
     let EmdScratch { residual, h, next, sift, counts } = scratch;
     residual.clear();
@@ -344,7 +318,7 @@ fn decompose_scratch_with(
 pub fn imf_entropies_scratch(xs: &[f64], config: &EmdConfig, scratch: &mut EmdScratch) -> (f64, f64) {
     let mut out = (0.0, 0.0);
     decompose_scratch_with(xs, config, scratch, |k, imf, counts| {
-        let e = histogram_entropy_into(imf, config.entropy_bins, counts);
+        let e = histogram_entropy(imf, config.entropy_bins, counts);
         if k == 0 {
             out.0 = e;
         } else if k == 1 {
@@ -553,6 +527,56 @@ mod tests {
             }
         }
         assert!(sifted > 500, "too few windows yielded an IMF: {sifted}");
+    }
+
+    /// The per-bin plug-in entropy, `-Σ p ln p` with one logarithm per
+    /// occupied bin: the oracle for the closed form.
+    fn reference_histogram_entropy(xs: &[f64], bins: usize) -> f64 {
+        if xs.len() < 2 || bins < 2 {
+            return 0.0;
+        }
+        let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
+        let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        if !(hi - lo).is_finite() || hi - lo <= f64::EPSILON {
+            return 0.0;
+        }
+        let mut counts = vec![0.0f64; bins];
+        for &x in xs {
+            let b = (((x - lo) / (hi - lo) * bins as f64) as usize).min(bins - 1);
+            counts[b] += 1.0;
+        }
+        let n = xs.len() as f64;
+        -counts
+            .iter()
+            .filter(|&&c| c > 0.0)
+            .map(|&c| {
+                let p = c / n;
+                p * p.ln()
+            })
+            .sum::<f64>()
+    }
+
+    #[test]
+    fn closed_form_entropy_agrees_with_the_per_bin_estimator() {
+        let mut rng = Xoshiro256pp::seed_from_u64(16);
+        let mut counts = Vec::new();
+        for n in 0..=150usize {
+            for shape in 0..SHAPES {
+                let xs = generated_window(&mut rng, shape, n);
+                let offset: Vec<f64> = xs.iter().map(|x| x + 1e6).collect();
+                for (what, xs) in [("plain", &xs), ("1e6 offset", &offset)] {
+                    for bins in 2..=12usize {
+                        let got = histogram_entropy(xs, bins, &mut counts);
+                        let want = reference_histogram_entropy(xs, bins);
+                        let ctx = format!("n {n}, shape {shape}, {what}, {bins} bins");
+                        assert!((got - want).abs() <= 1e-12, "{ctx}: {got} vs {want}");
+                        if want == 0.0 {
+                            assert_eq!(got, 0.0, "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -420,8 +420,6 @@ pub struct FingerprintEngine {
     seqs: Vec<Vec<f64>>,
     /// Incremental substitutes, aligned with `kinds` (`None` = batch).
     tracked: Vec<Option<TrackedVals>>,
-    /// Column-probability scratch for the incremental mutual information.
-    mi_cols: Vec<f64>,
     /// The window's labels as re-predicted by the extraction's classifier.
     preds: Vec<usize>,
     /// The window's ground-truth labels, read by the frame walk.
@@ -466,7 +464,6 @@ impl FingerprintEngine {
             emd_cadence: EmdCadence::default(),
             seqs: vec![Vec::new(); n_sources],
             tracked: Vec::new(),
-            mi_cols: Vec::new(),
             preds: Vec::new(),
             labels: Vec::new(),
             frame_memo: FrameMemo::default(),
@@ -705,19 +702,19 @@ impl FingerprintEngine {
         let Some(bank) = window.bank().filter(|_| self.mode.incremental) else { return };
         let n = window.len();
         let mi_bins = self.extractor.mi_bins();
-        let Self { kinds, tracked, mi_cols, .. } = self;
+        let Self { kinds, tracked, .. } = self;
         for &kind in kinds.iter() {
             tracked.push(match kind {
                 SourceKind::Feature(j) => {
                     let m = bank.feature_moments(j);
                     let get = |i: usize| window.features(i)[j];
-                    let ext = ext_vals(bank.feature_stats(j), m, n, mi_bins, get, mi_cols);
+                    let ext = ext_vals(bank.feature_stats(j), m, n, mi_bins, get);
                     Some(TrackedVals::new(m, ext))
                 }
                 SourceKind::Labels => {
                     let m = bank.label_moments();
                     let get = |i: usize| window.label(i) as f64;
-                    let ext = ext_vals(bank.label_stats(), m, n, mi_bins, get, mi_cols);
+                    let ext = ext_vals(bank.label_stats(), m, n, mi_bins, get);
                     Some(TrackedVals::new(m, ext))
                 }
                 _ => None,

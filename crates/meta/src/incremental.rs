@@ -8,8 +8,9 @@
 //! substitution stays within the tolerance contract:
 //!
 //! * turning-point rate and lagged mutual information are **bit-identical**
-//!   to the batch sweep (integer counts, identical arithmetic, identical
-//!   loop order);
+//!   to the batch sweep: the counts are the batch histogram's, and the MI
+//!   is the same [`crate::entropy::mutual_information_from_counts`] call
+//!   over them (no logarithm per cell);
 //! * ACF and PACF agree to ≤ 1e-9 relative (the cross-sums accumulate in a
 //!   different order than the batch sweep and the mean/denominator come
 //!   from the window's incremental [`Moments`]).
@@ -20,6 +21,8 @@
 //! batch sweep for that source.
 
 use ficsum_stream::{Moments, SeqStats};
+
+use crate::entropy::mutual_information_from_counts;
 
 /// Substituted values for the incrementally maintained sequence functions
 /// of one behaviour source.
@@ -42,15 +45,13 @@ const PACF_DENOM_FLOOR: f64 = 1e-3;
 /// `None` when the state is unusable (invalid, stale length, mismatched
 /// histogram resolution, or a tolerance-threatening PACF denominator) and
 /// the caller must take the batch path. `get(i)` reads window value `i`
-/// (oldest first) for the O(lag) re-centering corrections; `mi_cols` is
-/// reusable storage for the mutual information's column probabilities.
+/// (oldest first) for the O(lag) re-centering corrections.
 pub(crate) fn ext_vals<G: Fn(usize) -> f64>(
     stats: &SeqStats,
     moments: &Moments,
     n: usize,
     mi_bins: usize,
     get: G,
-    mi_cols: &mut Vec<f64>,
 ) -> Option<ExtVals> {
     if !stats.is_valid() || stats.count() != n || stats.bins() != mi_bins || mi_bins < 2 {
         return None;
@@ -74,7 +75,7 @@ pub(crate) fn ext_vals<G: Fn(usize) -> f64>(
         // Durbin–Levinson: pacf(1) is acf(1).
         pacf1: r1,
         pacf2,
-        mi: mutual_information(stats, n, mi_cols),
+        mi: mutual_information(stats, n),
         tpr: turning_point_rate(stats, n),
     })
 }
@@ -110,50 +111,19 @@ fn acf<G: Fn(usize) -> f64>(
     num / denom
 }
 
-/// Lag-1 mutual information from the joint histogram — the same counts,
-/// normalisation and summation order as the batch estimator, so the value
-/// is bit-identical. The marginals are derived from the joint by row and
-/// column sums (exact: counts are far below 2^53); each row's probability
-/// is taken once per row, and each column's once into `cols`, rather than
-/// per nonzero cell.
-fn mutual_information(stats: &SeqStats, n: usize, cols: &mut Vec<f64>) -> f64 {
-    let lag = 1usize;
+/// Lag-1 mutual information from the joint histogram, through the batch
+/// estimator's gates and its count-based closed form, so the value is
+/// bit-identical to the batch sweep's.
+fn mutual_information(stats: &SeqStats, n: usize) -> f64 {
     let bins = stats.bins();
-    if n <= lag + 2 || bins < 2 {
+    if n <= 3 || bins < 2 {
         return 0.0;
     }
     let (lo, hi) = stats.edges();
     if !(hi - lo).is_finite() || hi - lo <= f64::EPSILON {
         return 0.0;
     }
-    let joint = stats.joint();
-    let pairs = (n - lag) as f64;
-    cols.clear();
-    cols.resize(bins, 0.0);
-    for row in joint.chunks_exact(bins) {
-        for (col, &c) in cols.iter_mut().zip(row) {
-            *col += c as f64;
-        }
-    }
-    for col in cols.iter_mut() {
-        *col /= pairs;
-    }
-    let mut mi = 0.0;
-    for row in joint.chunks_exact(bins) {
-        let px: u32 = row.iter().sum();
-        if px == 0 {
-            continue;
-        }
-        let pa = px as f64 / pairs;
-        for (&c, &pb) in row.iter().zip(cols.iter()) {
-            if c == 0 {
-                continue;
-            }
-            let pj = c as f64 / pairs;
-            mi += pj * (pj / (pa * pb)).ln();
-        }
-    }
-    mi.max(0.0)
+    mutual_information_from_counts(stats.joint(), bins)
 }
 
 /// Turning-point rate from the exact counter; the count is bit-identical
@@ -184,7 +154,6 @@ mod tests {
     #[test]
     fn matches_batch_functions_on_random_windows() {
         let mut rng = Xoshiro256pp::seed_from_u64(31);
-        let mut cols = Vec::new();
         // Continuous windows at a random offset, then binary and
         // small-integer windows (errors, labels, predictions), whose joint
         // histograms have empty rows and columns.
@@ -199,7 +168,7 @@ mod tests {
                 _ => (0..n).map(|_| rng.random_range(0..5usize) as f64).collect(),
             };
             let (s, m) = assemble(&xs, 8);
-            let Some(e) = ext_vals(&s, &m, n, 8, |i| xs[i], &mut cols) else {
+            let Some(e) = ext_vals(&s, &m, n, 8, |i| xs[i]) else {
                 continue; // PACF denominator floor: batch fallback is legal.
             };
             let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + b.abs());
@@ -216,67 +185,11 @@ mod tests {
         }
     }
 
-    /// The per-cell estimator the row/column hoisting replaced, kept as
-    /// the bit-identity oracle.
-    fn reference_mutual_information(stats: &SeqStats, n: usize) -> f64 {
-        let bins = stats.bins();
-        if n <= 3 || bins < 2 {
-            return 0.0;
-        }
-        let (lo, hi) = stats.edges();
-        if !(hi - lo).is_finite() || hi - lo <= f64::EPSILON {
-            return 0.0;
-        }
-        let joint = stats.joint();
-        let mut cols = vec![0u32; bins];
-        for row in joint.chunks_exact(bins) {
-            for (col, &c) in cols.iter_mut().zip(row) {
-                *col += c;
-            }
-        }
-        let pairs = (n - 1) as f64;
-        let mut mi = 0.0;
-        for row in joint.chunks_exact(bins) {
-            let px: u32 = row.iter().sum();
-            if px == 0 {
-                continue;
-            }
-            for (&c, &py) in row.iter().zip(cols.iter()) {
-                if c == 0 {
-                    continue;
-                }
-                let pj = c as f64 / pairs;
-                let pa = px as f64 / pairs;
-                let pb = py as f64 / pairs;
-                mi += pj * (pj / (pa * pb)).ln();
-            }
-        }
-        mi.max(0.0)
-    }
-
-    #[test]
-    fn hoisted_marginals_are_bit_identical_to_per_cell_loop() {
-        let mut rng = Xoshiro256pp::seed_from_u64(32);
-        let mut cols = Vec::new();
-        for n in 0..=130usize {
-            let continuous: Vec<f64> = (0..n).map(|_| rng.random_range(-3.0..3.0)).collect();
-            let ints: Vec<f64> = (0..n).map(|_| rng.random_range(0..3usize) as f64).collect();
-            for (kind, xs) in [("continuous", &continuous), ("integer", &ints)] {
-                for bins in [2usize, 8] {
-                    let (s, _) = assemble(xs, bins);
-                    let got = mutual_information(&s, n, &mut cols);
-                    let want = reference_mutual_information(&s, n);
-                    assert_eq!(got.to_bits(), want.to_bits(), "{kind} n {n} bins {bins}");
-                }
-            }
-        }
-    }
-
     #[test]
     fn constant_window_gates_to_zero() {
         let xs = vec![2.5; 30];
         let (s, m) = assemble(&xs, 8);
-        let e = ext_vals(&s, &m, xs.len(), 8, |i| xs[i], &mut Vec::new()).expect("valid state");
+        let e = ext_vals(&s, &m, xs.len(), 8, |i| xs[i]).expect("valid state");
         assert_eq!(e.acf1, 0.0);
         assert_eq!(e.acf2, 0.0);
         assert_eq!(e.pacf2, 0.0);
@@ -288,11 +201,11 @@ mod tests {
     fn invalid_or_mismatched_state_is_refused() {
         let xs = [1.0, f64::NAN, 3.0, 4.0, 2.0];
         let (s, m) = assemble(&xs, 8);
-        assert!(ext_vals(&s, &m, xs.len(), 8, |i| xs[i], &mut Vec::new()).is_none(), "non-finite");
+        assert!(ext_vals(&s, &m, xs.len(), 8, |i| xs[i]).is_none(), "non-finite");
         let clean = [1.0, 2.0, 3.0, 4.0, 2.0];
         let (s, m) = assemble(&clean, 8);
-        assert!(ext_vals(&s, &m, 4, 8, |i| clean[i], &mut Vec::new()).is_none(), "stale length");
-        assert!(ext_vals(&s, &m, clean.len(), 4, |i| clean[i], &mut Vec::new()).is_none(), "bins mismatch");
+        assert!(ext_vals(&s, &m, 4, 8, |i| clean[i]).is_none(), "stale length");
+        assert!(ext_vals(&s, &m, clean.len(), 4, |i| clean[i]).is_none(), "bins mismatch");
     }
 
     #[test]
@@ -303,6 +216,6 @@ mod tests {
         let (s, m) = assemble(&xs, 8);
         let r1 = autocorrelation(&xs, 1);
         assert!(1.0 - r1 * r1 < PACF_DENOM_FLOOR, "premise: ramp is near-unit ACF");
-        assert!(ext_vals(&s, &m, xs.len(), 8, |i| xs[i], &mut Vec::new()).is_none());
+        assert!(ext_vals(&s, &m, xs.len(), 8, |i| xs[i]).is_none());
     }
 }

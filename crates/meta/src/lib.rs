@@ -22,11 +22,14 @@
 //! (supervised, describing `p(y|X)`).
 //!
 //! The IMF entropies require a full empirical mode decomposition, provided
-//! by [`emd`] on top of natural cubic splines ([`spline`]).
+//! by [`emd`] on top of natural cubic splines ([`spline`]). Both histogram
+//! estimators (MI and the IMF entropies) are evaluated from integer counts
+//! in closed form by [`entropy`].
 
 pub mod autocorr;
 pub mod emd;
 pub mod engine;
+pub mod entropy;
 pub mod extractor;
 pub mod functions;
 mod incremental;

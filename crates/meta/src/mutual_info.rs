@@ -4,7 +4,13 @@
 //! source and its one-step-lagged self. Unlike autocorrelation, MI also
 //! captures nonlinear dependence. Estimated with an equal-width 2-D
 //! histogram, which is the standard plug-in estimator at window sizes of
-//! 50–200 observations.
+//! 50–200 observations. The histogram holds integer counts, and the
+//! estimate is taken from them in closed form by
+//! [`crate::entropy::mutual_information_from_counts`], with no logarithm
+//! per cell; the fused sweep and the incremental stat banks reach the same
+//! function with the same counts.
+
+use crate::entropy::mutual_information_from_counts;
 
 /// Mutual information (nats) between `xs[..n-lag]` and `xs[lag..]`.
 ///
@@ -19,17 +25,13 @@ pub fn lagged_mutual_information(xs: &[f64], lag: usize, n_bins: usize) -> f64 {
     if !(hi - lo).is_finite() || hi - lo <= f64::EPSILON {
         return 0.0;
     }
-    let mut joint = vec![0.0; n_bins * n_bins];
-    let mut px = vec![0.0; n_bins];
-    let mut py = vec![0.0; n_bins];
+    let mut joint = vec![0u32; n_bins * n_bins];
     for i in 0..n {
         let a = bin_of(xs[i], lo, hi - lo, n_bins);
         let b = bin_of(xs[i + lag], lo, hi - lo, n_bins);
-        joint[a * n_bins + b] += 1.0;
-        px[a] += 1.0;
-        py[b] += 1.0;
+        joint[a * n_bins + b] += 1;
     }
-    mi_from_counts(&joint, &px, &mut py, n)
+    mutual_information_from_counts(&joint, n_bins)
 }
 
 /// The equal-width histogram bin of `v` over `[lo, lo + range]`, the top
@@ -39,40 +41,13 @@ pub(crate) fn bin_of(v: f64, lo: f64, range: f64, n_bins: usize) -> usize {
     (((v - lo) / range * n_bins as f64) as usize).min(n_bins - 1)
 }
 
-/// The plug-in mutual information of `pairs` counted pairs: `joint` is the
-/// `n_bins x n_bins` row-major pair histogram, `px` and `py` its row and
-/// column sums (`py` is turned into probabilities in place). Marginal
-/// probabilities are taken once per row and column, not once per cell, and
-/// empty cells are skipped before any division.
-pub(crate) fn mi_from_counts(joint: &[f64], px: &[f64], py: &mut [f64], pairs: usize) -> f64 {
-    let n = pairs as f64;
-    for c in py.iter_mut() {
-        *c /= n;
-    }
-    let mut mi = 0.0;
-    for (row, &count_a) in joint.chunks_exact(px.len()).zip(px.iter()) {
-        if count_a == 0.0 {
-            continue;
-        }
-        let pa = count_a / n;
-        for (&c, &pb) in row.iter().zip(py.iter()) {
-            if c == 0.0 {
-                continue;
-            }
-            let pj = c / n;
-            mi += pj * (pj / (pa * pb)).ln();
-        }
-    }
-    mi.max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
 
-    /// The per-cell estimator the row/column hoisting replaced, kept as
-    /// the bit-identity oracle.
+    /// The per-cell plug-in estimator, `Σ p_ab ln(p_ab / (p_a p_b))` with
+    /// one logarithm per non-empty cell: the oracle for the closed form.
     fn reference_mi(xs: &[f64], lag: usize, n_bins: usize) -> f64 {
         if xs.len() <= lag + 2 || n_bins < 2 {
             return 0.0;
@@ -111,20 +86,47 @@ mod tests {
         mi.max(0.0)
     }
 
+    fn ar1(rng: &mut Xoshiro256pp, phi: f64, n: usize) -> Vec<f64> {
+        let mut prev = 0.0;
+        (0..n)
+            .map(|_| {
+                prev = phi * prev + rng.random::<f64>() - 0.5;
+                prev
+            })
+            .collect()
+    }
+
     #[test]
-    fn hoisted_marginals_are_bit_identical_to_per_cell_loop() {
+    fn closed_form_agrees_with_the_per_cell_estimator() {
         let mut rng = Xoshiro256pp::seed_from_u64(7);
-        for n in 0..=130usize {
+        let mut worst = 0.0f64;
+        for n in 4..=150usize {
             let continuous: Vec<f64> = (0..n).map(|_| rng.random::<f64>() * 6.0 - 3.0).collect();
-            let ints: Vec<f64> = (0..n).map(|_| rng.random_range(0..3usize) as f64).collect();
-            for (kind, xs) in [("continuous", &continuous), ("integer", &ints)] {
-                for (lag, bins) in [(1usize, 2usize), (1, 8), (2, 5)] {
-                    let got = lagged_mutual_information(xs, lag, bins);
-                    let want = reference_mi(xs, lag, bins);
-                    assert_eq!(got.to_bits(), want.to_bits(), "{kind} n {n} lag {lag} bins {bins}");
+            let binary: Vec<f64> = (0..n).map(|_| rng.random_range(0..2usize) as f64).collect();
+            let small: Vec<f64> = (0..n).map(|_| rng.random_range(0..5usize) as f64).collect();
+            let phi = rng.random::<f64>() * 1.8 - 0.9;
+            let autoregressive = ar1(&mut rng, phi, n);
+            let offset: Vec<f64> = continuous.iter().map(|x| x + 1e6).collect();
+            let windows = [
+                ("continuous", &continuous),
+                ("binary", &binary),
+                ("small-integer", &small),
+                ("ar1", &autoregressive),
+                ("1e6 offset", &offset),
+            ];
+            for (kind, xs) in windows {
+                for bins in 2..=10usize {
+                    for lag in [1usize, 2] {
+                        let got = lagged_mutual_information(xs, lag, bins);
+                        let want = reference_mi(xs, lag, bins);
+                        let diff = (got - want).abs();
+                        assert!(diff <= 1e-12, "{kind} n {n} lag {lag} bins {bins}: {got} vs {want}");
+                        worst = worst.max(diff);
+                    }
                 }
             }
         }
+        assert!(worst > 0.0, "premise: the two forms are not bit-identical everywhere");
     }
 
     #[test]

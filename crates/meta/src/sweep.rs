@@ -11,7 +11,7 @@
 //!    edges) and the turning points;
 //! 2. the central sums `s2`, `s3`, `s4`, the lag-1 and lag-2 products of
 //!    the deviations, each value's MI bin (computed once and carried to
-//!    the next pair) and the joint histogram.
+//!    the next pair) and the joint histogram of integer counts.
 //!
 //! Every value is bit-identical to the one-function oracles
 //! ([`crate::functions`], [`crate::autocorrelation`],
@@ -21,9 +21,14 @@
 //! oracle's, and the ACF denominator *is* `s2` — the oracle's
 //! `Σ (x - m) * (x - m)` is `s2`'s `Σ d * d` term by term, and since a
 //! square is never `-0.0`, the two starts agree from the first term on.
+//! The mutual information is the oracle's by construction: both bin the
+//! same pairs into the same integer counts and hand them to
+//! [`crate::entropy::mutual_information_from_counts`], which takes no
+//! logarithm per cell.
 
 use crate::autocorr::pacf2_from;
-use crate::mutual_info::{bin_of, mi_from_counts};
+use crate::entropy::mutual_information_from_counts;
+use crate::mutual_info::bin_of;
 
 /// The non-EMD sequence statistics of one behaviour source. `pacf(1)` is
 /// `acf1` (Durbin–Levinson).
@@ -53,9 +58,7 @@ pub struct SweepStats {
 /// allocate nothing once the histogram has grown to the bin count.
 #[derive(Debug, Clone, Default)]
 pub struct SourceSweep {
-    joint: Vec<f64>,
-    px: Vec<f64>,
-    py: Vec<f64>,
+    joint: Vec<u32>,
 }
 
 impl SourceSweep {
@@ -90,14 +93,8 @@ impl SourceSweep {
         let range = hi - lo;
         let mi_on = n > 3 && mi_bins >= 2 && range.is_finite() && range > f64::EPSILON;
         if mi_on {
-            for (buf, len) in [
-                (&mut self.joint, mi_bins * mi_bins),
-                (&mut self.px, mi_bins),
-                (&mut self.py, mi_bins),
-            ] {
-                buf.clear();
-                buf.resize(len, 0.0);
-            }
+            self.joint.clear();
+            self.joint.resize(mi_bins * mi_bins, 0);
         }
 
         // Sweep 2: central sums, lagged products and the pair histogram.
@@ -121,9 +118,7 @@ impl SourceSweep {
             if mi_on {
                 let b = bin_of(x, lo, range, mi_bins);
                 if i >= 1 {
-                    self.joint[bin_prev * mi_bins + b] += 1.0;
-                    self.px[bin_prev] += 1.0;
-                    self.py[b] += 1.0;
+                    self.joint[bin_prev * mi_bins + b] += 1;
                 }
                 bin_prev = b;
             }
@@ -146,11 +141,7 @@ impl SourceSweep {
             acf1,
             acf2,
             pacf2,
-            mi: if mi_on {
-                mi_from_counts(&self.joint, &self.px, &mut self.py, n - 1)
-            } else {
-                0.0
-            },
+            mi: if mi_on { mutual_information_from_counts(&self.joint, mi_bins) } else { 0.0 },
             tpr: if n < 3 { 0.0 } else { turns as f64 / (n - 2) as f64 },
         }
     }

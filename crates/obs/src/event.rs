@@ -1,11 +1,14 @@
 //! Typed events and stage names emitted by the pipeline.
 
-/// The four pipeline stages whose cost is tracked with monotonic spans.
+/// The five pipeline stages whose cost is tracked with monotonic spans.
 ///
 /// Names are stable: they key the per-stage histograms of
 /// [`crate::InMemoryRecorder`] and the `"stage"` field of the JSONL schema.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
+    /// The active classifier's prediction and training on the step's
+    /// observation.
+    Classifier,
     /// Meta-feature extraction of a window (the fingerprint engine).
     Extract,
     /// Fingerprint similarity computation and baseline maintenance,
@@ -20,12 +23,18 @@ pub enum Stage {
 
 impl Stage {
     /// All stages, in pipeline order.
-    pub const ALL: [Stage; 4] =
-        [Stage::Extract, Stage::Similarity, Stage::DriftCheck, Stage::RepositoryReassess];
+    pub const ALL: [Stage; 5] = [
+        Stage::Classifier,
+        Stage::Extract,
+        Stage::Similarity,
+        Stage::DriftCheck,
+        Stage::RepositoryReassess,
+    ];
 
     /// Stable snake-case name (used in the JSONL schema).
     pub fn name(&self) -> &'static str {
         match self {
+            Stage::Classifier => "classifier",
             Stage::Extract => "extract",
             Stage::Similarity => "similarity",
             Stage::DriftCheck => "drift_check",
@@ -224,7 +233,10 @@ mod tests {
     #[test]
     fn stage_names_are_stable() {
         let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(names, ["extract", "similarity", "drift_check", "repository_reassess"]);
+        assert_eq!(
+            names,
+            ["classifier", "extract", "similarity", "drift_check", "repository_reassess"]
+        );
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! {"kind":"span","stage":"extract","nanos":18231}
 //! ```
 //!
-//! Event payload fields are flattened into the object. Non-finite floats
+//! A span's `"stage"` is a [`Stage::name`]: `classifier`, `extract`,
+//! `similarity`, `drift_check` or `repository_reassess`. Event payload
+//! fields are flattened into the object. Non-finite floats
 //! serialise as `null` (JSON has no NaN). The writer is hand-rolled —
 //! this crate takes no dependencies — but emits strict JSON.
 

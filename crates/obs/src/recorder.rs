@@ -16,7 +16,7 @@ use crate::event::{Stage, StreamEvent};
 ///   `t` at which they happened,
 /// * **counters** — monotonically increasing named totals,
 /// * **gauges** — last-value-wins named readings,
-/// * **spans** — nanosecond durations of the four pipeline [`Stage`]s,
+/// * **spans** — nanosecond durations of the five pipeline [`Stage`]s,
 ///   aggregated into log-bucketed histograms by retaining recorders.
 ///
 /// All methods have empty default bodies, so a custom recorder implements
