@@ -30,6 +30,16 @@ cargo test -q --workspace
 echo "== property tests =="
 cargo test -q --features property-tests
 
+echo "== examples (each run once, release) =="
+# Clippy compiles examples/ but nothing above runs them, and they drive the
+# public API end to end (quickstart builds through FicsumBuilder). Each
+# must exit 0; together they take a few seconds on 2 cores.
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  cargo run --release -q --example "$name" > /dev/null
+  echo "$name: exit 0"
+done
+
 echo "== benchmark build and unit tests (perfbench) =="
 # perfbench/ is a workspace of its own, so neither the build nor the tests
 # above compile it; this step surfaces a public-API change that breaks the

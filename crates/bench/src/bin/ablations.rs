@@ -1,6 +1,11 @@
-//! Ablation study over the design choices DESIGN.md calls out: dynamic
-//! weighting, buffered incorporation, the delayed second selection pass,
-//! and fingerprint plasticity.
+//! Ablation study over the design choices DESIGN.md calls out. Five rows,
+//! each a `FicsumConfig` change to full FiCSUM: full, no second check (the
+//! delayed second selection pass), no plasticity (fingerprint resets on
+//! classifier growth), no rebase (similarity re-basing through retained
+//! pairs) and no buffer (near-naive most-recent incorporation).
+//!
+//! Dynamic weighting (weighted vs unweighted cosine) and the Fisher-score
+//! weight components are not run: neither is a config switch.
 
 use ficsum_baselines::FicsumSystem;
 use ficsum_bench::harness::{build_stream, metric, run_options, Options};

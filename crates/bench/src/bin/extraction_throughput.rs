@@ -37,7 +37,7 @@ use ficsum_classifiers::{Classifier, HoeffdingTree};
 use ficsum_meta::{ExtractionMode, FingerprintEngine, FingerprintExtractor};
 use ficsum_obs::MonotonicClock;
 use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
-use ficsum_stream::{FrameSource, FrameWindows, LabeledObservation};
+use ficsum_stream::{FrameWindows, LabeledObservation};
 
 #[cfg(feature = "alloc-count")]
 #[global_allocator]
@@ -122,7 +122,7 @@ fn main() {
     }
     // The legacy path's first step: copy the active window out of the ring.
     let materialise = |fw: &FrameWindows| -> Vec<LabeledObservation> {
-        let a = fw.a_view();
+        let a = fw.a_tracked();
         (0..a.len())
             .map(|i| LabeledObservation::new(a.features(i).to_vec(), a.label(i), a.prediction(i)))
             .collect()

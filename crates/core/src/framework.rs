@@ -9,11 +9,75 @@ use ficsum_obs::{Clock, DriftTrigger, MonotonicClock, NullRecorder, Recorder, St
 use ficsum_stream::{EwStats, FrameWindows, TrackedFrames};
 
 use crate::checkpoint::{PendingRecheck, SessionCheckpoint, SessionState};
-use crate::config::{ConfigError, FicsumConfig};
+use crate::config::FicsumConfig;
 use crate::fingerprint::{ConceptFingerprint, FingerprintNormalizer};
 use crate::repository::{ConceptEntry, ConceptId, Repository, RetainedPair};
 use crate::similarity::{fingerprint_similarity_unit, CachedFingerprint};
 use crate::weights::DynamicWeights;
+
+// Detection thresholds this implementation adds to the paper, each beside
+// its one reader in this file. They are fixed, not configured: an ablation
+// of one (ROADMAP "Detection heuristics") edits its line here. The numbers
+// name the entries of DESIGN.md "As-built implementation deviations".
+
+/// ADWIN confidence for the similarity drift detector (deviation 1). The
+/// detector runs on the *standardised* similarity stream, whose stationary
+/// variance is tame, so a larger delta than ADWIN's usual 0.002 is
+/// appropriate; false alarms are cheap because model selection re-accepts
+/// the incumbent concept.
+const DETECTOR_DELTA: f64 = 0.05;
+
+/// Floor on the standard deviation of the recorded similarity distribution
+/// when standardising the detector input (deviation 1).
+const SIM_SIGMA_FLOOR: f64 = 0.002;
+
+/// Clamp, in standard deviations, on the standardised similarity fed to the
+/// drift detector (deviation 1). Cosine similarity over many non-negative
+/// dimensions is compressed near 1, so the detector monitors the
+/// *deviation from the recorded normal similarity* `(sim - mu_c) /
+/// sigma_c` — the quantity FiCSUM stores `mu_c`/`sigma_c` for — rather
+/// than the raw value.
+const DEVIATION_CLAMP: f64 = 8.0;
+
+/// Hard drift trigger (deviation 2): a deviation beyond `HARD_Z` standard
+/// deviations observed on [`HARD_CONSECUTIVE`] consecutive checks fires a
+/// drift immediately. This catches the short, sharp similarity dips a
+/// fast-adapting classifier produces, which are over before ADWIN's bound
+/// can cut; it operationalises the paper's "similarity significantly
+/// different to normal" (mu ± k sigma) directly.
+const HARD_Z: f64 = 5.0;
+
+/// Consecutive extreme checks required by the hard trigger (deviation 2).
+const HARD_CONSECUTIVE: u32 = 3;
+
+/// Outlier threshold, in standard deviations, above which a buffer window
+/// is *not* absorbed into the concept fingerprint or the similarity
+/// baseline (deviation 3). Lower than [`HARD_Z`]: absorption is
+/// conservative about concept purity, detection is balanced. Twenty
+/// consecutive skipped windows escalate to a drift (deviation 2).
+const OUTLIER_Z: f64 = 3.0;
+
+/// Drift-check suppression after a *new* concept is created, in
+/// observations (deviation 2). A brand-new classifier changes behaviour
+/// rapidly while it bootstraps, which looks exactly like drift; checks
+/// resume once it has had this long to settle (reused concepts only get
+/// the short `w + b` window-turnover cooldown).
+const NEW_CONCEPT_GRACE: u64 = 300;
+
+/// Exponential-forgetting factor of the recorded similarity distribution
+/// `(mu_c, sigma_c)` (deviation 4). Larger = adapts faster, forgets the
+/// classifier-training transient sooner.
+const SIM_ALPHA: f64 = 0.1;
+
+/// Acceptance band width in standard deviations (deviation 7): a stored
+/// concept is a recurrence candidate when its selection-space similarity
+/// is within `ACCEPT_SIGMA * sigma` of its expected mean (paper: 2).
+const ACCEPT_SIGMA: f64 = 2.0;
+
+/// Floor on the per-dimension standard deviation in the dynamic weights'
+/// `w_sigma = 1/sigma` (fingerprint values are normalised to [0, 1]). The
+/// paper leaves a zero spread undefined; no listed deviation.
+const SIGMA_FLOOR: f64 = 0.01;
 
 /// What happened while processing one observation.
 ///
@@ -155,17 +219,9 @@ fn check_similarity(
 }
 
 /// A brand-new concept: untrained fingerprints, no retained pairs, and a
-/// similarity baseline at the configured `sim_alpha`.
-fn fresh_concept(
-    config: &FicsumConfig,
-    id: ConceptId,
-    dims: usize,
-    classifier: Box<dyn Classifier>,
-) -> ConceptEntry {
-    ConceptEntry {
-        sim_stats: EwStats::new(config.sim_alpha),
-        ..ConceptEntry::new(id, dims, classifier)
-    }
+/// similarity baseline forgetting at [`SIM_ALPHA`].
+fn fresh_concept(id: ConceptId, dims: usize, classifier: Box<dyn Classifier>) -> ConceptEntry {
+    ConceptEntry { sim_stats: EwStats::new(SIM_ALPHA), ..ConceptEntry::new(id, dims, classifier) }
 }
 
 /// The FiCSUM framework instance.
@@ -208,26 +264,20 @@ pub struct Ficsum {
 }
 
 impl Ficsum {
-    /// Builds a framework instance from its parts, validating the
-    /// configuration. It runs the default [`ExtractionMode`]. Most callers
-    /// should use [`crate::variant::FicsumBuilder`] instead.
-    pub fn from_parts(
+    /// A fresh session from its parts. `config` must be valid and
+    /// `extractor` built for `n_features`: [`crate::SessionTemplate`], the
+    /// one caller, validates the config once and derives the extractor from
+    /// its variant, and it applies the extraction mode after this returns.
+    pub(crate) fn from_parts(
         n_features: usize,
         n_classes: usize,
         config: FicsumConfig,
         extractor: FingerprintExtractor,
         mut factory: Box<dyn ClassifierFactory>,
-    ) -> Result<Self, ConfigError> {
-        config.validate()?;
-        if extractor.n_features() != n_features {
-            return Err(ConfigError::FeatureCountMismatch {
-                stream: n_features,
-                extractor: extractor.n_features(),
-            });
-        }
+    ) -> Self {
         let dims = extractor.schema().len();
         let mut repo = Repository::new(config.max_repository);
-        let active = fresh_concept(&config, repo.allocate_id(), dims, factory.build());
+        let active = fresh_concept(repo.allocate_id(), dims, factory.build());
         let state = SessionState {
             n_features,
             n_classes,
@@ -238,7 +288,7 @@ impl Ficsum {
             weights: DynamicWeights::uniform(dims),
             weights_gen: 0,
             weights_stamp: None,
-            detector: Adwin::new(config.detector_delta),
+            detector: Adwin::new(DETECTOR_DELTA),
             frames: FrameWindows::new(config.window_size, config.buffer_delay(), n_features),
             t: 0,
             pending_recheck: None,
@@ -247,11 +297,9 @@ impl Ficsum {
             extreme_streak: 0,
             last_plasticity: 0,
             baseline_outliers: 0,
-            cooldown_until: config.new_concept_grace as u64,
+            cooldown_until: NEW_CONCEPT_GRACE,
         };
-        let mut ficsum = Self::from_state(state, EmdCadence::default(), extractor, factory);
-        ficsum.configure_extraction(ExtractionMode::default());
-        Ok(ficsum)
+        Self::from_state(state, EmdCadence::default(), extractor, factory)
     }
 
     /// Wraps `state` — fresh from [`Ficsum::from_parts`] or cloned out of a
@@ -418,7 +466,7 @@ impl Ficsum {
 
     /// The active concept's normal-similarity deviation `sigma_c`, floored.
     fn sim_sigma(&self) -> f64 {
-        self.state.active.sim_stats.std_dev().max(self.state.config.sim_sigma_floor)
+        self.state.active.sim_stats.std_dev().max(SIM_SIGMA_FLOOR)
     }
 
     /// Observations until both windows hold only frames pushed from now on.
@@ -541,12 +589,8 @@ impl Ficsum {
     /// the same at every drift.
     fn store_active(&mut self) {
         self.active_cache.invalidate();
-        let placeholder = fresh_concept(
-            &self.state.config,
-            self.state.active.id,
-            self.engine.schema().len(),
-            self.factory.build(),
-        );
+        let placeholder =
+            fresh_concept(self.state.active.id, self.engine.schema().len(), self.factory.build());
         let mut entry = std::mem::replace(&mut self.state.active, placeholder);
         entry.last_active = self.state.t;
         if let Some(evicted) = self.state.repo.insert(entry) {
@@ -562,8 +606,7 @@ impl Ficsum {
     /// re-converging.
     fn activate(&mut self, id: ConceptId) {
         let entry = self.state.repo.take(id).expect("selection returned stored id");
-        self.state.active =
-            ConceptEntry { sim_stats: EwStats::new(self.state.config.sim_alpha), ..entry };
+        self.state.active = ConceptEntry { sim_stats: EwStats::new(SIM_ALPHA), ..entry };
         self.active_cache.invalidate();
     }
 
@@ -571,8 +614,7 @@ impl Ficsum {
     fn activate_new(&mut self) {
         let id = self.state.repo.allocate_id();
         let classifier = self.factory.build();
-        self.state.active =
-            fresh_concept(&self.state.config, id, self.engine.schema().len(), classifier);
+        self.state.active = fresh_concept(id, self.engine.schema().len(), classifier);
         self.active_cache.invalidate();
     }
 
@@ -626,7 +668,7 @@ impl Ficsum {
             let sim = scorer.score(entry.classifier.as_ref(), &entry.sel_cache);
             let (mu, sigma) =
                 expected_similarity_with(config, normalizer, entry, &mut sa, &mut sb, &mut sims);
-            if sim >= mu - config.accept_sigma * sigma && banded.is_none_or(|(_, b)| sim > b) {
+            if sim >= mu - ACCEPT_SIGMA * sigma && banded.is_none_or(|(_, b)| sim > b) {
                 banded = Some((entry.id, sim));
             }
             all.push((entry.id, sim, mu));
@@ -809,7 +851,7 @@ impl Ficsum {
                     &self.state.active.fingerprint,
                     &self.state.repo,
                     &self.state.normalizer,
-                    config.sigma_floor,
+                    SIGMA_FLOOR,
                 );
                 self.span_end(Stage::Similarity, t0);
                 self.state.weights_gen += 1;
@@ -862,7 +904,7 @@ impl Ficsum {
                     let sigma = self.sim_sigma();
                     let z = (norm_sim - self.state.active.sim_stats.mean()) / sigma;
                     let outlier =
-                        self.state.active.sim_stats.count() >= 5 && z.abs() >= config.outlier_z;
+                        self.state.active.sim_stats.count() >= 5 && z.abs() >= OUTLIER_Z;
                     if outlier {
                         self.state.baseline_outliers += 1;
                         incorporate = false;
@@ -938,7 +980,7 @@ impl Ficsum {
                 // different to normal" means (Section III-A).
                 let (z, detector_input) = if self.state.active.sim_stats.count() >= 5 {
                     let sigma = self.sim_sigma();
-                    let c = config.deviation_clamp;
+                    let c = DEVIATION_CLAMP;
                     let z = ((sim_a - self.state.active.sim_stats.mean()) / sigma).clamp(-c, c);
                     (z, (z + c) / (2.0 * c))
                 } else {
@@ -946,13 +988,13 @@ impl Ficsum {
                 };
                 // Hard trigger: several consecutive checks far outside the
                 // recorded normal band.
-                if z.abs() >= config.hard_z {
+                if z.abs() >= HARD_Z {
                     self.state.extreme_streak += 1;
                 } else {
                     self.state.extreme_streak = 0;
                 }
                 let adwin_fired = self.state.detector.add(detector_input) == DetectorState::Drift;
-                let hard_fired = self.state.extreme_streak >= config.hard_consecutive;
+                let hard_fired = self.state.extreme_streak >= HARD_CONSECUTIVE;
                 self.span_end(Stage::DriftCheck, t0);
                 if adwin_fired || hard_fired || force_drift {
                     self.state.stats.n_drifts += 1;
@@ -983,7 +1025,7 @@ impl Ficsum {
                     let turnover = self.turnover();
                     self.state.cooldown_until = self.state.t
                         + match selection {
-                            Selection::New(_) => turnover.max(config.new_concept_grace as u64),
+                            Selection::New(_) => turnover.max(NEW_CONCEPT_GRACE),
                             Selection::Reused(_) => turnover,
                         };
                     self.state.pending_recheck = config.second_check.then(|| PendingRecheck {

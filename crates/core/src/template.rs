@@ -133,9 +133,10 @@ impl SessionTemplate {
         self.variant
     }
 
-    /// Stamps out a fresh pipeline. Infallible: the configuration was
-    /// validated at template construction and the extractor is derived from
-    /// the same `n_features` the pipeline is checked against.
+    /// Stamps out a fresh pipeline running the template's extraction mode.
+    /// Infallible: the configuration was validated at template construction
+    /// and the extractor is derived from the variant for the template's own
+    /// `n_features`.
     pub fn instantiate(&self) -> Ficsum {
         let mut ficsum = Ficsum::from_parts(
             self.n_features,
@@ -143,8 +144,7 @@ impl SessionTemplate {
             self.config,
             self.variant.extractor(self.n_features),
             (self.factory)(),
-        )
-        .expect("template was validated at construction");
+        );
         ficsum.configure_extraction(self.extraction);
         ficsum
     }
@@ -265,6 +265,45 @@ mod tests {
             only_a.process(&x, (x[0] > 0.4) as usize);
         }
         assert_eq!(a.stats(), b.stats());
+    }
+
+    /// A builder and a template given one recipe build the same pipeline:
+    /// over 3,000 drifting STAGGER steps the two report identical outcomes
+    /// at every step and identical similarity bits and counters at the end,
+    /// in the default mode, in incremental mode at EMD stride 4, and with
+    /// the builder fanning extraction over two threads.
+    #[test]
+    fn builder_and_template_build_the_same_pipeline() {
+        use crate::variant::FicsumBuilder;
+        use ficsum_stream::StreamSource;
+
+        let config = FicsumConfig::default();
+        let template = || SessionTemplate::new(3, 2, config, Variant::Full).expect("valid");
+        let builder = || FicsumBuilder::new(3, 2).config(config).variant(Variant::Full);
+        let cases: [(&str, Ficsum, Ficsum); 3] = [
+            ("default", builder().build().unwrap(), template().instantiate()),
+            (
+                "incremental, stride 4",
+                builder().incremental_stats(true).emd_stride(4).build().unwrap(),
+                template().with_incremental_stats(true).with_emd_stride(4).instantiate(),
+            ),
+            ("parallelism 2", builder().parallelism(2).build().unwrap(), template().instantiate()),
+        ];
+        for (case, mut built, mut stamped) in cases {
+            let mut stream = ficsum_synth::stagger_stream(5);
+            for step in 0..3000 {
+                let o = stream.next_observation().expect("STAGGER is 30k long");
+                let want = built.process(&o.features, o.label);
+                assert_eq!(stamped.process(&o.features, o.label), want, "{case}: step {step}");
+            }
+            assert_eq!(
+                built.last_similarity().map(f64::to_bits),
+                stamped.last_similarity().map(f64::to_bits),
+                "{case}"
+            );
+            assert_eq!(built.stats(), stamped.stats(), "{case}");
+            assert!(built.stats().n_drifts > 0, "{case}: the stream should drift");
+        }
     }
 
     #[test]

@@ -2,12 +2,12 @@
 
 use std::sync::Arc;
 
-use ficsum_classifiers::{Classifier, ClassifierFactory, HoeffdingTree};
 use ficsum_meta::{ExtractionMode, FingerprintExtractor, MetaFunction, SourceSelection};
 use ficsum_obs::{Clock, Recorder};
 
 use crate::config::{ConfigError, FicsumConfig};
 use crate::framework::Ficsum;
+use crate::template::SessionTemplate;
 
 /// Which meta-information configuration to fingerprint with.
 ///
@@ -64,15 +64,18 @@ impl Variant {
 ///
 /// Everything an instance can be configured with is a builder option; a
 /// built [`Ficsum`] is immutable-by-default (drive it with
-/// [`Ficsum::process`]). The 0.4.0 post-build `set_*` shims are gone; the
-/// one supported post-build hook is [`Ficsum::attach_recorder`], for
-/// drivers that receive an already-built pipeline.
+/// [`Ficsum::process`]). The recipe — config, variant, extraction mode and
+/// the paper-default Hoeffding tree — goes through a [`SessionTemplate`],
+/// so a builder and a template given the same recipe build the same
+/// pipeline; the builder adds what a template does not carry (recorder,
+/// clock, parallelism). The one supported post-build hook is
+/// [`Ficsum::attach_recorder`], for drivers that receive an already-built
+/// pipeline.
 pub struct FicsumBuilder {
     n_features: usize,
     n_classes: usize,
     config: FicsumConfig,
     variant: Variant,
-    factory: Option<Box<dyn ClassifierFactory>>,
     recorder: Option<Box<dyn Recorder>>,
     clock: Option<Arc<dyn Clock>>,
     parallelism: usize,
@@ -87,7 +90,6 @@ impl FicsumBuilder {
             n_classes,
             config: FicsumConfig::default(),
             variant: Variant::Full,
-            factory: None,
             recorder: None,
             clock: None,
             parallelism: 1,
@@ -104,13 +106,6 @@ impl FicsumBuilder {
     /// Sets the meta-information variant.
     pub fn variant(mut self, variant: Variant) -> Self {
         self.variant = variant;
-        self
-    }
-
-    /// Overrides the per-concept classifier factory (default: Hoeffding
-    /// tree, the paper's choice).
-    pub fn classifier_factory(mut self, factory: Box<dyn ClassifierFactory>) -> Self {
-        self.factory = Some(factory);
         self
     }
 
@@ -170,23 +165,18 @@ impl FicsumBuilder {
         self
     }
 
-    /// Builds the framework instance.
+    /// Builds the framework instance: the recipe goes through
+    /// [`SessionTemplate::new`] and [`SessionTemplate::instantiate`], then
+    /// the clock, recorder and parallelism are attached.
     ///
     /// Fails with a [`ConfigError`] if the hyper-parameters are invalid
-    /// (see [`FicsumConfig::validate`]) or the variant's extractor disagrees
-    /// with the stream's feature count.
+    /// (see [`FicsumConfig::validate`]).
     pub fn build(self) -> Result<Ficsum, ConfigError> {
-        let (nf, nc) = (self.n_features, self.n_classes);
-        let factory = self.factory.unwrap_or_else(|| {
-            Box::new(move || Box::new(HoeffdingTree::new(nf, nc)) as Box<dyn Classifier>)
-        });
-        let mut ficsum = Ficsum::from_parts(
-            self.n_features,
-            self.n_classes,
-            self.config,
-            self.variant.extractor(self.n_features),
-            factory,
-        )?;
+        let mut ficsum =
+            SessionTemplate::new(self.n_features, self.n_classes, self.config, self.variant)?
+                .with_incremental_stats(self.extraction.incremental)
+                .with_emd_stride(self.extraction.emd_stride)
+                .instantiate();
         // Clock first: attaching a recorder snapshots it into the engine.
         if let Some(clock) = self.clock {
             ficsum.attach_clock(clock);
@@ -197,7 +187,6 @@ impl FicsumBuilder {
         if self.parallelism != 1 {
             ficsum.configure_parallelism(self.parallelism);
         }
-        ficsum.configure_extraction(self.extraction);
         Ok(ficsum)
     }
 }

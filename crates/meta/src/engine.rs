@@ -50,7 +50,7 @@ use std::sync::Arc;
 
 use ficsum_classifiers::Classifier;
 use ficsum_obs::Clock;
-use ficsum_stream::{FrameSource, Moments, TrackedFrames};
+use ficsum_stream::{Moments, TrackedFrames};
 
 use crate::emd::{imf_entropies_scratch, EmdConfig, EmdScratch};
 use crate::extractor::{FingerprintExtractor, FingerprintSchema};

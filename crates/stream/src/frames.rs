@@ -15,35 +15,11 @@
 //! keep, per window, a [`StatBank`]: the incremental feature/label
 //! [`Moments`] and [`SeqStats`] the fingerprint engine substitutes in
 //! incremental mode. Batch windows keep neither, so their push is one ring
-//! write. [`FrameSource`] is the read interface shared by plain ring views
-//! and [`TrackedFrames`], which pairs a view with its window's bank.
+//! write. [`TrackedFrames`] is the one read view of a window: its frames by
+//! age, paired with the window's bank when there is one.
 
 use crate::stats::Moments;
 use crate::winstats::SeqStats;
-
-/// Read access to a window of frames, index `0` = oldest, `len - 1` =
-/// newest — the iteration order every extraction pass uses.
-pub trait FrameSource {
-    /// Number of frames.
-    fn len(&self) -> usize;
-
-    /// Feature dimensionality of each frame (0 when empty and unknown).
-    fn dims(&self) -> usize;
-
-    /// Feature row of frame `i` (oldest-first indexing).
-    fn features(&self, i: usize) -> &[f64];
-
-    /// Ground-truth label of frame `i`.
-    fn label(&self, i: usize) -> usize;
-
-    /// Prequential prediction recorded with frame `i`.
-    fn prediction(&self, i: usize) -> usize;
-
-    /// Whether the source holds no frames.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// A fixed-capacity ring of the most recent frames, stored as parallel
 /// columns: features in one flat row-major `f64` arena, labels and
@@ -118,18 +94,18 @@ impl FrameStore {
     }
 
     /// Feature row of the frame `age` pushes ago (0 = newest).
-    pub fn features_at_age(&self, age: usize) -> &[f64] {
+    fn features_at_age(&self, age: usize) -> &[f64] {
         let at = self.slot_of_age(age) * self.dims;
         &self.features[at..at + self.dims]
     }
 
     /// Label of the frame `age` pushes ago.
-    pub fn label_at_age(&self, age: usize) -> usize {
+    fn label_at_age(&self, age: usize) -> usize {
         self.labels[self.slot_of_age(age)]
     }
 
     /// Prediction of the frame `age` pushes ago.
-    pub fn prediction_at_age(&self, age: usize) -> usize {
+    fn prediction_at_age(&self, age: usize) -> usize {
         self.preds[self.slot_of_age(age)]
     }
 
@@ -164,85 +140,58 @@ impl FrameStore {
             out.extend(self.labels[slots].iter().map(|&y| y as f64));
         }
     }
-
-    /// A borrowed window over the frames with ages
-    /// `[newest_age, newest_age + len)`.
-    pub fn view(&self, newest_age: usize, len: usize) -> FrameView<'_> {
-        debug_assert!(len == 0 || newest_age + len <= self.len());
-        FrameView { store: self, newest_age, len }
-    }
 }
 
-/// A borrowed, age-addressed window over a [`FrameStore`]; cheap to copy
+/// A borrowed, age-addressed window over a [`FrameStore`], paired with its
+/// window's statistic bank when the windows keep one — what the
+/// fingerprint engine extracts from. Index `0` = oldest, `len - 1` =
+/// newest: the iteration order every extraction pass uses. Cheap to copy
 /// and safe to share across threads.
 #[derive(Debug, Clone, Copy)]
-pub struct FrameView<'a> {
+pub struct TrackedFrames<'a> {
     store: &'a FrameStore,
     newest_age: usize,
     len: usize,
-}
-
-impl FrameView<'_> {
-    fn age_of(&self, i: usize) -> usize {
-        debug_assert!(i < self.len);
-        self.newest_age + self.len - 1 - i
-    }
-}
-
-impl FrameSource for FrameView<'_> {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn dims(&self) -> usize {
-        self.store.dims
-    }
-
-    fn features(&self, i: usize) -> &[f64] {
-        self.store.features_at_age(self.age_of(i))
-    }
-
-    fn label(&self, i: usize) -> usize {
-        self.store.label_at_age(self.age_of(i))
-    }
-
-    fn prediction(&self, i: usize) -> usize {
-        self.store.prediction_at_age(self.age_of(i))
-    }
-}
-
-/// A frame view paired with its window's statistic bank, when the
-/// windows keep one — what the fingerprint engine extracts from.
-#[derive(Debug, Clone, Copy)]
-pub struct TrackedFrames<'a> {
-    view: FrameView<'a>,
     bank: Option<&'a StatBank>,
     tag: usize,
 }
 
-impl FrameSource for TrackedFrames<'_> {
-    fn len(&self) -> usize {
-        self.view.len()
-    }
-
-    fn dims(&self) -> usize {
-        self.view.dims()
-    }
-
-    fn features(&self, i: usize) -> &[f64] {
-        self.view.features(i)
-    }
-
-    fn label(&self, i: usize) -> usize {
-        self.view.label(i)
-    }
-
-    fn prediction(&self, i: usize) -> usize {
-        self.view.prediction(i)
-    }
-}
-
 impl<'a> TrackedFrames<'a> {
+    /// Number of frames.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the window holds no frames.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Feature dimensionality of each frame.
+    pub fn dims(&self) -> usize {
+        self.store.dims
+    }
+
+    fn age_of(&self, i: usize) -> usize {
+        debug_assert!(i < self.len);
+        self.newest_age + self.len - 1 - i
+    }
+
+    /// Feature row of frame `i` (oldest-first indexing).
+    pub fn features(&self, i: usize) -> &'a [f64] {
+        self.store.features_at_age(self.age_of(i))
+    }
+
+    /// Ground-truth label of frame `i`.
+    pub fn label(&self, i: usize) -> usize {
+        self.store.label_at_age(self.age_of(i))
+    }
+
+    /// Prequential prediction recorded with frame `i`.
+    pub fn prediction(&self, i: usize) -> usize {
+        self.store.prediction_at_age(self.age_of(i))
+    }
+
     /// The window's incremental moments and sequence statistics, `None`
     /// unless the windows keep them ([`FrameWindows::enable_stats`]).
     pub fn bank(&self) -> Option<&'a StatBank> {
@@ -253,7 +202,7 @@ impl<'a> TrackedFrames<'a> {
     /// is `newest_age() + len() - 1 - i` pushes old, so two windows of one
     /// ring position address a shared frame by the same age.
     pub fn newest_age(&self) -> usize {
-        self.view.newest_age
+        self.newest_age
     }
 
     /// Which window of Algorithm 1 this is (0 = active `A`, 1 = stale
@@ -634,28 +583,25 @@ impl FrameWindows {
         }
     }
 
-    /// View over the active window `A`, oldest first.
-    pub fn a_view(&self) -> FrameView<'_> {
-        self.store.view(0, self.a_len())
-    }
-
-    /// View over the stale window `B`, oldest first.
-    pub fn stale_view(&self) -> FrameView<'_> {
-        self.store.view(self.delay, self.stale_len())
-    }
-
-    /// The active window paired with its stat bank.
+    /// The active window `A`, oldest first, paired with its stat bank.
     pub fn a_tracked(&self) -> TrackedFrames<'_> {
-        TrackedFrames { view: self.a_view(), bank: self.stats.as_deref().map(|ws| &ws.a), tag: 0 }
+        self.tracked(0, self.a_len(), self.stats.as_deref().map(|ws| &ws.a), 0)
     }
 
-    /// The stale window paired with its stat bank.
+    /// The stale window `B`, oldest first, paired with its stat bank.
     pub fn stale_tracked(&self) -> TrackedFrames<'_> {
-        TrackedFrames {
-            view: self.stale_view(),
-            bank: self.stats.as_deref().map(|ws| &ws.s),
-            tag: 1,
-        }
+        self.tracked(self.delay, self.stale_len(), self.stats.as_deref().map(|ws| &ws.s), 1)
+    }
+
+    fn tracked<'a>(
+        &'a self,
+        newest_age: usize,
+        len: usize,
+        bank: Option<&'a StatBank>,
+        tag: usize,
+    ) -> TrackedFrames<'a> {
+        debug_assert!(len == 0 || newest_age + len <= self.store.len());
+        TrackedFrames { store: &self.store, newest_age, len, bank, tag }
     }
 }
 
@@ -708,7 +654,7 @@ mod tests {
         }
     }
 
-    fn assert_rows(view: &FrameView<'_>, rows: &[Row], what: &str) {
+    fn assert_rows(view: &TrackedFrames<'_>, rows: &[Row], what: &str) {
         assert_eq!(view.len(), rows.len(), "{what}: length");
         for (j, (x, y, p)) in rows.iter().enumerate() {
             assert_eq!(view.features(j), &x[..], "{what}: row {j} features");
@@ -755,8 +701,8 @@ mod tests {
                     history.clear_buffer();
                 }
                 let at = format!("w{w} b{b} step {i}");
-                assert_rows(&frames.a_view(), history.a(), &format!("{at} A"));
-                assert_rows(&frames.stale_view(), history.stale(), &format!("{at} B"));
+                assert_rows(&frames.a_tracked(), history.a(), &format!("{at} A"));
+                assert_rows(&frames.stale_tracked(), history.stale(), &format!("{at} B"));
                 assert_moments(&frames.a_tracked(), history.a(), &format!("{at} A"));
                 assert_moments(&frames.stale_tracked(), history.stale(), &format!("{at} B"));
                 assert_eq!(frames.holding_len(), history.holding_len(), "{at}: holding");
@@ -784,7 +730,7 @@ mod tests {
         frames.push(&[2.0], 0, 0);
         // Frame 0 is now b steps old and graduates.
         assert_eq!(frames.stale_len(), 1);
-        assert_eq!(frames.stale_view().features(0), &[0.0]);
+        assert_eq!(frames.stale_tracked().features(0), &[0.0]);
     }
 
     #[test]
@@ -794,11 +740,11 @@ mod tests {
             frames.push(&[i as f64], 0, 0);
         }
         // Five graduates; the stale window keeps the latest two.
-        let view = frames.stale_view();
+        let view = frames.stale_tracked();
         let vals: Vec<f64> = (0..view.len()).map(|i| view.features(i)[0]).collect();
         assert_eq!(vals, vec![3.0, 4.0]);
         // The active window evicts oldest-first.
-        let view = frames.a_view();
+        let view = frames.a_tracked();
         let vals: Vec<f64> = (0..view.len()).map(|i| view.features(i)[0]).collect();
         assert_eq!(vals, vec![4.0, 5.0]);
     }
@@ -809,7 +755,7 @@ mod tests {
         frames.push(&[1.0], 0, 0);
         assert_eq!(frames.stale_len(), 1);
         assert_eq!(frames.holding_len(), 0);
-        assert_eq!(frames.stale_view().features(0), &[1.0]);
+        assert_eq!(frames.stale_tracked().features(0), &[1.0]);
     }
 
     #[test]
@@ -837,7 +783,7 @@ mod tests {
 
     /// Re-centers a maintained cross-sum around the exact window mean —
     /// the same correction the engine applies at evaluation time.
-    fn centered_num(s: &SeqStats, view: &FrameView<'_>, dim: usize, lag: usize) -> f64 {
+    fn centered_num(s: &SeqStats, view: &TrackedFrames<'_>, dim: usize, lag: usize) -> f64 {
         let n = view.len();
         let get = |i: usize| view.features(i)[dim];
         let mean = (0..n).map(get).sum::<f64>() / n as f64;
@@ -868,8 +814,8 @@ mod tests {
                     frames.clear_buffer();
                 }
                 for (tracked, view, len) in [
-                    (frames.a_tracked(), frames.a_view(), frames.a_len()),
-                    (frames.stale_tracked(), frames.stale_view(), frames.stale_len()),
+                    (frames.a_tracked(), frames.a_tracked(), frames.a_len()),
+                    (frames.stale_tracked(), frames.stale_tracked(), frames.stale_len()),
                 ] {
                     let bank = tracked.bank().expect("stats enabled");
                     for j in 0..d {
@@ -918,7 +864,7 @@ mod tests {
             let resident = store.len();
             for newest_age in 0..resident {
                 for len in 0..=resident - newest_age {
-                    let view = store.view(newest_age, len);
+                    let view = TrackedFrames { store: &store, newest_age, len, bank: None, tag: 0 };
                     let at = format!("step {step} age {newest_age} len {len}");
                     for j in 0..d {
                         store.gather_feature(newest_age, len, j, &mut col);
@@ -978,8 +924,8 @@ mod tests {
             assert!(frames.stale_tracked().bank().is_none(), "batch windows keep no bank");
             frames.enable_stats(4);
             for (tracked, view) in [
-                (frames.a_tracked(), frames.a_view()),
-                (frames.stale_tracked(), frames.stale_view()),
+                (frames.a_tracked(), frames.a_tracked()),
+                (frames.stale_tracked(), frames.stale_tracked()),
             ] {
                 let bank = tracked.bank().expect("stats enabled");
                 for j in 0..=d {
@@ -1008,7 +954,7 @@ mod tests {
         for i in 0..(FrameWindows::REBUILD_INTERVAL + 50) {
             frames.push(&[(i as f64 * 0.13).sin()], i % 2, 0);
         }
-        let view = frames.a_view();
+        let view = frames.a_tracked();
         let mean: f64 =
             (0..view.len()).map(|i| view.features(i)[0]).sum::<f64>() / view.len() as f64;
         let bank = frames.a_tracked().bank().expect("stats enabled");

@@ -22,7 +22,7 @@ pub mod stats;
 pub mod stream;
 pub mod winstats;
 
-pub use frames::{FrameSource, FrameStore, FrameView, FrameWindows, TrackedFrames};
+pub use frames::{FrameStore, FrameWindows, TrackedFrames};
 pub use observation::{LabeledObservation, Observation};
 pub use rng::{RandomSource, Xoshiro256pp};
 pub use stats::{EwStats, MinMaxScaler, Moments, RunningStats};

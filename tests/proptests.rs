@@ -388,7 +388,7 @@ fn concept_fingerprint_mean_is_bounded_by_inputs() {
 fn incremental_stats_match_batch_through_evictions_and_resets() {
     use ficsum::classifiers::{Classifier, HoeffdingTree};
     use ficsum::meta::{ExtractionMode, FingerprintEngine, MetaFunction};
-    use ficsum::stream::{FrameSource, TrackedFrames};
+    use ficsum::stream::TrackedFrames;
     // The incremental-statistics tolerance contract (DESIGN.md "Incremental
     // statistics") over long randomized streams: every substituted
     // statistic must track the stateless extractor on the relabelled
