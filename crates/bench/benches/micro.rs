@@ -27,7 +27,7 @@ use ficsum_meta::entropy::mutual_information_from_counts;
 use ficsum_meta::spline::SplineScratch;
 use ficsum_meta::{
     imf_entropies, imf_entropies_scratch, lagged_mutual_information, EmdConfig, EmdMemo,
-    EmdScratch, FingerprintEngine, FingerprintExtractor, SourceSweep,
+    EmdScratch, ExtractionMode, FingerprintEngine, FingerprintExtractor, SourceSweep,
 };
 use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
 use ficsum_stream::{FrameWindows, SeqStats};
@@ -104,6 +104,34 @@ fn bench_extraction() {
         engine.extract_keyed_into(&check_frames.a_tracked(), &tree, Some(key), &mut fp);
         black_box(&fp);
     });
+    // Drift checks as a pipeline runs them: every iteration pushes `P_C`
+    // = 3 fresh frames and extracts `B` (b = 19) and then `A` under one
+    // key. At stride 2 with the check geometry set, `B`'s feature and
+    // label sources read the IMF entropies `A`'s earlier checks recorded
+    // instead of sifting them.
+    let stream = synthetic_window(4096, 10, 2);
+    for (name, emd_stride) in
+        [("engine_check_pair_stride1_w75_d10", 1), ("engine_check_pair_stride2_w75_d10", 2)]
+    {
+        let mode = ExtractionMode { incremental: false, emd_stride };
+        let mut engine = FingerprintEngine::new(full.clone()).with_mode(mode);
+        engine.set_check_geometry(3, 19);
+        let mut frames = FrameWindows::new(75, 19, 10);
+        let mut rows = stream.iter().cycle();
+        for o in rows.by_ref().take(75 + 19) {
+            frames.push(o.features(), o.label(), o.prediction);
+        }
+        report(name, || {
+            for o in rows.by_ref().take(3) {
+                frames.push(o.features(), o.label(), o.prediction);
+            }
+            key += 1;
+            engine.extract_keyed_into(&frames.stale_tracked(), &tree, Some(key), &mut fp);
+            black_box(&fp);
+            engine.extract_keyed_into(&frames.a_tracked(), &tree, Some(key), &mut fp);
+            black_box(&fp);
+        });
+    }
     let er = FingerprintExtractor::error_rate_only(10);
     report("fingerprint_extract_er_w75_d10", || {
         black_box(er.extract(black_box(&w), None));

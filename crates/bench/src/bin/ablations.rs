@@ -2,7 +2,8 @@
 //! each a `FicsumConfig` change to full FiCSUM: full, no second check (the
 //! delayed second selection pass), no plasticity (fingerprint resets on
 //! classifier growth), no rebase (similarity re-basing through retained
-//! pairs) and no buffer (near-naive most-recent incorporation).
+//! pairs) and no buffer (near-naive most-recent incorporation: a buffer
+//! ratio of 0.014, which at `w = 75` is a delay of 2 observations).
 //!
 //! Dynamic weighting (weighted vs unweighted cosine) and the Fisher-score
 //! weight components are not run: neither is a config switch.
@@ -23,7 +24,7 @@ fn variants() -> Vec<(&'static str, FicsumConfig)> {
         ("no second check", base.with_second_check(false)),
         ("no plasticity", base.with_plasticity(false)),
         ("no rebase", base.with_rebase_similarity(false)),
-        ("no buffer (b=1)", base.with_buffer_ratio(0.014)),
+        ("no buffer (b=2)", base.with_buffer_ratio(0.014)),
     ]
 }
 
@@ -63,5 +64,16 @@ fn main() {
     println!("{}", cf1_table.render());
     if let Some(rep) = reporter {
         rep.finish();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn buffer_row_label_states_its_delay() {
+        let (label, config) = variants().pop().unwrap();
+        assert_eq!(label, format!("no buffer (b={})", config.buffer_delay()));
     }
 }

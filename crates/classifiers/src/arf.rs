@@ -142,11 +142,6 @@ impl AdaptiveRandomForest {
         }
     }
 
-    /// Number of ensemble members (always `n_trees`).
-    pub fn n_members(&self) -> usize {
-        self.members.len()
-    }
-
     /// Members currently training a background tree (in warning state).
     pub fn n_backgrounds(&self) -> usize {
         self.members.iter().filter(|m| m.background.is_some()).count()

@@ -202,11 +202,6 @@ impl GaussianObserver {
         best
     }
 
-    /// Total observations recorded.
-    pub fn total_count(&self) -> u64 {
-        self.per_class.iter().map(|g| g.stats.count()).sum()
-    }
-
     /// The naive-Bayes terms of class `class`, `None` while that class has
     /// fewer than two observations (no spread to score against). Computed
     /// when the class was last observed, not per call.

@@ -3,7 +3,7 @@
 use ficsum_stream::rng::{sample_indices, Xoshiro256pp};
 
 use crate::classifier::{argmax, normalize_or_uniform_in_place, Classifier};
-use crate::hoeffding::observer::{entropy, normal_cdf, GaussianObserver, NbTerm, SplitScratch};
+use crate::hoeffding::observer::{entropy, GaussianObserver, NbTerm, SplitScratch};
 
 /// How leaves turn their sufficient statistics into predictions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -517,14 +517,6 @@ impl Classifier for HoeffdingTree {
         }
         Some(pred)
     }
-}
-
-/// Marginal Gaussian probability that feature `feature` of a random
-/// observation routed through `counts`-weighted classes lies below `t`.
-/// Exposed for tests of the projection maths.
-#[doc(hidden)]
-pub fn _cdf_for_tests(x: f64, mean: f64, std: f64) -> f64 {
-    normal_cdf(x, mean, std)
 }
 
 #[cfg(test)]

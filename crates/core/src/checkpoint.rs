@@ -9,8 +9,9 @@
 //! Sync`, with no live borrows. A field added to the state is captured and
 //! restored without touching any list. Beside it the checkpoint carries the
 //! engine's [`EmdCadence`]: above an `emd_stride` of 1 it decides which
-//! fingerprint check re-sifts each source, so it is state too, though the
-//! engine holds it. Restoring through [`crate::SessionTemplate::restore`]
+//! fingerprint check re-sifts each source, and it holds the drift check's
+//! records that the stale window and the repository scans read, so it is
+//! state too, though the engine holds it. Restoring through [`crate::SessionTemplate::restore`]
 //! yields a pipeline that continues **bit-identically**, at every stride:
 //! driven with the same observations it produces the same
 //! [`crate::StepOutcome`]s and similarities as the uninterrupted original

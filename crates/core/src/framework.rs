@@ -4,7 +4,9 @@ use std::sync::Arc;
 
 use ficsum_classifiers::{Classifier, ClassifierFactory};
 use ficsum_drift::{Adwin, DetectorState, DriftDetector};
-use ficsum_meta::{EmdCadence, ExtractionMode, FingerprintEngine, FingerprintExtractor, StaticScan};
+use ficsum_meta::{
+    EmdCadence, EmdCounts, ExtractionMode, FingerprintEngine, FingerprintExtractor, StaticScan,
+};
 use ficsum_obs::{Clock, DriftTrigger, MonotonicClock, NullRecorder, Recorder, Stage, StreamEvent};
 use ficsum_stream::{EwStats, FrameWindows, TrackedFrames};
 
@@ -15,10 +17,11 @@ use crate::repository::{ConceptEntry, ConceptId, Repository, RetainedPair};
 use crate::similarity::{fingerprint_similarity_unit, CachedFingerprint};
 use crate::weights::DynamicWeights;
 
-// Detection thresholds this implementation adds to the paper, each beside
-// its one reader in this file. They are fixed, not configured: an ablation
-// of one (ROADMAP "Detection heuristics") edits its line here. The numbers
-// name the entries of DESIGN.md "As-built implementation deviations".
+// Detection and selection thresholds this implementation adds to the
+// paper, each beside its one reader in this file. They are fixed, not
+// configured: an ablation of one (ROADMAP "Detection heuristics") edits its
+// line here. The numbers name the entries of DESIGN.md "As-built
+// implementation deviations".
 
 /// ADWIN confidence for the similarity drift detector (deviation 1). The
 /// detector runs on the *standardised* similarity stream, whose stationary
@@ -74,6 +77,25 @@ const SIM_ALPHA: f64 = 0.1;
 /// is within `ACCEPT_SIGMA * sigma` of its expected mean (paper: 2).
 const ACCEPT_SIGMA: f64 = 2.0;
 
+/// Similarity records a stored concept needs, absent retained pairs, to be
+/// a recurrence candidate at selection (deviation 7): fewer define no
+/// acceptance band.
+const CANDIDATE_MIN_RECORDS: u64 = 3;
+
+/// Dominant-match fallback, level test (deviation 7): when no stored
+/// concept passes the band test, the best-scoring one can still be
+/// selected, but only if its similarity reaches this share of its expected
+/// mean.
+const DOMINANT_SHARE_OF_EXPECTED: f64 = 0.5;
+
+/// Dominant-match fallback, lead test (deviation 7): the best-scoring
+/// concept must also reach this multiple of the runner-up's similarity
+/// (floored at 0) plus [`DOMINANT_LEAD_MARGIN`].
+const DOMINANT_LEAD_RATIO: f64 = 1.3;
+
+/// Absolute margin of the dominant-match lead test (deviation 7).
+const DOMINANT_LEAD_MARGIN: f64 = 0.02;
+
 /// Floor on the per-dimension standard deviation in the dynamic weights'
 /// `w_sigma = 1/sigma` (fingerprint values are normalised to [0, 1]). The
 /// paper leaves a zero spread undefined; no listed deviation.
@@ -124,7 +146,8 @@ pub struct FicsumStats {
 /// fingerprint must be trained and it must carry either enough similarity
 /// history or retained pairs to define an acceptance band.
 fn is_candidate(entry: &ConceptEntry) -> bool {
-    entry.fingerprint.is_trained() && (entry.sim_stats.count() >= 3 || !entry.retained.is_empty())
+    entry.fingerprint.is_trained()
+        && (entry.sim_stats.count() >= CANDIDATE_MIN_RECORDS || !entry.retained.is_empty())
 }
 
 /// Expected `(mu_s, sigma_s)` of a stored entry's within-concept
@@ -320,6 +343,7 @@ impl Ficsum {
         factory: Box<dyn ClassifierFactory>,
     ) -> Self {
         let mut engine = FingerprintEngine::new(extractor);
+        engine.set_check_geometry(state.config.fingerprint_gap, state.config.buffer_delay());
         engine.restore_emd_cadence(emd_cadence);
         Self {
             state,
@@ -408,11 +432,6 @@ impl Ficsum {
     /// The attached recorder.
     pub fn recorder(&self) -> &dyn Recorder {
         self.recorder.as_ref()
-    }
-
-    /// Mutable access to the attached recorder.
-    pub fn recorder_mut(&mut self) -> &mut dyn Recorder {
-        self.recorder.as_mut()
     }
 
     /// Replaces the span-timing clock (default: a [`MonotonicClock`]
@@ -681,7 +700,9 @@ impl Ficsum {
             all.sort_by(|a, b| b.1.total_cmp(&a.1));
             let (id, best_sim, mu) = all[0];
             let second = all[1].1;
-            if best_sim >= 0.5 * mu && best_sim >= 1.3 * second.max(0.0) + 0.02 {
+            if best_sim >= DOMINANT_SHARE_OF_EXPECTED * mu
+                && best_sim >= DOMINANT_LEAD_RATIO * second.max(0.0) + DOMINANT_LEAD_MARGIN
+            {
                 return Some((id, best_sim));
             }
         }
@@ -1089,6 +1110,10 @@ impl Ficsum {
             for (name, nanos) in self.engine.source_timings() {
                 self.recorder.gauge(&format!("ficsum.extract.src.{name}"), nanos as f64);
             }
+            for (name, EmdCounts { sifted, reused }) in self.engine.emd_counts() {
+                self.recorder.gauge(&format!("ficsum.extract.emd.sifted.{name}"), sifted as f64);
+                self.recorder.gauge(&format!("ficsum.extract.emd.reused.{name}"), reused as f64);
+            }
         }
 
         outcome.active_concept = self.state.active.id;
@@ -1485,5 +1510,38 @@ mod tests {
         let rec = keep.borrow();
         let classifier = rec.stage_histogram(Stage::Classifier).expect("classifier spans");
         assert_eq!(classifier.count(), steps, "one classifier span per step");
+    }
+
+    #[test]
+    fn emd_gauges_count_sifts_and_record_reuses_per_source() {
+        // At the default stride an enabled recorder sees, beside the
+        // per-source extraction times, each source's sifts and the record
+        // reads that replaced them: the feature and label sources of `B`
+        // and of the static scans read the drift check's records, the
+        // prediction-dependent sources never do.
+        use ficsum_obs::{shared, InMemoryRecorder};
+        let keep = shared(InMemoryRecorder::new());
+        let mut system = FicsumBuilder::new(3, 2).recorder(Box::new(keep.clone())).build().unwrap();
+        let mut stream = stagger_stream(5);
+        for _ in 0..3000 {
+            let o = stream.next_observation().unwrap();
+            system.process(&o.features, o.label);
+        }
+        let rec = keep.borrow();
+        let gauge = |name: &str| {
+            let found = rec.gauges().find(|(n, _)| *n == name);
+            found.map(|(_, v)| v).unwrap_or_else(|| panic!("{name}"))
+        };
+        for (name, _) in system.engine().emd_counts() {
+            let (sifted, reused) = (
+                gauge(&format!("ficsum.extract.emd.sifted.{name}")),
+                gauge(&format!("ficsum.extract.emd.reused.{name}")),
+            );
+            assert!(sifted > 0.0, "{name}: sifted {sifted}");
+            match name.as_str() {
+                "x0" | "x1" | "x2" | "y" => assert!(reused > 0.0, "{name} reads records"),
+                _ => assert_eq!(reused, 0.0, "{name} keeps its own slots"),
+            }
+        }
     }
 }

@@ -98,11 +98,6 @@ impl CachedFingerprint {
         self.key = None;
     }
 
-    /// Whether the cache currently holds `key`'s prepared side.
-    pub fn is_valid_for(&self, key: CacheKey) -> bool {
-        self.key == Some(key)
-    }
-
     /// Prepares `fingerprint`'s side under `normalizer` and `weights`
     /// (`None` = unit weights), unless `key` already matches. `key` must
     /// change whenever any of the three inputs change — the version

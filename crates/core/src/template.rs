@@ -306,6 +306,52 @@ mod tests {
         }
     }
 
+    /// A checkpoint taken mid-stream while the drift check's EMD records
+    /// serve `B` and the scans carries those records: at strides 2 and 4
+    /// the restored session reports the same outcome and similarity bits
+    /// as the uninterrupted one at every step of a drifting tail, and goes
+    /// on reading records.
+    #[test]
+    fn restore_with_live_emd_records_replays_bit_identically() {
+        use ficsum_stream::StreamSource;
+
+        let reused =
+            |f: &Ficsum| f.engine().emd_counts().iter().map(|(_, c)| c.reused).sum::<u64>();
+        for stride in [2, 4] {
+            let template = SessionTemplate::new(3, 2, FicsumConfig::default(), Variant::Full)
+                .expect("valid")
+                .with_emd_stride(stride);
+            let mut original = template.instantiate();
+            let mut stream = ficsum_synth::stagger_stream(11);
+            // Cut on the first step after 1,500 whose checks read a record.
+            let mut read = 0;
+            for step in 0.. {
+                let o = stream.next_observation().expect("STAGGER is 30k long");
+                original.process(&o.features, o.label);
+                let now = reused(&original);
+                if step >= 1_500 && now > read {
+                    break;
+                }
+                read = now;
+            }
+            let mut restored = template.restore(&original.checkpoint()).expect("restores");
+            for step in 0..2_500 {
+                let o = stream.next_observation().expect("STAGGER is 30k long");
+                let want = original.process(&o.features, o.label);
+                let got = restored.process(&o.features, o.label);
+                assert_eq!(got, want, "stride {stride}: step {step}");
+                assert_eq!(
+                    restored.last_similarity().map(f64::to_bits),
+                    original.last_similarity().map(f64::to_bits),
+                    "stride {stride}: step {step}"
+                );
+            }
+            assert_eq!(restored.stats(), original.stats(), "stride {stride}");
+            assert!(original.stats().n_drifts > 0, "stride {stride}: the tail should drift");
+            assert!(reused(&restored) > 0, "stride {stride}: the restored session reads records");
+        }
+    }
+
     #[test]
     fn template_respects_variant_and_dims() {
         let template = SessionTemplate::new(4, 3, FicsumConfig::default(), Variant::ErrorRate)

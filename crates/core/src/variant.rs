@@ -152,14 +152,16 @@ impl FicsumBuilder {
 
     /// Bounds how often IMF entropies are re-sifted, with batch and
     /// incremental statistics alike: a changed window re-computes them at
-    /// most every `stride`-th extraction per source. The default is 2, the
+    /// most every `stride`-th drift check, and the stale window and the
+    /// repository scans read the feature and label sources' values from
+    /// the active window's checks. The default is 2, the
     /// largest stride that kept the paper's metrics across seeds (the
     /// `quality` bench; DESIGN.md deviation 11); it sifts about half as
     /// often as stride 1. `1` re-sifts on every change and is the exact
     /// path the golden trajectories pin; larger strides trade bounded
     /// staleness for a further cut in EMD cost. Checkpoints carry the
-    /// re-sift cadence, so a restore replays bit-identically at any
-    /// stride. See [`ExtractionMode::emd_stride`].
+    /// re-sift cadence and the checks' records, so a restore replays
+    /// bit-identically at any stride. See [`ExtractionMode::emd_stride`].
     pub fn emd_stride(mut self, stride: u32) -> Self {
         self.extraction.emd_stride = stride;
         self

@@ -43,11 +43,6 @@ impl<D: DriftDetector, R: Recorder> RecordedDetector<D, R> {
     pub fn observed(&self) -> u64 {
         self.t
     }
-
-    /// Unwraps into the detector and recorder.
-    pub fn into_parts(self) -> (D, R) {
-        (self.detector, self.recorder)
-    }
 }
 
 impl<D: DriftDetector, R: Recorder> DriftDetector for RecordedDetector<D, R> {

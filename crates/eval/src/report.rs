@@ -44,11 +44,6 @@ impl CellReport {
     pub fn kappa_summary(&self) -> (f64, f64) {
         mean_std(&self.kappa)
     }
-
-    /// `(mean, std)` of the C-F1 values.
-    pub fn c_f1_summary(&self) -> (f64, f64) {
-        mean_std(&self.c_f1)
-    }
 }
 
 /// A full experiment report (one table's worth of cells).

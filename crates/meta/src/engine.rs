@@ -37,6 +37,11 @@
 //!   last sequences it sifted ([`EmdMemo`]), so a source whose content
 //!   repeats — across sources, windows, extractions or the classifiers of
 //!   a sweep — is served without sifting, bit for bit.
+//! * **Drift-check records** — above EMD stride 1 the active window's
+//!   drift check records the IMF entropies of the feature and label
+//!   sources it used, and the stale window and the static scans read the
+//!   nearest record instead of sifting
+//!   ([`FingerprintEngine::set_check_geometry`]).
 //! * **Opt-in parallelism** — [`FingerprintEngine::set_threads`] fans the
 //!   `d + 4` behaviour sources across a [`std::thread::scope`] worker pool.
 //!   Each source's computation is independent and writes a disjoint slice
@@ -65,7 +70,8 @@ use crate::sweep::{SourceSweep, SweepStats};
 /// The default — what a pipeline runs unless its builder or template sets
 /// a mode — is batch statistics at an EMD stride of 2: every statistic is swept
 /// over the window, and a changed window's IMF entropies are re-sifted at
-/// every second extraction per source. The stride was chosen by the
+/// every second drift check (see [`ExtractionMode::emd_stride`] for what
+/// that means for each window). The stride was chosen by the
 /// `quality` bench across seeds and the Table IV datasets: stride 2 kept
 /// the paper's kappa and C-F1 ranks and did not raise false alarms,
 /// misses or detection delay, while strides 4 and 8 raised false alarms
@@ -84,9 +90,10 @@ use crate::sweep::{SourceSweep, SweepStats};
 /// feedback loops in which any numeric difference can compound. The EMD
 /// stride is independent of the statistics: it applies in either mode.
 ///
-/// Above stride 1 the per-source re-sift cadence is session state: a
-/// pipeline checkpoint carries it ([`EmdCadence`]), so a restored session
-/// replays bit-identically at any stride.
+/// Above stride 1 the per-source re-sift cadence and the drift check's
+/// records are session state: a pipeline checkpoint carries them
+/// ([`EmdCadence`]), so a restored session replays bit-identically at any
+/// stride.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExtractionMode {
     /// Substitute incremental statistics. The windows must have them
@@ -98,11 +105,27 @@ pub struct ExtractionMode {
     /// source of each window keeps its last IMF entropies behind a content
     /// hash: an unchanged window reuses them, and a *changed* one re-sifts
     /// at most every `emd_stride`-th extraction, reusing the previous
-    /// values in between. That trades bounded staleness (at most
-    /// `emd_stride - 1` fingerprint gaps) for a proportional cut in sifting
-    /// cost. The default is `2`. `1` keeps no per-source cache: every sift
-    /// goes through the exact memo, faithful to the batch values. `0`
-    /// counts as `1`.
+    /// values in between.
+    ///
+    /// In a pipeline (which sets [`FingerprintEngine::set_check_geometry`])
+    /// a stride `k` means, with `P_C` the drift-check period:
+    ///
+    /// * the active window `A`'s drift check re-sifts a changed source
+    ///   every `k`-th check, so a value is at most `(k - 1) * P_C` frames
+    ///   from the window it was sifted on;
+    /// * the stale window `B` reads the feature and label sources' values
+    ///   `A`'s checks recorded nearest its own window, within the same
+    ///   `(k - 1) * P_C` frames, and sifts only its prediction-dependent
+    ///   sources on its own every-`k`-th cadence;
+    /// * the static scans of `A` (repository refresh, selection, recheck)
+    ///   read those records too and leave `A`'s cadence alone;
+    /// * with no record in reach (the post-drift cooldown, when `A` is not
+    ///   checked) `B` and the scans fall back to their window's own
+    ///   cadence.
+    ///
+    /// The default is `2`. `1` keeps no per-source cache and no records:
+    /// every sift goes through the exact memo, faithful to the batch
+    /// values. `0` counts as `1`.
     pub emd_stride: u32,
 }
 
@@ -157,13 +180,79 @@ struct EmdSlot {
     vals: (f64, f64),
     /// Consecutive stale reuses since the last fresh sifting.
     age: u32,
+    /// End position ([`TrackedFrames::end_position`]) of the last window
+    /// whose content the values are exact for.
+    origin: u64,
     valid: bool,
+}
+
+/// One classifier-independent source's IMF entropies in a record of the
+/// drift check: the values and the end position of the window whose
+/// content they are exact for.
+#[derive(Debug, Clone, Copy, Default)]
+struct Sifted {
+    origin: u64,
+    vals: (f64, f64),
+}
+
+/// The drift check's records above stride 1: after each extraction of the
+/// active window `A` through its cadence, the IMF entropies it used for
+/// every classifier-independent source, with the position each was sifted
+/// on. The other requests for those sources — the stale window `B` and the
+/// static scans of `A` — read the nearest record instead of sifting (see
+/// [`FingerprintEngine::set_check_geometry`]).
+///
+/// A fixed ring of `capacity` records of `width` entries, sized once, so
+/// steady-state writes allocate nothing.
+#[derive(Debug, Clone, Default)]
+struct RecordRing {
+    /// Record-major: record `r`'s entry for static source `s` is at
+    /// `r * width + s`.
+    entries: Vec<Sifted>,
+    /// Entries per record: the classifier-independent sources.
+    width: usize,
+    /// Records written, up to the capacity.
+    filled: usize,
+    /// The record the next write overwrites.
+    next: usize,
+}
+
+impl RecordRing {
+    /// Static source `s`'s recorded entropies sifted nearest `pos`, if one
+    /// lies within `reach` frames of it and closer than `len` (so a record
+    /// never serves a window it shares no frame with); ties go to the later
+    /// sifting, whatever the ring order.
+    fn nearest(&self, s: usize, pos: u64, reach: u64, len: usize) -> Option<(f64, f64)> {
+        let reach = reach.min((len as u64).saturating_sub(1));
+        (0..self.filled)
+            .map(|r| self.entries[r * self.width + s])
+            .filter(|e| e.origin.abs_diff(pos) <= reach)
+            .min_by_key(|e| (e.origin.abs_diff(pos), std::cmp::Reverse(e.origin)))
+            .map(|e| e.vals)
+    }
+
+    /// Appends one record of `width` entries, overwriting the oldest once
+    /// `capacity` records are held. The ring is (re)sized when its shape
+    /// changes.
+    fn push(&mut self, capacity: usize, width: usize, record: impl Iterator<Item = Sifted>) {
+        if self.width != width || self.entries.len() != capacity * width {
+            let entries = vec![Sifted::default(); capacity * width];
+            *self = Self { entries, width, ..Self::default() };
+        }
+        let at = self.next * width;
+        for (e, v) in self.entries[at..at + width].iter_mut().zip(record) {
+            *e = v;
+        }
+        self.next = (self.next + 1) % capacity;
+        self.filled = (self.filled + 1).min(capacity);
+    }
 }
 
 /// The EMD stride's per-source cadence: one bank of cache slots per window
 /// tag (0 = active `A`, 1 = stale `B`, so the two fingerprint cadences
 /// never evict each other), each slot holding a source's last IMF
-/// entropies and its staleness age.
+/// entropies, its staleness age and the position it was sifted on, plus
+/// the drift check's records of the classifier-independent sources.
 ///
 /// Above a stride of 1 this decides which extraction re-sifts a source and
 /// which reuses stale values, so it is session state, not scratch: a
@@ -174,16 +263,52 @@ struct EmdSlot {
 #[derive(Debug, Clone, Default)]
 pub struct EmdCadence {
     banks: [Vec<EmdSlot>; 2],
+    records: RecordRing,
 }
 
-/// One work item of the source sweep: the source sequence, its
-/// tracked substitutes, its EMD cache slot (with the stride budget), the
-/// disjoint output chunk it fills, and its per-source timing slot.
+/// The stride budget a cadence slot is consulted under: the stride, the
+/// end position of the window being extracted, and the farthest a stale
+/// value may be used from the window it was sifted on (`None`: no
+/// positional bound, only the stride's age).
+#[derive(Debug, Clone, Copy)]
+struct Budget {
+    stride: u32,
+    pos: u64,
+    reach: Option<u64>,
+}
+
+/// Where one source's IMF entropies come from in an extraction.
+#[derive(Debug)]
+enum EmdSource<'a> {
+    /// The worker's exact memo: stride 1, and a scanned sweep's
+    /// prediction-dependent sources.
+    Memo,
+    /// The source's cadence slot, under the stride budget.
+    Slot(&'a mut EmdSlot, Budget),
+    /// A drift-check record, read without sifting.
+    Record((f64, f64)),
+}
+
+/// Per-source EMD work since the engine was built (or its timings last
+/// reset): sequences sifted, and IMF entropies read from a drift-check
+/// record instead.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EmdCounts {
+    /// Sequences sifted (memo misses).
+    pub sifted: u64,
+    /// Extractions served by a drift-check record.
+    pub reused: u64,
+}
+
+/// One work item of the source sweep: the source sequence, its tracked
+/// substitutes, where its EMD comes from, the disjoint output chunk it
+/// fills, and its per-source timing slot and sift counter.
 type SourceTask<'a> = (
     &'a [f64],
     Option<TrackedVals>,
-    Option<(&'a mut EmdSlot, u32)>,
+    EmdSource<'a>,
     &'a mut [f64],
+    &'a mut u64,
     &'a mut u64,
 );
 
@@ -260,19 +385,22 @@ impl EmdMemo {
         config: &EmdConfig,
         scratch: &mut EmdScratch,
     ) -> (f64, f64) {
-        self.lookup_or_sift(xs, hash_seq(xs), config, scratch)
+        self.lookup_or_sift(xs, hash_seq(xs), config, scratch, &mut 0)
     }
 
-    /// [`EmdMemo::imf_entropies`] with `xs`'s [`hash_seq`] already known.
+    /// [`EmdMemo::imf_entropies`] with `xs`'s [`hash_seq`] already known;
+    /// a sifting adds one to `sifts`.
     fn lookup_or_sift(
         &mut self,
         xs: &[f64],
         hash: u64,
         config: &EmdConfig,
         scratch: &mut EmdScratch,
+        sifts: &mut u64,
     ) -> (f64, f64) {
         #[cfg(test)]
         if self.bypass {
+            *sifts += 1;
             return imf_entropies_scratch(xs, config, scratch);
         }
         if self.config != Some(*config) {
@@ -283,6 +411,7 @@ impl EmdMemo {
         if let Some(vals) = self.get(xs, hash) {
             return vals;
         }
+        *sifts += 1;
         let vals = imf_entropies_scratch(xs, config, scratch);
         self.insert(xs, hash, vals);
         vals
@@ -414,8 +543,20 @@ pub struct FingerprintEngine {
     /// Which EMD cache bank the current extraction uses (`None` = caching
     /// off for this call).
     active_bank: Option<usize>,
-    /// Per-source EMD cache slots of the stride above 1.
+    /// End position and length of the window the current extraction reads.
+    window_at: (u64, usize),
+    /// The drift check's period `P_C` and the stale window's delay `b`,
+    /// once set ([`FingerprintEngine::set_check_geometry`]); `None` keeps
+    /// the drift-check records off.
+    check_geometry: Option<(u64, u64)>,
+    /// Per-source EMD cache slots of the stride above 1, and the drift
+    /// check's records.
     emd_cadence: EmdCadence,
+    /// Each source's entry in a drift-check record, aligned with `kinds`
+    /// (`None`: the source depends on the classifier and has none).
+    record_index: Vec<Option<usize>>,
+    /// Per-source sifting and record-reuse counts, aligned with `kinds`.
+    emd_counts: Vec<EmdCounts>,
     /// One cached sequence buffer per selected source.
     seqs: Vec<Vec<f64>>,
     /// Incremental substitutes, aligned with `kinds` (`None` = batch).
@@ -455,13 +596,26 @@ impl FingerprintEngine {
                 .collect()
         };
         let n_sources = kinds.len();
+        let record_index = kinds
+            .iter()
+            .scan(0, |next, &k| {
+                Some(kind_is_static(k).then(|| {
+                    *next += 1;
+                    *next - 1
+                }))
+            })
+            .collect();
         Self {
             extractor,
             kinds,
             threads: 1,
             mode: ExtractionMode::EXACT,
             active_bank: None,
+            window_at: (0, 0),
+            check_geometry: None,
             emd_cadence: EmdCadence::default(),
+            record_index,
+            emd_counts: vec![EmdCounts::default(); n_sources],
             seqs: vec![Vec::new(); n_sources],
             tracked: Vec::new(),
             preds: Vec::new(),
@@ -523,11 +677,55 @@ impl FingerprintEngine {
     /// so stale reuse across the switch would mix classifiers. The
     /// workers' [`EmdMemo`]s are kept: they return entropies only for the
     /// exact sequence they were sifted from, whichever classifier produced
-    /// it.
+    /// it. So are the drift check's records: they hold only the
+    /// classifier-independent sources, whose content no classifier
+    /// changes, and each serves only windows within its reach (see
+    /// [`FingerprintEngine::set_check_geometry`]).
     pub fn invalidate_emd_cache(&mut self) {
         for bank in &mut self.emd_cadence.banks {
             bank.iter_mut().for_each(|s| s.valid = false);
         }
+    }
+
+    /// Tells the engine how a pipeline schedules its extractions: the
+    /// drift check extracts the active window `A` every `check_gap` (`P_C`)
+    /// pushes, and the stale window `B` lags `A` by `delay` (`b`) frames.
+    /// A bare engine has no geometry, and every extraction then follows
+    /// its own window's cadence.
+    ///
+    /// Above stride 1 the geometry makes the drift check's extraction of
+    /// `A` the one writer of the classifier-independent sources' IMF
+    /// entropies. Each such extraction records, per feature and label
+    /// source, the values it used and the window position they were
+    /// sifted on. The other requests for those sources — an extraction of
+    /// `B` and a static scan of `A` — read the recorded values sifted
+    /// nearest their own window instead of sifting, provided they lie
+    /// within `(emd_stride - 1) * check_gap` frames of it: the bound the
+    /// stride already sets on `A`'s own stale reuse. A request with no
+    /// record in reach — `B` during the post-drift cooldown, when `A` is
+    /// not checked — falls back to its window's own cadence slot. `B`'s
+    /// slot honours the same bound by position, since records serve `B`
+    /// without aging its slot; a scan's fallback ages `A`'s slot as
+    /// before. The prediction-dependent sources always keep their own
+    /// slots, and stride 1 never reads or writes a record.
+    pub fn set_check_geometry(&mut self, check_gap: usize, delay: usize) {
+        self.check_geometry = (check_gap > 0).then_some((check_gap as u64, delay as u64));
+    }
+
+    /// How far from its window a drift-check record may serve a request,
+    /// in frames, and how many records the ring keeps: enough to reach
+    /// back over `B`'s delay. `None` at stride 1 or without a geometry.
+    fn record_reach(&self) -> Option<(u64, usize)> {
+        let (gap, delay) = self.check_geometry?;
+        let reach = u64::from(self.mode.emd_stride.checked_sub(1).filter(|&k| k > 0)?) * gap;
+        Some((reach, ((delay + reach) / gap) as usize + 2))
+    }
+
+    /// Per-source sifting and record-reuse counts, as `(source name,
+    /// counts)` in schema order. Zeroed by
+    /// [`FingerprintEngine::reset_timings`].
+    pub fn emd_counts(&self) -> Vec<(String, EmdCounts)> {
+        self.kinds.iter().zip(&self.emd_counts).map(|(k, &c)| (k.name(), c)).collect()
     }
 
     /// The EMD stride's per-source cadence, for a session checkpoint.
@@ -575,9 +773,10 @@ impl FingerprintEngine {
         self.timed_extractions
     }
 
-    /// Zeroes the per-source timing accumulators.
+    /// Zeroes the per-source timing accumulators and EMD counts.
     pub fn reset_timings(&mut self) {
         self.source_nanos.iter_mut().for_each(|n| *n = 0);
+        self.emd_counts.iter_mut().for_each(|c| *c = EmdCounts::default());
         self.timed_extractions = 0;
     }
 
@@ -642,6 +841,27 @@ impl FingerprintEngine {
         self.fill_dynamic_sequences();
         let src_len = self.kinds.len() * self.extractor.functions().len();
         self.eval_sources(&mut out[..src_len], Pass::All);
+        if self.active_bank == Some(0) {
+            self.write_record();
+        }
+    }
+
+    /// Records the IMF entropies an extraction of `A` just used for its
+    /// classifier-independent sources, with the positions they were sifted
+    /// on (see [`FingerprintEngine::set_check_geometry`]).
+    fn write_record(&mut self) {
+        let Some((_, capacity)) = self.record_reach() else { return };
+        if !self.needs_emd() {
+            return;
+        }
+        let width = self.record_index.iter().flatten().count();
+        let EmdCadence { banks, records } = &mut self.emd_cadence;
+        let record = banks[0]
+            .iter()
+            .zip(&self.record_index)
+            .filter(|(_, r)| r.is_some())
+            .map(|(slot, _)| Sifted { origin: slot.origin, vals: slot.vals });
+        records.push(capacity, width, record);
     }
 
     /// Evaluates the classifier-independent sources of `window` into
@@ -726,6 +946,7 @@ impl FingerprintEngine {
     /// from `window`; `None` at stride 1, where every sift goes through the
     /// exact memo instead.
     fn set_active_bank(&mut self, window: &TrackedFrames<'_>) {
+        self.window_at = (window.end_position(), window.len());
         self.active_bank = if self.mode.emd_stride > 1 {
             let tag = window.window_tag().min(1);
             let n = self.kinds.len();
@@ -866,6 +1087,14 @@ impl FingerprintEngine {
         }
     }
 
+    /// Whether the extractor asks for IMF entropies at all.
+    fn needs_emd(&self) -> bool {
+        self.extractor
+            .functions()
+            .iter()
+            .any(|f| matches!(f, MetaFunction::ImfEntropy1 | MetaFunction::ImfEntropy2))
+    }
+
     /// Evaluates every (source, function) dimension of the sources `pass`
     /// covers into `out`, fanning sources across the worker pool when
     /// `threads > 1`.
@@ -875,9 +1104,7 @@ impl FingerprintEngine {
         if nf == 0 || self.kinds.is_empty() {
             return;
         }
-        let needs_emd = functions
-            .iter()
-            .any(|f| matches!(f, MetaFunction::ImfEntropy1 | MetaFunction::ImfEntropy2));
+        let needs_emd = self.needs_emd();
         let emd_cfg = *self.extractor.emd_config();
         // A sweep without the MI function skips the histogram.
         let mi_bins = if functions.contains(&MetaFunction::MutualInformation) {
@@ -885,44 +1112,74 @@ impl FingerprintEngine {
         } else {
             0
         };
-        let emd_stride = self.mode.emd_stride;
         // A scanned sweep scores many classifiers on one window: their
         // prediction-dependent sources have no incremental substitutes,
         // and an EMD cache slot would carry one classifier's entropies
         // over to the next.
         let stateful = pass != Pass::Dynamic;
+        let bank = self.active_bank.filter(|_| stateful);
+        // The drift check's extraction of `A` writes the records (see
+        // `set_check_geometry`); every other stateful request reads them.
+        let (pos, len) = self.window_at;
+        let reach = self.record_reach().filter(|_| needs_emd).map(|(reach, _)| reach);
+        let reads_records = bank.is_some() && !(bank == Some(0) && pass == Pass::All);
+        // `B`'s slot is not aged while records serve it, so its stale reuse
+        // is bounded by position as well; `A`'s slot is aged by every check.
+        let slot_reach = reach.filter(|_| bank == Some(1));
+        let budget = Budget { stride: self.mode.emd_stride, pos, reach: slot_reach };
         let kinds = &self.kinds;
         let tracked = &self.tracked;
         let seqs = &self.seqs;
+        let record_index = &self.record_index;
         let clock = self.clock.as_deref();
         let nanos = &mut self.source_nanos;
         if pass != Pass::Static && self.timed_extractions < u64::MAX {
             self.timed_extractions += clock.is_some() as u64;
         }
-        let cache = match self.active_bank {
-            Some(b) if stateful => Some(&mut self.emd_cadence.banks[b]),
-            _ => None,
-        };
+        let EmdCadence { banks, records } = &mut self.emd_cadence;
+        let records = &*records;
         // The bank holds one slot per source; without it, no source has one.
-        let slots = cache.into_iter().flatten().map(Some).chain(std::iter::repeat_with(|| None));
+        let slots = bank
+            .map(|b| &mut banks[b])
+            .into_iter()
+            .flatten()
+            .map(Some)
+            .chain(std::iter::repeat_with(|| None));
         // One work item per covered source; each owns a disjoint slice of
-        // `out` (and its own timing and EMD cache slots), so no
+        // `out` (and its own timing, counting and EMD cache slots), so no
         // synchronisation is needed and the result cannot depend on
-        // which worker runs it.
+        // which worker runs it. Records are looked up here, in source
+        // order, before any worker runs.
         let tasks = seqs
             .iter()
             .zip(out.chunks_mut(nf))
             .zip(nanos.iter_mut())
+            .zip(self.emd_counts.iter_mut())
             .zip(slots)
             .enumerate()
             .filter(|(i, _)| pass.covers(kinds[*i]))
-            .map(|(i, (((seq, chunk), nano), slot))| {
+            .map(|(i, ((((seq, chunk), nano), counts), slot))| {
                 let tv = if stateful { tracked.get(i).copied().flatten() } else { None };
-                (seq.as_slice(), tv, slot.map(|s| (s, emd_stride)), chunk, nano)
+                let record = match (reach, record_index[i]) {
+                    (Some(reach), Some(s)) if reads_records => records.nearest(s, pos, reach, len),
+                    _ => None,
+                };
+                let emd = match (record, slot) {
+                    (Some(vals), _) => {
+                        counts.reused += 1;
+                        EmdSource::Record(vals)
+                    }
+                    (None, Some(slot)) => EmdSource::Slot(slot, budget),
+                    (None, None) => EmdSource::Memo,
+                };
+                (seq.as_slice(), tv, emd, chunk, nano, &mut counts.sifted)
             });
-        let run = |worker: &mut SourceScratch, (seq, tv, slot, chunk, nano): SourceTask<'_>| {
+        let run = |worker: &mut SourceScratch, task: SourceTask<'_>| {
+            let (seq, tv, emd, chunk, nano, sifts) = task;
             let t0 = clock.map(Clock::now_nanos);
-            eval_source_into(seq, functions, needs_emd, &emd_cfg, mi_bins, tv, slot, worker, chunk);
+            eval_source_into(
+                seq, functions, needs_emd, &emd_cfg, mi_bins, tv, emd, worker, chunk, sifts,
+            );
             if let (Some(c), Some(t0)) = (clock, t0) {
                 *nano += c.now_nanos().saturating_sub(t0);
             }
@@ -998,25 +1255,30 @@ fn hash_seq(seq: &[f64]) -> u64 {
 
 /// EMD with the per-source cache: an unchanged sequence (by content hash)
 /// reuses the previous sifting exactly; a changed one reuses the stale
-/// values while the slot is within its stride budget, and is looked up in
-/// the worker's memo — sifted only if it is not there — otherwise.
+/// values while the slot is within its stride budget (fewer than
+/// `stride - 1` stale reuses so far, and sifted within `reach` frames of
+/// this window), and is looked up in the worker's memo, sifted only if it
+/// is not there, otherwise.
 fn cached_imf(
     seq: &[f64],
     emd_cfg: &EmdConfig,
     scratch: &mut SourceScratch,
     slot: &mut EmdSlot,
-    stride: u32,
+    budget: Budget,
+    sifts: &mut u64,
 ) -> (f64, f64) {
     let hash = hash_seq(seq);
     if slot.valid && slot.len == seq.len() && slot.hash == hash {
+        slot.origin = budget.pos;
         return slot.vals;
     }
-    if slot.valid && stride > 1 && slot.age + 1 < stride {
+    let near = budget.reach.is_none_or(|r| slot.origin.abs_diff(budget.pos) <= r);
+    if slot.valid && slot.age + 1 < budget.stride && near {
         slot.age += 1;
         return slot.vals;
     }
-    let vals = scratch.memo.lookup_or_sift(seq, hash, emd_cfg, &mut scratch.emd);
-    *slot = EmdSlot { hash, len: seq.len(), vals, age: 0, valid: true };
+    let vals = scratch.memo.lookup_or_sift(seq, hash, emd_cfg, &mut scratch.emd, sifts);
+    *slot = EmdSlot { hash, len: seq.len(), vals, age: 0, origin: budget.pos, valid: true };
     vals
 }
 
@@ -1026,10 +1288,10 @@ fn cached_imf(
 /// The sequence statistics come from one fused [`SourceSweep`], unless the
 /// tracked substitutes cover every function asked for: the substituted
 /// moments and the incrementally evaluated sequence statistics override
-/// the swept values they cover. EMD goes through the source's cache slot
-/// or the worker's memo. With no substitutes and no EMD cache slot, every
-/// value is bit-identical to the corresponding
-/// [`FingerprintExtractor::extract`] dimension.
+/// the swept values they cover. EMD comes from `emd` (counting siftings
+/// in `sifts`). With no substitutes and [`EmdSource::Memo`], every value is
+/// bit-identical to the corresponding [`FingerprintExtractor::extract`]
+/// dimension.
 #[allow(clippy::too_many_arguments)]
 fn eval_source_into(
     seq: &[f64],
@@ -1038,18 +1300,18 @@ fn eval_source_into(
     emd_cfg: &EmdConfig,
     mi_bins: usize,
     tracked: Option<TrackedVals>,
-    emd_slot: Option<(&mut EmdSlot, u32)>,
+    emd: EmdSource<'_>,
     scratch: &mut SourceScratch,
     out: &mut [f64],
+    sifts: &mut u64,
 ) {
-    let imf = if needs_emd {
-        Some(match emd_slot {
-            Some((slot, stride)) => cached_imf(seq, emd_cfg, scratch, slot, stride),
-            None => scratch.memo.lookup_or_sift(seq, hash_seq(seq), emd_cfg, &mut scratch.emd),
-        })
-    } else {
-        None
-    };
+    let imf = needs_emd.then(|| match emd {
+        EmdSource::Memo => {
+            scratch.memo.lookup_or_sift(seq, hash_seq(seq), emd_cfg, &mut scratch.emd, sifts)
+        }
+        EmdSource::Slot(slot, budget) => cached_imf(seq, emd_cfg, scratch, slot, budget, sifts),
+        EmdSource::Record(vals) => vals,
+    });
     let ext = tracked.and_then(|t| t.ext);
     let needs_sweep = functions.iter().any(|f| match f {
         MetaFunction::Mean | MetaFunction::StdDev | MetaFunction::Skew | MetaFunction::Kurtosis => {
@@ -1934,6 +2196,231 @@ mod tests {
             assert_eq!(crate::autocorr::pacf2_from(1.0, r2), 0.0);
             assert_eq!(crate::autocorr::pacf2_from(-1.0, r2), 0.0);
         }
+    }
+
+    /// The drift-check period the record tests schedule extractions at.
+    const GAP: usize = 3;
+
+    fn stride(emd_stride: u32) -> ExtractionMode {
+        ExtractionMode { incremental: false, emd_stride }
+    }
+
+    /// The IMF-entropy bits of the classifier-independent sources (the `d`
+    /// features, then the labels) of a full extractor's source section.
+    fn static_imf(out: &[f64], d: usize) -> Vec<[u64; 2]> {
+        (0..=d).map(|s| emd_dims_of(s).map(|i| out[i].to_bits())).collect()
+    }
+
+    /// The same bits sifted exactly from `window`'s own sequences.
+    fn sifted_imf(window: &TrackedFrames<'_>, config: &EmdConfig) -> Vec<[u64; 2]> {
+        let mut scratch = EmdScratch::new();
+        let d = window.dims();
+        (0..=d)
+            .map(|s| {
+                let seq: Vec<f64> = (0..window.len())
+                    .map(|i| if s < d { window.features(i)[s] } else { window.label(i) as f64 })
+                    .collect();
+                let (a, b) = imf_entropies_scratch(&seq, config, &mut scratch);
+                [a.to_bits(), b.to_bits()]
+            })
+            .collect()
+    }
+
+    fn reused(engine: &FingerprintEngine) -> Vec<u64> {
+        engine.emd_counts().iter().map(|(_, c)| c.reused).collect()
+    }
+
+    /// Whether static source `s`'s `got` bits were sifted on a window
+    /// ending within `reach` frames of `pos` (`by_end[p]` holds the exact
+    /// bits of the window ending at `p`).
+    fn sifted_within(
+        by_end: &[Vec<[u64; 2]>],
+        pos: u64,
+        reach: u64,
+        s: usize,
+        got: [u64; 2],
+    ) -> bool {
+        let lo = pos.saturating_sub(reach).max(1);
+        let hi = (pos + reach).min(by_end.len() as u64 - 1);
+        (lo..=hi).any(|p| by_end[p as usize][s] == got)
+    }
+
+    #[test]
+    fn records_keep_every_value_within_the_stride_bound() {
+        // The framework's schedule: a check every `GAP` pushes extracts `B`
+        // (once full) and then `A` (outside the cooldown); every 25 pushes
+        // a static scan of `A`; now and then a drift clears the buffer,
+        // invalidates the cadence and starts a `w + b` cooldown. Every
+        // static IMF value `B` uses, and every one a scan reads from a
+        // record, must equal the exact sifting of a window ending within
+        // `(stride - 1) * GAP` frames of the window it serves.
+        for emd_stride in [2u32, 4] {
+            let mut rng = Xoshiro256pp::seed_from_u64(80 + emd_stride as u64);
+            let (d, w, b) = (2, 30, 7);
+            let reach = u64::from(emd_stride - 1) * GAP as u64;
+            let ex = FingerprintExtractor::full(d);
+            let tree = trained_tree(&mut rng, d);
+            let mut engine = FingerprintEngine::new(ex.clone()).with_mode(stride(emd_stride));
+            engine.set_check_geometry(GAP, b);
+            let mut fw = FrameWindows::new(w, b, d);
+            let mut by_end: Vec<Vec<[u64; 2]>> = vec![Vec::new()];
+            let (mut out, mut scan) = (Vec::new(), StaticScan::new());
+            let (mut cooldown_until, mut b_checks, mut b_stale, mut scan_reads) = (0, 0, 0, 0);
+            for t in 1..=700u64 {
+                let x: Vec<f64> = (0..d).map(|_| rng.random_range(-2.0..2.0)).collect();
+                fw.push(&x, rng.random_range(0..2usize), 0);
+                by_end.push(sifted_imf(&fw.a_tracked(), ex.emd_config()));
+                let check = t.is_multiple_of(GAP as u64);
+                if check && fw.stale_is_full() {
+                    let window = fw.stale_tracked();
+                    engine.extract_keyed_into(&window, &tree, Some(t), &mut out);
+                    let q = window.end_position();
+                    for (s, got) in static_imf(&out, d).into_iter().enumerate() {
+                        let near = sifted_within(&by_end, q, reach, s, got);
+                        assert!(near, "stride {emd_stride}, t {t}: B source {s}");
+                        b_stale += (by_end[q as usize][s] != got) as usize;
+                    }
+                    b_checks += 1;
+                }
+                if check && t >= cooldown_until {
+                    engine.extract_keyed_into(&fw.a_tracked(), &tree, Some(t), &mut out);
+                }
+                if t.is_multiple_of(25) {
+                    let before = reused(&engine);
+                    engine.static_scan_tracked(&fw.a_tracked(), &mut scan);
+                    let after = reused(&engine);
+                    for (s, got) in static_imf(&scan.vals, d).into_iter().enumerate() {
+                        if after[s] > before[s] {
+                            scan_reads += 1;
+                            let near = sifted_within(&by_end, t, reach, s, got);
+                            assert!(near, "stride {emd_stride}, t {t}: scan source {s}");
+                        }
+                    }
+                }
+                if t > 100 && rng.random_range(0..150usize) == 0 {
+                    engine.invalidate_emd_cache();
+                    fw.clear_buffer();
+                    cooldown_until = t + (w + b) as u64;
+                }
+            }
+            assert!(
+                b_checks > 150 && b_stale > 0 && scan_reads > 0,
+                "stride {emd_stride}: {b_checks} {b_stale} {scan_reads}"
+            );
+            let dynamic_reads = reused(&engine).iter().skip(d + 1).sum::<u64>();
+            assert_eq!(dynamic_reads, 0, "dynamic sources keep their slots");
+        }
+    }
+
+    #[test]
+    fn stride_one_never_reads_or_writes_a_record() {
+        // A check geometry changes nothing at stride 1: every extraction of
+        // `B` and `A`, keyed, scanned or plain, stays bit-identical to the
+        // stateless extractor on the relabelled window.
+        let mut rng = Xoshiro256pp::seed_from_u64(81);
+        let (d, w, b) = (2, 30, 7);
+        let ex = FingerprintExtractor::full(d);
+        let tree = trained_tree(&mut rng, d);
+        let mut engine = FingerprintEngine::new(ex.clone());
+        engine.set_check_geometry(GAP, b);
+        let mut fw = FrameWindows::new(w, b, d);
+        let mut rows = Vec::new();
+        let (mut out, mut scan) = (Vec::new(), StaticScan::new());
+        for t in 1..=120u64 {
+            let o = window(&mut rng, 1, d, 2).pop().unwrap();
+            fw.push(o.features(), o.label(), o.prediction);
+            rows.push(o);
+            if !t.is_multiple_of(GAP as u64) || !fw.stale_is_full() {
+                continue;
+            }
+            let n = rows.len();
+            engine.extract_keyed_into(&fw.stale_tracked(), &tree, Some(t), &mut out);
+            assert_eq!(bits(&out), bits(&relabelled_oracle(&ex, &rows[n - b - w..n - b], &tree)));
+            let want_a = bits(&relabelled_oracle(&ex, &rows[n - w..], &tree));
+            engine.extract_keyed_into(&fw.a_tracked(), &tree, Some(t), &mut out);
+            assert_eq!(bits(&out), want_a, "t {t}: A");
+            engine.static_scan_tracked(&fw.a_tracked(), &mut scan);
+            engine.extract_with_scan(&fw.a_tracked(), &scan, &tree, &mut out);
+            assert_eq!(bits(&out), want_a, "t {t}: scanned A");
+        }
+        assert_eq!(engine.emd_cadence.records.filled, 0, "no record written");
+        assert!(reused(&engine).iter().all(|&n| n == 0), "no record read");
+    }
+
+    #[test]
+    fn b_without_a_record_in_reach_follows_its_own_cadence() {
+        // After a drift (cadence invalidated, buffer cleared) `A` is not
+        // checked, so `B` refills with no record in reach: it must re-sift
+        // and reuse on its own slot's cadence, exactly as an engine with
+        // no records at all does under the same calls.
+        let mut rng = Xoshiro256pp::seed_from_u64(82);
+        let (d, w, b) = (2, 30, 7);
+        let ex = FingerprintExtractor::full(d);
+        let tree = trained_tree(&mut rng, d);
+        let mut engine = FingerprintEngine::new(ex.clone()).with_mode(stride(2));
+        engine.set_check_geometry(GAP, b);
+        let mut plain = FingerprintEngine::new(ex).with_mode(stride(2));
+        let mut fw = FrameWindows::new(w, b, d);
+        let (mut out, mut want, mut prev) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut differed, mut cooldown_checks, mut cooldown_reuses) = (false, 0, 0);
+        let drift_at = 150u64;
+        for t in 1..=drift_at + 120 {
+            let x: Vec<f64> = (0..d).map(|_| rng.random_range(-2.0..2.0)).collect();
+            fw.push(&x, rng.random_range(0..2usize), 0);
+            if t == drift_at {
+                for e in [&mut engine, &mut plain] {
+                    e.invalidate_emd_cache();
+                }
+                fw.clear_buffer();
+            }
+            if !t.is_multiple_of(GAP as u64) {
+                continue;
+            }
+            let reused_before = reused(&engine);
+            if fw.stale_is_full() {
+                engine.extract_keyed_into(&fw.stale_tracked(), &tree, Some(t), &mut out);
+                plain.extract_keyed_into(&fw.stale_tracked(), &tree, Some(t), &mut want);
+                if t < drift_at {
+                    differed |= bits(&out) != bits(&want);
+                } else {
+                    assert_eq!(bits(&out), bits(&want), "t {t}: cooldown B follows its own slot");
+                    assert_eq!(reused(&engine), reused_before, "t {t}: no record read");
+                    cooldown_reuses += (static_imf(&out, d) == static_imf(&prev, d)) as usize;
+                    cooldown_checks += 1;
+                }
+                prev.clone_from(&out);
+            }
+            if t < drift_at {
+                engine.extract_keyed_into(&fw.a_tracked(), &tree, Some(t), &mut out);
+                plain.extract_keyed_into(&fw.a_tracked(), &tree, Some(t), &mut want);
+            }
+        }
+        assert!(differed, "before the drift B read A's records");
+        assert!(cooldown_checks > 10 && cooldown_reuses > 0, "{cooldown_checks} {cooldown_reuses}");
+    }
+
+    #[test]
+    fn invalidation_keeps_the_records() {
+        // Static content does not depend on the classifier, so a classifier
+        // switch leaves the drift check's records readable: right after
+        // `invalidate_emd_cache`, a scan of the same `A` reads the record
+        // its check just wrote, sifting nothing.
+        let mut rng = Xoshiro256pp::seed_from_u64(83);
+        let d = 2;
+        let tree = trained_tree(&mut rng, d);
+        let mut engine = FingerprintEngine::new(FingerprintExtractor::full(d)).with_mode(stride(2));
+        engine.set_check_geometry(GAP, 5);
+        let fw = frames_of(&window(&mut rng, 60, d, 2), 40);
+        let mut out = Vec::new();
+        engine.extract_keyed_into(&fw.a_tracked(), &tree, Some(1), &mut out);
+        engine.invalidate_emd_cache();
+        let sifted: Vec<u64> = engine.emd_counts().iter().map(|(_, c)| c.sifted).collect();
+        let mut scan = StaticScan::new();
+        engine.static_scan_tracked(&fw.a_tracked(), &mut scan);
+        assert_eq!(static_imf(&scan.vals, d), static_imf(&out, d));
+        assert_eq!(reused(&engine)[..=d], vec![1; d + 1]);
+        let after: Vec<u64> = engine.emd_counts().iter().map(|(_, c)| c.sifted).collect();
+        assert_eq!(sifted, after, "a record read sifts nothing");
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod sweep;
 
 pub use autocorr::{autocorrelation, partial_autocorrelation};
 pub use emd::{imf_entropies, imf_entropies_scratch, EmdConfig, EmdScratch};
-pub use engine::{EmdCadence, EmdMemo, ExtractionMode, FingerprintEngine, StaticScan};
+pub use engine::{EmdCadence, EmdCounts, EmdMemo, ExtractionMode, FingerprintEngine, StaticScan};
 pub use extractor::{DimensionInfo, FingerprintExtractor, FingerprintSchema, SourceSelection};
 pub use functions::{kurtosis, mean, skewness, std_dev, turning_point_rate, MetaFunction};
 pub use mutual_info::lagged_mutual_information;

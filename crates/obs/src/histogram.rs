@@ -108,15 +108,6 @@ impl LatencyHistogram {
         }
         self.max
     }
-
-    /// Non-empty buckets as `(lower_bound_nanos, count)` pairs.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (1u64 << i, c))
-    }
 }
 
 #[cfg(test)]

@@ -205,6 +205,15 @@ impl<'a> TrackedFrames<'a> {
         self.newest_age
     }
 
+    /// The window's end position in the stream: how many frames had been
+    /// pushed when its newest frame arrived (`pushed - newest_age`). `A`
+    /// and `B` of one ring position end `b` apart, and `B` now ends where
+    /// `A` ended `b` pushes ago, so positions compare windows across
+    /// steps. 0 for a `B` that no frame has reached yet.
+    pub fn end_position(&self) -> u64 {
+        self.store.pushed().saturating_sub(self.newest_age as u64)
+    }
+
     /// Which window of Algorithm 1 this is (0 = active `A`, 1 = stale
     /// `B`); keys the engine's per-window result caches.
     pub fn window_tag(&self) -> usize {
@@ -731,6 +740,24 @@ mod tests {
         // Frame 0 is now b steps old and graduates.
         assert_eq!(frames.stale_len(), 1);
         assert_eq!(frames.stale_tracked().features(0), &[0.0]);
+    }
+
+    #[test]
+    fn stale_window_ends_where_the_active_window_ended_b_pushes_ago() {
+        let (w, b) = (4, 3);
+        let mut frames = FrameWindows::new(w, b, 1);
+        let mut a_at = Vec::new();
+        for i in 0..20u64 {
+            frames.push(&[i as f64], 0, 0);
+            let (a, s) = (frames.a_tracked(), frames.stale_tracked());
+            assert_eq!(a.end_position(), i + 1, "A ends at the newest push");
+            assert_eq!(s.end_position(), (i + 1).saturating_sub(b as u64));
+            a_at.push((0..a.len()).map(|k| a.features(k)[0]).collect::<Vec<_>>());
+            if frames.stale_is_full() {
+                let stale: Vec<f64> = (0..s.len()).map(|k| s.features(k)[0]).collect();
+                assert_eq!(stale, a_at[s.end_position() as usize - 1], "push {i}");
+            }
+        }
     }
 
     #[test]

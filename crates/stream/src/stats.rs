@@ -80,15 +80,6 @@ impl RunningStats {
         self.variance().sqrt()
     }
 
-    /// Sample (Bessel-corrected) variance; 0 when fewer than two values.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Resets to empty. Used by fingerprint plasticity events (Section IV).
     pub fn reset(&mut self) {
         *self = Self::default();
