@@ -87,6 +87,25 @@ fi
 cargo run --release -q -p ficsum-bench --bin quality -- \
   --quick --seeds 3 --only STAGGER,RTREE-U --check BENCH_quality.json
 
+echo "== experiment smoke (the other paper-metric binaries) =="
+# Every paper-metric binary is a spec over the evaluation grid
+# (ficsum_bench::harness::Grid); the quality gate above runs one of them.
+# This runs the other six once at their smallest settings (12k-observation
+# streams, one seed, one or two datasets where the spec has many), so a
+# spec or a table that panics fails here. Table IV runs two datasets, which
+# exercises its Friedman/Nemenyi line. Stdout is discarded; together they
+# take about half a minute on 2 cores.
+smoke() {
+  cargo run --release -q -p ficsum-bench --bin "$1" -- --quick --seeds 1 "${@:2}" > /dev/null
+  echo "$1: exit 0"
+}
+smoke table3_discrimination --only STAGGER
+smoke table4_performance --only STAGGER,CMC
+smoke table5_meta_functions
+smoke table6_frameworks --only STAGGER
+smoke ablations
+smoke fig3_sensitivity
+
 echo "== fault-injection tests (ficsum-serve) =="
 # Supervision, quarantine, checkpoint-restore and deadline behaviour under
 # deterministic injected faults (DESIGN.md "Fault tolerance & recovery").

@@ -8,12 +8,8 @@
 //! Dynamic weighting (weighted vs unweighted cosine) and the Fisher-score
 //! weight components are not run: neither is a config switch.
 
-use ficsum_baselines::FicsumSystem;
-use ficsum_bench::harness::{build_stream, metric, run_options, Options};
-use ficsum_bench::jsonl_out::JsonlReporter;
+use ficsum_bench::harness::{Dataset, Grid, Options, System};
 use ficsum_core::{FicsumConfig, Variant};
-use ficsum_eval::{evaluate_with, format_cell, Table};
-use ficsum_stream::StreamSource;
 
 const DATASETS: [&str; 4] = ["STAGGER", "RTREE-U", "Arabic", "RBF"];
 
@@ -29,42 +25,20 @@ fn variants() -> Vec<(&'static str, FicsumConfig)> {
 }
 
 fn main() {
-    let opts = Options::from_args();
-    let mut reporter = JsonlReporter::from_options("ablations", &opts);
-    let headers: Vec<&str> = std::iter::once("Configuration")
-        .chain(DATASETS.iter().copied())
-        .collect();
-    let mut kappa_table = Table::new(&headers);
-    let mut cf1_table = Table::new(&headers);
-    for (label, config) in variants() {
-        let mut kappa_cells = Vec::new();
-        let mut cf1_cells = Vec::new();
-        for name in DATASETS {
-            let results = opts.run_seeds(|seed| {
-                let mut stream = build_stream(name, seed, &opts);
-                let (d, k) = (stream.dims(), stream.n_classes());
-                let mut system = FicsumSystem::with_config(d, k, Variant::Full, config);
-                evaluate_with(&mut system, &mut stream, &run_options(k, seed, &opts))
-            });
-            if let Some(rep) = reporter.as_mut() {
-                for r in &results {
-                    rep.record(name, r);
-                }
-            }
-            kappa_cells.push(format_cell(&metric(&results, |r| r.kappa)));
-            cf1_cells.push(format_cell(&metric(&results, |r| r.c_f1)));
-        }
-        kappa_table.add_row(label, kappa_cells);
-        cf1_table.add_row(label, cf1_cells);
-        eprintln!("[ablations] {label} done");
+    let report = Grid {
+        experiment: "ablations",
+        systems: variants()
+            .into_iter()
+            .map(|(label, config)| System::ficsum(label, Variant::Full, config))
+            .collect(),
+        datasets: DATASETS.map(Dataset::named).into(),
+        observed: true,
     }
+    .run(&Options::from_args(2));
     println!("Ablations — kappa statistic\n");
-    println!("{}", kappa_table.render());
+    println!("{}", report.table_by_system("Configuration", |r| r.kappa).render());
     println!("Ablations — C-F1\n");
-    println!("{}", cf1_table.render());
-    if let Some(rep) = reporter {
-        rep.finish();
-    }
+    println!("{}", report.table_by_system("Configuration", |r| r.c_f1).render());
 }
 
 #[cfg(test)]

@@ -376,7 +376,7 @@ fn main() {
         rep.record_throughput("engine_timed", &timed);
         rep.record_throughput("stream_batch", &stream_batch);
         rep.record_throughput("stream_incremental", &stream_incr);
-        rep.finish();
+        rep.flush();
     }
 }
 

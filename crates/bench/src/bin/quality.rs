@@ -1,11 +1,11 @@
 //! EMD-stride quality harness: the paper's metrics across seeds at each
 //! EMD stride, and the rule that picks the default stride.
 //!
-//! Full FiCSUM (default configuration, batch statistics) runs over every
-//! Table IV dataset for each seed and each stride. Every run records
-//! kappa, C-F1 and runtime, and, from its recorded events
-//! ([`ficsum_eval::ObsSummary`]), false alarms, misses and mean detection
-//! delay. A stride qualifies as the default when it passes both halves of
+//! A grid spec ([`ficsum_bench::harness::Grid`]): full FiCSUM (default
+//! configuration, batch statistics) at each stride is a system, run over
+//! every Table IV dataset for each seed. Every run records kappa, C-F1 and
+//! runtime, and, from its recorded events ([`ficsum_eval::ObsSummary`]),
+//! false alarms, misses and mean detection delay. A stride qualifies as the default when it passes both halves of
 //! the rule:
 //!
 //! * **Quality.** The strides are the systems of Table IV's rank
@@ -22,11 +22,11 @@
 //!
 //! ```text
 //! quality [--seeds N] [--strides 1,2,4,8] [--quick] [--only NAME[,NAME...]]
-//!         [--out PATH | --append PATH] [--check PATH]
+//!         [--out PATH | --append PATH] [--check PATH] [--jsonl PATH]
 //! ```
 //!
-//! `--quick` truncates every stream to 12k observations and keeps the seed
-//! count. `--out` writes the run as JSON lines (machine, one line per run,
+//! `--quick` truncates every stream to 12k observations; the seed count
+//! stays `--seeds` (default 5). `--out` writes the run as JSON lines (machine, one line per run,
 //! per-dataset stride-1 seed spreads, ranks, sign tests and the decision),
 //! each tagged with its subset (`full` or `quick`); `--append` adds them to
 //! an existing file. `--check PATH` is a regression gate, run at strides 1
@@ -36,192 +36,71 @@
 //! subset.
 
 use ficsum_baselines::FicsumSystem;
-use ficsum_bench::harness::{build_stream, fan_out, Options};
+use ficsum_bench::harness::{
+    detection_delay, false_alarms, misses, Dataset, Grid, Metric, Options, Report, System,
+};
 use ficsum_bench::throughput::{json_field, read_baseline};
 use ficsum_core::{FicsumBuilder, FicsumConfig, Variant};
-use ficsum_eval::{
-    evaluate_with, format_cell, friedman_test, mean_std, nemenyi_critical_difference,
-    sign_test_higher, RunOptions, SignTest, Table,
-};
+use ficsum_eval::RunResult;
 use ficsum_meta::ExtractionMode;
 use ficsum_obs::jsonl::{format_record, JsonValue};
-use ficsum_stream::StreamSource;
-use ficsum_synth::ALL_DATASETS;
 
 /// Significance level of the detection sign tests.
 const ALPHA: f64 = 0.05;
 
-struct Args {
-    opts: Options,
-    strides: Vec<u32>,
-    out: Option<String>,
-    append: bool,
-    check: Option<String>,
+fn kappa(r: &RunResult) -> f64 {
+    r.kappa
 }
 
-fn parse_args() -> Args {
-    let args: Vec<String> = std::env::args().collect();
-    let mut a = Args {
-        opts: Options { seeds: 5, quick: false, only: None, jsonl: None },
-        strides: Vec::new(),
-        out: None,
-        append: false,
-        check: None,
-    };
-    let val =
-        |i: usize| args.get(i + 1).cloned().unwrap_or_else(|| panic!("{} needs a value", args[i]));
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seeds" => a.opts.seeds = val(i).parse().expect("--seeds requires a number"),
-            "--quick" => {
-                a.opts.quick = true;
-                i += 1;
-                continue;
-            }
-            "--only" => a.opts.only = Some(val(i)),
+fn c_f1(r: &RunResult) -> f64 {
+    r.c_f1
+}
+
+/// Full FiCSUM at EMD stride `stride`, labelled `stride {stride}`.
+fn at_stride(stride: u32) -> System {
+    System::new(format!("stride {stride}"), move |d, k| {
+        let ficsum = FicsumBuilder::new(d, k)
+            .variant(Variant::Full)
+            .config(FicsumConfig::default())
+            .emd_stride(stride)
+            .build()
+            .expect("the default configuration is valid");
+        Box::new(FicsumSystem::from_instance(ficsum, Variant::Full.name()))
+    })
+}
+
+fn main() {
+    let flags = ["--strides", "--out", "--append", "--check"];
+    let (opts, given) = Options::parse(std::env::args().skip(1), 5, &flags);
+    let (mut strides, mut out, mut append, mut check) = (Vec::new(), None, false, None);
+    for (flag, value) in given {
+        match flag {
             "--strides" => {
-                a.strides = val(i)
+                strides = value
                     .split(',')
                     .map(|s| s.trim().parse().expect("--strides takes numbers, e.g. 1,2,4,8"))
                     .collect()
             }
-            "--out" => a.out = Some(val(i)),
-            "--append" => {
-                a.out = Some(val(i));
-                a.append = true;
-            }
-            "--check" => a.check = Some(val(i)),
-            other => panic!(
-                "unknown option {other}; supported: --seeds N, --strides LIST, --quick, \
-                 --only NAMES, --out PATH, --append PATH, --check PATH"
-            ),
+            "--check" => check = Some(value),
+            _ => (out, append) = (Some(value), flag == "--append"),
         }
-        i += 2;
     }
-    if a.strides.is_empty() {
-        a.strides = if a.check.is_some() {
+    if strides.is_empty() {
+        strides = if check.is_some() {
             vec![1, ExtractionMode::default().emd_stride]
         } else {
             vec![1, 2, 4, 8]
         };
     }
-    assert_eq!(a.strides.first(), Some(&1), "--strides must start with 1, the exact reference");
-    a
-}
-
-/// One (dataset, stride, seed) run.
-struct Run {
-    kappa: f64,
-    c_f1: f64,
-    runtime_s: f64,
-    truth_changes: u64,
-    false_alarms: u64,
-    missed: u64,
-    delay: Option<f64>,
-}
-
-fn run_one(name: &str, stride: u32, seed: u64, opts: &Options) -> Run {
-    let mut stream = build_stream(name, seed, opts);
-    let (d, k) = (stream.dims(), stream.n_classes());
-    let ficsum = FicsumBuilder::new(d, k)
-        .variant(Variant::Full)
-        .config(FicsumConfig::default())
-        .emd_stride(stride)
-        .build()
-        .expect("the default configuration is valid");
-    let mut system = FicsumSystem::from_instance(ficsum, Variant::Full.name());
-    let r = evaluate_with(&mut system, &mut stream, &RunOptions::new(k).seed(seed).observed());
-    let obs = r.observability.expect("observed runs carry a summary");
-    Run {
-        kappa: r.kappa,
-        c_f1: r.c_f1,
-        runtime_s: r.runtime_s,
-        truth_changes: obs.n_truth_changes,
-        false_alarms: obs.false_alarms,
-        missed: obs.missed,
-        delay: obs.mean_detection_delay,
+    assert_eq!(strides.first(), Some(&1), "--strides must start with 1, the exact reference");
+    let report = Grid {
+        experiment: "quality",
+        systems: strides.iter().map(|&k| at_stride(k)).collect(),
+        datasets: Dataset::all(),
+        observed: true,
     }
-}
-
-/// Every run of one dataset, indexed `[stride][seed]`.
-struct Cell {
-    name: &'static str,
-    runs: Vec<Vec<Run>>,
-}
-
-impl Cell {
-    fn values(&self, s: usize, f: Metric) -> Vec<f64> {
-        self.runs[s].iter().map(f).collect()
-    }
-
-    fn mean(&self, s: usize, f: Metric) -> f64 {
-        mean_std(&self.values(s, f)).0
-    }
-
-    /// Max − min over seeds.
-    fn spread(&self, s: usize, f: Metric) -> f64 {
-        let v = self.values(s, f);
-        v.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-            - v.iter().cloned().fold(f64::INFINITY, f64::min)
-    }
-}
-
-/// Reads one metric off a run.
-type Metric = fn(&Run) -> f64;
-
-fn kappa(r: &Run) -> f64 {
-    r.kappa
-}
-
-fn c_f1(r: &Run) -> f64 {
-    r.c_f1
-}
-
-/// The detection half of the rule for stride index `s`: sign tests of
-/// stride `s` against stride 1 on false alarms, misses and delay.
-fn detection_tests(cells: &[Cell], s: usize) -> [(&'static str, SignTest); 3] {
-    let pairs = || {
-        cells.iter().flat_map(move |c| {
-            c.runs[s].iter().zip(&c.runs[0]).filter(|(_, base)| base.truth_changes > 0)
-        })
-    };
-    [
-        (
-            "false_alarms",
-            sign_test_higher(pairs().map(|(k, b)| (k.false_alarms as f64, b.false_alarms as f64))),
-        ),
-        ("misses", sign_test_higher(pairs().map(|(k, b)| (k.missed as f64, b.missed as f64)))),
-        (
-            "detection_delay",
-            sign_test_higher(pairs().filter_map(|(k, b)| Some((k.delay?, b.delay?)))),
-        ),
-    ]
-}
-
-fn main() {
-    let args = parse_args();
-    let opts = &args.opts;
-    let strides = &args.strides;
+    .run(&opts);
     let subset = if opts.quick { "quick" } else { "full" };
-    let names: Vec<&'static str> =
-        ALL_DATASETS.iter().map(|s| s.name).filter(|n| opts.selected(n)).collect();
-    assert!(!names.is_empty(), "--only selected no dataset");
-    let n_seeds = opts.seeds as usize;
-
-    let cells: Vec<Cell> = names
-        .iter()
-        .map(|&name| {
-            // One job per (stride, seed), fanned out like any seed set.
-            let mut flat = fan_out(strides.len() * n_seeds, |j| {
-                run_one(name, strides[j / n_seeds], (j % n_seeds) as u64 + 1, opts)
-            })
-            .into_iter();
-            let runs = strides.iter().map(|_| flat.by_ref().take(n_seeds).collect()).collect();
-            eprintln!("[quality] {name} done");
-            Cell { name, runs }
-        })
-        .collect();
 
     let mut lines: Vec<String> = Vec::new();
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get()) as u64;
@@ -235,77 +114,58 @@ fn main() {
         ("quick", JsonValue::Bool(opts.quick)),
     ]));
 
-    let stride_heads: Vec<String> = strides.iter().map(|k| format!("stride {k}")).collect();
-    let header: Vec<&str> =
-        std::iter::once("Dataset").chain(stride_heads.iter().map(String::as_str)).collect();
     let metrics: [(&str, Metric); 6] = [
         ("kappa", kappa),
         ("C-F1", c_f1),
-        ("false alarms", |r| r.false_alarms as f64),
-        ("misses", |r| r.missed as f64),
-        ("detection delay", |r| r.delay.unwrap_or(f64::NAN)),
+        ("false alarms", false_alarms),
+        ("misses", misses),
+        ("detection delay", detection_delay),
         ("runtime (s)", |r| r.runtime_s),
     ];
     for (label, f) in metrics {
-        let mut table = Table::new(&header);
-        for c in &cells {
-            table.add_row(
-                c.name,
-                (0..strides.len()).map(|s| format_cell(&c.values(s, f))).collect(),
-            );
-        }
-        println!("Quality — {label}, mean (sd) over {n_seeds} seeds\n");
-        println!("{}", table.render());
+        println!("Quality — {label}, mean (sd) over {} seeds\n", opts.seeds);
+        println!("{}", report.table("Dataset", f).render());
     }
 
-    for c in &cells {
+    for (d, dataset) in report.datasets.iter().enumerate() {
         for (s, &stride) in strides.iter().enumerate() {
-            for (i, r) in c.runs[s].iter().enumerate() {
+            for r in report.runs(d, s) {
+                let obs = r.observability.as_ref().expect("FiCSUM runs are observed");
                 lines.push(format_record(&[
                     ("kind", JsonValue::Str("run")),
                     ("subset", JsonValue::Str(subset)),
-                    ("dataset", JsonValue::Str(c.name)),
+                    ("dataset", JsonValue::Str(dataset)),
                     ("stride", JsonValue::Int(stride as u64)),
-                    ("seed", JsonValue::Int(i as u64 + 1)),
+                    ("seed", JsonValue::Int(r.seed)),
                     ("kappa", JsonValue::Num(r.kappa)),
                     ("c_f1", JsonValue::Num(r.c_f1)),
                     ("runtime_s", JsonValue::Num(r.runtime_s)),
-                    ("truth_changes", JsonValue::Int(r.truth_changes)),
-                    ("false_alarms", JsonValue::Int(r.false_alarms)),
-                    ("misses", JsonValue::Int(r.missed)),
-                    ("mean_detection_delay", JsonValue::Num(r.delay.unwrap_or(f64::NAN))),
+                    ("truth_changes", JsonValue::Int(obs.n_truth_changes)),
+                    ("false_alarms", JsonValue::Int(obs.false_alarms)),
+                    ("misses", JsonValue::Int(obs.missed)),
+                    ("mean_detection_delay", JsonValue::Num(detection_delay(r))),
                 ]));
             }
         }
         lines.push(format_record(&[
             ("kind", JsonValue::Str("spread")),
             ("subset", JsonValue::Str(subset)),
-            ("dataset", JsonValue::Str(c.name)),
+            ("dataset", JsonValue::Str(dataset)),
             ("stride", JsonValue::Int(1)),
             ("seeds", JsonValue::Int(opts.seeds)),
-            ("kappa_mean", JsonValue::Num(c.mean(0, kappa))),
-            ("kappa_spread", JsonValue::Num(c.spread(0, kappa))),
-            ("c_f1_mean", JsonValue::Num(c.mean(0, c_f1))),
-            ("c_f1_spread", JsonValue::Num(c.spread(0, c_f1))),
+            ("kappa_mean", JsonValue::Num(report.mean(d, 0, kappa))),
+            ("kappa_spread", JsonValue::Num(report.spread(d, 0, kappa))),
+            ("c_f1_mean", JsonValue::Num(report.mean(d, 0, c_f1))),
+            ("c_f1_spread", JsonValue::Num(report.spread(d, 0, c_f1))),
         ]));
     }
 
     // Quality: strides as systems, ranked over the datasets.
-    let cd = nemenyi_critical_difference(strides.len(), cells.len());
     let mut quality_ok = vec![true; strides.len()];
     for (label, f) in [("kappa", kappa as Metric), ("c_f1", c_f1)] {
-        let rows: Vec<Vec<f64>> =
-            cells.iter().map(|c| (0..strides.len()).map(|s| c.mean(s, f)).collect()).collect();
-        let outcome = friedman_test(&rows);
+        let (outcome, cd) = report.ranks(f);
         let ranks = &outcome.average_ranks;
-        let shown: Vec<String> =
-            strides.iter().zip(ranks).map(|(k, r)| format!("stride {k}={r:.2}")).collect();
-        println!(
-            "{label}: avg ranks {} | Friedman chi2={:.2} p={:.4} | Nemenyi CD(0.05)={cd:.2}",
-            shown.join(" "),
-            outcome.chi_square,
-            outcome.p_value
-        );
+        println!("{}", report.rank_line(label, f));
         for (s, &stride) in strides.iter().enumerate() {
             let ok = ranks[s] - ranks[0] <= cd;
             quality_ok[s] &= ok;
@@ -327,7 +187,7 @@ fn main() {
     let mut qualified = vec![1u32];
     for (s, &stride) in strides.iter().enumerate().skip(1) {
         let mut detection_ok = true;
-        for (label, t) in detection_tests(&cells, s) {
+        for (label, t) in report.sign_tests(s, 0) {
             let higher = t.p_value < ALPHA;
             detection_ok &= !higher;
             println!(
@@ -372,8 +232,8 @@ fn main() {
         ("chosen_stride", JsonValue::Int(chosen as u64)),
     ]));
 
-    if let Some(path) = &args.out {
-        let mut text = if args.append {
+    if let Some(path) = &out {
+        let mut text = if append {
             std::fs::read_to_string(path).unwrap_or_default()
         } else {
             String::new()
@@ -384,35 +244,34 @@ fn main() {
         }
         std::fs::write(path, text).unwrap_or_else(|e| panic!("--out {path}: {e}"));
     }
-    if let Some(path) = &args.check {
-        check(path, subset, &cells, strides);
+    if let Some(path) = &check {
+        check_against(path, subset, &report, &strides);
     }
 }
 
 /// The regression gate (see the module docs): the default stride against
 /// stride 1, per dataset, within the recorded stride-1 seed spread.
-fn check(path: &str, subset: &str, cells: &[Cell], strides: &[u32]) {
+fn check_against(path: &str, subset: &str, report: &Report, strides: &[u32]) {
     let baseline = read_baseline(path);
     let default = ExtractionMode::default().emd_stride;
     let s = strides.iter().position(|&k| k == default).expect("--check runs the default stride");
     let mut failed = false;
-    for c in cells {
-        let tag = format!("\"subset\":\"{subset}\",\"dataset\":\"{}\"", c.name);
+    for (d, dataset) in report.datasets.iter().enumerate() {
+        let tag = format!("\"subset\":\"{subset}\",\"dataset\":\"{dataset}\"");
         let line = baseline
             .lines()
             .find(|l| l.starts_with("{\"kind\":\"spread\"") && l.contains(&tag))
-            .unwrap_or_else(|| panic!("--check {path}: no {subset} spread line for {}", c.name));
+            .unwrap_or_else(|| panic!("--check {path}: no {subset} spread line for {dataset}"));
         for (label, f, field) in
             [("kappa", kappa as Metric, "kappa_spread"), ("C-F1", c_f1, "c_f1_spread")]
         {
             let spread = json_field(line, field)
-                .unwrap_or_else(|| panic!("--check {path}: no {field} for {}", c.name));
-            let (base, got) = (c.mean(0, f), c.mean(s, f));
+                .unwrap_or_else(|| panic!("--check {path}: no {field} for {dataset}"));
+            let (base, got) = (report.mean(d, 0, f), report.mean(d, s, f));
             let ok = got >= base - spread;
             println!(
-                "quality check {} {label}: stride {default} {got:.4} vs stride 1 {base:.4} \
+                "quality check {dataset} {label}: stride {default} {got:.4} vs stride 1 {base:.4} \
                  (tolerance {spread:.4}) {}",
-                c.name,
                 if ok { "ok" } else { "FAILED" }
             );
             failed |= !ok;

@@ -1,54 +1,54 @@
 //! Table VI: kappa / C-F1 / runtime of HTCD, RCD, ER, DWM, ARF and FiCSUM
-//! over the nine framework-comparison datasets.
+//! over the nine framework-comparison datasets. The runs carry no recorder
+//! (unless `--jsonl` is given), so every framework is timed bare.
 
-use ficsum_bench::harness::{metric, run_framework, Framework, Options};
-use ficsum_bench::jsonl_out::JsonlReporter;
-use ficsum_eval::{format_cell, Table};
+use ficsum_baselines::{EnsembleSystem, Htcd, Rcd};
+use ficsum_bench::harness::{Dataset, Grid, Options, System};
+use ficsum_core::{FicsumConfig, Variant};
 
 /// The nine datasets of the paper's Table VI (columns there; rows here).
 const DATASETS: [&str; 9] =
     ["AQSex", "CMC", "UCI-Wine", "RBF", "RTREE-U", "Arabic", "HPLANE-U", "QG", "STAGGER"];
 
+/// The Table VI frameworks, in paper order.
+fn frameworks() -> Vec<System> {
+    vec![
+        System::new("HTCD", |d, k| Box::new(Htcd::new(d, k))),
+        System::new("RCD", |d, k| Box::new(Rcd::new(d, k))),
+        System::ficsum("ER", Variant::ErrorRate, FicsumConfig::default()),
+        System::new("DWM", |d, k| Box::new(EnsembleSystem::dwm(d, k))),
+        System::new("ARF", |d, k| Box::new(EnsembleSystem::arf(d, k))),
+        System::ficsum("FiCSUM", Variant::Full, FicsumConfig::default()),
+    ]
+}
+
 fn main() {
-    let opts = Options::from_args();
-    let mut reporter = JsonlReporter::from_options("table6_frameworks", &opts);
-    let headers: Vec<&str> =
-        std::iter::once("Dataset").chain(Framework::ALL.iter().map(|f| f.name())).collect();
-    let mut kappa_table = Table::new(&headers);
-    let mut cf1_table = Table::new(&headers);
-    let mut runtime_table = Table::new(&headers);
-
-    for name in DATASETS {
-        if !opts.selected(name) {
-            continue;
-        }
-        let mut kappa_cells = Vec::new();
-        let mut cf1_cells = Vec::new();
-        let mut rt_cells = Vec::new();
-        for framework in Framework::ALL {
-            let results = opts.run_seeds(|seed| run_framework(name, framework, seed, &opts));
-            if let Some(rep) = reporter.as_mut() {
-                for r in &results {
-                    rep.record(name, r);
-                }
-            }
-            kappa_cells.push(format_cell(&metric(&results, |r| r.kappa)));
-            cf1_cells.push(format_cell(&metric(&results, |r| r.c_f1)));
-            rt_cells.push(format_cell(&metric(&results, |r| r.runtime_s)));
-        }
-        kappa_table.add_row(name, kappa_cells);
-        cf1_table.add_row(name, cf1_cells);
-        runtime_table.add_row(name, rt_cells);
-        eprintln!("[table6] {name} done");
+    let report = Grid {
+        experiment: "table6_frameworks",
+        systems: frameworks(),
+        datasets: DATASETS.map(Dataset::named).into(),
+        observed: false,
     }
-
+    .run(&Options::from_args(2));
     println!("Table VI — kappa statistic per framework\n");
-    println!("{}", kappa_table.render());
+    println!("{}", report.table("Dataset", |r| r.kappa).render());
     println!("Table VI — C-F1 per framework\n");
-    println!("{}", cf1_table.render());
+    println!("{}", report.table("Dataset", |r| r.c_f1).render());
     println!("Table VI — runtime (seconds) per framework\n");
-    println!("{}", runtime_table.render());
-    if let Some(rep) = reporter {
-        rep.finish();
+    println!("{}", report.table("Dataset", |r| r.runtime_s).render());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn frameworks_build_for_any_shape() {
+        for f in frameworks() {
+            let mut sys = f.build(4, 3);
+            let (p, _) = sys.step(&[0.1, 0.2, 0.3, 0.4], 1);
+            assert!(p < 3);
+            assert_eq!(sys.name(), f.label);
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! JSONL result streaming for the experiment binaries (`--jsonl PATH`).
+//! JSONL result streaming for the experiment binaries (`--jsonl PATH`):
+//! the evaluation grid writes every run through it once.
 //!
 //! Reuses the hand-rolled writer from `ficsum-obs` so the line format
 //! matches the pipeline's own [`ficsum_obs::JsonlSink`] schema family:
@@ -57,16 +58,16 @@ impl JsonlReporter {
         Some(Self { out, experiment })
     }
 
-    /// Writes one run's metrics, plus its observability summary when the
-    /// run was recorded.
-    pub fn record(&mut self, dataset: &str, result: &RunResult) {
+    /// Writes one run of `system` on `dataset`: its metrics, plus its
+    /// observability summary when the run was recorded.
+    pub fn record(&mut self, dataset: &str, system: &str, result: &RunResult) {
         let _ = write_record(
             &mut self.out,
             &[
                 ("kind", JsonValue::Str("result")),
                 ("experiment", JsonValue::Str(self.experiment)),
                 ("dataset", JsonValue::Str(dataset)),
-                ("system", JsonValue::Str(&result.system)),
+                ("system", JsonValue::Str(system)),
                 ("seed", JsonValue::Int(result.seed)),
                 ("kappa", JsonValue::Num(result.kappa)),
                 ("accuracy", JsonValue::Num(result.accuracy)),
@@ -87,7 +88,7 @@ impl JsonlReporter {
                 ("kind", JsonValue::Str("obs")),
                 ("experiment", JsonValue::Str(self.experiment)),
                 ("dataset", JsonValue::Str(dataset)),
-                ("system", JsonValue::Str(&result.system)),
+                ("system", JsonValue::Str(system)),
                 ("seed", JsonValue::Int(result.seed)),
                 ("n_events", JsonValue::Int(obs.n_events as u64)),
                 ("drifts", JsonValue::Int(obs.n_drifts)),
@@ -109,7 +110,7 @@ impl JsonlReporter {
                     ("kind", JsonValue::Str("stage_cost")),
                     ("experiment", JsonValue::Str(self.experiment)),
                     ("dataset", JsonValue::Str(dataset)),
-                    ("system", JsonValue::Str(&result.system)),
+                    ("system", JsonValue::Str(system)),
                     ("seed", JsonValue::Int(result.seed)),
                     ("stage", JsonValue::Str(cost.stage.name())),
                     ("count", JsonValue::Int(cost.count)),
@@ -138,7 +139,7 @@ impl JsonlReporter {
     }
 
     /// Flushes the sink.
-    pub fn finish(mut self) {
+    pub fn flush(&mut self) {
         let _ = self.out.flush();
     }
 }
@@ -176,12 +177,12 @@ mod tests {
             seed: 3,
             observability: None,
         };
-        rep.record("STAGGER", &result);
+        rep.record("STAGGER", "FiCSUM", &result);
         rep.record_throughput(
             "extract",
             &Throughput { iterations: 10, seconds: 1.0, units_per_iter: 500 },
         );
-        rep.finish();
+        rep.flush();
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);

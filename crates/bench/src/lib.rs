@@ -1,5 +1,7 @@
 //! Experiment binaries reproducing the paper's tables and figures.
-//! See the `bin/` directory; shared helpers live in [`harness`].
+//! See the `bin/` directory. Each paper-metric binary is a spec over the
+//! evaluation grid in [`harness`] ([`harness::Grid`]); the throughput
+//! binaries share [`throughput`].
 
 pub mod harness;
 pub mod jsonl_out;

@@ -16,14 +16,12 @@
 pub mod cf1;
 pub mod kappa;
 pub mod observability;
-pub mod report;
 pub mod runner;
 pub mod stats;
 pub mod table;
 
 pub use cf1::CoOccurrenceF1;
 pub use observability::{ObsSummary, StageCost};
-pub use report::{CellReport, ExperimentReport};
 pub use kappa::KappaEvaluator;
 pub use runner::{evaluate_with, EvaluatedSystem, RunOptions, RunResult};
 pub use stats::{

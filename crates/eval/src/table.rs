@@ -8,7 +8,7 @@ pub fn format_cell(values: &[f64]) -> String {
     format!("{m:.2} ({s:.2})")
 }
 
-/// A simple aligned text table with per-row (or per-column) best-marking.
+/// A simple aligned text table.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     header: Vec<String>,
@@ -58,22 +58,6 @@ impl Table {
     }
 }
 
-/// Marks the best (max) value in a slice of means with a `*`, returning the
-/// formatted cells. Used to reproduce the paper's bolding.
-pub fn mark_best(cells: &[(f64, String)]) -> Vec<String> {
-    let best = cells.iter().map(|(m, _)| *m).fold(f64::NEG_INFINITY, f64::max);
-    cells
-        .iter()
-        .map(|(m, s)| {
-            if (*m - best).abs() < 1e-12 {
-                format!("*{s}")
-            } else {
-                s.clone()
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,11 +85,5 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = Table::new(&["a", "b"]);
         t.add_row("x", vec!["1".into(), "2".into()]);
-    }
-
-    #[test]
-    fn best_marking() {
-        let cells = vec![(0.9, "0.90".to_string()), (0.95, "0.95".to_string())];
-        assert_eq!(mark_best(&cells), vec!["0.90".to_string(), "*0.95".to_string()]);
     }
 }

@@ -17,7 +17,7 @@ $bin/table5_meta_functions --seeds "$SEEDS" > results/table5.txt 2>results/table
 echo "table5 done"
 $bin/table6_frameworks --seeds "$SEEDS" > results/table6.txt 2>results/table6.log
 echo "table6 done"
-$bin/fig3_sensitivity --quick > results/fig3.txt 2>results/fig3.log
+$bin/fig3_sensitivity --seeds "$SEEDS" --quick > results/fig3.txt 2>results/fig3.log
 echo "fig3 done"
 $bin/ablations --seeds "$SEEDS" --quick > results/ablations.txt 2>results/ablations.log
 echo "ablations done"
