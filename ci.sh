@@ -106,6 +106,18 @@ smoke table6_frameworks --only STAGGER
 smoke ablations
 smoke fig3_sensitivity
 
+echo "== Table II freshness (table2_datasets vs results/table2.txt) =="
+# Table II lists the dataset specs and is deterministic (a few ms), so the
+# committed table must equal a fresh run: a change to a dataset spec has to
+# re-record it with run_experiments.sh.
+if ! cargo run --release -q -p ficsum-bench --bin table2_datasets 2> /dev/null \
+  | cmp -s - results/table2.txt; then
+  echo "results/table2.txt is stale; re-record it with:" >&2
+  echo "  cargo run --release -p ficsum-bench --bin table2_datasets > results/table2.txt" >&2
+  exit 1
+fi
+echo "results/table2.txt matches table2_datasets"
+
 echo "== fault-injection tests (ficsum-serve) =="
 # Supervision, quarantine, checkpoint-restore and deadline behaviour under
 # deterministic injected faults (DESIGN.md "Fault tolerance & recovery").

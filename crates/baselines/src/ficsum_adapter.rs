@@ -60,10 +60,6 @@ impl EvaluatedSystem for FicsumSystem {
         true
     }
 
-    fn recorder(&self) -> Option<&dyn Recorder> {
-        Some(self.inner.recorder())
-    }
-
     fn name(&self) -> String {
         self.label.clone()
     }

@@ -13,6 +13,7 @@
 //! system. With `--jsonl PATH` the grid writes every run once, as JSON
 //! lines, as each cell finishes (see [`crate::jsonl_out`]).
 
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -57,7 +58,8 @@ impl Options {
     /// `--only NAME[,NAME...]`, `--jsonl PATH` and, for each flag named
     /// in `extra`, that flag and its value. Returns the options and the
     /// extra flags given, in order, with their values. Panics on an
-    /// unknown flag or a missing value.
+    /// unknown flag, a missing value or `--seeds 0`, which would run
+    /// nothing and still print tables.
     pub fn parse(
         args: impl IntoIterator<Item = String>,
         default_seeds: u64,
@@ -73,7 +75,10 @@ impl Options {
             }
             let mut value = || args.next().unwrap_or_else(|| panic!("{flag} needs a value"));
             match flag.as_str() {
-                "--seeds" => opts.seeds = value().parse().expect("--seeds requires a number"),
+                "--seeds" => {
+                    opts.seeds =
+                        value().parse::<NonZeroU64>().expect("--seeds requires a number >= 1").get()
+                }
                 "--only" => opts.only = Some(value()),
                 "--jsonl" => opts.jsonl = Some(value()),
                 other => match extra.iter().find(|&&e| e == other) {
@@ -100,13 +105,12 @@ impl Options {
 
     /// Whether `name` passes the dataset filter.
     pub fn selected(&self, name: &str) -> bool {
-        match &self.only {
-            Some(f) => {
-                let name = name.to_lowercase();
-                f.split(',').any(|part| name.contains(&part.trim().to_lowercase()))
-            }
-            None => true,
-        }
+        self.only.is_none() || self.filters().any(|part| name.to_lowercase().contains(&part))
+    }
+
+    /// The `--only` names, trimmed and lowercased; none without `--only`.
+    fn filters(&self) -> impl Iterator<Item = String> + '_ {
+        self.only.iter().flat_map(|f| f.split(',')).map(|part| part.trim().to_lowercase())
     }
 }
 
@@ -245,11 +249,18 @@ impl Grid {
     /// at a time: the seeds of a cell go through [`fan_out`], so only runs
     /// of the same system share the host and a one-seed run is timed
     /// alone. Prints a progress line to stderr as each dataset completes
-    /// and writes each cell's runs to `--jsonl` when given.
+    /// and writes each cell's runs to `--jsonl` when given. Panics, listing
+    /// the dataset labels, if an `--only` name matches none of them: a
+    /// mistyped name would otherwise shrink the grid unnoticed.
     pub fn run(&self, opts: &Options) -> Report {
+        let matches =
+            |part: &String| self.datasets.iter().any(|d| d.label.to_lowercase().contains(part));
+        if let Some(part) = opts.filters().find(|part| !matches(part)) {
+            let labels: Vec<&str> = self.datasets.iter().map(|d| d.label.as_str()).collect();
+            panic!("--only {part:?} matches no dataset of {}", labels.join(", "));
+        }
         let datasets: Vec<&Dataset> =
             self.datasets.iter().filter(|d| opts.selected(&d.label)).collect();
-        assert!(!datasets.is_empty(), "--only selected no dataset");
         let observed = self.observed || opts.jsonl.is_some();
         let mut jsonl = JsonlReporter::from_options(self.experiment, opts);
         let mut runs = Vec::new();
@@ -540,6 +551,27 @@ mod tests {
     #[should_panic(expected = "unknown option --strides")]
     fn flags_a_binary_does_not_declare_are_refused() {
         Options::parse(["--strides".to_string(), "1".to_string()], 2, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--seeds requires a number >= 1")]
+    fn zero_seeds_are_refused() {
+        Options::parse(["--seeds".to_string(), "0".to_string()], 2, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--only \"rtree-x\" matches no dataset of STAGGER, RTREE-U")]
+    fn an_only_name_matching_no_dataset_is_refused() {
+        let short = |name| {
+            Dataset::new(name, move |seed| truncate(dataset_by_name(name, seed).unwrap(), 300))
+        };
+        let grid = Grid {
+            experiment: "grid_test",
+            systems: vec![System::ficsum("FiCSUM", Variant::Full, FicsumConfig::default())],
+            datasets: vec![short("STAGGER"), short("RTREE-U")],
+            observed: false,
+        };
+        grid.run(&Options { only: Some("STAGGER,RTREE-X".into()), ..options(1, true) });
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub enum DetectorState {
 ///
 /// Implementations consume one value per call to [`DriftDetector::add`] and
 /// expose their current state. Detectors that operate on classification
-/// errors (DDM, EDDM, HDDM-A) interpret the value as an error indicator
+/// errors (EDDM) interpret the value as an error indicator
 /// (anything `>= 0.5` counts as an error); ADWIN accepts arbitrary bounded
 /// real values, which is what lets FiCSUM run it over fingerprint
 /// similarities.
@@ -28,40 +28,6 @@ pub trait DriftDetector {
     /// State after the most recent update.
     fn state(&self) -> DetectorState;
 
-    /// Whether the most recent update confirmed a drift.
-    fn drift_detected(&self) -> bool {
-        self.state() == DetectorState::Drift
-    }
-
-    /// Whether the most recent update entered the warning zone.
-    fn warning_detected(&self) -> bool {
-        self.state() == DetectorState::Warning
-    }
-
     /// Resets all internal state, forgetting everything seen so far.
     fn reset(&mut self);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    struct Always(DetectorState);
-    impl DriftDetector for Always {
-        fn add(&mut self, _v: f64) -> DetectorState {
-            self.0
-        }
-        fn state(&self) -> DetectorState {
-            self.0
-        }
-        fn reset(&mut self) {}
-    }
-
-    #[test]
-    fn default_flag_helpers() {
-        assert!(Always(DetectorState::Drift).drift_detected());
-        assert!(!Always(DetectorState::Drift).warning_detected());
-        assert!(Always(DetectorState::Warning).warning_detected());
-        assert!(!Always(DetectorState::Stable).drift_detected());
-    }
 }

@@ -153,6 +153,39 @@ mod tests {
     }
 
     #[test]
+    fn shrinking_gaps_pass_through_warning_into_drift() {
+        // 40 errors 50 apart set the high-water mark, then each gap is one
+        // shorter than the last. EDDM re-evaluates only on an error (a
+        // correct prediction reports Stable), so the states read at the
+        // errors must run Stable..., Warning..., Drift.
+        let mut eddm = Eddm::default();
+        let gaps = std::iter::repeat_n(50, 40).chain((1..50).rev()).chain(std::iter::repeat(1));
+        let mut at_errors = Vec::new();
+        for gap in gaps.take(200) {
+            for _ in 1..gap {
+                assert_eq!(eddm.add(0.0), DetectorState::Stable);
+            }
+            let state = eddm.add(1.0);
+            at_errors.push(state);
+            if state == DetectorState::Drift {
+                break;
+            }
+        }
+        let first_warning = at_errors.iter().position(|s| *s == DetectorState::Warning);
+        let first_warning = first_warning.expect("shrinking gaps must warn before drifting");
+        assert_eq!(at_errors.last(), Some(&DetectorState::Drift), "{at_errors:?}");
+        assert!(first_warning >= 40, "warned on the constant prefix: {at_errors:?}");
+        assert!(at_errors[..first_warning].iter().all(|s| *s == DetectorState::Stable));
+        let n = at_errors.len();
+        assert!(n - 1 > first_warning, "drift fired on the first warning: {at_errors:?}");
+        assert!(at_errors[first_warning..n - 1].iter().all(|s| *s == DetectorState::Warning));
+        assert_eq!(eddm.state(), DetectorState::Drift);
+        // The value after a drift starts afresh.
+        assert_eq!(eddm.add(0.0), DetectorState::Stable);
+        assert_eq!(eddm.state(), DetectorState::Stable);
+    }
+
+    #[test]
     fn tracks_mean_distance() {
         let mut eddm = Eddm::default();
         // error every 5th observation

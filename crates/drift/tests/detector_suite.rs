@@ -3,17 +3,11 @@
 //! satisfy the same contract: bounded false alarms under stationarity and
 //! bounded delay after a large abrupt change.
 
-use ficsum_drift::{Adwin, Ddm, DetectorState, DriftDetector, Eddm, HddmA, PageHinkley};
+use ficsum_drift::{Adwin, DetectorState, DriftDetector, Eddm};
 use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
 
 fn detectors() -> Vec<(&'static str, Box<dyn DriftDetector>)> {
-    vec![
-        ("ADWIN", Box::new(Adwin::new(0.002))),
-        ("DDM", Box::new(Ddm::default())),
-        ("EDDM", Box::new(Eddm::default())),
-        ("HDDM-A", Box::new(HddmA::default())),
-        ("PH", Box::new(PageHinkley::default())),
-    ]
+    vec![("ADWIN", Box::new(Adwin::new(0.002))), ("EDDM", Box::new(Eddm::default()))]
 }
 
 /// Bernoulli error stream with rate `p`.
@@ -64,24 +58,19 @@ fn long_stationary_streams_rarely_alarm() {
 }
 
 #[test]
-fn gradual_ramp_is_eventually_detected_by_adwin_and_hddm() {
-    // DDM/EDDM are weaker on slow ramps; the mean-based detectors must fire.
-    for (name, mut det) in [
-        ("ADWIN", Box::new(Adwin::new(0.002)) as Box<dyn DriftDetector>),
-        ("HDDM-A", Box::new(HddmA::default())),
-        ("PH", Box::new(PageHinkley::default())),
-    ] {
-        let mut rng = Xoshiro256pp::seed_from_u64(303);
-        let mut fired = false;
-        for i in 0..12_000 {
-            let p = 0.05 + 0.45 * (i as f64 / 12_000.0);
-            if det.add(bernoulli(&mut rng, p)) == DetectorState::Drift {
-                fired = true;
-                break;
-            }
+fn gradual_ramp_is_eventually_detected_by_adwin() {
+    // EDDM is weaker on slow ramps; the mean-based ADWIN must fire.
+    let mut det = Adwin::new(0.002);
+    let mut rng = Xoshiro256pp::seed_from_u64(303);
+    let mut fired = false;
+    for i in 0..12_000 {
+        let p = 0.05 + 0.45 * (i as f64 / 12_000.0);
+        if det.add(bernoulli(&mut rng, p)) == DetectorState::Drift {
+            fired = true;
+            break;
         }
-        assert!(fired, "{name} missed the gradual ramp");
     }
+    assert!(fired, "ADWIN missed the gradual ramp");
 }
 
 #[test]

@@ -37,11 +37,6 @@ pub trait EvaluatedSystem {
         false
     }
 
-    /// The currently attached recorder, if the system exposes one.
-    fn recorder(&self) -> Option<&dyn Recorder> {
-        None
-    }
-
     /// Display name.
     fn name(&self) -> String;
 }
@@ -57,10 +52,6 @@ impl EvaluatedSystem for Box<dyn EvaluatedSystem> {
 
     fn attach_recorder(&mut self, recorder: Box<dyn Recorder>) -> bool {
         (**self).attach_recorder(recorder)
-    }
-
-    fn recorder(&self) -> Option<&dyn Recorder> {
-        (**self).recorder()
     }
 
     fn name(&self) -> String {
@@ -98,9 +89,6 @@ pub struct RunResult {
 const DISCRIMINATION_EVERY: u64 = 250;
 
 /// Configuration for one evaluation run (see [`evaluate_with`]).
-///
-/// Not `Clone` because the recorder factory is an arbitrary closure; build
-/// one per run (they are cheap).
 pub struct RunOptions {
     /// Number of classes in the stream.
     pub n_classes: usize,
@@ -118,13 +106,8 @@ pub struct RunOptions {
     pub detection_window: u64,
     /// When `true`, the runner attaches its own [`InMemoryRecorder`] to
     /// the system and reduces it into [`RunResult::observability`] after
-    /// the run. Takes precedence over [`RunOptions::recorder_factory`].
+    /// the run.
     pub observability: bool,
-    /// Factory for a custom recorder to attach instead (e.g. a
-    /// `JsonlSink`); the runner cannot read such recorders back, so
-    /// [`RunResult::observability`] stays `None`.
-    #[allow(clippy::type_complexity)]
-    pub recorder_factory: Option<Box<dyn Fn() -> Box<dyn Recorder>>>,
 }
 
 impl RunOptions {
@@ -138,7 +121,6 @@ impl RunOptions {
             grace: 500,
             detection_window: 1000,
             observability: false,
-            recorder_factory: None,
         }
     }
 
@@ -176,9 +158,6 @@ pub fn evaluate_with<S: EvaluatedSystem>(
         let keep = shared(InMemoryRecorder::new());
         system.attach_recorder(Box::new(keep.clone())).then_some(keep)
     } else {
-        if let Some(factory) = &opts.recorder_factory {
-            system.attach_recorder(factory());
-        }
         None
     };
     let mut truth_changes: Vec<u64> = Vec::new();
@@ -289,9 +268,6 @@ mod tests {
         fn attach_recorder(&mut self, recorder: Box<dyn Recorder>) -> bool {
             self.recorder = Some(recorder);
             true
-        }
-        fn recorder(&self) -> Option<&dyn Recorder> {
-            self.recorder.as_deref()
         }
         fn name(&self) -> String {
             "announcer".into()

@@ -44,8 +44,5 @@ pub use engine::{EmdCadence, EmdCounts, EmdMemo, ExtractionMode, FingerprintEngi
 pub use extractor::{DimensionInfo, FingerprintExtractor, FingerprintSchema, SourceSelection};
 pub use functions::{kurtosis, mean, skewness, std_dev, turning_point_rate, MetaFunction};
 pub use mutual_info::lagged_mutual_information;
-pub use sources::{
-    behaviour_sources, error_distances, error_distances_into, source_sequence,
-    source_sequence_into, SourceKind,
-};
+pub use sources::{behaviour_sources, error_distances_into, source_sequence_into, SourceKind};
 pub use sweep::{SourceSweep, SweepStats};

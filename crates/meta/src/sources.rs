@@ -60,13 +60,6 @@ pub fn error_distances_into(window: &[LabeledObservation], out: &mut Vec<f64>) {
     }
 }
 
-/// Allocating convenience wrapper around [`error_distances_into`].
-pub fn error_distances(window: &[LabeledObservation]) -> Vec<f64> {
-    let mut out = Vec::new();
-    error_distances_into(window, &mut out);
-    out
-}
-
 /// Extracts the univariate sequence for one behaviour source into `out`
 /// (cleared first), reusing its capacity.
 pub fn source_sequence_into(window: &[LabeledObservation], kind: SourceKind, out: &mut Vec<f64>) {
@@ -89,13 +82,6 @@ pub fn source_sequence_into(window: &[LabeledObservation], kind: SourceKind, out
         }
         SourceKind::ErrorDistances => error_distances_into(window, out),
     }
-}
-
-/// Allocating convenience wrapper around [`source_sequence_into`].
-pub fn source_sequence(window: &[LabeledObservation], kind: SourceKind) -> Vec<f64> {
-    let mut out = Vec::new();
-    source_sequence_into(window, kind, &mut out);
-    out
 }
 
 /// All `d + 4` behaviour sources in fingerprint order.
@@ -121,6 +107,13 @@ mod tests {
             LabeledObservation::new(vec![0.5, 7.0], 1, 0),
             LabeledObservation::new(vec![0.75, 6.0], 0, 1),
         ]
+    }
+
+    /// One source's sequence in a fresh buffer.
+    fn source_sequence(window: &[LabeledObservation], kind: SourceKind) -> Vec<f64> {
+        let mut out = Vec::new();
+        source_sequence_into(window, kind, &mut out);
+        out
     }
 
     #[test]
@@ -152,7 +145,9 @@ mod tests {
     #[test]
     fn no_errors_means_empty_distances() {
         let w = vec![LabeledObservation::new(vec![0.0], 1, 1); 5];
-        assert!(error_distances(&w).is_empty());
+        let mut out = vec![1.0];
+        error_distances_into(&w, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -79,8 +79,6 @@ pub enum StreamEvent {
         /// What confirmed it.
         trigger: DriftTrigger,
     },
-    /// The detector entered its warning zone (detectors that have one).
-    DetectorWarning,
     /// Model selection switched the active concept.
     ConceptSwitch {
         /// Concept active before the switch.
@@ -205,7 +203,6 @@ impl StreamEvent {
     pub fn name(&self) -> &'static str {
         match self {
             StreamEvent::DriftDetected { .. } => "drift_detected",
-            StreamEvent::DetectorWarning => "detector_warning",
             StreamEvent::ConceptSwitch { .. } => "concept_switch",
             StreamEvent::FingerprintExtracted { .. } => "fingerprint_extracted",
             StreamEvent::SimilarityObserved { .. } => "similarity_observed",

@@ -236,7 +236,7 @@ fn event_fields(t: u64, event: &StreamEvent, emit: &mut RecordSink<'_>) {
                 ("code", JsonValue::Int(*code)),
             ]);
         }
-        StreamEvent::DetectorWarning | StreamEvent::PlasticityReset => {
+        StreamEvent::PlasticityReset => {
             emit(&[kind, ts, name]);
         }
     }

@@ -37,7 +37,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`stream`] | `ficsum-stream` | observations, windows, online statistics |
-//! | [`drift`] | `ficsum-drift` | ADWIN, DDM, EDDM, HDDM-A |
+//! | [`drift`] | `ficsum-drift` | ADWIN and EDDM |
 //! | [`classifiers`] | `ficsum-classifiers` | Hoeffding tree, naive Bayes, ARF, DWM |
 //! | [`meta`] | `ficsum-meta` | the 13 meta-information functions and extraction |
 //! | [`core`] | `ficsum-core` | fingerprints, dynamic weighting, the FiCSUM driver |
@@ -64,7 +64,7 @@ pub use ficsum_synth as synth;
 ///
 /// Covers the whole public surface an application needs: the framework and
 /// its builder, configuration (and its error type), the fingerprint engine
-/// and extractor, classifiers, every drift detector, stream vocabulary, the
+/// and extractor, classifiers, both drift detectors, stream vocabulary, the
 /// repo-owned RNG, synthetic generators, the evaluation entry points and
 /// the serving stack (in-process sharded serving plus the TCP front-end
 /// and client).
@@ -77,10 +77,7 @@ pub mod prelude {
         ConfigError, Ficsum, FicsumBuilder, FicsumConfig, FicsumStats, RestoreError,
         SessionCheckpoint, SessionTemplate, StepOutcome, Variant,
     };
-    pub use ficsum_drift::{
-        Adwin, Ddm, DetectorState, DriftDetector, Eddm, HddmA, PageHinkley,
-    };
-    pub use ficsum_drift::RecordedDetector;
+    pub use ficsum_drift::{Adwin, DetectorState, DriftDetector, Eddm};
     pub use ficsum_eval::{
         evaluate_with, EvaluatedSystem, KappaEvaluator, ObsSummary, RunOptions, RunResult,
         StageCost,
