@@ -2,11 +2,17 @@
 //! Recognition Letters 2013).
 //!
 //! RCD stores, per concept, a classifier together with a *window of raw
-//! observations*. Drift is detected with EDDM on the classifier's errors
-//! (warning zone starts buffering recent observations). On drift, the
-//! buffered observations are compared against each stored concept's window
-//! with a two-sample statistical test; a match reuses that concept's
-//! classifier, otherwise a new concept is created.
+//! observations*. Drift is detected with EDDM on the classifier's errors.
+//! RCD keeps a rolling buffer of the last `buffer_cap` (200)
+//! observations: every step on which EDDM reads `Stable` appends its
+//! observation and evicts the oldest past the cap. EDDM reads `Stable` on
+//! every correct prediction, inside a warning zone too, and an error it
+//! flags `Warning` is appended only while the buffer is below the cap, so
+//! a warning does not start the buffer. On drift, the buffered
+//! observations (about the last `buffer_cap`, with or without a warning
+//! before) are compared against each stored concept's window with a
+//! two-sample statistical test; a match reuses that concept's classifier,
+//! otherwise a new concept is created.
 //!
 //! The original uses a KNN-based multivariate test; we use per-feature
 //! Kolmogorov–Smirnov tests with a majority vote — the same role (does this
@@ -71,7 +77,7 @@ pub struct Rcd {
     concepts: Vec<StoredConcept>,
     active: usize, // index into concepts
     detector: Eddm,
-    /// Recent observations buffered since the warning zone began.
+    /// The last `buffer_cap` or so observations (see the module docs).
     buffer: Vec<(Vec<f64>, usize)>,
     buffer_cap: usize,
     n_features: usize,

@@ -6,7 +6,7 @@
 //! similarity/weight computations.
 //!
 //! No external harness: timing comes from
-//! [`ficsum_bench::harness::time_throughput`], and randomness from the
+//! [`ficsum_bench::throughput::time_throughput`], and randomness from the
 //! repo's own [`Xoshiro256pp`]. Gated behind the off-by-default
 //! `property-tests` feature so `cargo test`/`cargo bench` stay fast:
 //!
@@ -16,7 +16,7 @@
 
 use std::hint::black_box;
 
-use ficsum_bench::harness::{synthetic_window, time_throughput};
+use ficsum_bench::throughput::{synthetic_window, time_throughput};
 use ficsum_classifiers::{Classifier, HoeffdingTree, HoeffdingTreeConfig, LeafPrediction};
 use ficsum_core::{
     weighted_cosine, ConceptFingerprint, DynamicWeights, FingerprintNormalizer, Repository,

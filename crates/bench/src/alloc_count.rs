@@ -1,11 +1,10 @@
 //! A counting global allocator for allocation-budget benchmarks.
 //!
-//! Compiled only under the `alloc-count` feature so the default benchmark
-//! binaries keep the system allocator untouched. The `stream_throughput`
-//! binary registers [`CountingAllocator`] as the global allocator and
-//! samples [`allocations`] around steady-state `process()` calls to report
-//! allocations-per-step; the hot-path budget (DESIGN.md "Hot path &
-//! allocation budget") is **zero** in steady state.
+//! A binary that registers [`CountingAllocator`] as its global allocator
+//! (`stream_throughput` and `extraction_throughput` do, under the
+//! `alloc-count` feature) samples [`alloc_sample`] around steady-state
+//! calls to count their allocations; the hot-path budget (DESIGN.md "Hot
+//! path & allocation budget") is **zero** in steady state.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,8 +34,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 }
 
-/// Total allocation calls since process start. Subtract two samples to
-/// count the allocations a code region performed.
-pub fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// Allocation calls since process start through [`CountingAllocator`];
+/// a constant 0 without the `alloc-count` feature, so the default builds
+/// time no counter reads. Subtract two samples to count the allocations a
+/// code region performed.
+pub fn alloc_sample() -> u64 {
+    if cfg!(feature = "alloc-count") {
+        ALLOCATIONS.load(Ordering::Relaxed)
+    } else {
+        0
+    }
 }

@@ -24,17 +24,19 @@
 //! feature) fails when the incremental steady state allocates at all.
 //!
 //! Usage: `extraction_throughput [--secs S] [--d D] [--window W] [--reps R]
-//! [--jsonl PATH] [--out PATH] [--check PATH] [--min-ratio F]
-//! [--assert-zero-alloc]` (defaults: 0.25 s per round, 8 rounds per path,
-//! d = 20, w = 100).
+//! [--jsonl PATH] [--out PATH] [--check PATH] [--assert-zero-alloc]`
+//! (defaults: 0.25 s per round, 8 rounds per path, d = 20, w = 100).
 
 use std::sync::Arc;
 
-use ficsum_bench::harness::{synthetic_window, time_throughput, Options, Throughput};
+use ficsum_bench::alloc_count::alloc_sample;
 use ficsum_bench::jsonl_out::JsonlReporter;
-use ficsum_bench::throughput::{json_field, read_baseline};
+use ficsum_bench::throughput::{
+    fixed, synthetic_window, time_throughput, write_baseline, Baseline, Flags, Throughput,
+};
 use ficsum_classifiers::{Classifier, HoeffdingTree};
 use ficsum_meta::{ExtractionMode, FingerprintEngine, FingerprintExtractor};
+use ficsum_obs::jsonl::{format_record, JsonValue};
 use ficsum_obs::MonotonicClock;
 use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
 use ficsum_stream::{FrameWindows, LabeledObservation};
@@ -64,57 +66,20 @@ fn interleaved(
     (acc_a, acc_b)
 }
 
+/// One line of the results table.
+fn row(path: &str, t: &Throughput) {
+    println!("{path:<28} {:>14.0} {:>14.3}", t.units_per_sec(), t.secs_per_iter() * 1e3);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut secs = 0.25f64;
-    let mut d = 20usize;
-    let mut w = 100usize;
-    let mut reps = 8usize;
-    let mut jsonl: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut min_ratio = 0.8f64;
-    let mut assert_zero_alloc = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--jsonl" => {
-                jsonl = Some(args[i + 1].clone());
-                i += 1;
-            }
-            "--out" => {
-                out = Some(args[i + 1].clone());
-                i += 1;
-            }
-            "--check" => {
-                check = Some(args[i + 1].clone());
-                i += 1;
-            }
-            "--min-ratio" => {
-                min_ratio = args[i + 1].parse().expect("--min-ratio requires a number");
-                i += 1;
-            }
-            "--assert-zero-alloc" => assert_zero_alloc = true,
-            "--secs" => {
-                secs = args[i + 1].parse().expect("--secs requires a number");
-                i += 1;
-            }
-            "--d" => {
-                d = args[i + 1].parse().expect("--d requires a number");
-                i += 1;
-            }
-            "--window" => {
-                w = args[i + 1].parse().expect("--window requires a number");
-                i += 1;
-            }
-            "--reps" => {
-                reps = args[i + 1].parse().expect("--reps requires a number");
-                i += 1;
-            }
-            other => panic!("unknown option {other}"),
-        }
-        i += 1;
-    }
+    let flags = Flags::from_env(
+        &["--secs", "--d", "--window", "--reps", "--jsonl", "--out", "--check"],
+        &["--assert-zero-alloc"],
+    );
+    let secs = flags.get("--secs", 0.25f64);
+    let d = flags.get("--d", 20usize);
+    let w = flags.get("--window", 100usize);
+    let reps = flags.get("--reps", 8usize);
 
     let mut fw = FrameWindows::new(w, 0, d);
     for obs in synthetic_window(w, d, 42) {
@@ -170,18 +135,8 @@ fn main() {
             std::hint::black_box(&fp);
         },
     );
-    println!(
-        "{:<28} {:>14.0} {:>14.3}",
-        "legacy (clone + relabel)",
-        legacy.units_per_sec(),
-        legacy.secs_per_iter() * 1e3
-    );
-    println!(
-        "{:<28} {:>14.0} {:>14.3}",
-        "engine (tracked window)",
-        fast.units_per_sec(),
-        fast.secs_per_iter() * 1e3
-    );
+    row("legacy (clone + relabel)", &legacy);
+    row("engine (tracked window)", &fast);
 
     // Instrumentation cost: the same engine path with the obs clock
     // attached, interleaved against the disabled default so both see the
@@ -196,20 +151,11 @@ fn main() {
             std::hint::black_box(&fp);
         },
         || {
-            timed_engine.extract_tracked_frames_repredicted_into(
-                &fw.a_tracked(),
-                &tree,
-                &mut fp_timed,
-            );
+            timed_engine.extract_tracked_frames_repredicted_into(&fw.a_tracked(), &tree, &mut fp_timed);
             std::hint::black_box(&fp_timed);
         },
     );
-    println!(
-        "{:<28} {:>14.0} {:>14.3}",
-        "engine (timing enabled)",
-        timed.units_per_sec(),
-        timed.secs_per_iter() * 1e3
-    );
+    row("engine (timing enabled)", &timed);
 
     let speedup = fast.units_per_sec() / legacy.units_per_sec();
     println!("speedup: {speedup:.2}x");
@@ -238,9 +184,15 @@ fn main() {
     }
     let mut incr_engine = FingerprintEngine::new(extractor.clone())
         .with_mode(ExtractionMode { incremental: true, emd_stride: 4 });
-    let mut fp_b = Vec::new();
-    let mut fp_i = Vec::new();
+    let (mut fp_b, mut fp_i) = (Vec::new(), Vec::new());
     let (mut bi, mut ii) = (0usize, 0usize);
+    let mut incr_step = || {
+        let o = &tape[ii % tape.len()];
+        ii += 1;
+        incr_fw.push(o.features(), o.label(), o.prediction);
+        incr_engine.extract_tracked_frames_repredicted_into(&incr_fw.a_tracked(), &tree, &mut fp_i);
+        std::hint::black_box(&fp_i);
+    };
     let (stream_batch, stream_incr) = interleaved(
         reps,
         secs,
@@ -249,41 +201,17 @@ fn main() {
             let o = &tape[bi % tape.len()];
             bi += 1;
             batch_fw.push(o.features(), o.label(), o.prediction);
-            engine.extract_tracked_frames_repredicted_into(
-                &batch_fw.a_tracked(),
-                &tree,
-                &mut fp_b,
-            );
+            engine.extract_tracked_frames_repredicted_into(&batch_fw.a_tracked(), &tree, &mut fp_b);
             std::hint::black_box(&fp_b);
         },
-        || {
-            let o = &tape[ii % tape.len()];
-            ii += 1;
-            incr_fw.push(o.features(), o.label(), o.prediction);
-            incr_engine.extract_tracked_frames_repredicted_into(
-                &incr_fw.a_tracked(),
-                &tree,
-                &mut fp_i,
-            );
-            std::hint::black_box(&fp_i);
-        },
+        &mut incr_step,
     );
-    println!(
-        "{:<28} {:>14.0} {:>14.3}",
-        "stream (batch engine)",
-        stream_batch.units_per_sec(),
-        stream_batch.secs_per_iter() * 1e3
-    );
-    println!(
-        "{:<28} {:>14.0} {:>14.3}",
-        "stream (incremental stats)",
-        stream_incr.units_per_sec(),
-        stream_incr.secs_per_iter() * 1e3
-    );
+    row("stream (batch engine)", &stream_batch);
+    row("stream (incremental stats)", &stream_incr);
     let incr_speedup = stream_incr.units_per_sec() / stream_batch.units_per_sec();
     println!("incremental speedup: {incr_speedup:.2}x");
 
-    if assert_zero_alloc {
+    if flags.switch("--assert-zero-alloc") {
         if !cfg!(feature = "alloc-count") {
             eprintln!(
                 "--assert-zero-alloc needs the alloc-count feature \
@@ -295,27 +223,9 @@ fn main() {
         // steady state: push + incremental extraction must stay inside
         // reused capacity even across EMD re-sift strides.
         let iters = 256usize;
-        for _ in 0..64 {
-            let o = &tape[ii % tape.len()];
-            ii += 1;
-            incr_fw.push(o.features(), o.label(), o.prediction);
-            incr_engine.extract_tracked_frames_repredicted_into(
-                &incr_fw.a_tracked(),
-                &tree,
-                &mut fp_i,
-            );
-        }
+        (0..64).for_each(|_| incr_step());
         let a0 = alloc_sample();
-        for _ in 0..iters {
-            let o = &tape[ii % tape.len()];
-            ii += 1;
-            incr_fw.push(o.features(), o.label(), o.prediction);
-            incr_engine.extract_tracked_frames_repredicted_into(
-                &incr_fw.a_tracked(),
-                &tree,
-                &mut fp_i,
-            );
-        }
+        (0..iters).for_each(|_| incr_step());
         let allocs = alloc_sample() - a0;
         println!("zero-alloc assertion: {allocs} allocations over {iters} steady-state steps");
         if allocs != 0 {
@@ -327,49 +237,20 @@ fn main() {
         }
     }
 
-    let line = format!(
-        "{{\"bench\":\"extraction_throughput\",\"d\":{d},\"window\":{w},\
-         \"legacy_obs_per_sec\":{:.1},\"engine_obs_per_sec\":{:.1},\
-         \"stream_batch_obs_per_sec\":{:.1},\"stream_incremental_obs_per_sec\":{:.1},\
-         \"incremental_speedup\":{:.3}}}",
-        legacy.units_per_sec(),
-        fast.units_per_sec(),
-        stream_batch.units_per_sec(),
-        stream_incr.units_per_sec(),
-        incr_speedup
+    write_baseline(
+        &flags,
+        &[format_record(&[
+            ("bench", JsonValue::Str("extraction_throughput")),
+            ("d", JsonValue::Int(d as u64)),
+            ("window", JsonValue::Int(w as u64)),
+            ("legacy_obs_per_sec", fixed(legacy.units_per_sec(), 1)),
+            ("engine_obs_per_sec", fixed(fast.units_per_sec(), 1)),
+            ("stream_batch_obs_per_sec", fixed(stream_batch.units_per_sec(), 1)),
+            ("stream_incremental_obs_per_sec", fixed(stream_incr.units_per_sec(), 1)),
+            ("incremental_speedup", fixed(incr_speedup, 3)),
+        ])],
     );
-    if let Some(path) = &out {
-        std::fs::write(path, format!("{line}\n")).unwrap_or_else(|e| panic!("--out {path}: {e}"));
-        println!("wrote {path}");
-    }
-    if let Some(path) = &check {
-        let baseline = read_baseline(path);
-        let mut failed = false;
-        for (field, current) in [
-            ("engine_obs_per_sec", fast.units_per_sec()),
-            ("stream_incremental_obs_per_sec", stream_incr.units_per_sec()),
-        ] {
-            let base = json_field(&baseline, field)
-                .unwrap_or_else(|| panic!("--check {path}: no {field} field"));
-            let ratio = current / base;
-            println!(
-                "perf check: {field} {current:.0} vs baseline {base:.0} \
-                 (ratio {ratio:.2}, floor {min_ratio:.2})"
-            );
-            if ratio < min_ratio {
-                eprintln!("PERF REGRESSION: {field} ratio {ratio:.2} below {min_ratio:.2}");
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-    }
-
-    if jsonl.is_some() {
-        let opts = Options { seeds: 0, quick: false, only: None, jsonl };
-        let mut rep = JsonlReporter::from_options("extraction_throughput", &opts)
-            .expect("--jsonl was given");
+    if let Some(mut rep) = JsonlReporter::open("extraction_throughput", flags.value("--jsonl")) {
         rep.record_throughput("legacy", &legacy);
         rep.record_throughput("engine", &fast);
         rep.record_throughput("engine_untimed", &plain);
@@ -378,14 +259,11 @@ fn main() {
         rep.record_throughput("stream_incremental", &stream_incr);
         rep.flush();
     }
-}
-
-#[cfg(feature = "alloc-count")]
-fn alloc_sample() -> u64 {
-    ficsum_bench::alloc_count::allocations()
-}
-
-#[cfg(not(feature = "alloc-count"))]
-fn alloc_sample() -> u64 {
-    0
+    if let Some(path) = flags.value("--check") {
+        let floors = [
+            ("engine_obs_per_sec", fast.units_per_sec()),
+            ("stream_incremental_obs_per_sec", stream_incr.units_per_sec()),
+        ];
+        Baseline::read(path).gate(&[], &floors, None);
+    }
 }

@@ -39,7 +39,7 @@ use ficsum_baselines::FicsumSystem;
 use ficsum_bench::harness::{
     detection_delay, false_alarms, misses, Dataset, Grid, Metric, Options, Report, System,
 };
-use ficsum_bench::throughput::{json_field, read_baseline};
+use ficsum_bench::throughput::{cores, write_baseline, Baseline};
 use ficsum_core::{FicsumBuilder, FicsumConfig, Variant};
 use ficsum_eval::RunResult;
 use ficsum_meta::ExtractionMode;
@@ -70,28 +70,17 @@ fn at_stride(stride: u32) -> System {
 }
 
 fn main() {
-    let flags = ["--strides", "--out", "--append", "--check"];
-    let (opts, given) = Options::parse(std::env::args().skip(1), 5, &flags);
-    let (mut strides, mut out, mut append, mut check) = (Vec::new(), None, false, None);
-    for (flag, value) in given {
-        match flag {
-            "--strides" => {
-                strides = value
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--strides takes numbers, e.g. 1,2,4,8"))
-                    .collect()
-            }
-            "--check" => check = Some(value),
-            _ => (out, append) = (Some(value), flag == "--append"),
-        }
-    }
-    if strides.is_empty() {
-        strides = if check.is_some() {
-            vec![1, ExtractionMode::default().emd_stride]
-        } else {
-            vec![1, 2, 4, 8]
-        };
-    }
+    let extra = ["--strides", "--out", "--append", "--check"];
+    let (opts, flags) = Options::parse(std::env::args().skip(1), 5, &extra);
+    let check = flags.value("--check");
+    let strides: Vec<u32> = match flags.value("--strides") {
+        Some(list) => list
+            .split(',')
+            .map(|s| s.trim().parse().expect("--strides takes numbers, e.g. 1,2,4,8"))
+            .collect(),
+        None if check.is_some() => vec![1, ExtractionMode::default().emd_stride],
+        None => vec![1, 2, 4, 8],
+    };
     assert_eq!(strides.first(), Some(&1), "--strides must start with 1, the exact reference");
     let report = Grid {
         experiment: "quality",
@@ -103,11 +92,10 @@ fn main() {
     let subset = if opts.quick { "quick" } else { "full" };
 
     let mut lines: Vec<String> = Vec::new();
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get()) as u64;
     lines.push(format_record(&[
         ("kind", JsonValue::Str("machine")),
         ("subset", JsonValue::Str(subset)),
-        ("cores", JsonValue::Int(cores)),
+        ("cores", JsonValue::Int(cores())),
         ("os", JsonValue::Str(std::env::consts::OS)),
         ("arch", JsonValue::Str(std::env::consts::ARCH)),
         ("seeds", JsonValue::Int(opts.seeds)),
@@ -232,19 +220,8 @@ fn main() {
         ("chosen_stride", JsonValue::Int(chosen as u64)),
     ]));
 
-    if let Some(path) = &out {
-        let mut text = if append {
-            std::fs::read_to_string(path).unwrap_or_default()
-        } else {
-            String::new()
-        };
-        for line in &lines {
-            text.push_str(line);
-            text.push('\n');
-        }
-        std::fs::write(path, text).unwrap_or_else(|e| panic!("--out {path}: {e}"));
-    }
-    if let Some(path) = &check {
+    write_baseline(&flags, &lines);
+    if let Some(path) = check {
         check_against(path, subset, &report, &strides);
     }
 }
@@ -252,21 +229,16 @@ fn main() {
 /// The regression gate (see the module docs): the default stride against
 /// stride 1, per dataset, within the recorded stride-1 seed spread.
 fn check_against(path: &str, subset: &str, report: &Report, strides: &[u32]) {
-    let baseline = read_baseline(path);
+    let baseline = Baseline::read(path);
     let default = ExtractionMode::default().emd_stride;
     let s = strides.iter().position(|&k| k == default).expect("--check runs the default stride");
     let mut failed = false;
     for (d, dataset) in report.datasets.iter().enumerate() {
-        let tag = format!("\"subset\":\"{subset}\",\"dataset\":\"{dataset}\"");
-        let line = baseline
-            .lines()
-            .find(|l| l.starts_with("{\"kind\":\"spread\"") && l.contains(&tag))
-            .unwrap_or_else(|| panic!("--check {path}: no {subset} spread line for {dataset}"));
+        let line = baseline.line(&[("kind", "spread"), ("subset", subset), ("dataset", dataset)]);
         for (label, f, field) in
             [("kappa", kappa as Metric, "kappa_spread"), ("C-F1", c_f1, "c_f1_spread")]
         {
-            let spread = json_field(line, field)
-                .unwrap_or_else(|| panic!("--check {path}: no {field} for {dataset}"));
+            let spread = baseline.field(line, field);
             let (base, got) = (report.mean(d, 0, f), report.mean(d, s, f));
             let ok = got >= base - spread;
             println!(

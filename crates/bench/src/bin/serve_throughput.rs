@@ -4,10 +4,12 @@
 //!
 //! `--out BENCH_serve.json` records the committed baseline; `--check
 //! BENCH_serve.json` fails (exit 1) when aggregate throughput drops more
-//! than 20% below it. The `cores` field keeps baselines honest: scaling
-//! beyond 1x is only expected when the machine actually has spare cores
-//! (the ≥3x target presumes ≥4), so the check regresses throughput on the
-//! same machine rather than asserting an absolute ratio.
+//! than 20% below it or p99 latency grows past 3× the baseline's
+//! (`ficsum_bench::throughput::{MIN_RATIO, MAX_P99_RATIO}`). The `cores`
+//! field keeps baselines honest: scaling beyond 1x is only expected when
+//! the machine actually has spare cores (the ≥3x target presumes ≥4), so
+//! the check regresses throughput on the same machine rather than
+//! asserting an absolute ratio.
 //!
 //! The submit loop is a bounded closed loop: at most `--in-flight` waves
 //! (one wave = one submit batch covering every session) are outstanding at
@@ -21,7 +23,6 @@
 //! ```sh
 //! serve_throughput [--sessions N] [--shards S] [--steps K] [--seed S]
 //!                  [--in-flight W] [--repeat R] [--out PATH] [--check PATH]
-//!                  [--min-ratio F] [--max-p99-ratio F]
 //! ```
 //!
 //! Defaults: 64 sessions over 4 shards, 400 steps per session, 4 waves in
@@ -30,59 +31,17 @@
 use std::time::Instant;
 
 use ficsum_bench::throughput::{
-    check_p99_ceiling, check_throughput_floor, read_baseline, serving_template, stagger_tape,
+    best_of, cores, fixed, serving_template, stagger_tape, write_baseline, Baseline, Flags,
 };
+use ficsum_obs::jsonl::{format_record, JsonValue};
 use ficsum_serve::{ServeConfig, SessionId, StreamServer, Submit};
 
-#[derive(Debug)]
 struct Args {
     sessions: usize,
     shards: usize,
     steps: usize,
     seed: u64,
     in_flight: usize,
-    repeat: usize,
-    out: Option<String>,
-    check: Option<String>,
-    min_ratio: f64,
-    max_p99_ratio: f64,
-}
-
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().collect();
-    let mut a = Args {
-        sessions: 64,
-        shards: 4,
-        steps: 400,
-        seed: 42,
-        in_flight: 4,
-        repeat: 3,
-        out: None,
-        check: None,
-        min_ratio: 0.8,
-        max_p99_ratio: 3.0,
-    };
-    let mut i = 1;
-    while i < argv.len() {
-        let val = |i: usize| {
-            argv.get(i + 1).unwrap_or_else(|| panic!("{} requires a value", argv[i])).clone()
-        };
-        match argv[i].as_str() {
-            "--sessions" => a.sessions = val(i).parse().expect("--sessions"),
-            "--shards" => a.shards = val(i).parse().expect("--shards"),
-            "--steps" => a.steps = val(i).parse().expect("--steps"),
-            "--seed" => a.seed = val(i).parse().expect("--seed"),
-            "--in-flight" => a.in_flight = val(i).parse().expect("--in-flight"),
-            "--repeat" => a.repeat = val(i).parse().expect("--repeat"),
-            "--out" => a.out = Some(val(i)),
-            "--check" => a.check = Some(val(i)),
-            "--min-ratio" => a.min_ratio = val(i).parse().expect("--min-ratio"),
-            "--max-p99-ratio" => a.max_p99_ratio = val(i).parse().expect("--max-p99-ratio"),
-            other => panic!("unknown option {other}"),
-        }
-        i += 2;
-    }
-    a
 }
 
 #[derive(Debug, Clone)]
@@ -159,43 +118,33 @@ fn run_once(args: &Args) -> Measurement {
     }
 }
 
-fn json_line(args: &Args, m: &Measurement, steps_per_sec: f64, cores: usize) -> String {
-    let scaling = steps_per_sec / m.single_steps_per_sec;
-    format!(
-        "{{\"bench\":\"serve_throughput\",\"sessions\":{},\"shards\":{},\"steps\":{},\
-         \"seed\":{},\"in_flight\":{},\"cores\":{},\"steps_per_sec\":{:.1},\
-         \"single_steps_per_sec\":{:.1},\
-         \"scaling\":{:.3},\"latency_p50_us\":{:.1},\"latency_p99_us\":{:.1},\
-         \"max_queue_depth\":{}}}",
-        args.sessions,
-        args.shards,
-        args.steps,
-        args.seed,
-        args.in_flight,
-        cores,
-        steps_per_sec,
-        m.single_steps_per_sec,
-        scaling,
-        m.p50_us,
-        m.p99_us,
-        m.max_queue_depth
-    )
-}
-
 fn main() {
-    let args = parse_args();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Best-of-R repeats: throughput noise is one-sided (scheduling stalls
-    // only ever slow a run down), so the max is the honest estimate.
-    let mut best: Option<(f64, Measurement)> = None;
-    for _ in 0..args.repeat.max(1) {
-        let m = run_once(&args);
-        let sps = m.served_steps as f64 / m.seconds;
-        if best.as_ref().is_none_or(|(b, _)| sps > *b) {
-            best = Some((sps, m));
-        }
-    }
-    let (steps_per_sec, m) = best.expect("at least one repeat");
+    let flags = Flags::from_env(
+        &[
+            "--sessions",
+            "--shards",
+            "--steps",
+            "--seed",
+            "--in-flight",
+            "--repeat",
+            "--out",
+            "--check",
+        ],
+        &[],
+    );
+    let args = Args {
+        sessions: flags.get("--sessions", 64),
+        shards: flags.get("--shards", 4),
+        steps: flags.get("--steps", 400),
+        seed: flags.get("--seed", 42),
+        in_flight: flags.get("--in-flight", 4),
+    };
+    let cores = cores();
+    let (steps_per_sec, m) = best_of(
+        flags.get("--repeat", 3),
+        || run_once(&args),
+        |m| m.served_steps as f64 / m.seconds,
+    );
     let scaling = steps_per_sec / m.single_steps_per_sec;
 
     println!(
@@ -219,18 +168,28 @@ fn main() {
         );
     }
 
-    let line = json_line(&args, &m, steps_per_sec, cores);
-    if let Some(path) = &args.out {
-        std::fs::write(path, format!("{line}\n")).unwrap_or_else(|e| panic!("--out {path}: {e}"));
-        println!("wrote {path}");
-    }
-
-    if let Some(path) = &args.check {
-        let baseline = read_baseline(path);
-        check_throughput_floor(path, &baseline, steps_per_sec, args.min_ratio);
+    write_baseline(
+        &flags,
+        &[format_record(&[
+            ("bench", JsonValue::Str("serve_throughput")),
+            ("sessions", JsonValue::Int(args.sessions as u64)),
+            ("shards", JsonValue::Int(args.shards as u64)),
+            ("steps", JsonValue::Int(args.steps as u64)),
+            ("seed", JsonValue::Int(args.seed)),
+            ("in_flight", JsonValue::Int(args.in_flight as u64)),
+            ("cores", JsonValue::Int(cores)),
+            ("steps_per_sec", fixed(steps_per_sec, 1)),
+            ("single_steps_per_sec", fixed(m.single_steps_per_sec, 1)),
+            ("scaling", fixed(scaling, 3)),
+            ("latency_p50_us", fixed(m.p50_us, 1)),
+            ("latency_p99_us", fixed(m.p99_us, 1)),
+            ("max_queue_depth", JsonValue::Int(m.max_queue_depth as u64)),
+        ])],
+    );
+    if let Some(path) = flags.value("--check") {
         // Tail latency gates too, with more headroom than throughput: even
         // with the bounded in-flight window, p99 includes residency behind
         // up to `in_flight` earlier waves and is noisier than throughput.
-        check_p99_ceiling(&baseline, m.p99_us, args.max_p99_ratio, "p99 latency");
+        Baseline::read(path).gate(&[], &[("steps_per_sec", steps_per_sec)], Some(m.p99_us));
     }
 }

@@ -11,19 +11,19 @@
 //!
 //! ```sh
 //! stream_throughput [--dataset NAME] [--seed S] [--steps N] [--threads T]
-//!                   [--incremental] [--emd-stride K] [--repeat R]
+//!                   [--incremental] [--emd-stride K] [--stages] [--repeat R]
 //!                   [--out PATH] [--append PATH] [--check PATH]
-//!                   [--min-ratio F]
 //! ```
 //!
-//! Defaults: STAGGER, seed 42, the full stream once, sequential, batch
-//! (bit-exact) extraction, EMD stride 1, no file output. `--threads T`
+//! Defaults: STAGGER, seed 42, the full stream, best of 3, sequential,
+//! batch (bit-exact) extraction, EMD stride 1, no file output. `--threads T`
 //! fans each extraction's behaviour sources over T threads
 //! (`FicsumBuilder::parallelism`); it pays on wide streams such as QG and
 //! costs on narrow ones (DESIGN.md "Parallelism"). `--incremental`
 //! switches the pipeline to incremental statistic substitution;
 //! `--emd-stride K` bounds IMF re-sifting to every K-th extraction per
-//! source in either mode; `--append` adds this run's line to an existing
+//! source in either mode; `--stages` prints per-source and per-stage
+//! times to stderr; `--append` adds this run's line to an existing
 //! baseline file so one file can carry both modes. `--check` compares
 //! against the line in the baseline whose `mode` matches this run.
 //! Latency per processed observation is sampled with a per-step monotonic
@@ -31,8 +31,10 @@
 
 use std::time::Instant;
 
-use ficsum_bench::throughput::{check_throughput_floor, read_baseline};
+use ficsum_bench::alloc_count::alloc_sample;
+use ficsum_bench::throughput::{best_of, fixed, write_baseline, Baseline, Flags};
 use ficsum_core::{FicsumBuilder, FicsumConfig, Variant};
+use ficsum_obs::jsonl::{format_record, JsonValue};
 use ficsum_stream::StreamSource;
 use ficsum_synth::dataset_by_name;
 
@@ -41,7 +43,6 @@ use ficsum_synth::dataset_by_name;
 static ALLOC: ficsum_bench::alloc_count::CountingAllocator =
     ficsum_bench::alloc_count::CountingAllocator;
 
-#[derive(Debug)]
 struct Args {
     dataset: String,
     seed: u64,
@@ -49,61 +50,18 @@ struct Args {
     threads: usize,
     incremental: bool,
     emd_stride: u32,
-    repeat: usize,
-    out: Option<String>,
-    append: Option<String>,
-    check: Option<String>,
-    min_ratio: f64,
     stages: bool,
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().collect();
-    let mut a = Args {
-        dataset: "STAGGER".into(),
-        seed: 42,
-        steps: usize::MAX,
-        threads: 1,
-        incremental: false,
-        emd_stride: 1,
-        repeat: 3,
-        out: None,
-        append: None,
-        check: None,
-        min_ratio: 0.8,
-        stages: false,
-    };
-    let mut i = 1;
-    while i < argv.len() {
-        let val = |i: usize| {
-            argv.get(i + 1).unwrap_or_else(|| panic!("{} requires a value", argv[i])).clone()
-        };
-        match argv[i].as_str() {
-            "--dataset" => a.dataset = val(i),
-            "--seed" => a.seed = val(i).parse().expect("--seed"),
-            "--steps" => a.steps = val(i).parse().expect("--steps"),
-            "--threads" => a.threads = val(i).parse().expect("--threads"),
-            "--incremental" => {
-                a.incremental = true;
-                i += 1;
-                continue;
-            }
-            "--emd-stride" => a.emd_stride = val(i).parse().expect("--emd-stride"),
-            "--repeat" => a.repeat = val(i).parse().expect("--repeat"),
-            "--out" => a.out = Some(val(i)),
-            "--append" => a.append = Some(val(i)),
-            "--check" => a.check = Some(val(i)),
-            "--min-ratio" => a.min_ratio = val(i).parse().expect("--min-ratio"),
-            "--stages" => {
-                a.stages = true;
-                i += 1;
-                continue;
-            }
-            other => panic!("unknown option {other}"),
+impl Args {
+    /// The baseline line's `mode` tag.
+    fn mode(&self) -> &'static str {
+        if self.incremental {
+            "incremental"
+        } else {
+            "batch"
         }
-        i += 2;
     }
-    a
 }
 
 #[derive(Debug, Default, Clone)]
@@ -115,31 +73,38 @@ struct Measurement {
     /// plus model selection dominate these steps).
     drift_step_secs: Vec<f64>,
     accuracy: f64,
+    /// Allocation rates, when the counting allocator is compiled in.
+    allocs: Option<AllocRates>,
+}
+
+impl Measurement {
+    fn drift_step_us_mean(&self) -> f64 {
+        let secs = &self.drift_step_secs;
+        secs.iter().sum::<f64>() / secs.len().max(1) as f64 * 1e6
+    }
+
+    fn drift_step_us_max(&self) -> f64 {
+        self.drift_step_secs.iter().copied().fold(0.0f64, f64::max) * 1e6
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+struct AllocRates {
     /// Allocation calls per step over the steady-state tail (after
-    /// warm-up), when the counting allocator is compiled in. Drift steps
-    /// are excluded: storing/restoring concepts at a drift allocates by
-    /// design (classifier clones enter the repository), and folding those
-    /// event-time allocations into the per-step figure would hide
-    /// regressions on the quiescent path the budget actually targets.
-    steady_allocs_per_step: Option<f64>,
+    /// warm-up). Drift steps are excluded: storing/restoring concepts at a
+    /// drift allocates by design (classifier clones enter the repository),
+    /// and folding those event-time allocations into the per-step figure
+    /// would hide regressions on the quiescent path the budget actually
+    /// targets.
+    steady: f64,
     /// Allocation calls per *drift* step (event-time allocations).
-    drift_allocs_per_step: Option<f64>,
+    drift: f64,
     /// Fraction of steady-state steps that performed *zero* allocations.
     /// The complement is structural-growth events (tree node splits,
     /// detector bucket growth), not per-step churn.
-    steady_zero_frac: Option<f64>,
+    steady_zero_frac: f64,
     /// Total allocation calls per step over the whole run.
-    total_allocs_per_step: Option<f64>,
-}
-
-#[cfg(feature = "alloc-count")]
-fn alloc_sample() -> u64 {
-    ficsum_bench::alloc_count::allocations()
-}
-
-#[cfg(not(feature = "alloc-count"))]
-fn alloc_sample() -> u64 {
-    0
+    total: f64,
 }
 
 fn run_once(args: &Args) -> Measurement {
@@ -219,79 +184,68 @@ fn run_once(args: &Args) -> Measurement {
         }
     }
     if cfg!(feature = "alloc-count") {
-        m.steady_allocs_per_step = Some(steady_allocs as f64 / steady_steps.max(1) as f64);
-        m.drift_allocs_per_step = Some(drift_allocs as f64 / drift_steps.max(1) as f64);
-        m.steady_zero_frac = Some(steady_zero as f64 / steady_steps.max(1) as f64);
-        m.total_allocs_per_step =
-            Some((alloc_sample() - alloc_start) as f64 / m.steps.max(1) as f64);
+        m.allocs = Some(AllocRates {
+            steady: steady_allocs as f64 / steady_steps.max(1) as f64,
+            drift: drift_allocs as f64 / drift_steps.max(1) as f64,
+            steady_zero_frac: steady_zero as f64 / steady_steps.max(1) as f64,
+            total: (alloc_sample() - alloc_start) as f64 / m.steps.max(1) as f64,
+        });
     }
     m
 }
 
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
 fn json_line(args: &Args, m: &Measurement, steps_per_sec: f64) -> String {
-    let drift_mean_us = mean(&m.drift_step_secs) * 1e6;
-    let drift_max_us = m.drift_step_secs.iter().copied().fold(0.0f64, f64::max) * 1e6;
-    let mut s = format!(
-        "{{\"bench\":\"stream_throughput\",\"mode\":\"{}\",\"emd_stride\":{},\
-         \"dataset\":\"{}\",\"seed\":{},\"steps\":{},\
-         \"threads\":{},\"steps_per_sec\":{:.1},\"drifts\":{},\
-         \"drift_step_us_mean\":{:.1},\"drift_step_us_max\":{:.1},\"accuracy\":{:.6}",
-        if args.incremental { "incremental" } else { "batch" },
-        args.emd_stride,
-        args.dataset,
-        args.seed,
-        m.steps,
-        args.threads,
-        steps_per_sec,
-        m.drifts,
-        drift_mean_us,
-        drift_max_us,
-        m.accuracy
-    );
-    if let (Some(steady), Some(total)) = (m.steady_allocs_per_step, m.total_allocs_per_step) {
-        let drift = m.drift_allocs_per_step.unwrap_or(0.0);
-        let zero = m.steady_zero_frac.unwrap_or(0.0);
-        s.push_str(&format!(
-            ",\"steady_allocs_per_step\":{steady:.4},\"drift_allocs_per_step\":{drift:.1},\
-             \"steady_zero_frac\":{zero:.4},\"total_allocs_per_step\":{total:.4}"
-        ));
+    let mut fields = vec![
+        ("bench", JsonValue::Str("stream_throughput")),
+        ("mode", JsonValue::Str(args.mode())),
+        ("emd_stride", JsonValue::Int(args.emd_stride.into())),
+        ("dataset", JsonValue::Str(&args.dataset)),
+        ("seed", JsonValue::Int(args.seed)),
+        ("steps", JsonValue::Int(m.steps as u64)),
+        ("threads", JsonValue::Int(args.threads as u64)),
+        ("steps_per_sec", fixed(steps_per_sec, 1)),
+        ("drifts", JsonValue::Int(m.drifts as u64)),
+        ("drift_step_us_mean", fixed(m.drift_step_us_mean(), 1)),
+        ("drift_step_us_max", fixed(m.drift_step_us_max(), 1)),
+        ("accuracy", fixed(m.accuracy, 6)),
+    ];
+    if let Some(a) = m.allocs {
+        fields.extend([
+            ("steady_allocs_per_step", fixed(a.steady, 4)),
+            ("drift_allocs_per_step", fixed(a.drift, 1)),
+            ("steady_zero_frac", fixed(a.steady_zero_frac, 4)),
+            ("total_allocs_per_step", fixed(a.total, 4)),
+        ]);
     }
-    s.push('}');
-    s
-}
-
-/// Picks the baseline line matching this run's mode out of a (possibly
-/// multi-line) baseline file. Falls back to the first non-empty line for
-/// single-mode baselines written before the `mode` field existed.
-fn baseline_line<'a>(contents: &'a str, mode: &str) -> Option<&'a str> {
-    let key = format!("\"mode\":\"{mode}\"");
-    contents
-        .lines()
-        .find(|l| l.contains(&key))
-        .or_else(|| contents.lines().find(|l| !l.trim().is_empty()))
+    format_record(&fields)
 }
 
 fn main() {
-    let args = parse_args();
-    // Best-of-R repeats: throughput noise is one-sided (scheduling stalls
-    // only ever slow a run down), so the max is the honest estimate.
-    let mut best: Option<(f64, Measurement)> = None;
-    for _ in 0..args.repeat.max(1) {
-        let m = run_once(&args);
-        let sps = m.steps as f64 / m.seconds;
-        if best.as_ref().is_none_or(|(b, _)| sps > *b) {
-            best = Some((sps, m));
-        }
-    }
-    let (steps_per_sec, m) = best.expect("at least one repeat");
+    let flags = Flags::from_env(
+        &[
+            "--dataset",
+            "--seed",
+            "--steps",
+            "--threads",
+            "--emd-stride",
+            "--repeat",
+            "--out",
+            "--append",
+            "--check",
+        ],
+        &["--incremental", "--stages"],
+    );
+    let args = Args {
+        dataset: flags.value("--dataset").unwrap_or("STAGGER").to_owned(),
+        seed: flags.get("--seed", 42),
+        steps: flags.get("--steps", usize::MAX),
+        threads: flags.get("--threads", 1),
+        incremental: flags.switch("--incremental"),
+        emd_stride: flags.get("--emd-stride", 1),
+        stages: flags.switch("--stages"),
+    };
+    let (steps_per_sec, m) =
+        best_of(flags.get("--repeat", 3), || run_once(&args), |m| m.steps as f64 / m.seconds);
 
     println!(
         "stream_throughput: {} x{} steps, threads={} -> {:.0} steps/sec, \
@@ -301,42 +255,24 @@ fn main() {
         args.threads,
         steps_per_sec,
         m.drifts,
-        mean(&m.drift_step_secs) * 1e6,
-        m.drift_step_secs.iter().copied().fold(0.0f64, f64::max) * 1e6,
+        m.drift_step_us_mean(),
+        m.drift_step_us_max(),
         m.accuracy
     );
-    if let Some(steady) = m.steady_allocs_per_step {
+    if let Some(a) = m.allocs {
         println!(
             "allocations: steady-state {:.4}/step ({:.2}% of steps zero-alloc), \
              drift steps {:.1}/step, whole-run {:.4}/step",
-            steady,
-            m.steady_zero_frac.unwrap_or(0.0) * 100.0,
-            m.drift_allocs_per_step.unwrap_or(0.0),
-            m.total_allocs_per_step.unwrap_or(0.0)
+            a.steady,
+            a.steady_zero_frac * 100.0,
+            a.drift,
+            a.total
         );
     }
 
-    let line = json_line(&args, &m, steps_per_sec);
-    if let Some(path) = &args.out {
-        std::fs::write(path, format!("{line}\n")).unwrap_or_else(|e| panic!("--out {path}: {e}"));
-        println!("wrote {path}");
-    }
-    if let Some(path) = &args.append {
-        let mut contents = std::fs::read_to_string(path).unwrap_or_default();
-        if !contents.is_empty() && !contents.ends_with('\n') {
-            contents.push('\n');
-        }
-        contents.push_str(&line);
-        contents.push('\n');
-        std::fs::write(path, contents).unwrap_or_else(|e| panic!("--append {path}: {e}"));
-        println!("appended to {path}");
-    }
-
-    if let Some(path) = &args.check {
-        let contents = read_baseline(path);
-        let mode = if args.incremental { "incremental" } else { "batch" };
-        let baseline = baseline_line(&contents, mode)
-            .unwrap_or_else(|| panic!("--check {path}: empty baseline file"));
-        check_throughput_floor(path, baseline, steps_per_sec, args.min_ratio);
+    write_baseline(&flags, &[json_line(&args, &m, steps_per_sec)]);
+    if let Some(path) = flags.value("--check") {
+        let floors = [("steps_per_sec", steps_per_sec)];
+        Baseline::read(path).gate(&[("mode", args.mode())], &floors, None);
     }
 }

@@ -1,6 +1,6 @@
 //! Shared experiment harness: the CLI options, the evaluation [`Grid`]
-//! every paper-metric binary is a spec over, the [`Report`] it returns,
-//! and a std-only throughput timer.
+//! every paper-metric binary is a spec over, and the [`Report`] it
+//! returns.
 //!
 //! A grid crosses labelled [`System`]s with labelled [`Dataset`]s over
 //! seeds `1..=--seeds`. It runs one (dataset, system) cell at a time, its
@@ -15,7 +15,6 @@
 
 use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 use ficsum_baselines::FicsumSystem;
 use ficsum_core::{FicsumConfig, Variant};
@@ -24,11 +23,11 @@ use ficsum_eval::{
     sign_test_higher, EvaluatedSystem, FriedmanOutcome, ObsSummary, RunOptions, RunResult,
     SignTest, Table,
 };
-use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
-use ficsum_stream::{LabeledObservation, StreamSource, VecStream};
+use ficsum_stream::{StreamSource, VecStream};
 use ficsum_synth::{dataset_by_name, ALL_DATASETS};
 
 use crate::jsonl_out::JsonlReporter;
+use crate::throughput::{cores, Flags};
 
 /// Common experiment options parsed from `std::env::args`.
 #[derive(Debug, Clone)]
@@ -55,43 +54,27 @@ impl Options {
     }
 
     /// Parses `--seeds N` (default `default_seeds`), `--quick`,
-    /// `--only NAME[,NAME...]`, `--jsonl PATH` and, for each flag named
-    /// in `extra`, that flag and its value. Returns the options and the
-    /// extra flags given, in order, with their values. Panics on an
+    /// `--only NAME[,NAME...]`, `--jsonl PATH` and the valued flags named
+    /// in `extra`, whose values the returned [`Flags`] hold. Panics on an
     /// unknown flag, a missing value or `--seeds 0`, which would run
     /// nothing and still print tables.
     pub fn parse(
         args: impl IntoIterator<Item = String>,
         default_seeds: u64,
         extra: &[&'static str],
-    ) -> (Self, Vec<(&'static str, String)>) {
-        let mut opts = Options { seeds: default_seeds, quick: false, only: None, jsonl: None };
-        let mut given = Vec::new();
-        let mut args = args.into_iter();
-        while let Some(flag) = args.next() {
-            if flag == "--quick" {
-                opts.quick = true;
-                continue;
-            }
-            let mut value = || args.next().unwrap_or_else(|| panic!("{flag} needs a value"));
-            match flag.as_str() {
-                "--seeds" => {
-                    opts.seeds =
-                        value().parse::<NonZeroU64>().expect("--seeds requires a number >= 1").get()
-                }
-                "--only" => opts.only = Some(value()),
-                "--jsonl" => opts.jsonl = Some(value()),
-                other => match extra.iter().find(|&&e| e == other) {
-                    Some(&e) => given.push((e, value())),
-                    None => panic!(
-                        "unknown option {other}; supported: --seeds N, --quick, --only NAME, \
-                         --jsonl PATH{}",
-                        extra.iter().map(|e| format!(", {e} VALUE")).collect::<String>()
-                    ),
-                },
-            }
-        }
-        (opts, given)
+    ) -> (Self, Flags) {
+        let valued = [&["--seeds", "--only", "--jsonl"], extra].concat();
+        let flags = Flags::parse(args, &valued, &["--quick"]);
+        let seeds = flags.value("--seeds").map_or(default_seeds, |v| {
+            v.parse::<NonZeroU64>().expect("--seeds requires a number >= 1").get()
+        });
+        let opts = Options {
+            seeds,
+            quick: flags.switch("--quick"),
+            only: flags.value("--only").map(str::to_owned),
+            jsonl: flags.value("--jsonl").map(str::to_owned),
+        };
+        (opts, flags)
     }
 
     /// Effective stream cap.
@@ -120,7 +103,7 @@ impl Options {
 /// unclaimed index. Each result lands in its index's slot, so the output
 /// is the same whatever the worker count or the order the jobs finish in.
 pub fn fan_out<T: Send>(n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let workers = std::thread::available_parallelism().map_or(1, |p| p.get()).min(n);
+    let workers = (cores() as usize).min(n);
     if workers <= 1 {
         return (0..n).map(job).collect();
     }
@@ -262,7 +245,7 @@ impl Grid {
         let datasets: Vec<&Dataset> =
             self.datasets.iter().filter(|d| opts.selected(&d.label)).collect();
         let observed = self.observed || opts.jsonl.is_some();
-        let mut jsonl = JsonlReporter::from_options(self.experiment, opts);
+        let mut jsonl = JsonlReporter::open(self.experiment, opts.jsonl.as_deref());
         let mut runs = Vec::new();
         for dataset in &datasets {
             for system in &self.systems {
@@ -427,73 +410,6 @@ fn layout(
     table
 }
 
-/// Result of one [`time_throughput`] measurement.
-#[derive(Debug, Clone, Copy)]
-pub struct Throughput {
-    /// Iterations actually timed (after warm-up).
-    pub iterations: u64,
-    /// Wall-clock seconds over those iterations.
-    pub seconds: f64,
-    /// Work units (e.g. observations) per iteration.
-    pub units_per_iter: u64,
-}
-
-impl Throughput {
-    /// Work units per second.
-    pub fn units_per_sec(&self) -> f64 {
-        self.units_per_iter as f64 * self.iterations as f64 / self.seconds
-    }
-
-    /// Mean wall-clock seconds per iteration.
-    pub fn secs_per_iter(&self) -> f64 {
-        self.seconds / self.iterations as f64
-    }
-}
-
-/// Std-only throughput timer (no external benchmark harness): runs `f` for
-/// a short warm-up, then repeatedly for at least `min_seconds` of wall
-/// clock, and reports iterations, elapsed time and derived rates.
-/// `units_per_iter` sets the work-unit denominator (observations per call,
-/// say) so results can be read as obs/sec.
-pub fn time_throughput(
-    min_seconds: f64,
-    units_per_iter: u64,
-    mut f: impl FnMut(),
-) -> Throughput {
-    // Warm-up: populate caches/scratch buffers and estimate per-call cost.
-    let warm_start = Instant::now();
-    let mut warm_iters = 0u64;
-    while warm_start.elapsed().as_secs_f64() < min_seconds * 0.1 || warm_iters < 3 {
-        f();
-        warm_iters += 1;
-    }
-    let start = Instant::now();
-    let mut iterations = 0u64;
-    loop {
-        f();
-        iterations += 1;
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed >= min_seconds {
-            return Throughput { iterations, seconds: elapsed, units_per_iter };
-        }
-    }
-}
-
-/// Deterministic synthetic window for extraction benchmarks: `n`
-/// observations of `d` uniform features, binary labels correlated with the
-/// first feature and ~15% prediction errors.
-pub fn synthetic_window(n: usize, d: usize, seed: u64) -> Vec<LabeledObservation> {
-    let mut rng = Xoshiro256pp::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let x: Vec<f64> = (0..d).map(|_| rng.random()).collect();
-            let y = (x[0] > 0.5) as usize;
-            let pred = if rng.random_bool(0.15) { 1 - y } else { y };
-            LabeledObservation::new(x, y, pred)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,7 +451,7 @@ mod tests {
         let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         let (o, extra) = Options::parse(args(&["--quick", "--seeds", "3"]), 2, &[]);
         assert_eq!((o.seeds, o.stream_cap()), (3, 12_000));
-        assert!(extra.is_empty());
+        assert_eq!(extra.value("--seeds"), Some("3"));
         let (o, _) = Options::parse(args(&["--quick"]), 5, &[]);
         assert_eq!((o.seeds, o.stream_cap()), (5, 12_000));
         let (o, extra) = Options::parse(
@@ -544,7 +460,7 @@ mod tests {
             &["--strides", "--check"],
         );
         assert_eq!((o.seeds, o.stream_cap(), o.only.as_deref()), (4, usize::MAX, Some("CMC")));
-        assert_eq!(extra, vec![("--strides", "1,2".to_string()), ("--check", "X".to_string())]);
+        assert_eq!((extra.value("--strides"), extra.value("--check")), (Some("1,2"), Some("X")));
     }
 
     #[test]

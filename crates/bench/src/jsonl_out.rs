@@ -14,7 +14,7 @@ use std::io::{BufWriter, Stdout, Write};
 use ficsum_eval::RunResult;
 use ficsum_obs::jsonl::{write_record, JsonValue};
 
-use crate::harness::{Options, Throughput};
+use crate::throughput::Throughput;
 
 enum Sink {
     Stdout(Stdout),
@@ -44,10 +44,10 @@ pub struct JsonlReporter {
 }
 
 impl JsonlReporter {
-    /// A reporter for `experiment`, honouring `--jsonl PATH` (`-` =
-    /// stdout). `None` when the flag was not given.
-    pub fn from_options(experiment: &'static str, opts: &Options) -> Option<Self> {
-        let path = opts.jsonl.as_deref()?;
+    /// A reporter for `experiment` writing to the `--jsonl` value `path`
+    /// (`-` = stdout). `None` when the flag was not given.
+    pub fn open(experiment: &'static str, path: Option<&str>) -> Option<Self> {
+        let path = path?;
         let out = if path == "-" {
             Sink::Stdout(std::io::stdout())
         } else {
@@ -148,14 +148,9 @@ impl JsonlReporter {
 mod tests {
     use super::*;
 
-    fn opts_to(path: &str) -> Options {
-        Options { seeds: 1, quick: true, only: None, jsonl: Some(path.into()) }
-    }
-
     #[test]
     fn absent_flag_disables_reporting() {
-        let opts = Options { seeds: 1, quick: true, only: None, jsonl: None };
-        assert!(JsonlReporter::from_options("t", &opts).is_none());
+        assert!(JsonlReporter::open("t", None).is_none());
     }
 
     #[test]
@@ -164,7 +159,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("out.jsonl");
         let path_s = path.to_str().unwrap().to_owned();
-        let mut rep = JsonlReporter::from_options("unit", &opts_to(&path_s)).unwrap();
+        let mut rep = JsonlReporter::open("unit", Some(&path_s)).unwrap();
         let result = RunResult {
             system: "FiCSUM".into(),
             kappa: 0.5,

@@ -143,7 +143,8 @@ impl AdaptiveRandomForest {
     }
 
     /// Members currently training a background tree (in warning state).
-    pub fn n_backgrounds(&self) -> usize {
+    #[cfg(test)]
+    fn n_backgrounds(&self) -> usize {
         self.members.iter().filter(|m| m.background.is_some()).count()
     }
 }

@@ -121,7 +121,8 @@ impl DynamicWeightedMajority {
     }
 
     /// Current number of experts in the pool.
-    pub fn n_experts(&self) -> usize {
+    #[cfg(test)]
+    fn n_experts(&self) -> usize {
         self.experts.len()
     }
 

@@ -201,7 +201,8 @@ impl HoeffdingTree {
     }
 
     /// Total node count.
-    pub fn n_nodes(&self) -> usize {
+    #[cfg(test)]
+    fn n_nodes(&self) -> usize {
         self.nodes.len()
     }
 

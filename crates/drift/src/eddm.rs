@@ -48,7 +48,8 @@ impl Eddm {
     }
 
     /// Mean observed distance between errors.
-    pub fn mean_distance(&self) -> f64 {
+    #[cfg(test)]
+    fn mean_distance(&self) -> f64 {
         self.distance.mean()
     }
 }

@@ -120,16 +120,6 @@ impl ObsSummary {
         }
     }
 
-    /// Fraction of truth changes detected in time (1.0 when the stream had
-    /// none).
-    pub fn detection_rate(&self) -> f64 {
-        if self.n_truth_changes == 0 {
-            1.0
-        } else {
-            self.detected as f64 / self.n_truth_changes as f64
-        }
-    }
-
     /// Total nanoseconds recorded across all stages.
     pub fn total_stage_nanos(&self) -> u64 {
         self.stage_costs.iter().map(|c| c.total_nanos).sum()
@@ -159,7 +149,6 @@ mod tests {
         assert_eq!(s.missed, 0);
         assert_eq!(s.false_alarms, 1);
         assert_eq!(s.mean_detection_delay, Some(300.0));
-        assert_eq!(s.detection_rate(), 1.0);
     }
 
     #[test]

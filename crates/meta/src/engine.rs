@@ -630,13 +630,6 @@ impl FingerprintEngine {
         }
     }
 
-    /// Builder-style thread-count override; see
-    /// [`FingerprintEngine::set_threads`].
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.set_threads(threads);
-        self
-    }
-
     /// Sets the number of worker threads the per-source fan-out may use.
     /// `0` and `1` both mean sequential. Parallel extraction is guaranteed
     /// bit-identical to sequential: sources are computed by identical code
@@ -1502,8 +1495,8 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(13);
         let d = 20;
         let mut seq_engine = FingerprintEngine::new(FingerprintExtractor::full(d));
-        let mut par_engine =
-            FingerprintEngine::new(FingerprintExtractor::full(d)).with_threads(4);
+        let mut par_engine = FingerprintEngine::new(FingerprintExtractor::full(d));
+        par_engine.set_threads(4);
         assert_eq!(par_engine.threads(), 4);
         let tree = trained_tree(&mut rng, d);
         let (mut seq_scan, mut par_scan) = (StaticScan::new(), StaticScan::new());
@@ -1544,7 +1537,8 @@ mod tests {
         let mut scan = StaticScan::new();
         FingerprintEngine::new(FingerprintExtractor::full(d))
             .static_scan_tracked(&fw.a_tracked(), &mut scan);
-        let mut engine = FingerprintEngine::new(FingerprintExtractor::full(d)).with_threads(8);
+        let mut engine = FingerprintEngine::new(FingerprintExtractor::full(d));
+        engine.set_threads(8);
         let mut out = Vec::new();
         engine.extract_with_scan(&fw.a_tracked(), &scan, &tree, &mut out);
         assert_eq!(engine.workers.len(), 3);
@@ -1611,7 +1605,8 @@ mod tests {
         let ex = FingerprintExtractor::full(d);
         let tree = trained_tree(&mut rng, d);
         let mut seq_engine = FingerprintEngine::new(ex.clone()).with_mode(incremental(3));
-        let mut par_engine = FingerprintEngine::new(ex).with_mode(incremental(3)).with_threads(3);
+        let mut par_engine = FingerprintEngine::new(ex).with_mode(incremental(3));
+        par_engine.set_threads(3);
         let rows = window(&mut rng, 60, d, 2);
         let mut fw = FrameWindows::new(40, 5, d);
         fw.enable_stats(8);
@@ -1779,9 +1774,10 @@ mod tests {
         let ex = FingerprintExtractor::full(d);
         let trees: Vec<HoeffdingTree> = (0..3).map(|_| trained_tree(&mut rng, d)).collect();
         for threads in [1usize, 3] {
-            let mut memo = FingerprintEngine::new(ex.clone()).with_threads(threads);
-            let mut bare =
-                without_memo(FingerprintEngine::new(ex.clone()), threads).with_threads(threads);
+            let mut memo = FingerprintEngine::new(ex.clone());
+            let mut bare = without_memo(FingerprintEngine::new(ex.clone()), threads);
+            memo.set_threads(threads);
+            bare.set_threads(threads);
             let (mut scan_m, mut scan_b) = (StaticScan::new(), StaticScan::new());
             let mut fw = frames_of(&window(&mut rng, 50, d, 2), 50);
             for trial in 0..6 {
@@ -1817,10 +1813,11 @@ mod tests {
         let tree = trained_tree(&mut rng, d);
         for threads in [1usize, 2] {
             let mode = incremental(4);
-            let mut memo = FingerprintEngine::new(ex.clone()).with_mode(mode).with_threads(threads);
-            let mut bare = without_memo(FingerprintEngine::new(ex.clone()), threads)
-                .with_mode(mode)
-                .with_threads(threads);
+            let mut memo = FingerprintEngine::new(ex.clone()).with_mode(mode);
+            let mut bare =
+                without_memo(FingerprintEngine::new(ex.clone()), threads).with_mode(mode);
+            memo.set_threads(threads);
+            bare.set_threads(threads);
             let mut fw = FrameWindows::new(40, 8, d);
             fw.enable_stats(8);
             for step in 0..160 {
@@ -1893,8 +1890,8 @@ mod tests {
         let fw = frames_of(&window(&mut rng, 80, d, 2), 80);
         let tree = trained_tree(&mut rng, d);
         for threads in [1, 3] {
-            let mut engine =
-                FingerprintEngine::new(FingerprintExtractor::full(d)).with_threads(threads);
+            let mut engine = FingerprintEngine::new(FingerprintExtractor::full(d));
+            engine.set_threads(threads);
             assert!(!engine.timing_enabled());
             assert!(engine.source_timings().is_empty());
             engine.set_clock(Some(Arc::new(MonotonicClock::new())));

@@ -58,11 +58,6 @@ impl ManualClock {
         Self::default()
     }
 
-    /// A clock starting at `nanos`.
-    pub fn starting_at(nanos: u64) -> Self {
-        Self { now: AtomicU64::new(nanos) }
-    }
-
     /// Moves the clock forward by `nanos`.
     pub fn advance(&self, nanos: u64) {
         self.now.fetch_add(nanos, Ordering::Relaxed);
@@ -106,7 +101,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "monotonic")]
     fn manual_clock_rejects_time_travel() {
-        let c = ManualClock::starting_at(500);
+        let c = ManualClock::new();
+        c.set(500);
         c.set(100);
     }
 }

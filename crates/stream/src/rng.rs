@@ -209,12 +209,6 @@ impl Xoshiro256pp {
         }
         Self { s }
     }
-
-    /// A fresh generator whose seed is drawn from this one — used to hand
-    /// independent streams to sub-components (ensemble members, concepts).
-    pub fn fork(&mut self) -> Self {
-        Self::seed_from_u64(self.next_u64())
-    }
 }
 
 impl RandomSource for Xoshiro256pp {
@@ -371,13 +365,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..20).collect::<Vec<_>>());
         assert_ne!(v, sorted, "a 20-element shuffle staying sorted is ~1e-18");
-    }
-
-    #[test]
-    fn fork_produces_independent_streams() {
-        let mut parent = Xoshiro256pp::seed_from_u64(23);
-        let mut child = parent.fork();
-        assert_ne!(parent.next_u64(), child.next_u64());
     }
 
     #[test]

@@ -23,13 +23,6 @@ impl RunningStats {
         Self::default()
     }
 
-    /// Accumulator seeded with a single value.
-    pub fn from_value(v: f64) -> Self {
-        let mut s = Self::new();
-        s.push(v);
-        s
-    }
-
     /// Incorporates one value.
     pub fn push(&mut self, v: f64) {
         self.count += 1;
@@ -404,7 +397,8 @@ mod tests {
 
     #[test]
     fn merge_with_empty_is_identity() {
-        let mut s = RunningStats::from_value(3.0);
+        let mut s = RunningStats::new();
+        s.push(3.0);
         s.merge(&RunningStats::new());
         assert_eq!(s.count(), 1);
         assert_eq!(s.mean(), 3.0);
@@ -412,7 +406,8 @@ mod tests {
 
     #[test]
     fn variance_of_single_value_is_zero() {
-        let s = RunningStats::from_value(42.0);
+        let mut s = RunningStats::new();
+        s.push(42.0);
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.std_dev(), 0.0);
     }
