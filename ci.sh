@@ -102,7 +102,26 @@ smoke() {
 smoke table3_discrimination --only STAGGER
 smoke table4_performance --only STAGGER,CMC
 smoke table5_meta_functions
-smoke table6_frameworks --only STAGGER
+# Table VI also writes its runs as JSON lines: every run reports its
+# detection figures, counted from the drifts each framework reports, so
+# each of the six frameworks must write exactly one result line, and each
+# line must carry false_alarms.
+tmp=$(mktemp)
+smoke table6_frameworks --only STAGGER --jsonl "$tmp"
+if [ "$(grep -c '"kind":"result"' "$tmp" || true)" != 6 ]; then
+  echo "table6_frameworks --jsonl: expected 6 result lines:" >&2
+  cat "$tmp" >&2
+  exit 1
+fi
+for fw in HTCD RCD ER DWM ARF FiCSUM; do
+  n=$(grep -c "^{\"kind\":\"result\",.*\"system\":\"$fw\",.*\"false_alarms\":" "$tmp" || true)
+  if [ "$n" != 1 ]; then
+    echo "table6_frameworks --jsonl: $n result lines with false_alarms for $fw" >&2
+    exit 1
+  fi
+done
+rm -f "$tmp"
+echo "table6_frameworks --jsonl: one result line with false_alarms per framework"
 smoke ablations
 smoke fig3_sensitivity
 

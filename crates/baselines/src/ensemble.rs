@@ -5,9 +5,15 @@
 //! identity never changes — the paper's Table VI shows exactly this: strong
 //! kappa (especially ARF) but flat, poor C-F1 because a single model id
 //! cannot track recurring concepts.
+//!
+//! Neither surfaces a system-level drift: DWM drops and adds experts by
+//! their weights, and ARF swaps single trees on each tree's own ADWIN,
+//! but the ensemble as a whole never resets. Every step therefore reports
+//! `drift: false`, and the runner counts every ground-truth change as a
+//! miss.
 
 use ficsum_classifiers::{AdaptiveRandomForest, Classifier, DynamicWeightedMajority};
-use ficsum_eval::EvaluatedSystem;
+use ficsum_eval::{EvaluatedSystem, Step};
 
 /// Which ensemble to run.
 pub enum EnsembleKind {
@@ -42,11 +48,12 @@ impl EnsembleSystem {
 }
 
 impl EvaluatedSystem for EnsembleSystem {
-    fn step(&mut self, x: &[f64], y: usize) -> (usize, usize) {
+    fn step(&mut self, x: &[f64], y: usize) -> Step {
         let clf = self.classifier();
         let prediction = clf.predict(x);
         clf.train(x, y);
-        (prediction, 0) // single evolving model
+        // A single evolving model, with no system-level drift.
+        Step { prediction, model: 0, drift: false }
     }
 
     fn name(&self) -> String {
@@ -70,9 +77,9 @@ mod tests {
             for i in 0..1500 {
                 let y = rng.random_range(0..2usize);
                 let x = vec![y as f64 * 2.0 + rng.random::<f64>(), rng.random()];
-                let (p, m) = system.step(&x, y);
-                assert_eq!(m, 0, "ensembles expose a single model id");
-                if i > 500 && p == y {
+                let step = system.step(&x, y);
+                assert_eq!((step.model, step.drift), (0, false), "a single model, no drift");
+                if i > 500 && step.prediction == y {
                     correct += 1;
                 }
             }

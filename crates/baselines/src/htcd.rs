@@ -4,10 +4,11 @@
 //! prequential errors feed an ADWIN detector; on drift the tree is rebuilt
 //! from scratch. Each rebuild is a new "model", so HTCD's C-F1 is poor on
 //! recurring-concept streams (it can never bring a previous model back).
+//! The step on which ADWIN fires and the tree is rebuilt is HTCD's drift.
 
 use ficsum_classifiers::{Classifier, HoeffdingTree};
 use ficsum_drift::{Adwin, DetectorState, DriftDetector};
-use ficsum_eval::EvaluatedSystem;
+use ficsum_eval::{EvaluatedSystem, Step};
 
 /// The HTCD framework.
 pub struct Htcd {
@@ -39,17 +40,18 @@ impl Htcd {
 }
 
 impl EvaluatedSystem for Htcd {
-    fn step(&mut self, x: &[f64], y: usize) -> (usize, usize) {
+    fn step(&mut self, x: &[f64], y: usize) -> Step {
         let prediction = self.tree.predict(x);
         let err = if prediction == y { 0.0 } else { 1.0 };
         self.tree.train(x, y);
-        if self.detector.add(err) == DetectorState::Drift {
+        let drift = self.detector.add(err) == DetectorState::Drift;
+        if drift {
             self.tree = HoeffdingTree::new(self.n_features, self.n_classes);
             self.detector.reset();
             self.generation += 1;
             self.n_resets += 1;
         }
-        (prediction, self.generation)
+        Step { prediction, model: self.generation, drift }
     }
 
     fn name(&self) -> String {
@@ -80,8 +82,7 @@ mod tests {
         let mut correct = 0;
         for _ in 0..4000 {
             let (x, y) = blob(&mut rng, true);
-            let (p, _) = htcd.step(&x, y);
-            if p == y {
+            if htcd.step(&x, y).prediction == y {
                 correct += 1;
             }
         }
@@ -93,8 +94,7 @@ mod tests {
     fn model_id_increments_per_reset() {
         let mut rng = Xoshiro256pp::seed_from_u64(2);
         let mut htcd = Htcd::new(2, 2);
-        let (_, m0) = htcd.step(&[0.0, 0.0], 0);
-        assert_eq!(m0, 0);
+        assert_eq!(htcd.step(&[0.0, 0.0], 0).model, 0);
         for _ in 0..2000 {
             let (x, y) = blob(&mut rng, false);
             htcd.step(&x, y);
@@ -103,7 +103,22 @@ mod tests {
             let (x, y) = blob(&mut rng, true);
             htcd.step(&x, y);
         }
-        let (_, m1) = htcd.step(&[0.0, 0.0], 0);
-        assert!(m1 >= 1);
+        assert!(htcd.step(&[0.0, 0.0], 0).model >= 1);
+    }
+
+    #[test]
+    fn drift_steps_are_the_resets() {
+        let mut rng = Xoshiro256pp::seed_from_u64(3);
+        let mut htcd = Htcd::new(2, 2);
+        let mut drifts = 0;
+        // Four label flips, each long enough for ADWIN to notice.
+        for flip in [false, true, false, true, false] {
+            for _ in 0..2500 {
+                let (x, y) = blob(&mut rng, flip);
+                drifts += usize::from(htcd.step(&x, y).drift);
+            }
+        }
+        assert!(htcd.n_resets() >= 2, "the flips must reset the tree");
+        assert_eq!(drifts, htcd.n_resets());
     }
 }

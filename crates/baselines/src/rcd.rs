@@ -12,7 +12,8 @@
 //! observations (about the last `buffer_cap`, with or without a warning
 //! before) are compared against each stored concept's window with a
 //! two-sample statistical test; a match reuses that concept's classifier,
-//! otherwise a new concept is created.
+//! otherwise a new concept is created. The step on which EDDM reads
+//! `Drift` is RCD's drift.
 //!
 //! The original uses a KNN-based multivariate test; we use per-feature
 //! Kolmogorov–Smirnov tests with a majority vote — the same role (does this
@@ -20,7 +21,7 @@
 
 use ficsum_classifiers::{Classifier, HoeffdingTree};
 use ficsum_drift::{DetectorState, DriftDetector, Eddm};
-use ficsum_eval::EvaluatedSystem;
+use ficsum_eval::{EvaluatedSystem, Step};
 
 /// Two-sample Kolmogorov–Smirnov distance between sorted samples.
 fn ks_distance(a: &mut [f64], b: &mut [f64]) -> f64 {
@@ -172,7 +173,7 @@ impl Rcd {
 }
 
 impl EvaluatedSystem for Rcd {
-    fn step(&mut self, x: &[f64], y: usize) -> (usize, usize) {
+    fn step(&mut self, x: &[f64], y: usize) -> Step {
         let concept = &mut self.concepts[self.active];
         let prediction = concept.classifier.predict(x);
         let err = if prediction == y { 0.0 } else { 1.0 };
@@ -186,7 +187,8 @@ impl EvaluatedSystem for Rcd {
             concept.labels.push(y as f64);
         }
 
-        match self.detector.add(err) {
+        let state = self.detector.add(err);
+        match state {
             DetectorState::Warning => {
                 if self.buffer.len() < self.buffer_cap {
                     self.buffer.push((x.to_vec(), y));
@@ -205,7 +207,11 @@ impl EvaluatedSystem for Rcd {
                 }
             }
         }
-        (prediction, self.concepts[self.active].id)
+        Step {
+            prediction,
+            model: self.concepts[self.active].id,
+            drift: state == DetectorState::Drift,
+        }
     }
 
     fn name(&self) -> String {
@@ -248,8 +254,7 @@ mod tests {
         for _ in 0..3000 {
             let y = rng.random_range(0..2usize);
             let x = vec![y as f64 + rng.random::<f64>() * 0.5, rng.random()];
-            let (p, _) = rcd.step(&x, y);
-            if p == y {
+            if rcd.step(&x, y).prediction == y {
                 correct += 1;
             }
         }

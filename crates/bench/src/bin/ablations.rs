@@ -32,7 +32,6 @@ fn main() {
             .map(|(label, config)| System::ficsum(label, Variant::Full, config))
             .collect(),
         datasets: DATASETS.map(Dataset::named).into(),
-        observed: true,
     }
     .run(&Options::from_args(2));
     println!("Ablations — kappa statistic\n");

@@ -31,7 +31,6 @@ fn main() {
             }))
             .collect(),
         datasets: vec![Dataset::named("Arabic")],
-        observed: false,
     }
     .run(&Options::from_args(2));
     let accuracy = |s| report.mean(0, s, |r| r.accuracy);

@@ -4,9 +4,9 @@
 //! A grid spec ([`ficsum_bench::harness::Grid`]): full FiCSUM (default
 //! configuration, batch statistics) at each stride is a system, run over
 //! every Table IV dataset for each seed. Every run records kappa, C-F1 and
-//! runtime, and, from its recorded events ([`ficsum_eval::ObsSummary`]),
-//! false alarms, misses and mean detection delay. A stride qualifies as the default when it passes both halves of
-//! the rule:
+//! runtime, and, from its drift steps ([`ficsum_eval::Detection`]),
+//! false alarms, misses and mean detection delay. A stride qualifies as
+//! the default when it passes both halves of the rule:
 //!
 //! * **Quality.** The strides are the systems of Table IV's rank
 //!   comparison over the datasets, on seed-mean kappa and seed-mean C-F1.
@@ -86,7 +86,6 @@ fn main() {
         experiment: "quality",
         systems: strides.iter().map(|&k| at_stride(k)).collect(),
         datasets: Dataset::all(),
-        observed: true,
     }
     .run(&opts);
     let subset = if opts.quick { "quick" } else { "full" };
@@ -118,7 +117,6 @@ fn main() {
     for (d, dataset) in report.datasets.iter().enumerate() {
         for (s, &stride) in strides.iter().enumerate() {
             for r in report.runs(d, s) {
-                let obs = r.observability.as_ref().expect("FiCSUM runs are observed");
                 lines.push(format_record(&[
                     ("kind", JsonValue::Str("run")),
                     ("subset", JsonValue::Str(subset)),
@@ -128,9 +126,9 @@ fn main() {
                     ("kappa", JsonValue::Num(r.kappa)),
                     ("c_f1", JsonValue::Num(r.c_f1)),
                     ("runtime_s", JsonValue::Num(r.runtime_s)),
-                    ("truth_changes", JsonValue::Int(obs.n_truth_changes)),
-                    ("false_alarms", JsonValue::Int(obs.false_alarms)),
-                    ("misses", JsonValue::Int(obs.missed)),
+                    ("truth_changes", JsonValue::Int(r.detection.n_truth_changes)),
+                    ("false_alarms", JsonValue::Int(r.detection.false_alarms)),
+                    ("misses", JsonValue::Int(r.detection.missed)),
                     ("mean_detection_delay", JsonValue::Num(detection_delay(r))),
                 ]));
             }

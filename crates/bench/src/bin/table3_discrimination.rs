@@ -13,7 +13,6 @@ fn main() {
         experiment: "table3_discrimination",
         systems: variant_columns(),
         datasets: Dataset::all(),
-        observed: true,
     }
     .run(&Options::from_args(2));
     let table = report.table("Dataset", |r| r.discrimination.unwrap_or(0.0));

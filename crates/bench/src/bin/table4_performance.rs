@@ -8,7 +8,6 @@ fn main() {
         experiment: "table4_performance",
         systems: variant_columns(),
         datasets: Dataset::all(),
-        observed: true,
     }
     .run(&Options::from_args(2));
     println!("Table IV — kappa statistic\n");

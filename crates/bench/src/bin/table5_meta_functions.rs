@@ -30,7 +30,6 @@ fn main() {
         experiment: "table5_meta_functions",
         systems: rows(),
         datasets: datasets.into(),
-        observed: true,
     }
     .run(&opts);
     println!("Table V — kappa statistic per meta-information function\n");

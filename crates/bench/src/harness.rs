@@ -5,9 +5,9 @@
 //! A grid crosses labelled [`System`]s with labelled [`Dataset`]s over
 //! seeds `1..=--seeds`. It runs one (dataset, system) cell at a time, its
 //! seeds through [`fan_out`], so each [`RunResult`] carries kappa, C-F1,
-//! discrimination, a runtime shared only with the cell's other seeds and,
-//! when the grid is observed and the system accepts a recorder, the
-//! detection counts (false alarms, misses, mean delay). The [`Report`]
+//! discrimination, a runtime shared only with the cell's other seeds and
+//! the detection counts of the drifts the system reported (false alarms,
+//! misses, mean delay). The [`Report`]
 //! gives the per-metric mean (sd) tables, average ranks with the Friedman
 //! test and the Nemenyi CD, and paired sign tests against a reference
 //! system. With `--jsonl PATH` the grid writes every run once, as JSON
@@ -20,8 +20,8 @@ use ficsum_baselines::FicsumSystem;
 use ficsum_core::{FicsumConfig, Variant};
 use ficsum_eval::{
     evaluate_with, format_cell, friedman_test, mean_std, nemenyi_critical_difference,
-    sign_test_higher, EvaluatedSystem, FriedmanOutcome, ObsSummary, RunOptions, RunResult,
-    SignTest, Table,
+    sign_test_higher, EvaluatedSystem, FriedmanOutcome, RunOptions, RunResult, SignTest,
+    Table,
 };
 use ficsum_stream::{StreamSource, VecStream};
 use ficsum_synth::{dataset_by_name, ALL_DATASETS};
@@ -40,8 +40,7 @@ pub struct Options {
     /// Optional dataset filter: comma-separated case-insensitive
     /// substrings, any of which selects a dataset.
     pub only: Option<String>,
-    /// Optional JSONL output path (`-` = stdout): every run result (and,
-    /// for systems that support recorders, its observability summary) is
+    /// Optional JSONL output path (`-` = stdout): every run result is
     /// streamed as one JSON object per line.
     pub jsonl: Option<String>,
 }
@@ -218,12 +217,6 @@ pub struct Grid {
     pub systems: Vec<System>,
     /// The datasets, before `--only` filters them.
     pub datasets: Vec<Dataset>,
-    /// Whether every run carries the runner's in-memory recorder, so that
-    /// it reports false alarms, misses and delay. Grids that print
-    /// runtimes leave it off, so that no printed time includes the
-    /// recorder's cost. `--jsonl` observes every run regardless, since its
-    /// rows carry the summary.
-    pub observed: bool,
 }
 
 impl Grid {
@@ -244,7 +237,6 @@ impl Grid {
         }
         let datasets: Vec<&Dataset> =
             self.datasets.iter().filter(|d| opts.selected(&d.label)).collect();
-        let observed = self.observed || opts.jsonl.is_some();
         let mut jsonl = JsonlReporter::open(self.experiment, opts.jsonl.as_deref());
         let mut runs = Vec::new();
         for dataset in &datasets {
@@ -253,9 +245,8 @@ impl Grid {
                     let seed = i as u64 + 1;
                     let mut stream = truncate((dataset.stream)(seed), opts.stream_cap());
                     let k = stream.n_classes();
-                    let mut run_options = RunOptions::new(k).seed(seed);
-                    run_options.observability = observed;
-                    evaluate_with(&mut system.build(stream.dims(), k), &mut stream, &run_options)
+                    let mut system = system.build(stream.dims(), k);
+                    evaluate_with(&mut system, &mut stream, &RunOptions::new(k).seed(seed))
                 });
                 if let Some(out) = &mut jsonl {
                     cell.iter().for_each(|r| out.record(&dataset.label, &system.label, r));
@@ -277,25 +268,20 @@ impl Grid {
 /// Reads one number off a run.
 pub type Metric = fn(&RunResult) -> f64;
 
-/// Reads one detection figure off an observed run; NaN for a system
-/// without a recorder, or a run that detected nothing (delay).
-fn detection(r: &RunResult, f: impl Fn(&ObsSummary) -> Option<f64>) -> f64 {
-    r.observability.as_ref().and_then(f).unwrap_or(f64::NAN)
-}
-
 /// Drifts fired outside every detection window.
 pub fn false_alarms(r: &RunResult) -> f64 {
-    detection(r, |o| Some(o.false_alarms as f64))
+    r.detection.false_alarms as f64
 }
 
 /// Ground-truth changes no drift matched.
 pub fn misses(r: &RunResult) -> f64 {
-    detection(r, |o| Some(o.missed as f64))
+    r.detection.missed as f64
 }
 
-/// Mean observations from a ground-truth change to its matching drift.
+/// Mean observations from a ground-truth change to its matching drift;
+/// NaN for a run that detected nothing.
 pub fn detection_delay(r: &RunResult) -> f64 {
-    detection(r, |o| o.mean_detection_delay)
+    r.detection.mean_detection_delay.unwrap_or(f64::NAN)
 }
 
 /// Every run of a [`Grid`], indexed by dataset, then system, then seed.
@@ -380,7 +366,7 @@ impl Report {
     pub fn sign_tests(&self, c: usize, r: usize) -> [(&'static str, SignTest); 3] {
         let pairs: Vec<(&RunResult, &RunResult)> = (0..self.datasets.len())
             .flat_map(|d| self.runs(d, c).iter().zip(self.runs(d, r)))
-            .filter(|(_, b)| b.observability.as_ref().is_some_and(|o| o.n_truth_changes > 0))
+            .filter(|(_, b)| b.detection.n_truth_changes > 0)
             .collect();
         let test = |f: Metric| {
             let values = pairs.iter().map(|&(a, b)| (f(a), f(b)));
@@ -413,6 +399,7 @@ fn layout(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ficsum_eval::Detection;
     use ficsum_synth::{synth_stream, SynthDrift};
 
     fn options(seeds: u64, quick: bool) -> Options {
@@ -485,7 +472,6 @@ mod tests {
             experiment: "grid_test",
             systems: vec![System::ficsum("FiCSUM", Variant::Full, FicsumConfig::default())],
             datasets: vec![short("STAGGER"), short("RTREE-U")],
-            observed: false,
         };
         grid.run(&Options { only: Some("STAGGER,RTREE-X".into()), ..options(1, true) });
     }
@@ -505,7 +491,6 @@ mod tests {
                 }),
                 Dataset::new("CMC", |seed| truncate(dataset_by_name("CMC", seed).unwrap(), 800)),
             ],
-            observed: true,
         };
         let opts = options(2, true);
         let report = grid.run(&opts);
@@ -517,63 +502,35 @@ mod tests {
                     let seed = i as u64 + 1;
                     let stream = truncate((dataset.stream)(seed), opts.stream_cap());
                     let k = stream.n_classes();
-                    let direct = |options: RunOptions| {
-                        let mut system = system.build(stream.dims(), k);
-                        evaluate_with(&mut system, &mut stream.clone(), &options)
-                    };
-                    let want = direct(RunOptions::new(k).seed(seed).observed());
-                    let unobserved = direct(RunOptions::new(k).seed(seed));
+                    let mut direct = system.build(stream.dims(), k);
+                    let want = evaluate_with(
+                        &mut direct,
+                        &mut stream.clone(),
+                        &RunOptions::new(k).seed(seed),
+                    );
                     let at = format!("{} {} seed {seed}", dataset.label, system.label);
                     assert_eq!(
                         (run.seed, &run.system, run.n_observations),
                         (seed, &want.system, stream.len() as u64),
                         "{at}"
                     );
-                    for other in [&want, &unobserved] {
-                        assert_eq!(run.kappa.to_bits(), other.kappa.to_bits(), "{at}");
-                        assert_eq!(run.c_f1.to_bits(), other.c_f1.to_bits(), "{at}");
-                        assert_eq!(
-                            run.discrimination.map(f64::to_bits),
-                            other.discrimination.map(f64::to_bits),
-                            "{at}"
-                        );
-                    }
-                    let (got, want) = (run.observability.as_ref(), want.observability.as_ref());
-                    let (got, want) = (got.expect("observed"), want.expect("observed"));
+                    assert_eq!(run.kappa.to_bits(), want.kappa.to_bits(), "{at}");
+                    assert_eq!(run.c_f1.to_bits(), want.c_f1.to_bits(), "{at}");
                     assert_eq!(
-                        (got.n_truth_changes, got.detected, got.missed, got.false_alarms),
-                        (want.n_truth_changes, want.detected, want.missed, want.false_alarms),
+                        run.discrimination.map(f64::to_bits),
+                        want.discrimination.map(f64::to_bits),
                         "{at}"
                     );
-                    assert_eq!(
-                        got.mean_detection_delay.map(f64::to_bits),
-                        want.mean_detection_delay.map(f64::to_bits),
-                        "{at}"
-                    );
-                    truth_changes += got.n_truth_changes;
+                    assert_eq!(run.detection, want.detection, "{at}");
+                    truth_changes += run.detection.n_truth_changes;
                 }
             }
         }
         assert!(truth_changes > 0, "the grid's streams change concept");
     }
 
-    #[test]
-    fn an_unobserved_grid_times_runs_without_a_recorder() {
-        let grid = Grid {
-            experiment: "grid_test",
-            systems: vec![System::ficsum("FiCSUM", Variant::Full, FicsumConfig::default())],
-            datasets: vec![Dataset::new("Synth_D", |seed| {
-                synth_stream(&SynthDrift::parse_combo("D"), 2, 60, seed)
-            })],
-            observed: false,
-        };
-        let report = grid.run(&options(1, true));
-        assert!(report.runs(0, 0)[0].observability.is_none());
-        assert!(misses(&report.runs(0, 0)[0]).is_nan());
-    }
-
-    /// An observed run with the given detection figures.
-    fn observed(
+    /// A run with the given detection figures.
+    fn detected(
         truth_changes: u64,
         false_alarms: u64,
         missed: u64,
@@ -589,17 +546,14 @@ mod tests {
             n_observations: 0,
             n_models: 1,
             seed: 0,
-            observability: Some(ObsSummary {
-                n_events: 0,
+            detection: Detection {
                 n_drifts: 0,
-                n_switches: 0,
                 n_truth_changes: truth_changes,
                 detected: truth_changes - missed,
                 missed,
                 false_alarms,
                 mean_detection_delay: delay,
-                stage_costs: Vec::new(),
-            }),
+            },
         }
     }
 
@@ -607,16 +561,16 @@ mod tests {
     fn sign_tests_pair_runs_with_ground_truth_changes() {
         // One dataset, systems [candidate, reference], four seeds.
         let candidate = vec![
-            observed(2, 3, 1, Some(50.0)),
-            observed(0, 9, 0, None), // no truth change: does not pair
-            observed(1, 2, 1, None), // no detection: no delay pair
-            observed(1, 0, 0, Some(10.0)),
+            detected(2, 3, 1, Some(50.0)),
+            detected(0, 9, 0, None), // no truth change: does not pair
+            detected(1, 2, 1, None), // no detection: no delay pair
+            detected(1, 0, 0, Some(10.0)),
         ];
         let reference = vec![
-            observed(2, 1, 0, Some(40.0)),
-            observed(0, 0, 0, None),
-            observed(1, 1, 1, Some(30.0)),
-            observed(1, 2, 1, Some(20.0)),
+            detected(2, 1, 0, Some(40.0)),
+            detected(0, 0, 0, None),
+            detected(1, 1, 1, Some(30.0)),
+            detected(1, 2, 1, Some(20.0)),
         ];
         let report = Report {
             datasets: vec!["D".into()],

@@ -4,9 +4,8 @@
 //! Reuses the hand-rolled writer from `ficsum-obs` so the line format
 //! matches the pipeline's own [`ficsum_obs::JsonlSink`] schema family:
 //! every line is one JSON object with a `"kind"` discriminator —
-//! `"result"` for run metrics, `"obs"` for a run's recorder-derived drift
-//! accounting, `"stage_cost"` for one pipeline stage's cost in that run,
-//! and `"throughput"` for micro-benchmark measurements.
+//! `"result"` for one run's metrics and detection accounting, and
+//! `"throughput"` for micro-benchmark measurements.
 
 use std::fs::File;
 use std::io::{BufWriter, Stdout, Write};
@@ -58,9 +57,10 @@ impl JsonlReporter {
         Some(Self { out, experiment })
     }
 
-    /// Writes one run of `system` on `dataset`: its metrics, plus its
-    /// observability summary when the run was recorded.
+    /// Writes one run of `system` on `dataset`: its metrics and its
+    /// detection accounting, as one `"result"` line.
     pub fn record(&mut self, dataset: &str, system: &str, result: &RunResult) {
+        let detection = &result.detection;
         let _ = write_record(
             &mut self.out,
             &[
@@ -79,47 +79,17 @@ impl JsonlReporter {
                 ("runtime_s", JsonValue::Num(result.runtime_s)),
                 ("n_observations", JsonValue::Int(result.n_observations)),
                 ("n_models", JsonValue::Int(result.n_models as u64)),
-            ],
-        );
-        let Some(obs) = &result.observability else { return };
-        let _ = write_record(
-            &mut self.out,
-            &[
-                ("kind", JsonValue::Str("obs")),
-                ("experiment", JsonValue::Str(self.experiment)),
-                ("dataset", JsonValue::Str(dataset)),
-                ("system", JsonValue::Str(system)),
-                ("seed", JsonValue::Int(result.seed)),
-                ("n_events", JsonValue::Int(obs.n_events as u64)),
-                ("drifts", JsonValue::Int(obs.n_drifts)),
-                ("switches", JsonValue::Int(obs.n_switches)),
-                ("truth_changes", JsonValue::Int(obs.n_truth_changes)),
-                ("detected", JsonValue::Int(obs.detected)),
-                ("missed", JsonValue::Int(obs.missed)),
-                ("false_alarms", JsonValue::Int(obs.false_alarms)),
+                ("drifts", JsonValue::Int(detection.n_drifts)),
+                ("truth_changes", JsonValue::Int(detection.n_truth_changes)),
+                ("detected", JsonValue::Int(detection.detected)),
+                ("missed", JsonValue::Int(detection.missed)),
+                ("false_alarms", JsonValue::Int(detection.false_alarms)),
                 (
                     "mean_detection_delay",
-                    JsonValue::Num(obs.mean_detection_delay.unwrap_or(f64::NAN)),
+                    JsonValue::Num(detection.mean_detection_delay.unwrap_or(f64::NAN)),
                 ),
             ],
         );
-        for cost in &obs.stage_costs {
-            let _ = write_record(
-                &mut self.out,
-                &[
-                    ("kind", JsonValue::Str("stage_cost")),
-                    ("experiment", JsonValue::Str(self.experiment)),
-                    ("dataset", JsonValue::Str(dataset)),
-                    ("system", JsonValue::Str(system)),
-                    ("seed", JsonValue::Int(result.seed)),
-                    ("stage", JsonValue::Str(cost.stage.name())),
-                    ("count", JsonValue::Int(cost.count)),
-                    ("total_nanos", JsonValue::Int(cost.total_nanos)),
-                    ("mean_nanos", JsonValue::Num(cost.mean_nanos)),
-                    ("p90_nanos", JsonValue::Int(cost.p90_nanos)),
-                ],
-            );
-        }
     }
 
     /// Writes one micro-benchmark throughput measurement.
@@ -147,6 +117,7 @@ impl JsonlReporter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ficsum_eval::Detection;
 
     #[test]
     fn absent_flag_disables_reporting() {
@@ -170,7 +141,7 @@ mod tests {
             n_observations: 100,
             n_models: 2,
             seed: 3,
-            observability: None,
+            detection: Detection::from_drifts(&[60], &[50], 0, 100),
         };
         rep.record("STAGGER", "FiCSUM", &result);
         rep.record_throughput(
@@ -183,6 +154,9 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with(r#"{"kind":"result","experiment":"unit","dataset":"STAGGER""#));
         assert!(lines[0].contains(r#""discrimination":null"#));
+        assert!(lines[0].ends_with(
+            r#""drifts":1,"truth_changes":1,"detected":1,"missed":0,"false_alarms":0,"mean_detection_delay":10.0}"#
+        ));
         assert!(lines[1].starts_with(r#"{"kind":"throughput""#));
         assert!(lines[1].contains(r#""units_per_sec":5000.0"#));
         std::fs::remove_file(&path).ok();

@@ -413,17 +413,14 @@ impl Ficsum {
 
     /// Attaches an observability recorder: every event, counter, gauge and
     /// stage span the pipeline produces is delivered to it. The default is
-    /// [`NullRecorder`], whose calls compile to nothing.
-    ///
-    /// Prefer configuring at construction with
-    /// [`crate::variant::FicsumBuilder::recorder`]; this post-build hook
-    /// exists for drivers that receive an already-built pipeline and attach
-    /// observability afterwards (the `ficsum-eval` runner contract).
+    /// [`NullRecorder`], whose calls compile to nothing. Callers outside
+    /// the crate observe a pipeline through
+    /// [`crate::variant::FicsumBuilder::recorder`], which calls this.
     ///
     /// Attaching an *enabled* recorder also switches on the fingerprint
     /// engine's per-source extraction timing (shared clock); attaching a
     /// disabled one switches it off again.
-    pub fn attach_recorder(&mut self, recorder: Box<dyn Recorder>) {
+    pub(crate) fn attach_recorder(&mut self, recorder: Box<dyn Recorder>) {
         self.engine
             .set_clock(recorder.enabled().then(|| Arc::clone(&self.clock)));
         self.recorder = recorder;

@@ -68,9 +68,8 @@ impl Variant {
 /// the paper-default Hoeffding tree — goes through a [`SessionTemplate`],
 /// so a builder and a template given the same recipe build the same
 /// pipeline; the builder adds what a template does not carry (recorder,
-/// clock, parallelism). The one supported post-build hook is
-/// [`Ficsum::attach_recorder`], for drivers that receive an already-built
-/// pipeline.
+/// clock, parallelism). The recorder option is the one way to observe a
+/// pipeline: a built one takes no recorder.
 pub struct FicsumBuilder {
     n_features: usize,
     n_classes: usize,

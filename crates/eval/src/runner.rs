@@ -2,25 +2,37 @@
 
 use std::time::Instant;
 
-use ficsum_obs::{shared, InMemoryRecorder, Recorder};
 use ficsum_stream::{Observation, StreamSource};
 
 use crate::cf1::CoOccurrenceF1;
+use crate::detection::Detection;
 use crate::kappa::KappaEvaluator;
-use crate::observability::ObsSummary;
+
+/// What a system reports for one observation (see
+/// [`EvaluatedSystem::step`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Step {
+    /// The prediction made *before* training on the observation.
+    pub prediction: usize,
+    /// The identity of the active model.
+    pub model: usize,
+    /// Whether the system detected a concept drift at this observation.
+    pub drift: bool,
+}
 
 /// A stream-classification system under evaluation.
 ///
 /// Implemented by FiCSUM (all variants) and every baseline framework in
-/// `ficsum-baselines`. The `model` identity returned by
-/// [`EvaluatedSystem::step`] is whatever the system considers its active
-/// model — for single-classifier frameworks the classifier generation, for
-/// FiCSUM the active concept id, for ensembles a constant (they have one
-/// evolving model, which is exactly why their C-F1 is poor in Table VI).
+/// `ficsum-baselines`. The `model` identity of each [`Step`] is whatever
+/// the system considers its active model — for single-classifier
+/// frameworks the classifier generation, for FiCSUM the active concept id,
+/// for ensembles a constant (they have one evolving model, which is
+/// exactly why their C-F1 is poor in Table VI). Its `drift` is set on the
+/// steps where the system's own detector fired; a system that surfaces no
+/// system-level drift never sets it.
 pub trait EvaluatedSystem {
-    /// Processes one observation prequentially, returning the prediction
-    /// made *before* training and the identity of the active model.
-    fn step(&mut self, x: &[f64], y: usize) -> (usize, usize);
+    /// Processes one observation prequentially.
+    fn step(&mut self, x: &[f64], y: usize) -> Step;
 
     /// Optional discrimination-ability probe, sampled periodically by the
     /// runner (Section II-A of the paper; see `Ficsum::discrimination_probe`
@@ -29,29 +41,17 @@ pub trait EvaluatedSystem {
         None
     }
 
-    /// Attaches an observability recorder, returning `true` if the system
-    /// supports one. The default declines (and drops the recorder), so
-    /// systems without observability need no code.
-    fn attach_recorder(&mut self, recorder: Box<dyn Recorder>) -> bool {
-        drop(recorder);
-        false
-    }
-
     /// Display name.
     fn name(&self) -> String;
 }
 
 impl EvaluatedSystem for Box<dyn EvaluatedSystem> {
-    fn step(&mut self, x: &[f64], y: usize) -> (usize, usize) {
+    fn step(&mut self, x: &[f64], y: usize) -> Step {
         (**self).step(x, y)
     }
 
     fn discrimination(&mut self) -> Option<f64> {
         (**self).discrimination()
-    }
-
-    fn attach_recorder(&mut self, recorder: Box<dyn Recorder>) -> bool {
-        (**self).attach_recorder(recorder)
     }
 
     fn name(&self) -> String {
@@ -80,9 +80,9 @@ pub struct RunResult {
     pub n_models: usize,
     /// Seed the run was configured with (for report reproducibility).
     pub seed: u64,
-    /// Recorder-derived summary, when the run was observed
-    /// (see [`RunOptions::observability`]).
-    pub observability: Option<ObsSummary>,
+    /// The run's drift steps matched against its ground-truth concept
+    /// changes.
+    pub detection: Detection,
 }
 
 /// How often the runner samples the discrimination probe.
@@ -104,30 +104,18 @@ pub struct RunOptions {
     /// concept change counts as detecting it; anything later (or matching
     /// no change) is a false alarm.
     pub detection_window: u64,
-    /// When `true`, the runner attaches its own [`InMemoryRecorder`] to
-    /// the system and reduces it into [`RunResult::observability`] after
-    /// the run.
-    pub observability: bool,
 }
 
 impl RunOptions {
     /// Defaults for a stream with `n_classes` labels: seed 0, a grace
-    /// period of 500 observations, a 1000-observation detection window, no
-    /// recorder.
+    /// period of 500 observations and a 1000-observation detection window.
     pub fn new(n_classes: usize) -> Self {
         Self {
             n_classes,
             seed: 0,
             grace: 500,
             detection_window: 1000,
-            observability: false,
         }
-    }
-
-    /// Enables the runner-owned in-memory recorder.
-    pub fn observed(mut self) -> Self {
-        self.observability = true;
-        self
     }
 
     /// Sets the seed carried into the result.
@@ -139,10 +127,9 @@ impl RunOptions {
 
 /// Drives `system` over `stream` prequentially and collects all metrics.
 ///
-/// With [`RunOptions::observability`] set, the detection-delay and
-/// per-stage-cost figures in [`RunResult::observability`] are derived
-/// solely from the recorder's event stream — the runner never reaches into
-/// the system beyond [`EvaluatedSystem`].
+/// The detection figures in [`RunResult::detection`] come from the steps
+/// whose [`Step::drift`] is set — the runner never reaches into the system
+/// beyond [`EvaluatedSystem`].
 pub fn evaluate_with<S: EvaluatedSystem>(
     system: &mut S,
     stream: &mut dyn StreamSource,
@@ -153,22 +140,19 @@ pub fn evaluate_with<S: EvaluatedSystem>(
     let mut disc_sum = 0.0;
     let mut disc_n = 0u64;
     let mut t = 0u64;
-
-    let keep = if opts.observability {
-        let keep = shared(InMemoryRecorder::new());
-        system.attach_recorder(Box::new(keep.clone())).then_some(keep)
-    } else {
-        None
-    };
+    let mut drifts: Vec<u64> = Vec::new();
     let mut truth_changes: Vec<u64> = Vec::new();
     let mut last_concept: Option<usize> = None;
 
     let start = Instant::now();
     while let Some(Observation { features, label, concept }) = stream.next_observation() {
-        let (prediction, model) = system.step(&features, label);
+        let Step { prediction, model, drift } = system.step(&features, label);
         kappa.record(label, prediction);
         cf1.record(concept, model);
         t += 1;
+        if drift {
+            drifts.push(t);
+        }
         if last_concept.is_some_and(|prev| prev != concept) {
             truth_changes.push(t);
         }
@@ -184,14 +168,8 @@ pub fn evaluate_with<S: EvaluatedSystem>(
     }
     let runtime_s = start.elapsed().as_secs_f64();
 
-    let observability = keep.map(|keep| {
-        ObsSummary::from_recorder(
-            &keep.borrow(),
-            &truth_changes,
-            opts.grace,
-            opts.detection_window,
-        )
-    });
+    let detection =
+        Detection::from_drifts(&drifts, &truth_changes, opts.grace, opts.detection_window);
 
     RunResult {
         system: system.name(),
@@ -203,7 +181,7 @@ pub fn evaluate_with<S: EvaluatedSystem>(
         n_observations: t,
         n_models: cf1.n_models(),
         seed: opts.seed,
-        observability,
+        detection,
     }
 }
 
@@ -215,8 +193,8 @@ mod tests {
     /// Oracle: predicts the label, reports the concept as its model.
     struct Oracle;
     impl EvaluatedSystem for Oracle {
-        fn step(&mut self, _x: &[f64], y: usize) -> (usize, usize) {
-            (y, y)
+        fn step(&mut self, _x: &[f64], y: usize) -> Step {
+            Step { prediction: y, model: y, drift: false }
         }
         fn name(&self) -> String {
             "oracle".into()
@@ -226,8 +204,8 @@ mod tests {
     /// Constant: predicts 0 from model 0, discriminates nothing.
     struct Constant;
     impl EvaluatedSystem for Constant {
-        fn step(&mut self, _x: &[f64], _y: usize) -> (usize, usize) {
-            (0, 0)
+        fn step(&mut self, _x: &[f64], _y: usize) -> Step {
+            Step { prediction: 0, model: 0, drift: false }
         }
         fn discrimination(&mut self) -> Option<f64> {
             Some(1.5)
@@ -237,37 +215,25 @@ mod tests {
         }
     }
 
-    /// Records a `DriftDetected` exactly 10 observations after each
-    /// concept change it is told about (via its own concept input).
+    /// Reports a drift exactly 10 observations after each concept change
+    /// it is told about (via its own concept input).
     struct Announcer {
-        recorder: Option<Box<dyn Recorder>>,
         t: u64,
         pending: Option<u64>,
         last_y: Option<usize>,
     }
     impl EvaluatedSystem for Announcer {
-        fn step(&mut self, _x: &[f64], y: usize) -> (usize, usize) {
+        fn step(&mut self, _x: &[f64], y: usize) -> Step {
             self.t += 1;
             if self.last_y.is_some_and(|prev| prev != y) {
                 self.pending = Some(self.t + 10);
             }
             self.last_y = Some(y);
-            if self.pending.is_some_and(|due| due == self.t) {
+            let drift = self.pending == Some(self.t);
+            if drift {
                 self.pending = None;
-                if let Some(r) = &mut self.recorder {
-                    r.event(
-                        self.t,
-                        ficsum_obs::StreamEvent::DriftDetected {
-                            trigger: ficsum_obs::DriftTrigger::Detector,
-                        },
-                    );
-                }
             }
-            (y, y)
-        }
-        fn attach_recorder(&mut self, recorder: Box<dyn Recorder>) -> bool {
-            self.recorder = Some(recorder);
-            true
+            Step { prediction: y, model: y, drift }
         }
         fn name(&self) -> String {
             "announcer".into()
@@ -289,7 +255,8 @@ mod tests {
         assert_eq!(r.accuracy, 1.0);
         assert_eq!(r.n_observations, 1000);
         assert!(r.discrimination.is_none());
-        assert!(r.observability.is_none(), "not requested");
+        // One change (at 501, past the grace period) and no drift.
+        assert_eq!((r.detection.n_drifts, r.detection.missed), (0, 1));
     }
 
     #[test]
@@ -303,28 +270,20 @@ mod tests {
     }
 
     #[test]
-    fn observed_run_derives_detection_delay_from_events() {
+    fn drift_steps_give_the_detection_delay() {
         // One concept change at t=3001 (stream index 3000 is the first of
-        // concept 1); the announcer fires 10 observations later.
+        // concept 1); the announcer reports a drift 10 observations later.
         let data = (0..6000)
             .map(|i| Observation::with_concept(vec![i as f64], (i / 3000) % 2, i / 3000))
             .collect();
         let mut s = VecStream::new(data);
-        let mut sys = Announcer { recorder: None, t: 0, pending: None, last_y: None };
-        let opts = RunOptions { grace: 0, ..RunOptions::new(2) }.observed().seed(7);
+        let mut sys = Announcer { t: 0, pending: None, last_y: None };
+        let opts = RunOptions { grace: 0, ..RunOptions::new(2) }.seed(7);
         let r = evaluate_with(&mut sys, &mut s, &opts);
         assert_eq!(r.seed, 7);
-        let obs = r.observability.expect("observability requested and supported");
-        assert_eq!(obs.n_truth_changes, 1);
-        assert_eq!(obs.detected, 1);
-        assert_eq!(obs.false_alarms, 0);
-        assert_eq!(obs.mean_detection_delay, Some(10.0));
-    }
-
-    #[test]
-    fn systems_without_recorder_support_yield_no_summary() {
-        let mut s = stream();
-        let r = evaluate_with(&mut Oracle, &mut s, &RunOptions::new(2).observed());
-        assert!(r.observability.is_none());
+        let d = r.detection;
+        assert_eq!((d.n_drifts, d.n_truth_changes, d.detected), (1, 1, 1));
+        assert_eq!(d.false_alarms, 0);
+        assert_eq!(d.mean_detection_delay, Some(10.0));
     }
 }

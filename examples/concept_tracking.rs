@@ -35,19 +35,13 @@ fn main() {
         // Cap for example runtime.
         let data: Vec<_> = stream.observations().iter().take(12_000).cloned().collect();
         let mut stream = VecStream::with_classes(data, spec.n_classes);
-        // An observed run also yields event-derived drift accounting —
-        // for systems without recorder support the column stays empty.
-        let r = evaluate_with(&mut system, &mut stream, &RunOptions::new(spec.n_classes).observed());
-        let (drifts, delay) = match &r.observability {
-            Some(obs) => (
-                obs.n_drifts.to_string(),
-                obs.mean_detection_delay.map_or("-".into(), |d| format!("{d:.0}")),
-            ),
-            None => ("-".into(), "-".into()),
-        };
+        // Every run also counts the drifts the system reported and their
+        // delay after each true change (ARF reports none).
+        let r = evaluate_with(&mut system, &mut stream, &RunOptions::new(spec.n_classes));
+        let delay = r.detection.mean_detection_delay.map_or("-".into(), |d| format!("{d:.0}"));
         println!(
             "{:<8} {:>7.3} {:>7.3} {:>8} {:>7} {:>9}",
-            name, r.kappa, r.c_f1, r.n_models, drifts, delay
+            name, r.kappa, r.c_f1, r.n_models, r.detection.n_drifts, delay
         );
     }
 

@@ -79,8 +79,7 @@ pub mod prelude {
     };
     pub use ficsum_drift::{Adwin, DetectorState, DriftDetector, Eddm};
     pub use ficsum_eval::{
-        evaluate_with, EvaluatedSystem, KappaEvaluator, ObsSummary, RunOptions, RunResult,
-        StageCost,
+        evaluate_with, Detection, EvaluatedSystem, KappaEvaluator, RunOptions, RunResult,
     };
     pub use ficsum_meta::{
         FingerprintEngine, FingerprintExtractor, MetaFunction, SourceSelection,

@@ -78,6 +78,50 @@ fn drift_points_are_monotonic_and_counted() {
 }
 
 #[test]
+fn runner_detection_matches_the_recorded_drift_events() {
+    // The runner counts drifts from `StepOutcome::drift`; the oracle is the
+    // `DriftDetected` events of a recorder built into an identical pipeline.
+    let mut drifts = 0;
+    for name in ["STAGGER", "RTREE-U"] {
+        for seed in [1, 2] {
+            let full = dataset_by_name(name, seed).unwrap();
+            let (d, k) = (full.dims(), full.n_classes());
+            let data: Vec<_> = full.observations().iter().take(4_000).cloned().collect();
+            let stream = VecStream::with_classes(data, k);
+            // The runner's 1-based step of each observation whose concept
+            // differs from the one before.
+            let truth_changes: Vec<u64> = (1..stream.len())
+                .filter(|&i| {
+                    stream.observations()[i].concept != stream.observations()[i - 1].concept
+                })
+                .map(|i| i as u64 + 1)
+                .collect();
+            for stride in [1, 2] {
+                let opts = RunOptions::new(k).seed(seed);
+                let builder = || FicsumBuilder::new(d, k).emd_stride(stride);
+                let mut plain = FicsumSystem::from_instance(builder().build().unwrap(), "FiCSUM");
+                let run = evaluate_with(&mut plain, &mut stream.clone(), &opts);
+                let keep = shared(InMemoryRecorder::new());
+                let recorded = builder().recorder(Box::new(keep.clone())).build().unwrap();
+                let mut recorded = FicsumSystem::from_instance(recorded, "FiCSUM");
+                let recorded_run = evaluate_with(&mut recorded, &mut stream.clone(), &opts);
+                let want = Detection::from_drifts(
+                    &keep.borrow().drift_points(),
+                    &truth_changes,
+                    opts.grace,
+                    opts.detection_window,
+                );
+                let at = format!("{name} seed {seed} stride {stride}");
+                assert_eq!(run.detection, want, "{at}");
+                assert_eq!(recorded_run.detection, want, "{at}");
+                drifts += want.n_drifts;
+            }
+        }
+    }
+    assert!(drifts > 0, "the prefixes must contain drifts");
+}
+
+#[test]
 fn repository_respects_capacity_bound() {
     let config = FicsumConfig::default().with_max_repository(3);
     let mut stream = dataset_by_name("STAGGER", 9).unwrap();
