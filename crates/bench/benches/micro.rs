@@ -19,7 +19,8 @@ use std::hint::black_box;
 use ficsum_bench::throughput::{synthetic_window, time_throughput};
 use ficsum_classifiers::{Classifier, HoeffdingTree, HoeffdingTreeConfig, LeafPrediction};
 use ficsum_core::{
-    weighted_cosine, ConceptFingerprint, DynamicWeights, FingerprintNormalizer, Repository,
+    weighted_cosine, ConceptEntry, ConceptFingerprint, DynamicWeights, FingerprintNormalizer,
+    Repository,
 };
 use ficsum_drift::{Adwin, DriftDetector};
 use ficsum_meta::emd::histogram_entropy;
@@ -27,7 +28,7 @@ use ficsum_meta::entropy::mutual_information_from_counts;
 use ficsum_meta::spline::SplineScratch;
 use ficsum_meta::{
     imf_entropies, imf_entropies_scratch, lagged_mutual_information, EmdConfig, EmdMemo,
-    EmdScratch, ExtractionMode, FingerprintEngine, FingerprintExtractor, SourceSweep,
+    EmdScratch, ExtractionMode, FingerprintEngine, FingerprintExtractor, SourceSweep, StaticScan,
 };
 use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
 use ficsum_stream::{FrameWindows, SeqStats};
@@ -287,6 +288,61 @@ fn bench_similarity() {
     report("dynamic_weights_d172", || {
         black_box(DynamicWeights::compute(&active, &repo, &normalizer, 0.01));
     });
+    // Five stored concepts with `F_SC` samples: the one-pass recompute
+    // against the active half alone over a cached repository half, the
+    // work a drift check does while the repository is unchanged.
+    let mut repo = Repository::new(0);
+    for _ in 0..5 {
+        let id = repo.allocate_id();
+        let mut e = ConceptEntry::new(id, 172, Box::new(trained_tree(3)));
+        for _ in 0..20 {
+            let v: Vec<f64> = (0..172).map(|_| rng.random()).collect();
+            e.fingerprint.incorporate(&v);
+            e.sc_fingerprint.incorporate(&v);
+        }
+        repo.insert(e);
+    }
+    report("dynamic_weights_d172_r5", || {
+        black_box(DynamicWeights::compute(&active, &repo, &normalizer, 0.01));
+    });
+    let mut w_d = Vec::new();
+    DynamicWeights::discrimination_into(&repo, 172, 0.01, &mut w_d);
+    let mut weights = DynamicWeights::uniform(172);
+    report("dynamic_weights_combine_d172_r5", || {
+        weights.combine(&active, black_box(&w_d), &normalizer, 0.01);
+        black_box(&weights);
+    });
+}
+
+/// One `F_SC` refresh tick as the pipeline runs it every `P_S` steps: the
+/// static scan of `A`, then `A` re-predicted through the least-sampled
+/// stored classifier into its `F_SC`. Repository sizes 5 and 20 (a
+/// perfbench stream's and a full-length run's) cost the same per tick.
+fn bench_refresh_tick() {
+    let full = FingerprintExtractor::full(10);
+    let dims = full.schema().len();
+    let tree = trained_tree(10);
+    let rows = synthetic_window(75, 10, 3);
+    let mut frames = FrameWindows::new(75, 0, 10);
+    for o in &rows {
+        frames.push(o.features(), o.label(), o.prediction);
+    }
+    let mut engine = FingerprintEngine::new(full);
+    let (mut scan, mut fp) = (StaticScan::new(), Vec::new());
+    for n in [5, 20] {
+        let mut repo = Repository::new(0);
+        for _ in 0..n {
+            let id = repo.allocate_id();
+            repo.insert(ConceptEntry::new(id, dims, Box::new(tree.clone())));
+        }
+        report(&format!("refresh_tick_w75_d10_r{n}"), || {
+            let entry = repo.least_sampled_mut().expect("non-empty");
+            let window = frames.a_tracked();
+            engine.static_scan_tracked(&window, &mut scan);
+            engine.extract_with_scan(&window, &scan, entry.classifier.as_ref(), &mut fp);
+            entry.sc_fingerprint.incorporate(&fp);
+        });
+    }
 }
 
 fn main() {
@@ -297,4 +353,5 @@ fn main() {
     bench_seqstats();
     bench_hoeffding();
     bench_similarity();
+    bench_refresh_tick();
 }

@@ -265,6 +265,12 @@ pub struct Ficsum {
     /// concept changes; the unit-weight selection side travels with the
     /// concept as its `sel_cache`.
     active_cache: CachedFingerprint,
+    /// The repository half of the dynamic weights (`w_d` per dimension,
+    /// see [`DynamicWeights::discrimination_into`]), keyed by the
+    /// [`Repository::weights_stamp`] it was computed at, so a check whose
+    /// repository is unchanged recomputes only the active half. A pure
+    /// function of the state, so it starts empty after a restore.
+    discrimination: (Option<u64>, Vec<f64>),
     /// Scratch: fingerprint extracted from the active window.
     fp_a: Vec<f64>,
     /// Scratch: fingerprint extracted from the stale window.
@@ -352,6 +358,7 @@ impl Ficsum {
             recorder: Box::new(NullRecorder),
             clock: Arc::new(MonotonicClock::new()),
             active_cache: CachedFingerprint::new(),
+            discrimination: (None, Vec::new()),
             fp_a: Vec::new(),
             fp_b: Vec::new(),
             fp_tmp: Vec::new(),
@@ -793,6 +800,21 @@ impl Ficsum {
         self.state.cooldown_until = self.state.t + self.turnover();
     }
 
+    /// One `F_SC` refresh tick (Algorithm 1 lines 37–42, deviation 12):
+    /// `A` re-predicted through one stored classifier, the one with the
+    /// fewest `F_SC` samples, and incorporated into its `F_SC`. The tick
+    /// costs one static scan and one extraction whatever the repository's
+    /// size; each stored concept is sampled every `N·P_S` steps.
+    fn refresh_least_sampled(&mut self) {
+        let Self { engine, state, fp_tmp, window_scan, .. } = self;
+        let SessionState { repo, frames, .. } = state;
+        let Some(entry) = repo.least_sampled_mut() else { return };
+        let tracked = frames.a_tracked();
+        engine.static_scan_tracked(&tracked, window_scan);
+        engine.extract_with_scan(&tracked, window_scan, entry.classifier.as_ref(), fp_tmp);
+        entry.sc_fingerprint.incorporate(fp_tmp);
+    }
+
     /// Processes one observation prequentially.
     ///
     /// Steady-state steps (no drift) are allocation-free: the observation
@@ -856,18 +878,26 @@ impl Ficsum {
             // function of the active fingerprint, the repository and the
             // normaliser; an unchanged version stamp means the kept vector
             // is bit-identical to what a recompute would produce.
+            let repo_stamp = self.state.repo.weights_stamp();
             let stamp = (
                 self.state.active.fingerprint.version(),
-                self.state.repo.weights_stamp(),
+                repo_stamp,
                 self.state.normalizer.version(),
             );
             if self.state.weights_stamp != Some(stamp) {
                 // The weights exist to score similarity on this path, so
-                // their recompute is booked to that stage.
+                // their recompute is booked to that stage. Only the active
+                // half is recomputed while the repository stands.
                 let t0 = self.span_start();
-                self.state.weights.compute_into(
+                let (wd_stamp, w_d) = &mut self.discrimination;
+                if *wd_stamp != Some(repo_stamp) {
+                    let dims = self.state.active.fingerprint.dims();
+                    DynamicWeights::discrimination_into(&self.state.repo, dims, SIGMA_FLOOR, w_d);
+                    *wd_stamp = Some(repo_stamp);
+                }
+                self.state.weights.combine(
                     &self.state.active.fingerprint,
-                    &self.state.repo,
+                    w_d,
                     &self.state.normalizer,
                     SIGMA_FLOOR,
                 );
@@ -1062,23 +1092,7 @@ impl Ficsum {
             && !self.state.repo.is_empty()
         {
             let t0 = self.span_start();
-            {
-                let Self { engine, state, fp_tmp, window_scan, .. } = self;
-                let tracked = state.frames.a_tracked();
-                // One static scan of `A` serves every stored classifier:
-                // only the classifier-dependent sources are re-evaluated
-                // per entry.
-                engine.static_scan_tracked(&tracked, window_scan);
-                for entry in state.repo.iter_mut() {
-                    engine.extract_with_scan(
-                        &tracked,
-                        &*window_scan,
-                        entry.classifier.as_ref(),
-                        fp_tmp,
-                    );
-                    entry.sc_fingerprint.incorporate(fp_tmp);
-                }
-            }
+            self.refresh_least_sampled();
             self.span_end(Stage::RepositoryReassess, t0);
         }
 
@@ -1348,6 +1362,76 @@ mod tests {
                 "the stream must drift, reset and switch on recheck: {stats:?}"
             );
         }
+    }
+
+    #[test]
+    fn each_refresh_tick_samples_the_least_sampled_stored_concept() {
+        use ficsum_synth::{ConceptGenerator, LabelledConcept, UniformSampler};
+        let config = quick_config();
+        let mut f = FicsumBuilder::new(3, 2).config(config).build().unwrap();
+        let mut gens: Vec<Box<dyn ConceptGenerator>> = (0..3)
+            .map(|c| {
+                Box::new(LabelledConcept::new(
+                    UniformSampler::new(3, 40 + c as u64),
+                    StaggerLabeller::new(c),
+                    0.0,
+                    400 + c as u64,
+                )) as Box<dyn ConceptGenerator>
+            })
+            .collect();
+        let counts = |f: &Ficsum| -> Vec<(ConceptId, u64)> {
+            f.state.repo.iter().map(|e| (e.id, e.sc_fingerprint.n_incorporated())).collect()
+        };
+        let (mut ticks, mut largest) = (0, 0);
+        for seg in 0..12 {
+            let gen = &mut gens[seg % 3];
+            for _ in 0..400 {
+                let o = gen.generate();
+                let before = counts(&f);
+                let out = f.process(&o.features, o.label);
+                let after = counts(&f);
+                let ids = |c: &[(ConceptId, u64)]| c.iter().map(|e| e.0).collect::<Vec<_>>();
+                if ids(&before) != ids(&after) {
+                    continue; // a selection or recheck moved an entry
+                }
+                let t = f.state.t;
+                let ticked = !out.drift
+                    && t.is_multiple_of(config.repository_gap as u64)
+                    && f.state.frames.a_is_full()
+                    && !before.is_empty();
+                let grown: Vec<usize> =
+                    (0..after.len()).filter(|&i| after[i].1 != before[i].1).collect();
+                if !ticked {
+                    assert!(grown.is_empty(), "F_SC moved off a tick at t={t}");
+                    continue;
+                }
+                assert_eq!(grown.len(), 1, "one entry per tick at t={t}: {before:?} -> {after:?}");
+                let i = grown[0];
+                assert_eq!(after[i].1, before[i].1 + 1, "t={t}");
+                let fewest = before.iter().map(|e| e.1).min().unwrap();
+                assert_eq!(
+                    before.iter().position(|e| e.1 == fewest),
+                    Some(i),
+                    "t={t}: not the first least-sampled entry: {before:?}"
+                );
+                ticks += 1;
+                largest = largest.max(before.len());
+            }
+        }
+        assert!(ticks >= 20 && largest >= 3, "{ticks} ticks, at most {largest} stored");
+
+        // Over k·N ticks a fixed repository of N gives each concept k
+        // samples.
+        let n = f.state.repo.len() as u64;
+        let dims = f.engine.schema().len();
+        for e in f.state.repo.iter_mut() {
+            e.sc_fingerprint = ConceptFingerprint::new(dims);
+        }
+        let k = 3;
+        for _ in 0..k * n {
+            f.refresh_least_sampled();
+        }
+        assert!(counts(&f).iter().all(|e| e.1 == k), "{:?}", counts(&f));
     }
 
     /// The extraction modes the probe tests cover: stride 1 batch, stride 1

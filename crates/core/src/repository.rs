@@ -173,6 +173,14 @@ impl Repository {
         self.entries.iter_mut().find(|e| e.id == id)
     }
 
+    /// The stored concept with the fewest `F_SC` samples, first in
+    /// repository order on ties: the one the periodic `F_SC` refresh
+    /// updates next (DESIGN.md deviation 12). A repository of `N` entries
+    /// thus gives each entry one sample per `N` refreshes.
+    pub fn least_sampled_mut(&mut self) -> Option<&mut ConceptEntry> {
+        self.entries.iter_mut().min_by_key(|e| e.sc_fingerprint.n_incorporated())
+    }
+
     /// Iterates over stored entries.
     pub fn iter(&self) -> impl Iterator<Item = &ConceptEntry> {
         self.entries.iter()

@@ -352,6 +352,50 @@ mod tests {
         }
     }
 
+    /// A checkpoint cut right after an `F_SC` refresh tick with three or
+    /// more stored concepts: the tick moved one stored concept's `F_SC`,
+    /// and with it the repository half of the dynamic weights, which the
+    /// restored session rebuilds from its state alone. It replays the
+    /// uninterrupted session's outcomes and similarity bits.
+    #[test]
+    fn restore_right_after_a_refresh_tick_replays_bit_identically() {
+        use ficsum_stream::StreamSource;
+
+        let mut stream = ficsum_synth::rtree_stream(3);
+        let template = SessionTemplate::new(
+            stream.dims(),
+            stream.n_classes(),
+            FicsumConfig::default(),
+            Variant::Full,
+        )
+        .expect("valid");
+        let mut original = template.instantiate();
+        let samples = |f: &Ficsum| {
+            f.repository().iter().map(|e| e.sc_fingerprint.n_incorporated()).sum::<u64>()
+        };
+        loop {
+            let o = stream.next_observation().expect("RTREE reaches three stored concepts");
+            let before = samples(&original);
+            original.process(&o.features, o.label);
+            if original.repository().len() >= 3 && samples(&original) > before {
+                break;
+            }
+        }
+        let mut restored = template.restore(&original.checkpoint()).expect("restores");
+        for step in 0..1_500 {
+            let o = stream.next_observation().expect("RTREE is 30k long");
+            let want = original.process(&o.features, o.label);
+            assert_eq!(restored.process(&o.features, o.label), want, "step {step}");
+            assert_eq!(
+                restored.last_similarity().map(f64::to_bits),
+                original.last_similarity().map(f64::to_bits),
+                "step {step}"
+            );
+        }
+        assert_eq!(restored.stats(), original.stats());
+        assert!(original.stats().n_drifts > 0, "the tail should drift");
+    }
+
     #[test]
     fn template_respects_variant_and_dims() {
         let template = SessionTemplate::new(4, 3, FicsumConfig::default(), Variant::ErrorRate)

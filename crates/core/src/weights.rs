@@ -54,6 +54,11 @@ impl DynamicWeights {
     /// per-dimension statistics stream over the repository in the same
     /// entry order (and with the same per-accumulator addition order) as
     /// the collecting implementation, so the result is bit-identical.
+    ///
+    /// The one-pass reference for the split the pipeline runs:
+    /// [`DynamicWeights::discrimination_into`] (the repository half, kept
+    /// while the repository is unchanged) followed by
+    /// [`DynamicWeights::combine`] gives the same bits.
     pub fn compute_into(
         &mut self,
         active: &ConceptFingerprint,
@@ -114,6 +119,82 @@ impl DynamicWeights {
         // pipeline reports for them, stay comparable across updates (the
         // cosine similarity itself is invariant to a global scale).
         let mean = values.iter().sum::<f64>() / dims.max(1) as f64;
+        if mean > 0.0 && mean.is_finite() {
+            for v in values.iter_mut() {
+                *v /= mean;
+            }
+        }
+    }
+
+    /// The repository half of the weights: `w_d = max(v_s, v_sc)` per
+    /// dimension, 1 where both are 0, written into `out`. It reads only the
+    /// repository, so a caller can keep it while
+    /// [`Repository::weights_stamp`] stands and re-derive the full vector
+    /// with [`DynamicWeights::combine`] as the active fingerprint and the
+    /// normaliser move. Same accumulation order as
+    /// [`DynamicWeights::compute_into`], so the pair is bit-identical to it.
+    pub fn discrimination_into(
+        repo: &Repository,
+        dims: usize,
+        sigma_floor: f64,
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        let trained = || repo.iter().filter(|e| e.fingerprint.is_trained());
+        let n_trained = trained().count();
+        for dim in 0..dims {
+            let v_s = if n_trained >= 2 {
+                let grand =
+                    trained().map(|e| e.fingerprint.mean(dim)).sum::<f64>() / n_trained as f64;
+                let between = (trained()
+                    .map(|e| {
+                        let m = e.fingerprint.mean(dim);
+                        (m - grand) * (m - grand)
+                    })
+                    .sum::<f64>()
+                    / n_trained as f64)
+                    .sqrt();
+                let max_within =
+                    trained().map(|e| e.fingerprint.std_dev(dim)).fold(0.0f64, f64::max);
+                between / max_within.max(sigma_floor)
+            } else {
+                0.0
+            };
+            let mut sc_sum = 0.0;
+            let mut sc_n = 0usize;
+            for e in trained().filter(|e| e.sc_fingerprint.is_trained()) {
+                let dev = (e.fingerprint.mean(dim) - e.sc_fingerprint.mean(dim)).abs();
+                sc_sum += dev / e.sc_fingerprint.std_dev(dim).max(sigma_floor);
+                sc_n += 1;
+            }
+            let v_sc = if sc_n == 0 { 0.0 } else { sc_sum / sc_n as f64 };
+            let w_d = v_s.max(v_sc);
+            out.push(if w_d > 0.0 { w_d } else { 1.0 });
+        }
+    }
+
+    /// The active half of the weights: `w_sigma · w_d` per dimension for a
+    /// `w_d` from [`DynamicWeights::discrimination_into`], then the mean-1
+    /// normalisation. Reuses `values`' capacity.
+    pub fn combine(
+        &mut self,
+        active: &ConceptFingerprint,
+        w_d: &[f64],
+        normalizer: &FingerprintNormalizer,
+        sigma_floor: f64,
+    ) {
+        let values = &mut self.values;
+        values.clear();
+        for (dim, &w_d) in w_d.iter().enumerate() {
+            let w_sigma = if active.n_incorporated() >= 2 {
+                1.0 / normalizer.scale_sigma(active.std_dev(dim), dim).max(sigma_floor)
+            } else {
+                1.0
+            };
+            let w = w_sigma * w_d;
+            values.push(if w.is_finite() && w > 0.0 { w } else { 1.0 });
+        }
+        let mean = values.iter().sum::<f64>() / values.len().max(1) as f64;
         if mean > 0.0 && mean.is_finite() {
             for v in values.iter_mut() {
                 *v /= mean;
@@ -271,6 +352,50 @@ mod tests {
         assert_eq!(rec.gauge_value("ficsum.weights.spread"), Some(w.spread()));
         let max = w.values.iter().copied().fold(0.0, f64::max);
         assert_eq!(rec.gauge_value("ficsum.weights.max"), Some(max));
+    }
+
+    #[test]
+    fn split_halves_match_the_one_pass_reference_bit_for_bit() {
+        // Random repositories of 0 to 5 entries (so the 0-, 1- and 2-entry
+        // cases recur), mixing untrained entries, entries with no `F_SC`
+        // sample and constant dimensions that hit the sigma floor.
+        use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
+        let dims = 5;
+        let mut rng = Xoshiro256pp::seed_from_u64(17);
+        let sample = |rng: &mut Xoshiro256pp| -> Vec<f64> {
+            (0..dims).map(|d| if d == 0 { 0.5 } else { rng.random::<f64>() }).collect()
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for case in 0..120 {
+            let mut repo = Repository::new(0);
+            for _ in 0..case % 6 {
+                let id = repo.allocate_id();
+                let mut e = ConceptEntry::new(id, dims, Box::new(MajorityClass::new(1, 2)));
+                for _ in 0..rng.random_range(0..5usize) {
+                    e.fingerprint.incorporate(&sample(&mut rng));
+                }
+                for _ in 0..rng.random_range(0..4usize) {
+                    e.sc_fingerprint.incorporate(&sample(&mut rng));
+                }
+                repo.insert(e);
+            }
+            let mut active = ConceptFingerprint::new(dims);
+            for _ in 0..rng.random_range(0..5usize) {
+                active.incorporate(&sample(&mut rng));
+            }
+            let mut normalizer = FingerprintNormalizer::new(dims);
+            for _ in 0..rng.random_range(0..4usize) {
+                normalizer.observe(&sample(&mut rng));
+            }
+            for floor in [0.01, 0.001] {
+                let reference = DynamicWeights::compute(&active, &repo, &normalizer, floor);
+                let mut w_d = Vec::new();
+                DynamicWeights::discrimination_into(&repo, dims, floor, &mut w_d);
+                let mut split = DynamicWeights::uniform(dims);
+                split.combine(&active, &w_d, &normalizer, floor);
+                assert_eq!(bits(&split.values), bits(&reference.values), "case {case}");
+            }
+        }
     }
 
     #[test]

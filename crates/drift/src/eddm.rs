@@ -69,11 +69,19 @@ impl DriftDetector for Eddm {
         self.distance.push(self.since_last_error as f64);
         self.since_last_error = 0;
 
+        // The reference level `p'_max + 2 s'_max` is tracked only once
+        // `min_errors` distances exist (Baena-García et al., 2006): an
+        // early level rests on a handful of distances, and a noisy high one
+        // would stay the reference and make later, ordinary levels look
+        // like drift.
+        if self.distance.count() < self.min_errors {
+            return self.state;
+        }
         let level = self.distance.mean() + 2.0 * self.distance.std_dev();
         if level > self.max_level {
             self.max_level = level;
         }
-        if self.distance.count() < self.min_errors || self.max_level <= 0.0 {
+        if self.max_level <= 0.0 {
             return self.state;
         }
         let ratio = level / self.max_level;
@@ -184,6 +192,27 @@ mod tests {
         // The value after a drift starts afresh.
         assert_eq!(eddm.add(0.0), DetectorState::Stable);
         assert_eq!(eddm.state(), DetectorState::Stable);
+    }
+
+    #[test]
+    fn stationary_error_streams_rarely_fire() {
+        // Bernoulli(p) errors with no drift at all: every fire is false.
+        // Averaged over five seeds, no error rate may fire more than 6
+        // times per 10k steps.
+        use ficsum_stream::rng::{RandomSource, Xoshiro256pp};
+        for p in [0.05, 0.1, 0.2, 0.3, 0.5] {
+            let mut fires = 0usize;
+            for seed in 1..=5 {
+                let mut rng = Xoshiro256pp::seed_from_u64(seed);
+                let mut eddm = Eddm::default();
+                for _ in 0..10_000 {
+                    let err = if rng.random_bool(p) { 1.0 } else { 0.0 };
+                    fires += (eddm.add(err) == DetectorState::Drift) as usize;
+                }
+            }
+            let per_10k = fires as f64 / 5.0;
+            assert!(per_10k <= 6.0, "p = {p}: {per_10k} fires per 10k steps");
+        }
     }
 
     #[test]
