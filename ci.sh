@@ -120,8 +120,19 @@ for fw in HTCD RCD ER DWM ARF FiCSUM; do
     exit 1
   fi
 done
-rm -f "$tmp"
 echo "table6_frameworks --jsonl: one result line with false_alarms per framework"
+# Freshness: the same rows without their wall-clock runtime are
+# deterministic, so they must equal the committed ones byte for byte. A
+# change that moves a Table VI metric re-records them in the same change.
+if ! sed -E 's/,"runtime_s":[^,]*//' "$tmp" | cmp -s - results/table6_quick_stagger.jsonl; then
+  echo "results/table6_quick_stagger.jsonl is stale; re-record it with:" >&2
+  echo "  cargo run --release -p ficsum-bench --bin table6_frameworks -- \\" >&2
+  echo "    --quick --seeds 1 --only STAGGER --jsonl t6.jsonl > /dev/null" >&2
+  echo "  sed -E 's/,\"runtime_s\":[^,]*//' t6.jsonl > results/table6_quick_stagger.jsonl" >&2
+  exit 1
+fi
+rm -f "$tmp"
+echo "results/table6_quick_stagger.jsonl matches table6_frameworks"
 smoke ablations
 smoke fig3_sensitivity
 

@@ -35,6 +35,7 @@ use ficsum_bench::alloc_count::alloc_sample;
 use ficsum_bench::throughput::{best_of, fixed, write_baseline, Baseline, Flags};
 use ficsum_core::{FicsumBuilder, FicsumConfig, Variant};
 use ficsum_obs::jsonl::{format_record, JsonValue};
+use ficsum_obs::{shared, InMemoryRecorder};
 use ficsum_stream::StreamSource;
 use ficsum_synth::dataset_by_name;
 
@@ -117,8 +118,9 @@ fn run_once(args: &Args) -> Measurement {
         .parallelism(args.threads)
         .incremental_stats(args.incremental)
         .emd_stride(args.emd_stride);
-    if args.stages {
-        builder = builder.recorder(Box::new(ficsum_obs::InMemoryRecorder::new()));
+    let stages = args.stages.then(|| shared(InMemoryRecorder::new()));
+    if let Some(keep) = &stages {
+        builder = builder.recorder(Box::new(keep.clone()));
     }
     let mut system = builder.build().expect("default configuration is valid");
 
@@ -159,28 +161,22 @@ fn run_once(args: &Args) -> Measurement {
     }
     m.seconds = t_run.elapsed().as_secs_f64();
     m.accuracy = correct as f64 / m.steps.max(1) as f64;
-    if args.stages {
-        if let Some(rec) = system
-            .recorder()
-            .as_any()
-            .and_then(|a| a.downcast_ref::<ficsum_obs::InMemoryRecorder>())
-        {
-            eprintln!("stage spans over {:.2}s wall:", m.seconds);
-            let mut by_source = system.engine().source_timings();
-            by_source.sort_by_key(|&(_, nanos)| std::cmp::Reverse(nanos));
-            for (name, nanos) in by_source {
-                eprintln!("  source {:<24} {:>8.1} ms", name, nanos as f64 / 1e6);
-            }
-            for (stage, h) in rec.stages() {
-                eprintln!(
-                    "  {:<20} {:>9} spans, total {:>8.1} ms, mean {:>7.1} us, p99 {:>7.1} us",
-                    stage.name(),
-                    h.count(),
-                    h.sum_nanos() as f64 / 1e6,
-                    h.mean_nanos() / 1e3,
-                    h.quantile_nanos(0.99) as f64 / 1e3,
-                );
-            }
+    if let Some(keep) = &stages {
+        eprintln!("stage spans over {:.2}s wall:", m.seconds);
+        let mut by_source = system.engine().source_timings();
+        by_source.sort_by_key(|&(_, nanos)| std::cmp::Reverse(nanos));
+        for (name, nanos) in by_source {
+            eprintln!("  source {:<24} {:>8.1} ms", name, nanos as f64 / 1e6);
+        }
+        for (stage, h) in keep.borrow().stages() {
+            eprintln!(
+                "  {:<20} {:>9} spans, total {:>8.1} ms, mean {:>7.1} us, p99 {:>7.1} us",
+                stage.name(),
+                h.count(),
+                h.sum_nanos() as f64 / 1e6,
+                h.mean_nanos() / 1e3,
+                h.quantile_nanos(0.99) as f64 / 1e3,
+            );
         }
     }
     if cfg!(feature = "alloc-count") {

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use ficsum_classifiers::{Classifier, ClassifierFactory};
 use ficsum_drift::{Adwin, DetectorState, DriftDetector};
 use ficsum_meta::{
-    EmdCadence, EmdCounts, ExtractionMode, FingerprintEngine, FingerprintExtractor, StaticScan,
+    EmdCadence, ExtractionMode, FingerprintEngine, FingerprintExtractor, StaticScan,
 };
 use ficsum_obs::{Clock, DriftTrigger, MonotonicClock, NullRecorder, Recorder, Stage, StreamEvent};
 use ficsum_stream::{EwStats, FrameWindows, TrackedFrames};
@@ -418,8 +418,8 @@ impl Ficsum {
         &self.engine
     }
 
-    /// Attaches an observability recorder: every event, counter, gauge and
-    /// stage span the pipeline produces is delivered to it. The default is
+    /// Attaches an observability recorder: every event and stage span the
+    /// pipeline produces is delivered to it. The default is
     /// [`NullRecorder`], whose calls compile to nothing. Callers outside
     /// the crate observe a pipeline through
     /// [`crate::variant::FicsumBuilder::recorder`], which calls this.
@@ -431,11 +431,6 @@ impl Ficsum {
         self.engine
             .set_clock(recorder.enabled().then(|| Arc::clone(&self.clock)));
         self.recorder = recorder;
-    }
-
-    /// The attached recorder.
-    pub fn recorder(&self) -> &dyn Recorder {
-        self.recorder.as_ref()
     }
 
     /// Replaces the span-timing clock (default: a [`MonotonicClock`]
@@ -476,15 +471,6 @@ impl Ficsum {
             self.recorder
                 .span(stage, self.clock.now_nanos().saturating_sub(start));
         }
-    }
-
-    /// Publishes the active concept's normal-similarity distribution
-    /// `(mu_c, sigma_c, count)` as gauges. Callers gate on
-    /// [`Recorder::enabled`].
-    fn sim_gauges(&mut self) {
-        self.recorder.gauge("ficsum.sim.mean", self.state.active.sim_stats.mean());
-        self.recorder.gauge("ficsum.sim.std_dev", self.state.active.sim_stats.std_dev());
-        self.recorder.gauge("ficsum.sim.count", self.state.active.sim_stats.count() as f64);
     }
 
     /// The active concept's normal-similarity deviation `sigma_c`, floored.
@@ -618,7 +604,6 @@ impl Ficsum {
         entry.last_active = self.state.t;
         if let Some(evicted) = self.state.repo.insert(entry) {
             self.emit(StreamEvent::RepositoryEvicted { id: evicted as u64 });
-            self.recorder.counter("ficsum.evictions", 1);
         }
     }
 
@@ -722,13 +707,11 @@ impl Ficsum {
             Some((id, sim)) => {
                 self.activate(id);
                 self.state.stats.n_reuses += 1;
-                self.recorder.counter("ficsum.reuses", 1);
                 (Selection::Reused(id), Some(sim))
             }
             None => {
                 self.activate_new();
                 self.state.stats.n_new_concepts += 1;
-                self.recorder.counter("ficsum.new_concepts", 1);
                 (Selection::New(self.state.active.id), None)
             }
         };
@@ -737,9 +720,6 @@ impl Ficsum {
             to: self.state.active.id as u64,
             similarity,
         });
-        if self.recorder.enabled() {
-            self.sim_gauges();
-        }
         selection
     }
 
@@ -785,15 +765,11 @@ impl Ficsum {
             self.activate(id);
         }
         self.state.stats.n_recheck_switches += 1;
-        self.recorder.counter("ficsum.recheck_switches", 1);
         self.emit(StreamEvent::ConceptSwitch {
             from: from as u64,
             to: self.state.active.id as u64,
             similarity: Some(best_sim),
         });
-        if self.recorder.enabled() {
-            self.sim_gauges();
-        }
         self.state.frames.clear_buffer();
         self.state.detector.reset();
         self.state.extreme_streak = 0;
@@ -849,7 +825,6 @@ impl Ficsum {
             self.state.active.fingerprint.reset_dims(|i| schema.dims[i].depends_on_classifier());
             self.state.stats.n_plasticity_resets += 1;
             self.emit(StreamEvent::PlasticityReset);
-            self.recorder.counter("ficsum.plasticity_resets", 1);
             // The grown classifier re-predicts differently from here on;
             // do not let stale cached entropies bridge the change.
             self.engine.invalidate_emd_cache();
@@ -873,7 +848,6 @@ impl Ficsum {
         if self.state.t.is_multiple_of(config.fingerprint_gap as u64)
             && self.state.frames.a_is_full()
         {
-            let obs_on = self.recorder.enabled();
             // Epoch-gated dynamic weights: the computation is a pure
             // function of the active fingerprint, the repository and the
             // normaliser; an unchanged version stamp means the kept vector
@@ -904,8 +878,7 @@ impl Ficsum {
                 self.span_end(Stage::Similarity, t0);
                 self.state.weights_gen += 1;
                 self.state.weights_stamp = Some(stamp);
-                self.state.weights.publish_shape(&mut *self.recorder);
-                if obs_on {
+                if self.recorder.enabled() {
                     let dims = self.state.weights.values.len() as u64;
                     let spread = self.state.weights.spread();
                     self.emit(StreamEvent::WeightsRecomputed { dims, spread });
@@ -963,11 +936,10 @@ impl Ficsum {
                         }
                     } else {
                         self.state.baseline_outliers = 0;
-                        self.state.active.sim_stats.push(norm_sim);
-                        self.emit(StreamEvent::BaselineAbsorbed { value: norm_sim });
-                        if obs_on {
-                            self.sim_gauges();
-                        }
+                        let stats = &mut self.state.active.sim_stats;
+                        stats.push(norm_sim);
+                        let (mean, std_dev) = (stats.mean(), stats.std_dev());
+                        self.emit(StreamEvent::BaselineAbsorbed { value: norm_sim, mean, std_dev });
                     }
                 }
                 if incorporate {
@@ -1054,7 +1026,6 @@ impl Ficsum {
                         DriftTrigger::OutlierRun
                     };
                     self.emit(StreamEvent::DriftDetected { trigger });
-                    self.recorder.counter("ficsum.drifts", 1);
                     outcome.drift = true;
                     let t0 = self.span_start();
                     let selection = self.model_select();
@@ -1108,22 +1079,6 @@ impl Ficsum {
                     outcome.concept_switched = true;
                     self.engine.invalidate_emd_cache();
                 }
-            }
-        }
-
-        // Periodically surface the engine's cumulative per-source extraction
-        // cost (enabled recorders share the framework clock with the
-        // engine, see `attach_recorder`).
-        if self.recorder.enabled()
-            && self.state.t.is_multiple_of(config.repository_gap as u64)
-            && self.engine.timing_enabled()
-        {
-            for (name, nanos) in self.engine.source_timings() {
-                self.recorder.gauge(&format!("ficsum.extract.src.{name}"), nanos as f64);
-            }
-            for (name, EmdCounts { sifted, reused }) in self.engine.emd_counts() {
-                self.recorder.gauge(&format!("ficsum.extract.emd.sifted.{name}"), sifted as f64);
-                self.recorder.gauge(&format!("ficsum.extract.emd.reused.{name}"), reused as f64);
             }
         }
 
@@ -1595,33 +1550,21 @@ mod tests {
 
     #[test]
     fn emd_gauges_count_sifts_and_record_reuses_per_source() {
-        // At the default stride an enabled recorder sees, beside the
-        // per-source extraction times, each source's sifts and the record
-        // reads that replaced them: the feature and label sources of `B`
-        // and of the static scans read the drift check's records, the
-        // prediction-dependent sources never do.
-        use ficsum_obs::{shared, InMemoryRecorder};
-        let keep = shared(InMemoryRecorder::new());
-        let mut system = FicsumBuilder::new(3, 2).recorder(Box::new(keep.clone())).build().unwrap();
+        // At the default stride the engine counts each source's sifts and
+        // the record reads that replaced them: the feature and label
+        // sources of `B` and of the static scans read the drift check's
+        // records, the prediction-dependent sources never do.
+        let mut system = FicsumBuilder::new(3, 2).build().unwrap();
         let mut stream = stagger_stream(5);
         for _ in 0..3000 {
             let o = stream.next_observation().unwrap();
             system.process(&o.features, o.label);
         }
-        let rec = keep.borrow();
-        let gauge = |name: &str| {
-            let found = rec.gauges().find(|(n, _)| *n == name);
-            found.map(|(_, v)| v).unwrap_or_else(|| panic!("{name}"))
-        };
-        for (name, _) in system.engine().emd_counts() {
-            let (sifted, reused) = (
-                gauge(&format!("ficsum.extract.emd.sifted.{name}")),
-                gauge(&format!("ficsum.extract.emd.reused.{name}")),
-            );
-            assert!(sifted > 0.0, "{name}: sifted {sifted}");
+        for (name, ficsum_meta::EmdCounts { sifted, reused }) in system.engine().emd_counts() {
+            assert!(sifted > 0, "{name}: sifted {sifted}");
             match name.as_str() {
-                "x0" | "x1" | "x2" | "y" => assert!(reused > 0.0, "{name} reads records"),
-                _ => assert_eq!(reused, 0.0, "{name} keeps its own slots"),
+                "x0" | "x1" | "x2" | "y" => assert!(reused > 0, "{name} reads records"),
+                _ => assert_eq!(reused, 0, "{name} keeps its own slots"),
             }
         }
     }

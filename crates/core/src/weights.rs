@@ -13,8 +13,6 @@
 //!   stored classifier's behaviour on current data has moved from its stored
 //!   behaviour).
 
-use ficsum_obs::Recorder;
-
 use crate::fingerprint::{ConceptFingerprint, FingerprintNormalizer};
 use crate::repository::Repository;
 
@@ -202,16 +200,6 @@ impl DynamicWeights {
         }
     }
 
-    /// Publishes the vector's shape gauges (`ficsum.weights.spread`,
-    /// `ficsum.weights.max`) to `recorder`; a disabled recorder skips the
-    /// derived statistics entirely.
-    pub fn publish_shape(&self, recorder: &mut dyn Recorder) {
-        if recorder.enabled() {
-            recorder.gauge("ficsum.weights.spread", self.spread());
-            recorder.gauge("ficsum.weights.max", self.values.iter().copied().fold(0.0, f64::max));
-        }
-    }
-
     /// Max-minus-min of the weight values: 0 for uniform weights, larger as
     /// the weighting concentrates on few discriminative dimensions. The
     /// vector is mean-1 normalised, so spreads are comparable across
@@ -336,22 +324,6 @@ mod tests {
         assert_eq!(DynamicWeights::uniform(5).spread(), 0.0);
         let w = DynamicWeights { values: vec![0.5, 1.0, 1.5] };
         assert!((w.spread() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn publish_shape_reports_gauges() {
-        use ficsum_obs::InMemoryRecorder;
-        let mut active = ConceptFingerprint::new(2);
-        for i in 0..10 {
-            active.incorporate(&[0.1 * i as f64, 0.5]);
-        }
-        let repo = Repository::new(0);
-        let mut rec = InMemoryRecorder::new();
-        let w = DynamicWeights::compute(&active, &repo, &unit_normalizer(2), 0.01);
-        w.publish_shape(&mut rec);
-        assert_eq!(rec.gauge_value("ficsum.weights.spread"), Some(w.spread()));
-        let max = w.values.iter().copied().fold(0.0, f64::max);
-        assert_eq!(rec.gauge_value("ficsum.weights.max"), Some(max));
     }
 
     #[test]

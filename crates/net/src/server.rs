@@ -41,8 +41,7 @@ impl NetOptions {
     /// Attaches a per-connection recorder factory (see
     /// [`ConnRecorderFactory`]). Handlers emit the network
     /// [`StreamEvent`]s (`connection_opened`, `connection_closed`,
-    /// `batch_rejected`), per-connection batch counters and a
-    /// queue-depth gauge after each accepted batch.
+    /// `batch_rejected`); the totals live in [`NetMetrics`].
     #[must_use]
     pub fn with_recorder_factory(mut self, factory: ConnRecorderFactory) -> Self {
         self.recorder_factory = Some(factory);
@@ -392,11 +391,6 @@ fn handle_submit(
                 m.requests_served += results.len() as u64;
                 m.latency.record(nanos);
             });
-            recorder.counter("net.batches_accepted", 1);
-            recorder.counter("net.requests_served", results.len() as u64);
-            let depth: usize =
-                shared.inner.metrics().iter().map(|shard| shard.queue_depth).sum();
-            recorder.gauge("net.queue_depth", depth as f64);
             Ok(())
         }
         Err(refusal) => {
@@ -404,7 +398,6 @@ fn handle_submit(
             // Count the refusal before replying, so a client that has read
             // the REJECTED frame always finds it in the metrics.
             shared.metrics.update(|m| m.batches_rejected += 1);
-            recorder.counter("net.batches_rejected", 1);
             recorder.event(
                 *batches,
                 StreamEvent::BatchRejected { conn: conn_id, code: code as u64 },

@@ -104,6 +104,11 @@ pub enum StreamEvent {
     BaselineAbsorbed {
         /// The absorbed similarity value.
         value: f64,
+        /// `mu_c` after absorbing `value`.
+        mean: f64,
+        /// `sigma_c` after absorbing `value` (unfloored; 0 after the
+        /// first absorption).
+        std_dev: f64,
     },
     /// The dynamic meta-feature weights were recomputed.
     WeightsRecomputed {
@@ -199,7 +204,7 @@ pub enum StreamEvent {
 
 impl StreamEvent {
     /// Stable snake-case event name (the `"event"` field of the JSONL
-    /// schema and the per-event counters of [`crate::InMemoryRecorder`]).
+    /// schema and the key of [`crate::InMemoryRecorder::event_count`]).
     pub fn name(&self) -> &'static str {
         match self {
             StreamEvent::DriftDetected { .. } => "drift_detected",

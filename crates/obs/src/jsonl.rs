@@ -7,8 +7,7 @@
 //! ```text
 //! {"kind":"event","t":1200,"event":"drift_detected","trigger":"detector"}
 //! {"kind":"event","t":1200,"event":"concept_switch","from":0,"to":1,"similarity":0.91}
-//! {"kind":"counter","name":"ficsum.drifts","delta":1}
-//! {"kind":"gauge","name":"ficsum.sim.mean","value":0.9731}
+//! {"kind":"event","t":1260,"event":"baseline_absorbed","value":0.97,"mean":0.9731,"std_dev":0.012}
 //! {"kind":"span","stage":"extract","nanos":18231}
 //! ```
 //!
@@ -160,8 +159,18 @@ fn event_fields(t: u64, event: &StreamEvent, emit: &mut RecordSink<'_>) {
         StreamEvent::FingerprintExtracted { dims } => {
             emit(&[kind, ts, name, ("dims", JsonValue::Int(*dims))]);
         }
-        StreamEvent::SimilarityObserved { value } | StreamEvent::BaselineAbsorbed { value } => {
+        StreamEvent::SimilarityObserved { value } => {
             emit(&[kind, ts, name, ("value", JsonValue::Num(*value))]);
+        }
+        StreamEvent::BaselineAbsorbed { value, mean, std_dev } => {
+            emit(&[
+                kind,
+                ts,
+                name,
+                ("value", JsonValue::Num(*value)),
+                ("mean", JsonValue::Num(*mean)),
+                ("std_dev", JsonValue::Num(*std_dev)),
+            ]);
         }
         StreamEvent::WeightsRecomputed { dims, spread } => {
             emit(&[
@@ -244,28 +253,7 @@ fn event_fields(t: u64, event: &StreamEvent, emit: &mut RecordSink<'_>) {
 
 impl<W: Write> Recorder for JsonlSink<W> {
     fn event(&mut self, t: u64, event: StreamEvent) {
-        let mut emit = |fields: &[(&str, JsonValue<'_>)]| {
-            if write_record(&mut self.writer, fields).is_err() {
-                self.write_errors += 1;
-            }
-        };
-        event_fields(t, &event, &mut emit);
-    }
-
-    fn counter(&mut self, name: &str, delta: u64) {
-        self.emit(&[
-            ("kind", JsonValue::Str("counter")),
-            ("name", JsonValue::Str(name)),
-            ("delta", JsonValue::Int(delta)),
-        ]);
-    }
-
-    fn gauge(&mut self, name: &str, value: f64) {
-        self.emit(&[
-            ("kind", JsonValue::Str("gauge")),
-            ("name", JsonValue::Str(name)),
-            ("value", JsonValue::Num(value)),
-        ]);
+        event_fields(t, &event, &mut |fields| self.emit(fields));
     }
 
     fn span(&mut self, stage: Stage, nanos: u64) {
@@ -296,6 +284,7 @@ mod tests {
         sink.event(5, StreamEvent::DriftDetected { trigger: DriftTrigger::HardStreak });
         sink.event(5, StreamEvent::ConceptSwitch { from: 2, to: 0, similarity: Some(0.5) });
         sink.event(9, StreamEvent::ConceptSwitch { from: 0, to: 3, similarity: None });
+        sink.event(12, StreamEvent::BaselineAbsorbed { value: 0.5, mean: 0.75, std_dev: 0.25 });
         let lines = lines_of(sink);
         assert_eq!(
             lines[0],
@@ -309,18 +298,18 @@ mod tests {
             lines[2],
             r#"{"kind":"event","t":9,"event":"concept_switch","from":0,"to":3,"similarity":null}"#
         );
+        assert_eq!(
+            lines[3],
+            r#"{"kind":"event","t":12,"event":"baseline_absorbed","value":0.5,"mean":0.75,"std_dev":0.25}"#
+        );
     }
 
     #[test]
     fn metrics_serialise_with_kind_discriminators() {
         let mut sink = JsonlSink::new(Vec::new());
-        sink.counter("ficsum.drifts", 1);
-        sink.gauge("sim.mean", 0.25);
         sink.span(Stage::DriftCheck, 42);
         let lines = lines_of(sink);
-        assert_eq!(lines[0], r#"{"kind":"counter","name":"ficsum.drifts","delta":1}"#);
-        assert_eq!(lines[1], r#"{"kind":"gauge","name":"sim.mean","value":0.25}"#);
-        assert_eq!(lines[2], r#"{"kind":"span","stage":"drift_check","nanos":42}"#);
+        assert_eq!(lines[0], r#"{"kind":"span","stage":"drift_check","nanos":42}"#);
     }
 
     #[test]

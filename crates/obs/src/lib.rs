@@ -3,16 +3,14 @@
 //! Every quantity the paper's analysis reads off the pipeline — similarity
 //! traces, drift points, per-stage cost, weight recomputations, repository
 //! churn (Section V) — flows through one interface: the [`Recorder`] trait.
-//! The framework emits typed [`StreamEvent`]s, named counters and gauges,
-//! and monotonic stage spans; what happens to them is the recorder's
-//! business:
+//! The framework emits typed [`StreamEvent`]s and monotonic stage spans;
+//! what happens to them is the recorder's business:
 //!
 //! * [`NullRecorder`] — the inlined no-op default. All methods are empty
 //!   and [`Recorder::enabled`] returns `false`, letting hot paths skip even
 //!   the clock reads that would feed a span.
 //! * [`InMemoryRecorder`] — retains everything (events in arrival order,
-//!   counter totals, last gauge values, per-stage latency histograms) for
-//!   tests and the evaluation runner.
+//!   per-stage latency histograms) for tests and the bench binaries.
 //! * [`JsonlSink`] — streams each signal as one JSON line to any
 //!   [`std::io::Write`], for experiment binaries and offline analysis.
 //!

@@ -1,22 +1,19 @@
 //! The retaining recorder used by tests and the evaluation runner.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use crate::event::{Stage, StreamEvent};
 use crate::histogram::LatencyHistogram;
 use crate::recorder::Recorder;
 
-/// Retains every signal: events in arrival order, counter totals, last
-/// gauge values and one latency histogram per pipeline stage.
+/// Retains every signal: events in arrival order and one latency histogram
+/// per pipeline stage.
 ///
 /// `BTreeMap`s keep iteration deterministic, so reports built from a
 /// recorded run are reproducible byte-for-byte.
 #[derive(Debug, Default)]
 pub struct InMemoryRecorder {
     events: Vec<(u64, StreamEvent)>,
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     spans: BTreeMap<Stage, LatencyHistogram>,
 }
 
@@ -29,26 +26,6 @@ impl InMemoryRecorder {
     /// Every recorded `(t, event)` pair, in arrival order.
     pub fn events(&self) -> &[(u64, StreamEvent)] {
         &self.events
-    }
-
-    /// Counter total (0 if never touched).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// All counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Last value of a gauge, if it was ever set.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// All gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> + '_ {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
     /// The latency histogram of one stage, if any span was recorded.
@@ -104,8 +81,6 @@ impl InMemoryRecorder {
     /// Drops all retained signals.
     pub fn clear(&mut self) {
         self.events.clear();
-        self.counters.clear();
-        self.gauges.clear();
         self.spans.clear();
     }
 }
@@ -115,30 +90,8 @@ impl Recorder for InMemoryRecorder {
         self.events.push((t, event));
     }
 
-    fn counter(&mut self, name: &str, delta: u64) {
-        match self.counters.get_mut(name) {
-            Some(v) => *v += delta,
-            None => {
-                self.counters.insert(name.to_owned(), delta);
-            }
-        }
-    }
-
-    fn gauge(&mut self, name: &str, value: f64) {
-        match self.gauges.get_mut(name) {
-            Some(v) => *v = value,
-            None => {
-                self.gauges.insert(name.to_owned(), value);
-            }
-        }
-    }
-
     fn span(&mut self, stage: Stage, nanos: u64) {
         self.spans.entry(stage).or_default().record(nanos);
-    }
-
-    fn as_any(&self) -> Option<&dyn Any> {
-        Some(self)
     }
 }
 
@@ -153,16 +106,10 @@ mod tests {
         r.event(10, StreamEvent::DriftDetected { trigger: DriftTrigger::Detector });
         r.event(10, StreamEvent::ConceptSwitch { from: 0, to: 1, similarity: None });
         r.event(15, StreamEvent::SimilarityObserved { value: 0.93 });
-        r.counter("drifts", 1);
-        r.counter("drifts", 1);
-        r.gauge("sim.mean", 0.9);
-        r.gauge("sim.mean", 0.95);
         r.span(Stage::Extract, 1_000);
         r.span(Stage::Extract, 3_000);
 
         assert_eq!(r.events().len(), 3);
-        assert_eq!(r.counter_value("drifts"), 2);
-        assert_eq!(r.gauge_value("sim.mean"), Some(0.95));
         assert_eq!(r.stage_histogram(Stage::Extract).unwrap().count(), 2);
         assert!(r.stage_histogram(Stage::Similarity).is_none());
         assert_eq!(r.drift_points(), vec![10]);
@@ -172,19 +119,12 @@ mod tests {
     }
 
     #[test]
-    fn downcast_through_as_any() {
-        let r = InMemoryRecorder::new();
-        let dynref: &dyn Recorder = &r;
-        assert!(dynref.as_any().unwrap().downcast_ref::<InMemoryRecorder>().is_some());
-    }
-
-    #[test]
     fn clear_resets_everything() {
         let mut r = InMemoryRecorder::new();
-        r.counter("x", 3);
+        r.span(Stage::Extract, 3);
         r.event(1, StreamEvent::PlasticityReset);
         r.clear();
-        assert_eq!(r.counter_value("x"), 0);
+        assert!(r.stages().next().is_none());
         assert!(r.events().is_empty());
     }
 }

@@ -23,10 +23,11 @@
 //!   including a full [`ficsum_core::SessionCheckpoint`] from which a
 //!   future server rehydrates the session bit-identically
 //!   ([`ServeOptions::with_restore`]).
-//! * Observability rides along per shard: counters, queue-depth gauges and
-//!   submit→reply latency histograms flow through any
-//!   [`ficsum_obs::Recorder`] built by a [`RecorderFactory`] on the shard's
-//!   own thread.
+//! * Observability rides along per shard: session and batch events flow
+//!   through any [`ficsum_obs::Recorder`] built by a [`RecorderFactory`] on
+//!   the shard's own thread, while request counts, queue depths and
+//!   submit→reply latency histograms live in each shard's
+//!   [`ShardMetrics`].
 //! * Workers are **supervised**: a panicking pipeline quarantines only its
 //!   own session ([`StepError::SessionPoisoned`]); a panic escaping the
 //!   per-request guard restarts the worker with its session table and

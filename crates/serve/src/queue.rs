@@ -146,11 +146,6 @@ impl ShardQueue {
         let state = lock_recover(&self.state);
         (state.items.len(), state.enqueued, state.max_depth)
     }
-
-    /// Current queue depth (the worker reports this as a gauge).
-    pub(crate) fn depth(&self) -> usize {
-        lock_recover(&self.state).items.len()
-    }
 }
 
 /// Atomically enqueues a batch grouped per shard: either every request in
@@ -222,8 +217,8 @@ mod tests {
             try_submit_all(&queues, &mut grouped),
             Err(ServeError::Overloaded { shard: 1 })
         );
-        assert_eq!(queues[0].depth(), 0, "no partial enqueue");
-        assert_eq!(queues[1].depth(), 0);
+        assert_eq!(queues[0].gauges().0, 0, "no partial enqueue");
+        assert_eq!(queues[1].gauges().0, 0);
         // A refused batch is kept intact for verbatim retry.
         assert_eq!(grouped[0].1.len(), 1);
         assert_eq!(grouped[1].1.len(), 2);
@@ -234,8 +229,8 @@ mod tests {
         ];
         assert_eq!(try_submit_all(&queues, &mut ok), Ok(()));
         assert!(ok.iter().all(|(_, reqs)| reqs.is_empty()), "accepted batch is drained");
-        assert_eq!(queues[0].depth(), 1);
-        assert_eq!(queues[1].depth(), 1);
+        assert_eq!(queues[0].gauges().0, 1);
+        assert_eq!(queues[1].gauges().0, 1);
     }
 
     #[test]

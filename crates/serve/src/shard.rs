@@ -150,9 +150,6 @@ pub(crate) fn run(mut ctx: ShardContext, factory: Option<RecorderFactory>) {
                     for &(session, steps) in &restored {
                         rec.event(t, StreamEvent::SessionRestored { shard, session, steps });
                     }
-                    if !restored.is_empty() {
-                        rec.counter("serve.sessions_restored", restored.len() as u64);
-                    }
                 } else {
                     rec.event(
                         t,
@@ -162,7 +159,6 @@ pub(crate) fn run(mut ctx: ShardContext, factory: Option<RecorderFactory>) {
                             sessions: table.len() as u64,
                         },
                     );
-                    rec.counter("serve.worker_restarts", 1);
                 }
             }
             serve_loop(&ctx, &mut table, &mut backlog, &mut t, &mut progress, recorder)
@@ -199,8 +195,6 @@ fn serve_loop(
     mut recorder: Option<Box<dyn Recorder>>,
 ) {
     let shard = ctx.shard as u64;
-    let depth_gauge = format!("serve.shard{}.queue_depth", ctx.shard);
-    let sessions_gauge = format!("serve.shard{}.live_sessions", ctx.shard);
     loop {
         if backlog.is_empty() {
             match ctx.queue.pop_all() {
@@ -319,9 +313,9 @@ fn serve_loop(
                 }
             }
         }
-        // Counters first — the stats lock cannot panic, so batch
-        // bookkeeping stays accurate even if a recorder call below crashes
-        // this incarnation.
+        // Stats first — the stats lock cannot panic, so batch bookkeeping
+        // stays accurate even if a recorder call below crashes this
+        // incarnation.
         {
             let mut stats = lock_recover(&ctx.stats);
             stats.processed += len;
@@ -336,20 +330,6 @@ fn serve_loop(
         }
         if let Some(rec) = recorder.as_deref_mut() {
             rec.event(*t, StreamEvent::BatchProcessed { shard, len });
-            rec.counter("serve.requests", len);
-            if created > 0 {
-                rec.counter("serve.sessions_created", created);
-            }
-            if evicted > 0 {
-                rec.counter("serve.sessions_evicted", evicted);
-            }
-            if poisoned > 0 {
-                rec.counter("serve.sessions_poisoned", poisoned);
-            }
-            if rec.enabled() {
-                rec.gauge(&depth_gauge, ctx.queue.depth() as f64);
-                rec.gauge(&sessions_gauge, table.len() as f64);
-            }
         }
     }
 }

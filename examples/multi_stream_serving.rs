@@ -30,8 +30,8 @@ const SHARDS: usize = 4;
 const STEPS: usize = 600;
 
 /// Forwards everything to a shared in-memory recorder, but panics exactly
-/// once when the fuse is lit — simulating a bug in observability code
-/// taking down a worker thread mid-run.
+/// once, after a batch-processed event, when the fuse is lit — simulating
+/// a bug in observability code taking down a worker thread mid-run.
 struct FusedRecorder {
     inner: Arc<Mutex<InMemoryRecorder>>,
     fuse: Arc<AtomicBool>,
@@ -39,19 +39,11 @@ struct FusedRecorder {
 
 impl Recorder for FusedRecorder {
     fn event(&mut self, t: u64, event: StreamEvent) {
+        let batch_done = matches!(event, StreamEvent::BatchProcessed { .. });
         self.inner.lock().expect("recorder mutex").event(t, event);
-    }
-    fn counter(&mut self, name: &str, delta: u64) {
-        if self.fuse.swap(false, Ordering::SeqCst) {
+        if batch_done && self.fuse.swap(false, Ordering::SeqCst) {
             panic!("injected recorder bug: crashing this worker");
         }
-        self.inner.lock().expect("recorder mutex").counter(name, delta);
-    }
-    fn gauge(&mut self, name: &str, value: f64) {
-        self.inner.lock().expect("recorder mutex").gauge(name, value);
-    }
-    fn enabled(&self) -> bool {
-        true
     }
 }
 
@@ -60,8 +52,8 @@ fn main() {
     let template = SessionTemplate::new(3, 2, FicsumConfig::default(), Variant::Full)
         .expect("valid FiCSUM configuration");
 
-    // One thread-safe recorder shared by all shards: counters, queue-depth
-    // gauges and session lifecycle events aggregate here.
+    // One thread-safe recorder shared by all shards: batch and session
+    // lifecycle events aggregate here. Totals come from the shard metrics.
     let recorder = Arc::new(Mutex::new(InMemoryRecorder::new()));
     let fuse = Arc::new(AtomicBool::new(false));
     let factory: RecorderFactory = {
@@ -89,8 +81,8 @@ fn main() {
     let mut faulted = 0usize;
     for step in 0..STEPS {
         if step == STEPS / 2 {
-            // Light the fuse: the next recorder call on some shard panics,
-            // killing that worker thread mid-run.
+            // Light the fuse: the next finished batch on some shard panics
+            // its recorder, killing that worker thread mid-run.
             println!("step {step}: crashing one worker...");
             fuse.store(true, Ordering::SeqCst);
         }
@@ -154,8 +146,8 @@ fn main() {
     assert_eq!(processed, SESSIONS * STEPS as u64, "bookkeeping survived the crash");
     let rec = recorder.lock().expect("recorder mutex");
     println!(
-        "recorder saw {} requests, {} sessions created, {} worker restart events",
-        rec.counter_value("serve.requests"),
+        "recorder saw {} batches, {} sessions created, {} worker restart events",
+        rec.event_count("batch_processed"),
         rec.event_count("session_created"),
         rec.event_count("worker_restarted"),
     );

@@ -171,10 +171,18 @@ fn served_outcomes_are_bit_identical_to_sequential_reference() {
         "all {} shards participated: {report:?}",
         run.shards
     );
-    // The recorder saw the whole run: per-shard counters sum to the total,
-    // and each session announced its creation exactly once.
+    // The recorder saw the whole run: the shards' batch events sum to the
+    // total, and each session announced its creation exactly once.
     let rec = recorder.lock().unwrap();
-    assert_eq!(rec.counter_value("serve.requests"), total);
+    let batched: u64 = rec
+        .events()
+        .iter()
+        .map(|(_, event)| match event {
+            StreamEvent::BatchProcessed { len, .. } => *len,
+            _ => 0,
+        })
+        .sum();
+    assert_eq!(batched, total);
     assert_eq!(rec.event_count("session_created"), run.sessions);
     let latency_total: u64 = report.metrics.iter().map(|m| m.latency.count()).sum();
     assert_eq!(latency_total, total);
@@ -611,10 +619,14 @@ fn net_recorder_sees_connection_lifecycle_and_refusals() {
         rejected,
         [&StreamEvent::BatchRejected { conn: 0, code: u64::from(wire::code::OVERLOADED) }]
     );
-    assert_eq!(rec.counter_value("net.batches_accepted"), 1);
-    assert_eq!(rec.counter_value("net.requests_served"), 2);
-    assert_eq!(rec.counter_value("net.batches_rejected"), 1);
+    let closed = rec.events().iter().find(|(_, event)| event.name() == "connection_closed");
+    assert_eq!(
+        closed.map(|(_, event)| event),
+        Some(&StreamEvent::ConnectionClosed { conn: 0, batches: 1 })
+    );
     // The recorder and the front-end's own metrics tell the same story.
+    let processed: u64 = report.serve.metrics.iter().map(|m| m.processed).sum();
+    assert_eq!(processed, 2, "only the accepted batch reached a shard");
     assert_eq!(report.net.connections_opened, 1);
     assert_eq!(report.net.connections_closed, 1);
     assert_eq!(report.net.batches_accepted, 1);

@@ -1,7 +1,8 @@
 //! Invariants of the observability layer: the recorder is the single
 //! source of truth for traces (the legacy accessors are gone), so these
 //! tests pin that the recorded signals are internally consistent, agree
-//! with the pipeline's own counters, and are bit-reproducible run-to-run.
+//! with the pipeline's own `FicsumStats`, and are bit-reproducible
+//! run-to-run.
 
 use ficsum::prelude::*;
 
@@ -47,20 +48,33 @@ fn similarity_trace_is_ordered_and_bounded() {
 
 #[test]
 fn similarity_gauges_are_self_consistent() {
+    // Each absorption carries the baseline `(mu_c, sigma_c)` it produced,
+    // so a trace can recompute the drift check's z-scores. A switch
+    // rebuilds the baseline from scratch: the first absorption after it is
+    // the baseline's only value.
     let (_system, keep) = recorded_run(12_000);
     let rec = keep.borrow();
-    let gauge = |name: &str| rec.gauges().find(|(n, _)| *n == name).map(|(_, v)| v);
-    let count = gauge("ficsum.sim.count").expect("sim gauges published");
-    assert!(count >= 0.0 && count.fract() == 0.0, "count gauge is integral: {count}");
-    // The baseline absorbs a subset of the observed similarities, so its
-    // count can never exceed the number of similarity observations.
-    assert!(count as usize <= rec.similarity_trace().len());
-    if count > 0.0 {
-        let std_dev = gauge("ficsum.sim.std_dev").expect("std_dev published with count");
-        let mean = gauge("ficsum.sim.mean").expect("mean published with count");
-        assert!(std_dev >= 0.0);
-        assert!((-1.0001..=1.0001).contains(&mean));
+    let mut fresh_baseline = true;
+    let (mut absorbed, mut first_after_switch) = (0, 0);
+    for (t, event) in rec.events() {
+        match *event {
+            StreamEvent::ConceptSwitch { .. } => fresh_baseline = true,
+            StreamEvent::BaselineAbsorbed { value, mean, std_dev } => {
+                absorbed += 1;
+                assert!(std_dev >= 0.0, "t={t}: std_dev {std_dev}");
+                assert!((-1.0001..=1.0001).contains(&mean), "t={t}: mean {mean}");
+                if fresh_baseline {
+                    first_after_switch += 1;
+                    assert_eq!(mean, value, "t={t}: first absorption sets the mean");
+                    assert_eq!(std_dev, 0.0, "t={t}: one value has no spread");
+                    fresh_baseline = false;
+                }
+            }
+            _ => {}
+        }
     }
+    assert!(first_after_switch > 1, "baselines rebuilt after switches: {first_after_switch}");
+    assert!(absorbed > first_after_switch, "baselines grow past their first value");
 }
 
 #[test]
@@ -95,18 +109,15 @@ fn drift_and_switch_events_interleave_in_causal_order() {
 
 #[test]
 fn counters_reconcile_with_event_stream() {
-    let (_system, keep) = recorded_run(12_000);
+    let (system, keep) = recorded_run(12_000);
     let rec = keep.borrow();
-    let drift_counter =
-        rec.counters().find(|(n, _)| *n == "ficsum.drifts").map(|(_, v)| v).unwrap_or(0);
-    assert_eq!(drift_counter, rec.drift_points().len() as u64);
-    let switch_events = rec.event_count("concept_switch") as u64;
-    let reuses = rec
-        .counters()
-        .filter(|(n, _)| *n == "ficsum.reuses" || *n == "ficsum.new_concepts" || *n == "ficsum.recheck_switches")
-        .map(|(_, v)| v)
-        .sum::<u64>();
-    assert_eq!(switch_events, reuses, "every switch is classified exactly once");
+    let stats = system.stats();
+    assert_eq!(
+        rec.event_count("concept_switch") as u64,
+        stats.n_reuses + stats.n_new_concepts + stats.n_recheck_switches,
+        "every switch is classified exactly once"
+    );
+    assert_eq!(rec.event_count("plasticity_reset") as u64, stats.n_plasticity_resets);
 }
 
 #[test]
